@@ -25,12 +25,7 @@ from .model import (
     ModelParams,
     action_breakdown,
     admissible_q_max,
-    density_e1,
-    density_e2,
     e2_energy,
-    residual_a,
-    residual_f,
-    residual_g,
     residuals,
     solution_properties_ok,
     validate_params,
@@ -41,7 +36,6 @@ from .observables import (
     electric_charge,
     fit_decay_rate,
     gamma_theory,
-    magnetic_charge,
     observables,
     skyrme_charge_closed,
     skyrme_charge_numeric,
@@ -55,6 +49,7 @@ from .solver import (
     flow_solve,
     initial_guess,
     newton_solve,
+    warm_start,
 )
 from .verify import RefinementReport, Tolerances, VerifyReport, refinement_study, run_suite
 
@@ -85,8 +80,6 @@ __all__ = [
     "build_grid",
     "constraint_residual",
     "continuation_solve",
-    "density_e1",
-    "density_e2",
     "e2_energy",
     "electric_charge",
     "fit_decay_rate",
@@ -94,13 +87,9 @@ __all__ = [
     "gamma_theory",
     "grid_from_nodes",
     "initial_guess",
-    "magnetic_charge",
     "newton_solve",
     "observables",
     "refinement_study",
-    "residual_a",
-    "residual_f",
-    "residual_g",
     "residuals",
     "run_suite",
     "skyrme_charge_closed",
@@ -109,4 +98,5 @@ __all__ = [
     "solve_inner_g",
     "tail_constants",
     "validate_params",
+    "warm_start",
 ]

@@ -26,7 +26,7 @@ from .grid import DEFAULT_CLUSTER, build_grid
 from .io import read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
 from .observables import observables, skyrme_charge_closed
-from .solver import SolveConfig, continuation_solve, default_continuation_steps, newton_solve
+from .solver import SolveConfig, continuation_solve, default_continuation_steps, newton_solve, warm_start
 from .verify import Tolerances, run_suite
 
 __all__ = ["main", "run_solve", "run_sweep", "run_table", "run_verify", "parse_angle", "RunConfig"]
@@ -125,20 +125,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _solve_point(p, grid, cfg: RunConfig):
-    solve_cfg = cfg.solve_config(p.q)
-    return continuation_solve(p, grid, solve_cfg)
-
-
 def run_solve(cfg: RunConfig) -> int:
     p = validate_params(cfg.omega, cfg.q, cfg.kappa)
     grid = build_grid(cfg.rmax, cfg.nodes, cluster=cfg.grading)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    profile, report = _solve_point(p, grid, cfg)
-    write_profile_csv(out / "profile.csv", p, profile)
+    profile, report = continuation_solve(p, grid, cfg.solve_config(p.q))
+    # an aborted continuation returns the failed leg's profile, with that leg's q
+    p_out = p if report.converged else validate_params(p.omega, report.continuation_trace[-1].q, p.kappa)
+    write_profile_csv(out / "profile.csv", p_out, profile)
     if not report.converged:
-        (out / "solve.txt").write_text(f"converged 0\nresidual {report.final_residual_norm:.6g}\n{report.message}\n", encoding="utf-8")
+        status = f"converged 0\nresidual {report.final_residual_norm:.6g}\ntarget_q {p.q:.17g}\nprofile_q {p_out.q:.17g}\n"
+        (out / "solve.txt").write_text(f"{status}{report.message}\n", encoding="utf-8")
         print(f"solve failed: {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     obs = observables(p, profile, strict=False)
@@ -168,16 +166,15 @@ def run_sweep(cfg: RunConfig) -> int:
     rows = []
     all_ok = True
     prev = None
+    # explicit continuation lists cannot track a sweep; use the default path
+    solve_cfg = SolveConfig(tol_residual=cfg.tol)
     for p in points:
-        # explicit continuation lists cannot track a sweep; use the default path
-        cold_cfg = SolveConfig(tol_residual=cfg.tol)
         if prev is None:
-            profile, report = continuation_solve(p, grid, cold_cfg)
+            profile, report = continuation_solve(p, grid, solve_cfg)
         else:
-            guess = _adapt_profile(prev[0], prev[1], p)
-            profile, report = newton_solve(p, grid, guess, SolveConfig(tol_residual=cfg.tol))
+            profile, report = newton_solve(p, grid, warm_start(*prev, p), solve_cfg)
             if not report.converged:
-                profile, report = continuation_solve(p, grid, cold_cfg)
+                profile, report = continuation_solve(p, grid, solve_cfg)
         ok = report.converged
         all_ok &= ok
         if ok:
@@ -197,7 +194,7 @@ def run_sweep(cfg: RunConfig) -> int:
                     "converged": True,
                 }
             )
-            prev = (p, profile)
+            prev = (profile, p)
         else:
             rows.append(
                 {"omega": p.omega, "q": p.q, "kappa": p.kappa, "Qe": float("nan"), "QS_numeric": float("nan"),
@@ -206,21 +203,6 @@ def run_sweep(cfg: RunConfig) -> int:
             )
     write_summary_csv(out / "summary.csv", rows)
     return EXIT_OK if all_ok else EXIT_NO_CONVERGENCE
-
-
-def _adapt_profile(p_old, profile, p_new):
-    """Warm-start guess across a parameter change, re-clamping boundary data."""
-    s = profile.copy()
-    if p_new.f_infinity != p_old.f_infinity:
-        s.f *= p_new.f_infinity / p_old.f_infinity
-    if p_old.q > 0.0:
-        s.g *= p_new.q / p_old.q
-    else:
-        s.g = p_new.q * s.grid.r / (s.grid.r + 1.0)
-    s.f[0], s.g[0] = 0.0, 0.0
-    s.f[-1], s.g[-1] = p_new.f_infinity, p_new.q
-    s.a[0], s.a[-1] = 1.0, 0.0
-    return s
 
 
 def run_table(cfg: RunConfig) -> int:

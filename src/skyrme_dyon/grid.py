@@ -1,4 +1,4 @@
-"""Graded radial mesh on [0, R] with nonuniform stencils and quadrature.
+"""Graded radial mesh on [0, R]: stencil coefficients and quadrature.
 
 Nodes are r_i = R * m(i/N), i = 0..N, with the one-parameter mapping
 
@@ -14,12 +14,12 @@ what keeps the float-quantization floor of the residual evaluation
 N ~ 2000; both much finer cores and much finer tails were measured to push
 that floor above target.
 
-All stencils are the standard second-order nonuniform ones.  The operator
-(r^2 u')' is discretized in conservative flux form with the half-node
-coefficient r_i * r_{i+1}, which makes the stencil exact on 1, r and 1/r
-(the kernel and the linear growth mode of the continuous operator); in
-particular u = c*r satisfies the discrete equation (r^2 u')' = 2*c*r
-exactly on any admissible mesh.
+The grid holds the mesh data of the discrete model: interval lengths h,
+dual-cell (trapezoid) weights w and the half-node coefficients r_i*r_{i+1}
+of (r^2 u')'.  model.py writes out the stencils; its conservative flux form
+of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth
+mode of the continuous operator), so u = c*r satisfies the discrete
+equation (r^2 u')' = 2*c*r exactly on any admissible mesh.
 """
 
 from __future__ import annotations
@@ -78,35 +78,6 @@ class RadialGrid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    # -- scalar stencil operations -------------------------------------------------
-
-    def _check_interior(self, i: int) -> None:
-        if not 1 <= i <= self.N - 1:
-            raise IndexError(f"node index {i} outside interior range 1..{self.N - 1}")
-
-    def d1(self, u: np.ndarray, i: int):
-        """Second-order first derivative at interior node i (exact on quadratics)."""
-        self._check_interior(i)
-        hm, hp = self.h[i - 1], self.h[i]
-        return (hm * hm * (u[i + 1] - u[i]) + hp * hp * (u[i] - u[i - 1])) / (hm * hp * (hm + hp))
-
-    def d2(self, u: np.ndarray, i: int):
-        """Second-order second derivative at interior node i (flux form, p = 1)."""
-        self._check_interior(i)
-        hm, hp = self.h[i - 1], self.h[i]
-        return ((u[i + 1] - u[i]) / hp - (u[i] - u[i - 1]) / hm) / self.w[i]
-
-    def sturm_liouville(self, u: np.ndarray, i: int):
-        """Conservative discretization of (r^2 u')' at interior node i."""
-        self._check_interior(i)
-        return (self.half_flux(u, i) - self.half_flux(u, i - 1)) / self.w[i]
-
-    def half_flux(self, u: np.ndarray, i: int):
-        """Discrete flux r^2 u' at the half node between r_i and r_{i+1}."""
-        if not 0 <= i <= self.N - 1:
-            raise IndexError(f"interval index {i} outside range 0..{self.N - 1}")
-        return self.p_half[i] * (u[i + 1] - u[i]) / self.h[i]
-
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal quadrature of nodal values (exact on piecewise linears)."""
         values = np.asarray(values)
@@ -127,24 +98,6 @@ class RadialGrid:
         nodes[1::2] = mid
         return RadialGrid(r=nodes, R=self.R, N=2 * self.N, grading=None)
 
-    # -- vectorized helpers over interior nodes ------------------------------------
-
-    def diff_quotients(self, u: np.ndarray) -> np.ndarray:
-        """Per-interval difference quotients (u_{i+1} - u_i) / h_i."""
-        return np.diff(u) / self.h
-
-    def d1_interior(self, u: np.ndarray) -> np.ndarray:
-        hm, hp = self.h[:-1], self.h[1:]
-        return (hm * hm * (u[2:] - u[1:-1]) + hp * hp * (u[1:-1] - u[:-2])) / (hm * hp * (hm + hp))
-
-    def d2_interior(self, u: np.ndarray) -> np.ndarray:
-        du = self.diff_quotients(u)
-        return (du[1:] - du[:-1]) / self.w[1:-1]
-
-    def sl_interior(self, u: np.ndarray) -> np.ndarray:
-        flux = self.p_half * self.diff_quotients(u)
-        return (flux[1:] - flux[:-1]) / self.w[1:-1]
-
     def nodal_from_intervals(self, s: np.ndarray) -> np.ndarray:
         """Dual-cell average turning per-interval values into nodal values.
 
@@ -156,11 +109,6 @@ class RadialGrid:
         out[-1] = s[-1]
         out[1:-1] = (self.h[:-1] * s[:-1] + self.h[1:] * s[1:]) / (2.0 * self.w[1:-1])
         return out
-
-    def avg_grad_sq(self, u: np.ndarray) -> np.ndarray:
-        """Nodal (u')^2 as the dual-cell average of squared difference quotients."""
-        du = self.diff_quotients(u)
-        return self.nodal_from_intervals(du * du)
 
 
 def _grading_map(xi: np.ndarray, cluster: float) -> np.ndarray:

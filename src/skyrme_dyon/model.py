@@ -22,18 +22,23 @@ with static action L = integral(e1 - e2) and energy E = integral(e1 + e2).
 Discretization.  Derivative-squared terms are assembled per interval
 (difference quotients, with half-node coefficients r_i*r_{i+1} for r^2 and
 arithmetic means for a^2*sin(f)^2); zero-order terms per node with
-trapezoid weights.  density_e1/density_e2 fold the interval terms back to
-nodes with the dual-cell average, so trapezoid integration of the density
-arrays reproduces the interval assembly exactly, and the residuals below
-are the exact gradients of the discrete action:
+trapezoid weights.  density_e1_array/density_e2_array fold the interval
+terms back to nodes with the dual-cell average, so trapezoid integration
+of the density arrays reproduces the interval assembly exactly, and the
+residuals below are the exact gradients of the discrete action:
 
-    dL/da_j = -8 * w_j * residual_a(j)
-    dL/df_j = -1 * w_j * residual_f(j)
-    dL/dg_j = +2 * w_j * residual_g(j)
+    dL/da_j = -8 * w_j * res_a[j-1]
+    dL/df_j = -1 * w_j * res_f[j-1]
+    dL/dg_j = +2 * w_j * res_g[j-1]
 
-(w_j the dual-cell width).  The flow solver, the inner electric solve and
-the gradient checks all rely on this identity, so any change here must
-keep densities and residuals in exact correspondence.
+(w_j the dual-cell width, (res_a, res_f, res_g) = residuals(p, s)).  The
+flow solver, the inner electric solve and the gradient checks all rely on
+this identity, so any change here must keep densities and residuals in
+exact correspondence.
+
+_interval_e1/_nodal_e1 serve E1 and the verify battery's coercive bound;
+_stencil and _reaction_rates serve the residuals, the Newton Jacobian and
+the flow preconditioner.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,15 +63,10 @@ __all__ = [
     "ActionBreakdown",
     "validate_params",
     "admissible_q_max",
-    "density_e1",
-    "density_e2",
     "density_e1_array",
     "density_e2_array",
     "action_breakdown",
     "e2_energy",
-    "residual_a",
-    "residual_f",
-    "residual_g",
     "residuals",
     "solution_properties_ok",
 ]
@@ -158,26 +159,30 @@ class ActionBreakdown:
     E: float
 
 
-def _interval_e1(p: ModelParams, grid: RadialGrid, a, f):
-    """Per-interval part of e1: 4*a'^2 + r^2*f'^2/2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
+def _c_half(a, sin_f):
+    """Interval means of a^2 sin^2(f) from nodal a and sin(f)."""
+    c_nodal = a * a * sin_f**2
+    return 0.5 * (c_nodal[:-1] + c_nodal[1:])
+
+
+def _interval_e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff):
+    """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
     da = np.diff(a) / grid.h
     df = np.diff(f) / grid.h
-    sin2 = np.sin(f) ** 2
-    c_half = 0.5 * (a[:-1] ** 2 * sin2[:-1] + a[1:] ** 2 * sin2[1:])
-    return 4.0 * da * da + (0.5 * grid.p_half + 4.0 * p.kappa * c_half) * df * df
+    return 4.0 * da * da + (r2_coeff * grid.p_half + 4.0 * p.kappa * _c_half(a, np.sin(f))) * df * df
 
 
-def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f):
-    """Per-node part of e1: 2*(a^2-1)^2/r^2 + a^2 sin^2 f + 2*kappa*a^4 sin^4 f / r^2."""
+def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f, mass):
+    """Per-node part of e1 (mass = a^2 sin^2 f): 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2."""
     dtype = np.result_type(a, f, float)
     r = grid.r
     a2 = a * a
-    sin2 = np.sin(f) ** 2
     core = np.empty(grid.N + 1, dtype=dtype)
     core[1:] = (a2[1:] - 1.0) ** 2 / r[1:] ** 2
     core[0] = 0.0 if a2[0] == 1.0 else np.inf
-    out = 2.0 * core + a2 * sin2
+    out = 2.0 * core + mass
     if p.kappa != 0.0:
+        sin2 = np.sin(f) ** 2
         sky = np.empty(grid.N + 1, dtype=dtype)
         sky[1:] = (a2[1:] * sin2[1:]) ** 2 / r[1:] ** 2
         sky[0] = 0.0 if sin2[0] == 0.0 else np.inf
@@ -187,8 +192,9 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f):
 
 def density_e1_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
     """Nodal density array of e1 (trapezoid-integrating it gives E1)."""
-    grid = s.grid
-    return grid.nodal_from_intervals(_interval_e1(p, grid, s.a, s.f)) + _nodal_e1(p, grid, s.a, s.f)
+    grid, a, f = s.grid, s.a, s.f
+    mass = a * a * np.sin(f) ** 2
+    return grid.nodal_from_intervals(_interval_e1(p, grid, a, f, 0.5)) + _nodal_e1(p, grid, a, f, mass)
 
 
 def density_e2_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
@@ -196,18 +202,6 @@ def density_e2_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
     grid = s.grid
     dg = np.diff(s.g) / grid.h
     return grid.nodal_from_intervals(grid.p_half * dg * dg) + 2.0 * s.a**2 * s.g**2
-
-
-def density_e1(p: ModelParams, s: FieldProfile, i: int) -> float:
-    """e1 evaluated with discrete derivatives at interior node i."""
-    s.grid._check_interior(i)
-    return float(density_e1_array(p, s)[i])
-
-
-def density_e2(p: ModelParams, s: FieldProfile, i: int) -> float:
-    """e2 evaluated with discrete derivatives at interior node i."""
-    s.grid._check_interior(i)
-    return float(density_e2_array(p, s)[i])
 
 
 def e2_energy(grid: RadialGrid, a, g):
@@ -229,8 +223,54 @@ def action_breakdown(p: ModelParams, s: FieldProfile) -> ActionBreakdown:
     return ActionBreakdown(E1=E1, E2=E2, L=E1 - E2, E=E1 + E2)
 
 
-def _residual_core(p: ModelParams, grid: RadialGrid, a, f, g):
-    """All three residual arrays over interior nodes 1..N-1.
+class _Stencil(NamedTuple):
+    """Grid factors, f difference quotients and trigonometric values of f."""
+
+    w: np.ndarray  # dual-cell widths at interior nodes
+    inv_r2: np.ndarray  # 1/r^2 at interior nodes
+    df: np.ndarray  # f difference quotients on all N intervals
+    qbar: np.ndarray  # dual-cell average of f'^2 at interior nodes
+    sin: np.ndarray  # sin(f) at all N+1 nodes
+    cos: np.ndarray  # cos(f) at all N+1 nodes
+
+
+def _stencil(grid: RadialGrid, f) -> _Stencil:
+    """Shared setup of the residuals, the Newton Jacobian and the flow preconditioner."""
+    h = grid.h
+    w = grid.w[1:-1]
+    rj = grid.r[1:-1]
+    df = np.diff(f) / h
+    qbar = (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * w)
+    return _Stencil(w, 1.0 / (rj * rj), df, qbar, np.sin(f), np.cos(f))
+
+
+def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
+    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f.
+
+    The f'^2 average qbar is held fixed; the Jacobian adds its cross terms.
+    """
+    aj, gj = a[1:-1], g[1:-1]
+    sj, cj = st.sin[1:-1], st.cos[1:-1]
+    s2 = sj * sj
+    k, qbar, inv_r2 = p.kappa, st.qbar, st.inv_r2
+    react_a = (
+        (3.0 * aj * aj - 1.0) * inv_r2
+        + 0.25 * s2
+        + k * s2 * qbar
+        + 3.0 * k * aj * aj * s2 * s2 * inv_r2
+        - 0.5 * gj * gj
+    )
+    cos2 = cj * cj - sj * sj
+    react_f = (
+        2.0 * aj * aj * cos2
+        + 8.0 * k * aj * aj * cos2 * qbar
+        + 8.0 * k * aj**4 * s2 * (3.0 * cj * cj - s2) * inv_r2
+    )
+    return react_a, react_f
+
+
+def residuals(p: ModelParams, s: FieldProfile):
+    """Vectorized (residual_a, residual_f, residual_g) over interior nodes 1..N-1.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
                         + kappa a^3 sin^4(f)/r^2 - a g^2/2]
@@ -243,28 +283,19 @@ def _residual_core(p: ModelParams, grid: RadialGrid, a, f, g):
     and D(.) the conservative flux stencil, so each residual is the exact
     gradient of the discrete action (see module docstring).
     """
-    h = grid.h
-    hm, hp = h[:-1], h[1:]
-    w = grid.w[1:-1]
-    rj = grid.r[1:-1]
+    grid, a, f, g = s.grid, s.a, s.f, s.g
+    st = _stencil(grid, f)
+    w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
     Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
     k = p.kappa
-
-    am, aj, ap = a[:-2], a[1:-1], a[2:]
-    fm, fj, fp = f[:-2], f[1:-1], f[2:]
-    gj = g[1:-1]
-
-    da = np.diff(a) / h
-    df = np.diff(f) / h
-    dg = np.diff(g) / h
-    Dfm, Dfp = df[:-1], df[1:]
+    aj, gj = a[1:-1], g[1:-1]
+    da = np.diff(a) / grid.h
+    dg = np.diff(g) / grid.h
+    Dfm, Dfp = st.df[:-1], st.df[1:]
+    sj, cj = st.sin[1:-1], st.cos[1:-1]
+    s2 = sj * sj
 
     app = (da[1:] - da[:-1]) / w
-    qbar = (hm * Dfm * Dfm + hp * Dfp * Dfp) / (2.0 * w)
-    inv_r2 = 1.0 / (rj * rj)
-
-    sj, cj = np.sin(fj), np.cos(fj)
-    s2 = sj * sj
     res_a = app - (
         aj * (aj * aj - 1.0) * inv_r2
         + 0.25 * aj * s2
@@ -274,10 +305,8 @@ def _residual_core(p: ModelParams, grid: RadialGrid, a, f, g):
     )
 
     sl_f = (Pp * Dfp - Pm * Dfm) / w
-    c_nodal = a * a * np.sin(f) ** 2
-    Cm = 0.5 * (c_nodal[:-2] + c_nodal[1:-1])
-    Cp = 0.5 * (c_nodal[1:-1] + c_nodal[2:])
-    flux_f = (Cp * Dfp - Cm * Dfm) / w
+    C = _c_half(a, st.sin)
+    flux_f = (C[1:] * Dfp - C[:-1] * Dfm) / w
     res_f = (
         8.0 * k * flux_f
         + sl_f
@@ -291,29 +320,6 @@ def _residual_core(p: ModelParams, grid: RadialGrid, a, f, g):
     sl_g = (Pp * dg[1:] - Pm * dg[:-1]) / w
     res_g = sl_g - 2.0 * aj * aj * gj
     return res_a, res_f, res_g
-
-
-def residuals(p: ModelParams, s: FieldProfile):
-    """Vectorized (residual_a, residual_f, residual_g) over interior nodes."""
-    return _residual_core(p, s.grid, s.a, s.f, s.g)
-
-
-def residual_a(p: ModelParams, s: FieldProfile, i: int) -> float:
-    """Gauge-profile equation residual at interior node i; zero at a solution."""
-    s.grid._check_interior(i)
-    return float(residuals(p, s)[0][i - 1])
-
-
-def residual_f(p: ModelParams, s: FieldProfile, i: int) -> float:
-    """Skyrme-profile equation residual at interior node i; zero at a solution."""
-    s.grid._check_interior(i)
-    return float(residuals(p, s)[1][i - 1])
-
-
-def residual_g(p: ModelParams, s: FieldProfile, i: int) -> float:
-    """Electric-potential equation residual at interior node i; zero at a solution."""
-    s.grid._check_interior(i)
-    return float(residuals(p, s)[2][i - 1])
 
 
 def solution_properties_ok(p: ModelParams, s: FieldProfile) -> tuple[bool, str]:

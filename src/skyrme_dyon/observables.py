@@ -44,7 +44,6 @@ __all__ = [
     "skyrme_charge_numeric",
     "skyrme_charge_closed",
     "electric_charge",
-    "magnetic_charge",
     "gamma_theory",
     "fit_decay_rate",
     "tail_constants",
@@ -77,11 +76,6 @@ def skyrme_charge_numeric(s: FieldProfile) -> float:
 def electric_charge(s: FieldProfile) -> float:
     """Q_e = 2 integral a^2 g dr by trapezoid quadrature."""
     return s.grid.integrate(2.0 * s.a**2 * s.g)
-
-
-def magnetic_charge() -> float:
-    """Unit magnetic charge, an analytic identity independent of the profile."""
-    return 1.0
 
 
 def gamma_theory(p: ModelParams) -> float:
@@ -192,7 +186,8 @@ def _f_source_double_integral(s: FieldProfile, p: ModelParams) -> np.ndarray:
     if p.kappa != 0.0:
         quart = np.zeros(grid.N + 1)
         quart[1:] = a[1:] ** 4 * sf[1:] ** 3 * cf_[1:] / grid.r[1:] ** 2
-        source = source + 8.0 * p.kappa * (a * a * sf * cf_ * grid.avg_grad_sq(f) + quart)
+        df = np.diff(f) / grid.h
+        source = source + 8.0 * p.kappa * (a * a * sf * cf_ * grid.nodal_from_intervals(df * df) + quart)
     cell = source * grid.w
     # T at half node i+1/2 = sum of cell masses strictly beyond node i
     T_half = np.cumsum(cell[1:][::-1])[::-1]
@@ -286,7 +281,7 @@ def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> Observa
         QS_numeric=skyrme_charge_numeric(s),
         QS_closed=skyrme_charge_closed(p.omega),
         Qe=electric_charge(s),
-        Qm=magnetic_charge(),
+        Qm=1.0,  # unit magnetic charge, an analytic identity
         gamma_fit=gamma_fit,
         gamma_theory=gamma_theory(p),
         cg_tail=tails.cg,

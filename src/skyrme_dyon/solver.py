@@ -46,6 +46,9 @@ from .model import (
     ActionBreakdown,
     FieldProfile,
     ModelParams,
+    _reaction_rates,
+    _stencil,
+    _Stencil,
     action_breakdown,
     residuals,
     solution_properties_ok,
@@ -57,6 +60,7 @@ __all__ = [
     "SolveReport",
     "LegRecord",
     "initial_guess",
+    "warm_start",
     "newton_solve",
     "flow_solve",
     "continuation_solve",
@@ -179,48 +183,37 @@ def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: i
 def _jacobian_banded(p: ModelParams, s: FieldProfile) -> np.ndarray:
     """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 5)."""
     grid = s.grid
-    a, f, g = s.a, s.f, s.g
+    a, g = s.a, s.g
+    st = _stencil(grid, s.f)
     h = grid.h
     hm, hp = h[:-1], h[1:]
-    w = grid.w[1:-1]
-    rj = grid.r[1:-1]
+    w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
     Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
     k = p.kappa
     n = grid.N - 1
 
     am, aj, ap = a[:-2], a[1:-1], a[2:]
-    fm, fj, fp = f[:-2], f[1:-1], f[2:]
     gj = g[1:-1]
-
-    df = np.diff(f) / h
-    Dfm, Dfp = df[:-1], df[1:]
-    qbar = (hm * Dfm * Dfm + hp * Dfp * Dfp) / (2.0 * w)
-    inv_r2 = 1.0 / (rj * rj)
+    Dfm, Dfp = st.df[:-1], st.df[1:]
     iw_hm = 1.0 / (hm * w)
     iw_hp = 1.0 / (hp * w)
 
-    sj, cj = np.sin(fj), np.cos(fj)
-    sm, cm = np.sin(fm), np.cos(fm)
-    sp_, cp_ = np.sin(fp), np.cos(fp)
+    sm, sj, sp_ = st.sin[:-2], st.sin[1:-1], st.sin[2:]
+    cm, cj, cp_ = st.cos[:-2], st.cos[1:-1], st.cos[2:]
     s2 = sj * sj
     sc = sj * cj
-    cos2 = cj * cj - sj * sj
+    # interval means of a^2 sin^2 f; the product order differs from the
+    # residual's _c_half on purpose, since that order moves solutions by ulps
     Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
+    react_a, react_f = _reaction_rates(p, st, a, g)
 
     ab = np.zeros((11, 3 * n))
 
     # residual_a partials
     _scatter(ab, iw_hm, 0, 0, -1, n)
     _scatter(ab, iw_hp, 0, 0, 1, n)
-    ra_aj = -(iw_hm + iw_hp) - (
-        (3.0 * aj * aj - 1.0) * inv_r2
-        + 0.25 * s2
-        + k * s2 * qbar
-        + 3.0 * k * aj * aj * s2 * s2 * inv_r2
-        - 0.5 * gj * gj
-    )
-    _scatter(ab, ra_aj, 0, 0, 0, n)
+    _scatter(ab, -(iw_hm + iw_hp) - react_a, 0, 0, 0, n)
     _scatter(ab, k * aj * s2 * Dfm / w, 0, 1, -1, n)
     _scatter(ab, -k * aj * s2 * Dfp / w, 0, 1, 1, n)
     ra_fj = -(
@@ -238,12 +231,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile) -> np.ndarray:
     rf_fj = (
         8.0 * k * (aj * aj * sc * (Dfp - Dfm) - Cp / hp - Cm / hm) / w
         - (Pp / hp + Pm / hm) / w
-        - (
-            2.0 * aj * aj * cos2
-            + 8.0 * k * aj * aj * cos2 * qbar
-            + 8.0 * k * aj * aj * sc * (Dfm - Dfp) / w
-            + 8.0 * k * aj**4 * s2 * (3.0 * cj * cj - s2) * inv_r2
-        )
+        - (react_f + 8.0 * k * aj * aj * sc * (Dfm - Dfp) / w)
     )
     _scatter(ab, rf_fm, 1, 1, -1, n)
     _scatter(ab, rf_fp, 1, 1, 1, n)
@@ -277,7 +265,6 @@ def newton_solve(
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     x = _pack(s)
     rvec, norm = _residual_vector(p, s)
-    best_x, best_norm = x, norm
     iters = 0
     message = ""
     while norm > cfg.tol_residual and iters < cfg.max_newton_iters:
@@ -305,12 +292,6 @@ def newton_solve(
             message = f"line search stalled at step < {cfg.min_step} (residual {norm:.3e})"
             break
         iters += 1
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-    if best_norm < norm:
-        x = best_x
-        s = _unpack(x, p, grid)
-        rvec, norm = _residual_vector(p, s)
     # Polish: near the round-off floor the Armijo test starves, but a short
     # scan over damped steps still shaves the last fraction off the norm.
     # Polish rounds count against the iteration budget.
@@ -336,6 +317,8 @@ def newton_solve(
     converged = norm <= cfg.tol_residual
     if converged:
         message = ""
+    elif not message:
+        message = f"iteration budget of {cfg.max_newton_iters} exhausted at residual {norm:.3e}"
     props_ok, prop_msg = solution_properties_ok(p, s)
     action = None
     try:
@@ -377,30 +360,9 @@ def _implicit_step_matrix(grid: RadialGrid, coeff_half: np.ndarray, c: float, re
     return ab
 
 
-def _flow_reactions(p: ModelParams, s: FieldProfile):
+def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
     """Positive parts of the diagonal reaction rates of the a- and f-equations."""
-    grid = s.grid
-    a, f, g = s.a, s.f, s.g
-    aj, fj, gj = a[1:-1], f[1:-1], g[1:-1]
-    rj = grid.r[1:-1]
-    inv_r2 = 1.0 / (rj * rj)
-    sj, cj = np.sin(fj), np.cos(fj)
-    s2 = sj * sj
-    k = p.kappa
-    qbar = grid.avg_grad_sq(f)[1:-1]
-    react_a = (
-        (3.0 * aj * aj - 1.0) * inv_r2
-        + 0.25 * s2
-        + k * s2 * qbar
-        + 3.0 * k * aj * aj * s2 * s2 * inv_r2
-        - 0.5 * gj * gj
-    )
-    cos2 = cj * cj - sj * sj
-    react_f = (
-        2.0 * aj * aj * cos2
-        + 8.0 * k * aj * aj * cos2 * qbar
-        + 8.0 * k * aj**4 * s2 * (3.0 * cj * cj - s2) * inv_r2
-    )
+    react_a, react_f = _reaction_rates(p, st, s.a, s.g)
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
@@ -418,12 +380,8 @@ def flow_solve(
     cfg = cfg or SolveConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    a = guess.a.copy()
-    f = guess.f.copy()
-    a[0], a[-1] = 1.0, 0.0
-    f[0], f[-1] = 0.0, p.f_infinity
-    g = solve_inner_g(p, grid, a)
-    s = FieldProfile(grid, a, f, g)
+    s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
+    s.g = solve_inner_g(p, grid, s.a)
     J = action_breakdown(p, s).L
     j_trace = [J]
     dt = cfg.flow_dt
@@ -437,12 +395,15 @@ def flow_solve(
         if norm <= cfg.flow_tol:
             converged = True
             break
-        c_half = 0.5 * ((s.a[:-1] * np.sin(s.f[:-1])) ** 2 + (s.a[1:] * np.sin(s.f[1:])) ** 2)
-        react_a, react_f = _flow_reactions(p, s)
+        st = _stencil(grid, s.f)
+        react_a, react_f = _flow_reactions(p, st, s)
+        # (a sin f)^2, not _c_half's order, for the same reason as in the Jacobian
+        a_sin = s.a * st.sin
+        coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
         stepped = False
         while dt >= 1e-12:
             ab_a = _implicit_step_matrix(grid, np.ones(grid.N), 8.0 * dt, react_a)
-            ab_f = _implicit_step_matrix(grid, grid.p_half + 8.0 * p.kappa * c_half, dt, react_f)
+            ab_f = _implicit_step_matrix(grid, coeff_f, dt, react_f)
             da = solve_banded((1, 1), ab_a, 8.0 * dt * ra)
             df = solve_banded((1, 1), ab_f, dt * rf)
             a_try = s.a.copy()
@@ -494,15 +455,21 @@ def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
     return list(np.linspace(0.0, q_target, legs))
 
 
-def _warm_start(prev: FieldProfile, p_next: ModelParams, q_prev: float) -> FieldProfile:
-    """Reuse the previous leg's profile, rescaling g toward the new boundary value."""
+def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> FieldProfile:
+    """Copy of a profile solved at p_prev, rescaled to the boundary data of p_next.
+
+    f and g are scaled to the new f(R) and g(R); from q = 0, g takes the
+    initial-guess shape.  Boundary values are then set exactly.
+    """
     s = prev.copy()
-    if q_prev > 0.0:
-        s.g *= p_next.q / q_prev
+    if p_next.f_infinity != p_prev.f_infinity:
+        s.f *= p_next.f_infinity / p_prev.f_infinity
+    if p_prev.q > 0.0:
+        s.g *= p_next.q / p_prev.q
     else:
         s.g = p_next.q * s.grid.r / (s.grid.r + CORE_SCALE)
-    s.g[0] = 0.0
-    s.g[-1] = p_next.q
+    s.a[0], s.f[0], s.g[0] = 1.0, 0.0, 0.0
+    s.a[-1], s.f[-1], s.g[-1] = 0.0, p_next.f_infinity, p_next.q
     return s
 
 
@@ -529,11 +496,10 @@ def continuation_solve(
     trace: list[LegRecord] = []
     used_flow = False
     profile: FieldProfile | None = None
-    report: SolveReport | None = None
-    q_prev = 0.0
+    p_prev = validate_params(p_target.omega, 0.0, p_target.kappa)
     for q_k in steps:
         p_k = validate_params(p_target.omega, q_k, p_target.kappa)
-        guess = initial_guess(p_k, grid) if profile is None else _warm_start(profile, p_k, q_prev)
+        guess = initial_guess(p_k, grid) if profile is None else warm_start(profile, p_prev, p_k)
         sol, rep = newton_solve(p_k, grid, guess, cfg)
         if not (rep.converged and rep.properties_ok):
             # flow is the globally robust route; its output warm-starts a
@@ -553,15 +519,11 @@ def continuation_solve(
             E=rep.action.E if rep.action else float("nan"),
         )
         trace.append(leg)
-        if not rep.converged:
-            rep.message = f"continuation aborted at q={q_k:.6g}; last converged q={q_prev:.6g}. {rep.message}"
-            rep.continuation_trace = trace
-            rep.path = "both" if used_flow else "newton"
-            rep.wall_time = time.perf_counter() - t0
-            return sol, rep
         profile, report = sol, rep
-        q_prev = q_k
-    assert profile is not None and report is not None
+        if not rep.converged:
+            rep.message = f"continuation aborted at q={q_k:.6g}; last converged q={p_prev.q:.6g}. {rep.message}"
+            break
+        p_prev = p_k
     report.continuation_trace = trace
     report.path = "both" if used_flow else "newton"
     report.wall_time = time.perf_counter() - t0

@@ -48,19 +48,15 @@ def solved_kappa0(grid60):
 def sweep_runs(grid60):
     """Warm-started q-sweep at omega = 0.75 pi used by the charge-trend checks."""
     runs = []
-    prev = None
     for q in SWEEP_QS:
         p = sd.validate_params(0.75 * math.pi, q, 1.0)
-        if prev is None:
+        if not runs:
             profile, report = sd.continuation_solve(p, grid60)
         else:
-            guess = prev.copy()
-            guess.g *= q / q_prev
-            guess.g[-1] = q
-            profile, report = sd.newton_solve(p, grid60, guess)
+            p_prev, prev, _ = runs[-1]
+            profile, report = sd.newton_solve(p, grid60, sd.warm_start(prev, p_prev, p))
         assert report.converged, report.message
         runs.append((p, profile, report))
-        prev, q_prev = profile, q
     return runs
 
 

@@ -114,6 +114,25 @@ def test_sweep_records_per_point_failures(tmp_path):
     assert lines[1].split(",")[-1] == "0"
 
 
+def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):
+    # the unreachable target aborts the continuation on its q = 0 leg
+    out = tmp_path / "failed"
+    code = main(
+        [
+            "solve", "--omega", "0.75pi", "--q", "0.1", "--nodes", "300", "--rmax", "30",
+            "--tol", "1e-16", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    p, s = read_profile_csv(out / "profile.csv")
+    assert p.q == s.g[-1] == 0.0
+    solve_txt = (out / "solve.txt").read_text().splitlines()
+    assert "target_q 0.10000000000000001" in solve_txt and "profile_q 0" in solve_txt
+    # the q = 0 leg meets the default 1e-10 but not the requested residual target
+    assert main(["verify", str(out / "profile.csv")]) == 0
+    assert main(["verify", str(out / "profile.csv"), "--tol", "1e-16"]) == 3
+
+
 def test_table_reference_values(tmp_path):
     out = tmp_path / "table"
     code = main(["table", "--omegas", "0.5pi,0.75pi,pi", "--out", str(out)])

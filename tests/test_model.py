@@ -56,37 +56,38 @@ def test_density_e1_vacuum_zero():
     g = sd.build_grid(10.0, 100)
     s = vacuum_profile(g)
     p = params()
-    for i in (1, 10, 50, 99):
-        assert sd.density_e1(p, s, i) == 0.0
+    assert np.all(density_e1_array(p, s)[1:-1] == 0.0)
 
 
 def test_density_e1_pure_core_term():
     g = sd.build_grid(10.0, 100)
     s = sd.FieldProfile(g, np.zeros(g.N + 1), np.full(g.N + 1, 0.4), np.zeros(g.N + 1))
     p = params(kappa=1.0)
+    e1 = density_e1_array(p, s)
     for i in (3, 40, 90):
-        assert sd.density_e1(p, s, i) == pytest.approx(2.0 / g.r[i] ** 2, rel=1e-13)
+        assert e1[i] == pytest.approx(2.0 / g.r[i] ** 2, rel=1e-13)
 
 
 def test_density_e1_linear_f_on_uniform_grid():
     g = sd.build_grid(10.0, 200, cluster=0.0)
     s = sd.FieldProfile(g, np.ones(g.N + 1), g.r.copy(), np.zeros(g.N + 1))
     p = params(kappa=0.0, q=0.1)
+    e1 = density_e1_array(p, s)
     for i in (1, 50, 150):
         want = 0.5 * (g.r[i] ** 2 + 2.0 * np.sin(g.r[i]) ** 2)
-        assert sd.density_e1(p, s, i) == pytest.approx(want, rel=2e-4)
+        assert e1[i] == pytest.approx(want, rel=2e-4)
 
 
 def test_density_e2_examples():
     g = sd.build_grid(10.0, 120, cluster=0.0)
     p = params(q=0.25)
     zero_g = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), np.zeros(g.N + 1))
-    assert all(sd.density_e2(p, zero_g, i) == 0.0 for i in (1, 60, 119))
-    lin = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), p.q * g.r / g.R)
+    assert np.all(density_e2_array(p, zero_g) == 0.0)
+    lin = density_e2_array(p, sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), p.q * g.r / g.R))
     for i in (2, 30, 100):
-        assert sd.density_e2(p, lin, i) == pytest.approx(3.0 * p.q**2 * g.r[i] ** 2 / g.R**2, rel=1e-12)
+        assert lin[i] == pytest.approx(3.0 * p.q**2 * g.r[i] ** 2 / g.R**2, rel=1e-12)
     flat = sd.FieldProfile(g, np.zeros(g.N + 1), np.zeros(g.N + 1), np.full(g.N + 1, p.q))
-    assert all(sd.density_e2(p, flat, i) == 0.0 for i in (1, 60, 119))
+    assert np.all(density_e2_array(p, flat) == 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -164,18 +165,18 @@ def test_residual_a_vacuum_and_zero_array():
     g = sd.build_grid(10.0, 100)
     p = params()
     s = vacuum_profile(g)
-    assert all(sd.residual_a(p, s, i) == 0.0 for i in (1, 33, 99))
+    assert np.all(sd.residuals(p, s)[0] == 0.0)
     s0 = sd.FieldProfile(g, np.zeros(g.N + 1), 0.3 * g.r, 0.1 * np.tanh(g.r))
-    assert all(sd.residual_a(p, s0, i) == 0.0 for i in (1, 33, 99))
+    assert np.all(sd.residuals(p, s0)[0] == 0.0)
 
 
 def test_residual_f_trivial_cases():
     g = sd.build_grid(10.0, 100)
     p = params()
     s = sd.FieldProfile(g, 1.0 / (1.0 + g.r**2), np.zeros(g.N + 1), 0.1 * g.r / g.R)
-    assert all(sd.residual_f(p, s, i) == 0.0 for i in (1, 50, 99))
+    assert np.all(sd.residuals(p, s)[1] == 0.0)
     s2 = sd.FieldProfile(g, np.zeros(g.N + 1), np.full(g.N + 1, math.pi / 2), np.zeros(g.N + 1))
-    assert all(sd.residual_f(p, s2, i) == 0.0 for i in (1, 50, 99))
+    assert np.all(sd.residuals(p, s2)[1] == 0.0)
 
 
 def test_residual_g_exact_linear_family():
@@ -183,10 +184,9 @@ def test_residual_g_exact_linear_family():
     p = params()
     c = 0.031
     s = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), c * g.r)
-    worst = max(abs(sd.residual_g(p, s, i)) for i in range(1, g.N))
-    assert worst <= 1e-13
+    assert np.max(np.abs(sd.residuals(p, s)[2])) <= 1e-13
     flat = sd.FieldProfile(g, np.zeros(g.N + 1), np.zeros(g.N + 1), np.full(g.N + 1, p.q))
-    assert all(sd.residual_g(p, flat, i) == 0.0 for i in (1, 70, 149))
+    assert np.all(sd.residuals(p, flat)[2] == 0.0)
 
 
 # -- residual oracle: independent symbolic differentiation --------------------------
@@ -272,17 +272,6 @@ def test_residual_gradient_consistency_complex_step():
         gc[1 + k] += 1j * h
         grad = L_h(s.a.astype(complex), s.f.astype(complex), gc).imag / h
         assert grad == pytest.approx(2.0 * w[k] * rg[k], rel=1e-11, abs=1e-11)
-
-
-def test_scalar_residuals_match_vectorized(monopole_small):
-    p, s, _ = monopole_small
-    ra, rf, rg = sd.residuals(p, s)
-    for i in (1, 17, 150, s.grid.N - 1):
-        assert sd.residual_a(p, s, i) == ra[i - 1]
-        assert sd.residual_f(p, s, i) == rf[i - 1]
-        assert sd.residual_g(p, s, i) == rg[i - 1]
-    with pytest.raises(IndexError):
-        sd.residual_a(p, s, 0)
 
 
 def test_profile_validate(grid_small):

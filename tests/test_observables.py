@@ -56,11 +56,6 @@ def test_electric_charge_examples():
     assert sd.electric_charge(lin) == pytest.approx(q * g.R, rel=1e-13)
 
 
-def test_magnetic_charge_is_unit():
-    assert sd.magnetic_charge() == 1.0
-    assert sd.magnetic_charge() == 1.0
-
-
 def test_gamma_theory_values_and_region():
     p0 = sd.validate_params(OMEGA, 0.0, 1.0)
     assert sd.gamma_theory(p0) == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)

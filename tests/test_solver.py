@@ -24,6 +24,27 @@ def test_initial_guess_shapes_and_bounds():
     assert np.all(sd.initial_guess(p0, g).g == 0.0)
 
 
+def test_warm_start_rescales_to_new_boundary_data(grid_small):
+    p0 = sd.validate_params(OMEGA, 0.0, 1.0)
+    prev = sd.initial_guess(p0, grid_small)
+    prev.a[-1] = prev.f[-1] = 0.5  # off-boundary data must be reset
+    snapshot = prev.copy()
+    p1 = sd.validate_params(0.8 * math.pi, 0.2, 1.0)
+    s = sd.warm_start(prev, p0, p1)
+    for name in ("a", "f", "g"):
+        assert np.array_equal(getattr(prev, name), getattr(snapshot, name))
+    r = grid_small.r
+    assert np.allclose(s.f[1:-1], prev.f[1:-1] * p1.f_infinity / p0.f_infinity, rtol=1e-15, atol=0.0)
+    assert np.allclose(s.g[1:-1], p1.q * r[1:-1] / (r[1:-1] + 1.0), rtol=1e-15, atol=0.0)
+    assert (s.a[0], s.f[0], s.g[0]) == (1.0, 0.0, 0.0)
+    assert (s.a[-1], s.f[-1], s.g[-1]) == (0.0, p1.f_infinity, p1.q)
+    s.validate(p1)
+    p2 = sd.validate_params(0.8 * math.pi, 0.1, 1.0)
+    s2 = sd.warm_start(s, p1, p2)
+    assert np.allclose(s2.g[1:-1], 0.5 * s.g[1:-1], rtol=1e-15, atol=0.0)
+    assert np.array_equal(s2.f, s.f)
+
+
 def test_newton_restart_from_solution_converges_immediately(monopole_small):
     p, s, _ = monopole_small
     s2, rep = sd.newton_solve(p, s.grid, s)
@@ -52,6 +73,7 @@ def test_newton_failure_is_reported_not_raised():
     _, rep = sd.newton_solve(p, g, sd.initial_guess(p, g), cfg)
     assert not rep.converged
     assert rep.final_residual_norm > cfg.tol_residual
+    assert rep.message == f"iteration budget of 1 exhausted at residual {rep.final_residual_norm:.3e}"
 
 
 def test_jacobian_matches_finite_differences(rng):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
+from skyrme_dyon.cli import main
 from skyrme_dyon.errors import ParameterError
+from skyrme_dyon.io import write_profile_csv
 
 OMEGA = 0.75 * math.pi
 
@@ -31,6 +33,19 @@ def test_suite_on_initial_guess_fails_residuals_passes_bounds(grid_small):
     assert report["bound-f-interval"].passed
     assert report["bound-g-interval"].passed
     assert not report.overall
+
+
+def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path):
+    # with a = 0 away from the origin Q_e = 2 int a^2 g vanishes although q > 0
+    p = sd.validate_params(OMEGA, 0.2, 1.0)
+    s = sd.initial_guess(p, grid_small)
+    s.a[1:] = 0.0
+    assert sd.electric_charge(s) == 0.0
+    check = sd.run_suite(p, s)["tail-electric-charge"]
+    assert not check.passed and not np.isfinite(check.measured)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, p, s)
+    assert main(["verify", str(path)]) == 3
 
 
 def test_suite_flags_injected_fault_with_node(solved_points):
