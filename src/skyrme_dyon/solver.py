@@ -4,9 +4,11 @@ Two structurally different routes to the same discrete root:
 
 * newton_solve treats the stacked interior residuals as a root problem and
   runs damped Newton with the analytic block-tridiagonal Jacobian (3x3
-  blocks per node, solved as a bandwidth-5 banded system) and a
-  backtracking line search on the residual norm.  Indefiniteness of the
-  action is irrelevant on this route.
+  blocks per node, a bandwidth-5 banded system) and a backtracking line
+  search on the residual norm.  Each Newton system is solved by LAPACK
+  gbsv in place on one band workspace allocated per solve and reused by
+  every iteration.  Indefiniteness of the action is irrelevant on this
+  route.
 
 * flow_solve mirrors the constrained-minimization structure: the electric
   potential is eliminated through the inner solve at every step and the
@@ -38,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import ParameterError
 from .grid import RadialGrid
@@ -180,8 +183,17 @@ def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: i
         ab[band, cf : 3 * (n - 1) : 3] = vals[1:]
 
 
-def _jacobian_banded(p: ModelParams, s: FieldProfile) -> np.ndarray:
-    """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 5)."""
+def _band_workspace(grid: RadialGrid) -> np.ndarray:
+    """LAPACK gbsv band storage for the Newton system: 5 rows of LU fill-in above the l = u = 5 band."""
+    return np.zeros((16, 3 * (grid.N - 1)), order="F")
+
+
+def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray | None = None) -> np.ndarray:
+    """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 5).
+
+    Assembles into rows 5-15 of `work` (a `_band_workspace`, zeroed first) and
+    returns that l = u = 5 view: ab[5 + i - j, j] = dres_i/dx_j.
+    """
     grid = s.grid
     a, g = s.a, s.g
     st = _stencil(grid, s.f)
@@ -208,7 +220,11 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile) -> np.ndarray:
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
     react_a, react_f = _reaction_rates(p, st, a, g)
 
-    ab = np.zeros((11, 3 * n))
+    if work is None:
+        work = _band_workspace(grid)
+    else:
+        work.fill(0.0)
+    ab = work[5:]
 
     # residual_a partials
     _scatter(ab, iw_hm, 0, 0, -1, n)
@@ -251,6 +267,22 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile) -> np.ndarray:
     return ab
 
 
+def _newton_step(work: np.ndarray, rvec: np.ndarray) -> np.ndarray:
+    """Solve J delta = -rvec for the Jacobian assembled in `work`, factorizing it in place.
+
+    Raises as scipy.linalg.solve_banded does: ValueError on non-finite
+    input, LinAlgError on an exactly singular factor.
+    """
+    if not (np.isfinite(work).all() and np.isfinite(rvec).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, delta, info = dgbsv(5, 5, work, -rvec, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return delta
+
+
 def newton_solve(
     p: ModelParams, grid: RadialGrid, guess: FieldProfile, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
@@ -265,12 +297,13 @@ def newton_solve(
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     x = _pack(s)
     rvec, norm = _residual_vector(p, s)
+    work = _band_workspace(grid)
     iters = 0
     message = ""
     while norm > cfg.tol_residual and iters < cfg.max_newton_iters:
-        ab = _jacobian_banded(p, s)
+        _jacobian_banded(p, s, work)
         try:
-            delta = solve_banded((5, 5), ab, -rvec)
+            delta = _newton_step(work, rvec)
         except (np.linalg.LinAlgError, ValueError) as exc:
             message = f"jacobian factorization failed: {exc}"
             break
@@ -299,17 +332,19 @@ def newton_solve(
         if norm <= cfg.tol_residual or iters >= cfg.max_newton_iters:
             break
         try:
-            delta = solve_banded((5, 5), _jacobian_banded(p, s), -rvec)
+            _jacobian_banded(p, s, work)
+            delta = _newton_step(work, rvec)
         except (np.linalg.LinAlgError, ValueError):
             break
         if not np.all(np.isfinite(delta)):
             break
         best_step = None
         for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
-            s_try = _unpack(x + t * delta, p, grid)
+            x_try = x + t * delta
+            s_try = _unpack(x_try, p, grid)
             rvec_try, norm_try = _residual_vector(p, s_try)
             if np.isfinite(norm_try) and norm_try < norm and (best_step is None or norm_try < best_step[1]):
-                best_step = (x + t * delta, norm_try, rvec_try, s_try)
+                best_step = (x_try, norm_try, rvec_try, s_try)
         if best_step is None:
             break
         x, norm, rvec, s = best_step

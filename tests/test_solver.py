@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import skyrme_dyon as sd
+from skyrme_dyon import solver
 from skyrme_dyon.errors import ParameterError
-from skyrme_dyon.solver import _jacobian_banded, _pack, _residual_vector, _unpack
+from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _newton_step, _pack, _residual_vector, _unpack
 
 OMEGA = 0.75 * math.pi
 
@@ -101,6 +103,47 @@ def test_jacobian_matches_finite_differences(rng):
             col[i] = ab[5 + i - j, j]
         worst = max(worst, np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col))))
     assert worst <= 1e-6
+
+
+def test_newton_step_matches_solve_banded_and_workspace_reassembles(rng):
+    g = sd.build_grid(40.0, 400)
+    p = sd.validate_params(OMEGA, 0.2, 1.0)
+    prof = sd.initial_guess(p, g)
+    prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
+    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
+    prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
+    rvec, _ = _residual_vector(p, prof)
+    fresh = _jacobian_banded(p, prof)
+    work = _band_workspace(g)
+    ab = _jacobian_banded(p, prof, work)
+    assert np.shares_memory(ab, work)
+    assert np.array_equal(ab, fresh)
+    delta = _newton_step(work, rvec)
+    assert np.array_equal(delta, solve_banded((5, 5), fresh, -rvec))
+    # the factorization overwrote the workspace, LU fill-in rows included
+    assert np.any(work[:5] != 0.0)
+    ab = _jacobian_banded(p, prof, work)
+    assert np.array_equal(ab, fresh)
+    assert np.all(work[:5] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "fill, reason", [(0.0, "singular matrix"), (np.nan, "array must not contain infs or NaNs")]
+)
+def test_newton_factorization_failure_is_reported_not_raised(monkeypatch, grid_small, fill, reason):
+    original = solver._jacobian_banded
+
+    def broken(*args, **kwargs):
+        ab = original(*args, **kwargs)
+        ab[...] = fill
+        return ab
+
+    monkeypatch.setattr(solver, "_jacobian_banded", broken)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    _, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert rep.converged is False
+    assert rep.iterations == 0
+    assert rep.message == f"jacobian factorization failed: {reason}"
 
 
 def test_flow_from_converged_solution_terminates_immediately(monopole_small):
