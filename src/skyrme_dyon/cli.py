@@ -65,63 +65,64 @@ class RunConfig:
 
     def solve_config(self, q_target: float) -> SolveConfig:
         if isinstance(self.continuation, int):
-            steps = default_continuation_steps(q_target, max(self.continuation, 1) if q_target == 0.0 else max(self.continuation, 2))
+            steps = default_continuation_steps(q_target, self.continuation)
         else:
             steps = list(self.continuation)
         return SolveConfig(tol_residual=self.tol, continuation_steps=steps)
 
 
-def _parse_continuation(token: str) -> list[float] | int:
+def continuation_legs(token: str) -> list[float] | int:
+    """Parse a leg count like '6' or a comma list of q values like '0,0.1,0.2'."""
     if "," not in token and "." not in token:
         return int(token)
     return [float(t) for t in token.split(",") if t.strip()]
+
+
+def angle_list(token: str) -> list[float]:
+    """Parse a comma list of parse_angle tokens, e.g. '0.55pi,0.75pi' or '0.1,0.2'."""
+    return [parse_angle(t) for t in token.split(",") if t.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skyrme-dyon", description="Radial dyon solver for the minimally gauged Skyrme model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_params=True):
-        if with_params:
-            sp.add_argument("--omega", type=parse_angle, default=0.75 * math.pi, help="vacuum angle, radians or e.g. 0.75pi")
-            sp.add_argument("--q", type=float, default=0.0, help="asymptotic electric potential")
-            sp.add_argument("--kappa", type=float, default=1.0, help="quartic coupling (0 = sigma-model limit)")
+    def add_common(sp):
+        sp.add_argument("--omega", type=parse_angle, default=0.75 * math.pi, help="vacuum angle, radians or e.g. 0.75pi")
+        sp.add_argument("--q", type=float, default=0.0, help="asymptotic electric potential")
+        sp.add_argument("--kappa", type=float, default=1.0, help="quartic coupling (0 = sigma-model limit)")
         sp.add_argument("--rmax", type=float, default=60.0, help="outer truncation radius")
         sp.add_argument("--nodes", type=int, default=2000, help="number of mesh intervals")
         sp.add_argument("--grading", type=float, default=DEFAULT_CLUSTER, help="mesh cluster parameter in [0, 1]")
         sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target")
-        sp.add_argument("--continuation-steps", type=str, default="6", help="leg count or comma list of q values")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions")
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
+    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="leg count or comma list of q values")
+    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
     sp.add_argument("--sweep-param", choices=["q", "omega", "kappa"], default="q")
-    sp.add_argument("--sweep-values", type=str, required=True, help="comma list; angle tokens allowed for omega")
+    sp.add_argument("--sweep-values", type=angle_list, required=True, help="comma list; a pi suffix is allowed, e.g. 0.75pi")
     sp = sub.add_parser("verify", help="verify a stored profile CSV")
     sp.add_argument("profile", type=Path)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--out", type=Path, default=None, help="optional path for the report (default: stdout only)")
     sp = sub.add_parser("table", help="write analytic tables over an omega grid")
-    sp.add_argument("--omegas", type=str, default="", help="comma list of omega tokens; default 51 points on [0.5pi, pi]")
+    sp.add_argument("--omegas", type=angle_list, default=[], help="comma list of omega tokens; default 51 points on [0.5pi, pi]")
     sp.add_argument("--out", type=Path, default=Path("."))
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    for name in ("omega", "q", "kappa", "rmax", "nodes", "grading", "tol", "out", "seed", "sweep_param"):
+    for name in ("omega", "q", "kappa", "rmax", "nodes", "grading", "tol", "out", "seed", "sweep_param", "sweep_values", "omegas"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
-    if getattr(args, "continuation_steps", None) is not None:
-        cfg.continuation = _parse_continuation(args.continuation_steps)
-    if getattr(args, "sweep_values", None):
-        cfg.sweep_values = [parse_angle(t) if args.sweep_param == "omega" else float(t) for t in args.sweep_values.split(",") if t.strip()]
-    if getattr(args, "omegas", ""):
-        cfg.omegas = [parse_angle(t) for t in args.omegas.split(",") if t.strip()]
+    if hasattr(args, "continuation_steps"):
+        cfg.continuation = args.continuation_steps
     return cfg
 
 

@@ -68,6 +68,8 @@ __all__ = [
     "action_breakdown",
     "e2_energy",
     "residuals",
+    "PropertyCheck",
+    "property_checks",
     "solution_properties_ok",
 ]
 
@@ -322,28 +324,52 @@ def residuals(p: ModelParams, s: FieldProfile):
     return res_a, res_f, res_g
 
 
-def solution_properties_ok(p: ModelParams, s: FieldProfile) -> tuple[bool, str]:
+class PropertyCheck(NamedTuple):
+    """One pointwise-bound or strict-monotonicity check of a profile."""
+
+    check_id: str
+    anchor: str
+    measured: float  # largest violation; <= 0 when the check passes
+    passed: bool
+    node: int | None  # first offending node, None when the check passes
+
+
+def _property_check(check_id: str, anchor: str, measured, ok: np.ndarray, first: int = 0) -> PropertyCheck:
+    """Row for the condition `ok`, evaluated at nodes first, first + 1, ..."""
+    bad = np.flatnonzero(~ok)
+    return PropertyCheck(check_id, anchor, float(measured), not bad.size, int(bad[0]) + first if bad.size else None)
+
+
+def property_checks(p: ModelParams, s: FieldProfile) -> list[PropertyCheck]:
     """Pointwise bounds and strict monotonicity a solution must satisfy.
 
     a > 0 and strictly decreasing; 0 < f < pi - omega and strictly
     increasing; 0 < g < q and strictly increasing (g identically zero in
     the monopole limit q = 0).  Interior nodes, strict inequalities on the
-    stored values.
+    stored values, so a NaN fails every check it enters.
     """
     a, f, g = s.a, s.f, s.g
-    f_inf = p.f_infinity
-    checks = [
-        (np.all(a[:-1] > 0.0), "a > 0 violated"),
-        (np.all(np.diff(a) < 0.0), "a not strictly decreasing"),
-        (np.all(f[1:-1] > 0.0) and np.all(f[1:-1] < f_inf), "0 < f < pi - omega violated"),
-        (np.all(np.diff(f) > 0.0), "f not strictly increasing"),
+    fi, gi = f[1:-1], g[1:-1]
+    da, df, dg = np.diff(a), np.diff(f), np.diff(g)
+    bound, monotone = "pointwise-bounds", "strict-monotonicity"
+    rows = [
+        _property_check("bound-a-positive", bound, -np.min(a[:-1]), a[:-1] > 0.0),
+        _property_check("bound-f-interval", bound, max(-np.min(fi), np.max(fi) - p.f_infinity), (fi > 0.0) & (fi < p.f_infinity), 1),
     ]
     if p.q == 0.0:
-        checks.append((bool(np.all(g == 0.0)), "g not identically zero at q = 0"))
+        rows.append(_property_check("bound-g-monopole", bound, np.max(np.abs(g)), g == 0.0))
     else:
-        checks.append((np.all(g[1:-1] > 0.0) and np.all(g[1:-1] < p.q), "0 < g < q violated"))
-        checks.append((np.all(np.diff(g) > 0.0), "g not strictly increasing"))
-    for ok, msg in checks:
-        if not ok:
-            return False, msg
+        rows.append(_property_check("bound-g-interval", bound, max(-np.min(gi), np.max(gi) - p.q), (gi > 0.0) & (gi < p.q), 1))
+    rows.append(_property_check("monotone-a-decreasing", monotone, np.max(da), da < 0.0))
+    rows.append(_property_check("monotone-f-increasing", monotone, -np.min(df), df > 0.0))
+    if p.q > 0.0:
+        rows.append(_property_check("monotone-g-increasing", monotone, -np.min(dg), dg > 0.0))
+    return rows
+
+
+def solution_properties_ok(p: ModelParams, s: FieldProfile) -> tuple[bool, str]:
+    """(True, "") if every property_checks row passes, else False and the first failing row."""
+    for row in property_checks(p, s):
+        if not row.passed:
+            return False, f"{row.check_id} fails at node {row.node}"
     return True, ""

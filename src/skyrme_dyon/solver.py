@@ -74,30 +74,25 @@ logger = logging.getLogger(__name__)
 CORE_SCALE = 1.0  # length scale of the closed-form initial guess
 
 
+# Newton and flow settings; production values for desk-scale runs
+MAX_NEWTON_ITERS = 40  # Newton iteration budget
+BACKTRACK_FACTOR = 0.5  # line-search step reduction
+MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
+FLOW_DT = 0.1  # initial flow time step
+FLOW_MAX_STEPS = 200_000  # flow step budget
+FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
+
+
 @dataclass
 class SolveConfig:
-    """Solver knobs; defaults are production settings for desk-scale runs."""
+    """Per-run solver settings: the Newton residual target and the continuation q values."""
 
     tol_residual: float = 1e-10
-    max_newton_iters: int = 40
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-8
     continuation_steps: Sequence[float] | None = None
-    flow_dt: float = 0.1
-    flow_max_steps: int = 200_000
-    flow_tol: float = 1e-8
 
     def validate(self) -> None:
         if not self.tol_residual > 0.0:
             raise ParameterError(f"tol_residual must be positive, got {self.tol_residual}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ParameterError(f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}")
-        if not self.min_step > 0.0:
-            raise ParameterError(f"min_step must be positive, got {self.min_step}")
-        if self.max_newton_iters < 1 or self.flow_max_steps < 1:
-            raise ParameterError("iteration limits must be >= 1")
-        if not (self.flow_dt > 0.0 and self.flow_tol > 0.0):
-            raise ParameterError("flow_dt and flow_tol must be positive")
 
 
 @dataclass
@@ -288,7 +283,7 @@ def newton_solve(
 ) -> tuple[FieldProfile, SolveReport]:
     """Damped Newton on the stacked interior residuals.
 
-    Returns the best iterate and a report; line-search stalls and Jacobian
+    Returns the last iterate and a report; line-search stalls and Jacobian
     factorization failures produce a non-converged report, never a crash.
     """
     cfg = cfg or SolveConfig()
@@ -300,7 +295,7 @@ def newton_solve(
     work = _band_workspace(grid)
     iters = 0
     message = ""
-    while norm > cfg.tol_residual and iters < cfg.max_newton_iters:
+    while norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
         _jacobian_banded(p, s, work)
         try:
             delta = _newton_step(work, rvec)
@@ -311,49 +306,21 @@ def newton_solve(
             message = "jacobian solve produced non-finite step"
             break
         step = 1.0
-        accepted = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             x_try = x + step * delta
             s_try = _unpack(x_try, p, grid)
             rvec_try, norm_try = _residual_vector(p, s_try)
             if np.isfinite(norm_try) and (norm_try <= (1.0 - 1e-4 * step) * norm or norm_try <= cfg.tol_residual):
                 x, s, rvec, norm = x_try, s_try, rvec_try, norm_try
-                accepted = True
                 break
-            step *= cfg.backtrack_factor
-        if not accepted:
-            message = f"line search stalled at step < {cfg.min_step} (residual {norm:.3e})"
+            step *= BACKTRACK_FACTOR
+        else:
+            message = f"line search stalled at step < {MIN_STEP} (residual {norm:.3e})"
             break
-        iters += 1
-    # Polish: near the round-off floor the Armijo test starves, but a short
-    # scan over damped steps still shaves the last fraction off the norm.
-    # Polish rounds count against the iteration budget.
-    for _ in range(6):
-        if norm <= cfg.tol_residual or iters >= cfg.max_newton_iters:
-            break
-        try:
-            _jacobian_banded(p, s, work)
-            delta = _newton_step(work, rvec)
-        except (np.linalg.LinAlgError, ValueError):
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        best_step = None
-        for t in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
-            x_try = x + t * delta
-            s_try = _unpack(x_try, p, grid)
-            rvec_try, norm_try = _residual_vector(p, s_try)
-            if np.isfinite(norm_try) and norm_try < norm and (best_step is None or norm_try < best_step[1]):
-                best_step = (x_try, norm_try, rvec_try, s_try)
-        if best_step is None:
-            break
-        x, norm, rvec, s = best_step
         iters += 1
     converged = norm <= cfg.tol_residual
-    if converged:
-        message = ""
-    elif not message:
-        message = f"iteration budget of {cfg.max_newton_iters} exhausted at residual {norm:.3e}"
+    if not (converged or message):
+        message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
     props_ok, prop_msg = solution_properties_ok(p, s)
     action = None
     try:
@@ -401,33 +368,29 @@ def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
-def flow_solve(
-    p: ModelParams, grid: RadialGrid, guess: FieldProfile, cfg: SolveConfig | None = None
-) -> tuple[FieldProfile, SolveReport]:
+def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[FieldProfile, SolveReport]:
     """Descent on the reduced functional J(a, f) = E1(a, f) - E2(a, g(a)).
 
     g is re-solved from a at every step (so the g-equation holds exactly
     along the whole path), descent directions are the preconditioned
     residuals of the remaining two equations, and steps that would raise J
     are rejected with dt halved.  Terminates when the full residual norm
-    drops below cfg.flow_tol or flow_max_steps is exhausted.
+    drops below FLOW_TOL or FLOW_MAX_STEPS is exhausted.
     """
-    cfg = cfg or SolveConfig()
-    cfg.validate()
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     s.g = solve_inner_g(p, grid, s.a)
     J = action_breakdown(p, s).L
     j_trace = [J]
-    dt = cfg.flow_dt
+    dt = FLOW_DT
     accepted = 0
     message = ""
     converged = False
     norm = float("inf")
-    for _ in range(cfg.flow_max_steps):
+    for _ in range(FLOW_MAX_STEPS):
         ra, rf, rg = residuals(p, s)
         norm = max(np.max(np.abs(ra)), np.max(np.abs(rf)), np.max(np.abs(rg)))
-        if norm <= cfg.flow_tol:
+        if norm <= FLOW_TOL:
             converged = True
             break
         st = _stencil(grid, s.f)
@@ -541,7 +504,7 @@ def continuation_solve(
             # final Newton polish, which must still meet tol_residual for
             # the leg to count as converged
             logger.info("newton leg at q=%.6g failed (%s); falling back to flow", q_k, rep.message)
-            flow_sol, _ = flow_solve(p_k, grid, guess, cfg)
+            flow_sol, _ = flow_solve(p_k, grid, guess)
             used_flow = True
             sol, rep = newton_solve(p_k, grid, flow_sol, cfg)
         leg = LegRecord(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayWindowError, ParameterError
+from .errors import DecayWindowError, NumericError, ParameterError
 from .grid import RadialGrid, build_grid
 from .inner import constraint_residual, solve_inner_g
 from .model import (
@@ -25,6 +25,7 @@ from .model import (
     _nodal_e1,
     action_breakdown,
     e2_energy,
+    property_checks,
     residuals,
 )
 from .observables import (
@@ -117,8 +118,8 @@ def seeded_test_functions(grid: RadialGrid, n: int = 5, seed: int = 42) -> list[
     return out
 
 
-def _coercive_gap(p: ModelParams, s: FieldProfile) -> tuple[float, float]:
-    """L minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
+def _coercive_gap(p: ModelParams, s: FieldProfile, L: float) -> tuple[float, float]:
+    """The action L of s minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
 
     The bound is E1 with the r^2 f'^2 coefficient 1/2 lowered to c1 and the
     mass term a^2 sin^2 f replaced by c2 a^2 f^2.  Returns (gap, scale).
@@ -134,23 +135,22 @@ def _coercive_gap(p: ModelParams, s: FieldProfile) -> tuple[float, float]:
     interval = _interval_e1(p, grid, a, f, c1) * grid.h
     nodal = _nodal_e1(p, grid, a, f, c2 * a * a * f * f) * grid.w
     bound = float(np.sum(interval) + np.sum(nodal))
-    L = action_breakdown(p, s).L
     return L - bound, abs(L) + abs(bound) + 1.0
 
 
-def _flux_identity_gap(p: ModelParams, s: FieldProfile) -> tuple[float, float]:
+def _flux_identity_gap(s: FieldProfile, rg: np.ndarray) -> tuple[float, float]:
     """Max defect of r^2 g'(half node) = cumulative dual-cell sum of 2 a^2 g.
 
     The identity telescopes the conservative stencil exactly, so the defect
-    is bounded by the accumulated g-residual mass plus round-off; the
-    excess over that budget is returned together with its scale.
+    is bounded by the accumulated mass of the g-residuals rg of s plus
+    round-off; the excess over that budget is returned together with its
+    scale.
     """
     grid = s.grid
     a, g = s.a, s.g
     flux = grid.p_half * np.diff(g) / grid.h
     w = grid.w[1:-1]
     cum = np.cumsum(2.0 * a[1:-1] ** 2 * g[1:-1] * w)
-    _, _, rg = residuals(p, s)
     budget = np.cumsum(w * np.abs(rg))
     gap = float(np.max(np.abs(flux[1:] - cum) - budget))
     scale = 1.0 + float(np.max(np.abs(flux)))
@@ -160,7 +160,7 @@ def _flux_identity_gap(p: ModelParams, s: FieldProfile) -> tuple[float, float]:
 def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) -> VerifyReport:
     """Execute the full property battery on a profile claiming convergence."""
     tol = tol or Tolerances()
-    grid = s.grid
+    grid, a, f = s.grid, s.a, s.f
     rep = VerifyReport()
 
     ra, rf, rg = residuals(p, s)
@@ -178,47 +178,21 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     )
     rep.add("boundary-values", "boundary-conditions", bc_defect, tol.boundary)
 
-    def first_bad(mask) -> int | None:
-        bad = np.flatnonzero(mask)
-        return int(bad[0]) if bad.size else None
-
-    a, f, g = s.a, s.f, s.g
-    rep.add(
-        "bound-a-positive", "pointwise-bounds", -float(np.min(a[:-1])), 0.0,
-        bool(np.all(a[:-1] > 0.0)), node=first_bad(a[:-1] <= 0.0),
-    )
-    f_bad = (f[1:-1] <= 0.0) | (f[1:-1] >= p.f_infinity)
-    f_measure = max(-float(np.min(f[1:-1])), float(np.max(f[1:-1])) - p.f_infinity)
-    bad_f = first_bad(f_bad)
-    rep.add("bound-f-interval", "pointwise-bounds", f_measure, 0.0, not f_bad.any(),
-            node=None if bad_f is None else bad_f + 1)
-    if p.q == 0.0:
-        rep.add("bound-g-monopole", "pointwise-bounds", float(np.max(np.abs(g))), 0.0,
-                bool(np.all(g == 0.0)), node=first_bad(g != 0.0))
-    else:
-        g_bad = (g[1:-1] <= 0.0) | (g[1:-1] >= p.q)
-        g_measure = max(-float(np.min(g[1:-1])), float(np.max(g[1:-1])) - p.q)
-        bad_g = first_bad(g_bad)
-        rep.add("bound-g-interval", "pointwise-bounds", g_measure, 0.0, not g_bad.any(),
-                node=None if bad_g is None else bad_g + 1)
-
-    rep.add("monotone-a-decreasing", "strict-monotonicity", float(np.max(np.diff(a))), 0.0,
-            bool(np.all(np.diff(a) < 0.0)), node=first_bad(np.diff(a) >= 0.0))
-    rep.add("monotone-f-increasing", "strict-monotonicity", -float(np.min(np.diff(f))), 0.0,
-            bool(np.all(np.diff(f) > 0.0)), node=first_bad(np.diff(f) <= 0.0))
-    if p.q > 0.0:
-        rep.add("monotone-g-increasing", "strict-monotonicity", -float(np.min(np.diff(g))), 0.0,
-                bool(np.all(np.diff(g) > 0.0)), node=first_bad(np.diff(g) <= 0.0))
+    for row in property_checks(p, s):
+        rep.add(row.check_id, row.anchor, row.measured, 0.0, row.passed, row.node)
 
     try:
         act = action_breakdown(p, s)
-        energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
-        rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
-        gap, scale = _coercive_gap(p, s)
-        rep.add("coercive-bound", "coercive-lower-bound", -gap, tol.coercive_rel * scale)
-    except Exception:
+    except NumericError:
+        act = None  # non-finite energy density: every check built on the action fails
+    if act is None:
         rep.add("energy-finite", "finite-energy", float("nan"), float("inf"), False)
         rep.add("coercive-bound", "coercive-lower-bound", float("nan"), 0.0, False)
+    else:
+        energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
+        rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
+        gap, scale = _coercive_gap(p, s, act.L)
+        rep.add("coercive-bound", "coercive-lower-bound", -gap, tol.coercive_rel * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the
     # profile's own g is tied to it through the residual-g check above
@@ -258,9 +232,11 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     gap_a = float(np.max(np.abs(a - 1.0) - np.sqrt(grid.r * cum_a)))
     rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, tol.small_r_rel * (1.0 + float(cum_a[-1])))
 
-    if p.kappa > 0.0:
+    if p.kappa > 0.0 and act is None:
+        rep.add("small-r-skyrme-bound", "small-r-bounds", float("nan"), 0.0, False)
+    elif p.kappa > 0.0:
         # sin^2 f <= 2 kappa^(-1/2) sqrt(r) sqrt(L) on the core region where a >= 1/2.
-        act_L = max(action_breakdown(p, s).L, 0.0)
+        act_L = max(act.L, 0.0)
         below = np.flatnonzero(a < 0.5)
         cut = below[0] if below.size else grid.N + 1
         rr = grid.r[:cut]
@@ -269,7 +245,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, tol.small_r_rel * (1.0 + act_L))
 
-    flux_gap, flux_scale = _flux_identity_gap(p, s)
+    flux_gap, flux_scale = _flux_identity_gap(s, rg)
     rep.add("flux-identity", "flux-identity", flux_gap, tol.flux_scale * flux_scale)
     return rep
 

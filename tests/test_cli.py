@@ -190,3 +190,29 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
     assert p2.omega == p.omega and p2.q == p.q and p2.kappa == p.kappa
     assert np.array_equal(s2.grid.r, s.grid.r)
     assert np.array_equal(s2.a, s.a) and np.array_equal(s2.f, s.f) and np.array_equal(s2.g, s.g)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sweep-param", "q", "--sweep-values", "abc"],
+        ["table", "--omegas", "foo"],
+        ["solve", "--q", "0.1", "--continuation-steps", "1e-1"],
+    ],
+)
+def test_malformed_list_tokens_exit_config(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("legs", ["0", "1", "-3"])
+def test_continuation_leg_count_below_two_exits_config(tmp_path, legs):
+    argv = ["solve", "--q", "0.1", "--nodes", "300", "--rmax", "30", "--continuation-steps", legs, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])
+def test_sweep_rejects_solve_only_options(tmp_path, option):
+    argv = ["sweep", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1", *option, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert not (tmp_path / "summary.csv").exists()

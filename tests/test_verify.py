@@ -48,6 +48,63 @@ def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path
     assert main(["verify", str(path)]) == 3
 
 
+@pytest.mark.parametrize("node, value", [(0, 0.1), (150, float("nan"))])
+def test_suite_reports_non_finite_action_without_raising(grid_small, tmp_path, node, value):
+    # f(0) != 0 makes the origin term of e1 infinite, a NaN node makes it NaN
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s = sd.initial_guess(p, grid_small)
+    s.f[node] = value
+    report = sd.run_suite(p, s)
+    for check_id in ("energy-finite", "coercive-bound", "small-r-skyrme-bound"):
+        assert not report[check_id].passed and np.isnan(report[check_id].measured), check_id
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, p, s)
+    assert main(["verify", str(path)]) == 3
+
+
+def _perturb(p, s, field, kind, node):
+    arr = getattr(s, field)
+    if kind == "negate":
+        arr[node] = -arr[node]
+    elif kind == "repeat":  # a non-strict pair (node, node + 1)
+        arr[node + 1] = arr[node]
+    else:
+        arr[node] = p.f_infinity + 0.1
+
+
+@pytest.mark.parametrize(
+    "field, kind, check_id",
+    [
+        ("a", "negate", "bound-a-positive"),
+        ("a", "repeat", "monotone-a-decreasing"),
+        ("f", "above", "bound-f-interval"),
+        ("f", "repeat", "monotone-f-increasing"),
+        ("g", "negate", "bound-g-interval"),
+        ("g", "repeat", "monotone-g-increasing"),
+    ],
+)
+def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
+    p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
+    assert sd.solution_properties_ok(p, s) == (True, "")
+    bad = s.copy()
+    node = 731
+    _perturb(p, bad, field, kind, node)
+    ok, msg = sd.solution_properties_ok(p, bad)
+    assert not ok
+    assert msg == f"{check_id} fails at node {node}"
+    check = sd.run_suite(p, bad)[check_id]
+    assert not check.passed and check.node == node
+
+
+def test_property_table_flags_monopole_g(monopole_small):
+    p, s, _ = monopole_small
+    bad = s.copy()
+    bad.g[40] = 1e-3
+    assert sd.solution_properties_ok(p, bad) == (False, "bound-g-monopole fails at node 40")
+    check = sd.run_suite(p, bad)["bound-g-monopole"]
+    assert not check.passed and check.node == 40
+
+
 def test_suite_flags_injected_fault_with_node(solved_points):
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
     bad = s.copy()
