@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
-    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="leg count or comma list of q values")
+    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="fallback ladder if Newton at the target fails: leg count or comma list of q values")
     sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
@@ -129,9 +129,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def run_solve(cfg: RunConfig) -> int:
     p = validate_params(cfg.omega, cfg.q, cfg.kappa)
     grid = build_grid(cfg.rmax, cfg.nodes, cluster=cfg.grading)
+    solve_cfg = cfg.solve_config(p.q)
+    # check the settings before --out is created, so a bad run leaves no directory
+    solve_cfg.validate()
+    solve_cfg.ladder(p.q)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    profile, report = continuation_solve(p, grid, cfg.solve_config(p.q))
+    profile, report = continuation_solve(p, grid, solve_cfg)
     # an aborted continuation returns the failed leg's profile, with that leg's q
     p_out = p if report.converged else validate_params(p.omega, report.continuation_trace[-1].q, p.kappa)
     write_profile_csv(out / "profile.csv", p_out, profile)

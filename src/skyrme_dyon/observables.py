@@ -90,7 +90,9 @@ def _local_two_mode_rates(r: np.ndarray, h: np.ndarray, u: np.ndarray, idx: np.n
     """Per-node rate lambda_i solving u_m sinh(l hp) + u_p sinh(l hm) = u_j sinh(l (hm+hp)).
 
     Exact for any local combination B exp(-l r) + C exp(+l r); solved by
-    vectorized bisection on l in (0, 10].
+    vectorized bisection on l in (0, 10], at most 90 rounds.  A round that
+    leaves every bracket unchanged is a fixed point of the update, so the
+    loop stops there with the bitwise result of all 90.
     """
     hm = h[idx - 1]
     hp = h[idx]
@@ -108,8 +110,11 @@ def _local_two_mode_rates(r: np.ndarray, h: np.ndarray, u: np.ndarray, idx: np.n
         mid = 0.5 * (lo + hi)
         f_mid = fval(mid)
         take_hi = f_mid <= 0.0
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
+        hi_next = np.where(take_hi, mid, hi)
+        lo_next = np.where(take_hi, lo, mid)
+        if np.array_equal(hi_next, hi) and np.array_equal(lo_next, lo):
+            break
+        lo, hi = lo_next, hi_next
     lam = 0.5 * (lo + hi)
     return np.where(ok, lam, np.nan)
 

@@ -23,9 +23,11 @@ Two structurally different routes to the same discrete root:
   production resolutions, which is the only deviation from a textbook
   explicit flow.
 
-* continuation_solve walks q from the monopole limit q = 0 to the target,
-  warm-starting each leg and falling back to flow (plus a Newton polish)
-  on any failed leg.
+* continuation_solve runs Newton at the target from the closed-form
+  initial guess, as the dyon is a critical point at fixed (omega, q).  Only
+  when that attempt fails does it walk a q ladder from the monopole limit
+  q = 0 to the target, warm-starting each leg and falling back to flow
+  (plus a Newton polish) on any failed leg.
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
@@ -85,7 +87,7 @@ FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
 
 @dataclass
 class SolveConfig:
-    """Per-run solver settings: the Newton residual target and the continuation q values."""
+    """Per-run solver settings: the Newton residual target and the fallback ladder's q values."""
 
     tol_residual: float = 1e-10
     continuation_steps: Sequence[float] | None = None
@@ -94,10 +96,29 @@ class SolveConfig:
         if not self.tol_residual > 0.0:
             raise ParameterError(f"tol_residual must be positive, got {self.tol_residual}")
 
+    def ladder(self, q_target: float) -> list[float]:
+        """The continuation q values toward q_target: continuation_steps, or the default ladder.
+
+        Raises ParameterError unless the list is nonempty, nondecreasing and
+        ends at q_target.
+        """
+        steps = list(self.continuation_steps) if self.continuation_steps is not None else default_continuation_steps(q_target)
+        if not steps:
+            raise ParameterError("continuation step list must be nonempty")
+        if any(b < a for a, b in zip(steps, steps[1:])):
+            raise ParameterError(f"continuation q values must be nondecreasing, got {steps}")
+        if abs(steps[-1] - q_target) > 1e-12:
+            raise ParameterError(f"last continuation step {steps[-1]} must equal target q {q_target}")
+        return steps
+
 
 @dataclass
 class LegRecord:
-    """One continuation leg: the q value solved and how the solve went."""
+    """One solve toward the target: the q value solved and how the solve went.
+
+    path is "direct" for the Newton attempt at the target from the initial
+    guess, else the path of a ladder leg ("newton" or "flow").
+    """
 
     q: float
     converged: bool
@@ -471,27 +492,45 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     return s
 
 
+def _leg_record(q: float, rep: SolveReport, path: str, converged: bool) -> LegRecord:
+    return LegRecord(
+        q=q,
+        converged=converged,
+        iterations=rep.iterations,
+        residual=rep.final_residual_norm,
+        path=path,
+        L=rep.action.L if rep.action else float("nan"),
+        E=rep.action.E if rep.action else float("nan"),
+    )
+
+
 def continuation_solve(
     p_target: ModelParams, grid: RadialGrid, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
-    """Solve at q = 0 first, then continue in q to the target.
+    """Newton at the target from the initial guess; the q ladder only if that fails.
 
-    Each leg reuses the previous converged profile as its guess; a failed
-    Newton leg falls back to flow followed by a Newton polish.  If a leg
-    still fails, the report carries the last good q in its message.
+    The ladder is cfg.ladder(q): it solves at its first q from the initial
+    guess, then warm-starts each leg from the previous converged profile; a
+    failed Newton leg falls back to flow followed by a Newton polish.  If a
+    leg still fails, the report carries the last good q in its message.  A
+    one-entry ladder is itself a direct solve and runs once.  The direct
+    attempt, when made, is the first record of continuation_trace.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    steps = list(cfg.continuation_steps) if cfg.continuation_steps is not None else default_continuation_steps(p_target.q)
-    if not steps:
-        raise ParameterError("continuation step list must be nonempty")
-    if any(b < a for a, b in zip(steps, steps[1:])):
-        raise ParameterError(f"continuation q values must be nondecreasing, got {steps}")
-    if abs(steps[-1] - p_target.q) > 1e-12:
-        raise ParameterError(f"last continuation step {steps[-1]} must equal target q {p_target.q}")
+    steps = cfg.ladder(p_target.q)
 
     trace: list[LegRecord] = []
+    if len(steps) > 1:
+        sol, rep = newton_solve(p_target, grid, initial_guess(p_target, grid), cfg)
+        trace.append(_leg_record(p_target.q, rep, "direct", rep.converged and rep.properties_ok))
+        if trace[0].converged:
+            rep.continuation_trace = trace
+            rep.wall_time = time.perf_counter() - t0
+            return sol, rep
+        logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, rep.message)
+
     used_flow = False
     profile: FieldProfile | None = None
     p_prev = validate_params(p_target.omega, 0.0, p_target.kappa)
@@ -507,16 +546,7 @@ def continuation_solve(
             flow_sol, _ = flow_solve(p_k, grid, guess)
             used_flow = True
             sol, rep = newton_solve(p_k, grid, flow_sol, cfg)
-        leg = LegRecord(
-            q=q_k,
-            converged=rep.converged,
-            iterations=rep.iterations,
-            residual=rep.final_residual_norm,
-            path=rep.path,
-            L=rep.action.L if rep.action else float("nan"),
-            E=rep.action.E if rep.action else float("nan"),
-        )
-        trace.append(leg)
+        trace.append(_leg_record(q_k, rep, rep.path, rep.converged))
         profile, report = sol, rep
         if not rep.converged:
             rep.message = f"continuation aborted at q={q_k:.6g}; last converged q={p_prev.q:.6g}. {rep.message}"

@@ -211,6 +211,13 @@ def test_continuation_leg_count_below_two_exits_config(tmp_path, legs):
     assert not (tmp_path / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("option", [["--continuation-steps", "1"], ["--continuation-steps", "0,0.05"], ["--tol", "-1"]])
+def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
+    out = tmp_path / "newdir"
+    assert main(["solve", "--q", "0.1", *option, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])
 def test_sweep_rejects_solve_only_options(tmp_path, option):
     argv = ["sweep", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1", *option, "--out", str(tmp_path)]

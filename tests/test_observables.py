@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
+
+observables_module = importlib.import_module("skyrme_dyon.observables")
 
 OMEGA = 0.75 * math.pi
 
@@ -98,6 +101,34 @@ def test_fit_decay_rate_truncated_two_mode():
     s = sd.FieldProfile(g, a, f, gg)
     gamma, _ = sd.fit_decay_rate(s)
     assert abs(gamma - gamma0) <= 1e-6
+
+
+def _two_mode_rates_90_rounds(r, h, u, idx):
+    # the bisection of observables._local_two_mode_rates, always run for all 90 rounds
+    hm, hp = h[idx - 1], h[idx]
+    um, uj, up = u[idx - 1], u[idx], u[idx + 1]
+
+    def fval(lam):
+        return um * np.sinh(lam * hp) + up * np.sinh(lam * hm) - uj * np.sinh(lam * (hm + hp))
+
+    lo = np.full(idx.shape, 1e-9)
+    hi = np.full(idx.shape, 10.0)
+    ok = (fval(lo) > 0.0) & (fval(hi) < 0.0)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        take_hi = fval(mid) <= 0.0
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return np.where(ok, 0.5 * (lo + hi), np.nan)
+
+
+def test_two_mode_rates_stop_early_with_the_90_round_result():
+    g = sd.build_grid(60.0, 1500, cluster=0.5)
+    a = np.exp(-0.22 * g.r) - np.exp(-0.22 * (2.0 * g.R - g.r))
+    idx = np.arange(1, g.N)
+    lam = observables_module._local_two_mode_rates(g.r, g.h, a, idx)
+    assert np.isfinite(lam).sum() > 1000
+    assert np.array_equal(lam, _two_mode_rates_90_rounds(g.r, g.h, a, idx), equal_nan=True)
 
 
 def test_fit_decay_rate_window_error_for_small_domain():

@@ -183,15 +183,60 @@ def test_continuation_single_leg_at_q_zero(grid_small):
     assert rep.continuation_trace[0].q == 0.0
 
 
-def test_continuation_six_legs(grid_small):
+def _reject_direct_attempt(monkeypatch):
+    """Make continuation_solve's first newton_solve call report failure, so it walks the ladder."""
+    original = solver.newton_solve
+    calls = []
+
+    def newton_rejecting_first(*args, **kwargs):
+        s, rep = original(*args, **kwargs)
+        if not calls:
+            rep.converged = False
+            rep.message = "rejected by the test"
+        calls.append(rep)
+        return s, rep
+
+    monkeypatch.setattr(solver, "newton_solve", newton_rejecting_first)
+
+
+def test_continuation_tries_target_first(solved_points):
+    p, _, rep = solved_points[(OMEGA, 0.3, 1.0)]
+    assert rep.converged and rep.path == "newton"
+    assert len(rep.continuation_trace) == 1
+    leg = rep.continuation_trace[0]
+    assert leg.path == "direct" and leg.converged
+    assert leg.q == p.q and leg.iterations == rep.iterations and leg.residual == rep.final_residual_norm
+
+
+def test_continuation_six_legs(monkeypatch, caplog, grid_small):
+    _reject_direct_attempt(monkeypatch)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
-    s, rep = sd.continuation_solve(p, grid_small)
+    with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
+        s, rep = sd.continuation_solve(p, grid_small)
+    assert "direct newton at q=0.3 failed (rejected by the test)" in caplog.text
+    direct, legs = rep.continuation_trace[0], rep.continuation_trace[1:]
+    assert direct.path == "direct" and not direct.converged and direct.q == 0.3
     assert rep.converged
-    assert len(rep.continuation_trace) == 6
-    qs = [leg.q for leg in rep.continuation_trace]
+    assert len(legs) == 6
+    qs = [leg.q for leg in legs]
     assert qs[0] == 0.0 and qs[-1] == pytest.approx(0.3)
     assert all(b >= a for a, b in zip(qs, qs[1:]))
-    assert all(leg.converged for leg in rep.continuation_trace)
+    assert all(leg.converged for leg in legs)
+
+
+@pytest.mark.parametrize(
+    "omega, q_share, kappa",
+    [(OMEGA, 0.5, 0.0), (OMEGA, 0.5, 3.0), (0.52 * math.pi, 0.5, 1.0), (0.98 * math.pi, 0.5, 1.0), (OMEGA, 0.98, 1.0)],
+)
+def test_direct_solve_agrees_with_ladder(monkeypatch, grid60, omega, q_share, kappa):
+    p = sd.validate_params(omega, q_share * sd.admissible_q_max(omega), kappa)
+    direct, rep = sd.continuation_solve(p, grid60)
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"]
+    _reject_direct_attempt(monkeypatch)
+    walked, rep = sd.continuation_solve(p, grid60)
+    assert rep.converged and len(rep.continuation_trace) == 7
+    diff = max(np.max(np.abs(direct.a - walked.a)), np.max(np.abs(direct.f - walked.f)), np.max(np.abs(direct.g - walked.g)))
+    assert diff <= 1e-9
 
 
 def test_continuation_validates_step_list(grid_small):
