@@ -178,9 +178,9 @@ def run_sweep(cfg: RunConfig) -> int:
             profile, report = continuation_solve(p, grid, solve_cfg)
         else:
             profile, report = newton_solve(p, grid, warm_start(*prev, p), solve_cfg)
-            if not report.converged:
+            if not (report.converged and report.properties_ok):
                 profile, report = continuation_solve(p, grid, solve_cfg)
-        ok = report.converged
+        ok = report.converged and report.properties_ok
         all_ok &= ok
         if ok:
             obs = observables(p, profile, strict=False)

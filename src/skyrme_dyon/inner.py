@@ -7,8 +7,9 @@ For fixed a, the electric potential g is the unique minimizer of
 equivalently the solution of the linear two-point problem
 (r^2 g')' = 2 a^2 g with g(0) = 0, g(R) = q.  The discrete system is the
 exact stationarity condition of the discrete E2: a symmetric positive
-definite tridiagonal M-matrix, solved directly with one step of iterative
-refinement.  Consequences used elsewhere:
+definite tridiagonal M-matrix, solved directly with two rounds of
+iterative refinement; one LAPACK gttrf factorization serves all three
+gttrs solves.  Consequences used elsewhere:
 
 * 0 <= g <= q nodewise and g nondecreasing (inverse positivity + the
   telescoped flux identity r^2 g' = integral_0^r 2 a^2 g);
@@ -26,7 +27,7 @@ rather than imposed in the continuum.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from .errors import InternalSolveError, NumericError, ParameterError, TestFunctionError
 from .grid import RadialGrid
@@ -65,16 +66,28 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     rhs = np.zeros(n, dtype=dtype)
     rhs[-1] = P[-1] / h[-1] * p.q
 
-    ab = np.zeros((3, n), dtype=dtype)
-    ab[0, 1:] = off
-    ab[1, :] = main
-    ab[2, :-1] = off
-    try:
-        g_int = solve_banded((1, 1), ab, rhs)
-        for _ in range(2):  # iterative refinement to near-lattice accuracy
-            g_int += solve_banded((1, 1), ab, rhs - _tridiag_matvec(main, off, g_int))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - structurally excluded
-        raise InternalSolveError(f"electric-sector tridiagonal solve failed: {exc}") from exc
+    if not np.all(np.isfinite(main)):
+        raise NumericError(f"non-finite electric-sector diagonal at node {int(np.flatnonzero(~np.isfinite(main))[0]) + 1}")
+
+    # one LU factorization serves the solve and both refinement rounds
+    if n >= 3:
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main, rhs))
+        *lu, info = gttrf(off, main, off)
+        if info > 0:  # pragma: no cover - structurally excluded
+            raise InternalSolveError("electric-sector tridiagonal solve failed: singular matrix")
+
+        def solve(b):
+            return gttrs(*lu, b)[0]
+
+    else:  # scipy's gttrf wrapper rejects systems smaller than 3 x 3
+        ab = np.array([np.r_[0.0, off], main, np.r_[off, 0.0]])
+
+        def solve(b):
+            return solve_banded((1, 1), ab, b)
+
+    g_int = solve(rhs)
+    for _ in range(2):  # iterative refinement to near-lattice accuracy
+        g_int += solve(rhs - _tridiag_matvec(main, off, g_int))
     if not np.all(np.isfinite(g_int.real)):  # pragma: no cover - structurally excluded
         raise InternalSolveError("electric-sector solve produced non-finite values")
 

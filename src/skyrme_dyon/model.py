@@ -38,7 +38,9 @@ exact correspondence.
 
 _interval_e1/_nodal_e1 serve E1 and the verify battery's coercive bound;
 _stencil and _reaction_rates serve the residuals, the Newton Jacobian and
-the flow preconditioner.
+the flow preconditioner.  residuals takes an optional precomputed stencil
+and action_breakdown an optional sin(f), so a caller that already has
+them (the flow) evaluates a state once; the results are bitwise the same.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -167,16 +169,16 @@ def _c_half(a, sin_f):
     return 0.5 * (c_nodal[:-1] + c_nodal[1:])
 
 
-def _interval_e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff):
+def _interval_e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f):
     """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
     da = np.diff(a) / grid.h
     df = np.diff(f) / grid.h
-    return 4.0 * da * da + (r2_coeff * grid.p_half + 4.0 * p.kappa * _c_half(a, np.sin(f))) * df * df
+    return 4.0 * da * da + (r2_coeff * grid.p_half + 4.0 * p.kappa * _c_half(a, sin_f)) * df * df
 
 
-def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f, mass):
+def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
     """Per-node part of e1 (mass = a^2 sin^2 f): 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2."""
-    dtype = np.result_type(a, f, float)
+    dtype = np.result_type(a, sin_f, float)
     r = grid.r
     a2 = a * a
     core = np.empty(grid.N + 1, dtype=dtype)
@@ -184,7 +186,7 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f, mass):
     core[0] = 0.0 if a2[0] == 1.0 else np.inf
     out = 2.0 * core + mass
     if p.kappa != 0.0:
-        sin2 = np.sin(f) ** 2
+        sin2 = sin_f**2
         sky = np.empty(grid.N + 1, dtype=dtype)
         sky[1:] = (a2[1:] * sin2[1:]) ** 2 / r[1:] ** 2
         sky[0] = 0.0 if sin2[0] == 0.0 else np.inf
@@ -192,11 +194,16 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, f, mass):
     return out
 
 
-def density_e1_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
-    """Nodal density array of e1 (trapezoid-integrating it gives E1)."""
+def density_e1_array(p: ModelParams, s: FieldProfile, *, sin_f=None) -> np.ndarray:
+    """Nodal density array of e1 (trapezoid-integrating it gives E1).
+
+    sin_f, when given, must be np.sin(s.f); the result is then bitwise the same.
+    """
     grid, a, f = s.grid, s.a, s.f
-    mass = a * a * np.sin(f) ** 2
-    return grid.nodal_from_intervals(_interval_e1(p, grid, a, f, 0.5)) + _nodal_e1(p, grid, a, f, mass)
+    if sin_f is None:
+        sin_f = np.sin(f)
+    mass = a * a * sin_f**2
+    return grid.nodal_from_intervals(_interval_e1(p, grid, a, f, 0.5, sin_f)) + _nodal_e1(p, grid, a, sin_f, mass)
 
 
 def density_e2_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
@@ -212,9 +219,12 @@ def e2_energy(grid: RadialGrid, a, g):
     return np.dot(grid.p_half * dg * dg, grid.h) + np.dot(2.0 * a * a * g * g, grid.w)
 
 
-def action_breakdown(p: ModelParams, s: FieldProfile) -> ActionBreakdown:
-    """Integrate the density arrays: E1, E2, L = E1 - E2, E = E1 + E2."""
-    e1 = density_e1_array(p, s)
+def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBreakdown:
+    """Integrate the density arrays: E1, E2, L = E1 - E2, E = E1 + E2.
+
+    sin_f, when given, must be np.sin(s.f); the result is then bitwise the same.
+    """
+    e1 = density_e1_array(p, s, sin_f=sin_f)
     e2 = density_e2_array(p, s)
     for name, arr in (("e1", e1), ("e2", e2)):
         bad = ~np.isfinite(arr)
@@ -236,14 +246,17 @@ class _Stencil(NamedTuple):
     cos: np.ndarray  # cos(f) at all N+1 nodes
 
 
-def _stencil(grid: RadialGrid, f) -> _Stencil:
-    """Shared setup of the residuals, the Newton Jacobian and the flow preconditioner."""
+def _stencil(grid: RadialGrid, f, *, sin_f=None) -> _Stencil:
+    """Shared setup of the residuals, the Newton Jacobian and the flow preconditioner.
+
+    sin_f, when given, must be np.sin(f) and is stored as is.
+    """
     h = grid.h
     w = grid.w[1:-1]
     rj = grid.r[1:-1]
     df = np.diff(f) / h
     qbar = (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * w)
-    return _Stencil(w, 1.0 / (rj * rj), df, qbar, np.sin(f), np.cos(f))
+    return _Stencil(w, 1.0 / (rj * rj), df, qbar, np.sin(f) if sin_f is None else sin_f, np.cos(f))
 
 
 def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
@@ -271,7 +284,7 @@ def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
     return react_a, react_f
 
 
-def residuals(p: ModelParams, s: FieldProfile):
+def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = None):
     """Vectorized (residual_a, residual_f, residual_g) over interior nodes 1..N-1.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
@@ -283,10 +296,11 @@ def residuals(p: ModelParams, s: FieldProfile):
 
     f'^2 factors use the dual-cell average of interval difference quotients
     and D(.) the conservative flux stencil, so each residual is the exact
-    gradient of the discrete action (see module docstring).
+    gradient of the discrete action (see module docstring).  stencil, when
+    given, must be _stencil(s.grid, s.f); the result is then bitwise the same.
     """
     grid, a, f, g = s.grid, s.a, s.f, s.g
-    st = _stencil(grid, f)
+    st = _stencil(grid, f) if stencil is None else stencil
     w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
     Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
     k = p.kappa

@@ -21,7 +21,9 @@ Two structurally different routes to the same discrete root:
   - and accepted only if J does not increase; dt adapts by halving/growth.
   A plain explicit update would need dt ~ h_min^2 and is hopeless at
   production resolutions, which is the only deviation from a textbook
-  explicit flow.
+  explicit flow.  Each state is evaluated once (one sin f, one stencil,
+  one action), and both preconditioner systems are solved by LAPACK gtsv
+  called directly.
 
 * continuation_solve runs Newton at the target from the closed-form
   initial guess, as the dyon is a critical point at fixed (omega, q).  Only
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import ParameterError
 from .grid import RadialGrid
@@ -363,24 +365,21 @@ def newton_solve(
     return s, report
 
 
-def _implicit_step_matrix(grid: RadialGrid, coeff_half: np.ndarray, c: float, reaction: np.ndarray) -> np.ndarray:
-    """Banded (I - c*(K - diag(reaction))), K u = (coeff_p Du_p - coeff_m Du_m)/w.
+def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (sub-, main, super-diagonal) x = b with LAPACK gtsv.
 
-    reaction >= 0 is the stabilizing (positive) part of the local reaction
-    rate; folding it into the implicit operator keeps the preconditioner
-    positive definite while removing the explicit stability limit of the
-    stiff zero-order terms (notably (3a^2-1)/r^2 near the origin).
+    All four arrays are overwritten.  Raises as scipy.linalg.solve_banded
+    does: ValueError on non-finite input, LinAlgError on an exactly
+    singular matrix.
     """
-    h = grid.h
-    hm, hp = h[:-1], h[1:]
-    w = grid.w[1:-1]
-    km, kp = coeff_half[:-1], coeff_half[1:]
-    n = grid.N - 1
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + c * ((km / hm + kp / hp) / w + reaction)
-    ab[0, 1:] = (-c * kp / (hp * w))[:-1]
-    ab[2, :-1] = (-c * km / (hm * w))[1:]
-    return ab
+    if not (np.isfinite(dl).all() and np.isfinite(d).all() and np.isfinite(du).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
@@ -397,34 +396,56 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     residuals of the remaining two equations, and steps that would raise J
     are rejected with dt halved.  Terminates when the full residual norm
     drops below FLOW_TOL or FLOW_MAX_STEPS is exhausted.
+
+    Each step solves (I - c*(K - diag(reaction))) u = c*res per field, with
+    K u = (k_p Du_p - k_m Du_m)/w (c = 8 dt and k = 1 for a; c = dt and k
+    the f flux coefficient for f) and reaction >= 0 the stabilizing part
+    of the local reaction rate: folding it into the implicit operator
+    keeps the preconditioner positive definite while removing the explicit
+    stability limit of the stiff zero-order terms (notably (3a^2-1)/r^2
+    near the origin).
+
+    Each state is evaluated once: sin f of a trial serves its action and,
+    once accepted, its stencil, which serves its residuals and reaction
+    rates; the report's action is that of the last accepted state.
     """
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     s.g = solve_inner_g(p, grid, s.a)
-    J = action_breakdown(p, s).L
+    sin_f = np.sin(s.f)
+    action = action_breakdown(p, s, sin_f=sin_f)
+    J = action.L
     j_trace = [J]
+    # grid-only parts of the operators: (hm*w, hp*w) below and above the
+    # diagonal, and the a-operator's diagonal K part
+    hm, hp = grid.h[:-1], grid.h[1:]
+    w = grid.w[1:-1]
+    hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
+    k_a = (1.0 / hm + 1.0 / hp) / w
     dt = FLOW_DT
     accepted = 0
     message = ""
     converged = False
     norm = float("inf")
     for _ in range(FLOW_MAX_STEPS):
-        ra, rf, rg = residuals(p, s)
+        st = _stencil(grid, s.f, sin_f=sin_f)
+        ra, rf, rg = residuals(p, s, stencil=st)
         norm = max(np.max(np.abs(ra)), np.max(np.abs(rf)), np.max(np.abs(rg)))
         if norm <= FLOW_TOL:
             converged = True
             break
-        st = _stencil(grid, s.f)
         react_a, react_f = _flow_reactions(p, st, s)
         # (a sin f)^2, not _c_half's order, for the same reason as in the Jacobian
         a_sin = s.a * st.sin
         coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
+        diag_a = k_a + react_a
+        diag_f = (coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f
         stepped = False
         while dt >= 1e-12:
-            ab_a = _implicit_step_matrix(grid, np.ones(grid.N), 8.0 * dt, react_a)
-            ab_f = _implicit_step_matrix(grid, coeff_f, dt, react_f)
-            da = solve_banded((1, 1), ab_a, 8.0 * dt * ra)
-            df = solve_banded((1, 1), ab_f, dt * rf)
+            c = 8.0 * dt
+            da = _tridiagonal_solve(-c / hmw, 1.0 + c * diag_a, -c / hpw, c * ra)
+            off_f = -dt * coeff_f[1:-1]
+            df = _tridiagonal_solve(off_f / hmw, 1.0 + dt * diag_f, off_f / hpw, dt * rf)
             a_try = s.a.copy()
             f_try = s.f.copy()
             a_try[1:-1] += da
@@ -432,11 +453,13 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
             g_try = solve_inner_g(p, grid, a_try)
             s_try = FieldProfile(grid, a_try, f_try, g_try)
             try:
-                J_try = action_breakdown(p, s_try).L
+                sin_try = np.sin(f_try)
+                action_try = action_breakdown(p, s_try, sin_f=sin_try)
+                J_try = action_try.L
             except Exception:
                 J_try = float("inf")
             if np.isfinite(J_try) and J_try <= J + 1e-12 * (1.0 + abs(J)):
-                s, J = s_try, J_try
+                s, J, sin_f, action = s_try, J_try, sin_try, action_try
                 j_trace.append(J)
                 accepted += 1
                 dt = min(dt * 1.3, 1e3)
@@ -455,7 +478,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         converged=converged,
         iterations=accepted,
         final_residual_norm=float(norm),
-        action=action_breakdown(p, s),
+        action=action,
         path="flow",
         properties_ok=props_ok,
         message=message,

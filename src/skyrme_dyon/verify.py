@@ -132,8 +132,9 @@ def _coercive_gap(p: ModelParams, s: FieldProfile, L: float) -> tuple[float, flo
     c1 = 0.5 - (p.q / om_gap) ** 2
     c2 = 2.0 / om_gap**2 * (q_om**2 - p.q**2)
     a, f = s.a, s.f
-    interval = _interval_e1(p, grid, a, f, c1) * grid.h
-    nodal = _nodal_e1(p, grid, a, f, c2 * a * a * f * f) * grid.w
+    sin_f = np.sin(f)
+    interval = _interval_e1(p, grid, a, f, c1, sin_f) * grid.h
+    nodal = _nodal_e1(p, grid, a, sin_f, c2 * a * a * f * f) * grid.w
     bound = float(np.sum(interval) + np.sum(nodal))
     return L - bound, abs(L) + abs(bound) + 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
+from skyrme_dyon import cli
 from skyrme_dyon.cli import main, parse_angle
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
 
@@ -112,6 +113,42 @@ def test_sweep_records_per_point_failures(tmp_path):
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[-1] == "0"
+
+
+@pytest.mark.parametrize("fallback_breaks_too", [False, True])
+def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch, tmp_path, fallback_breaks_too):
+    # a warm-started solve that converges onto a profile violating the
+    # property checks must fall back to continuation, and a point is only
+    # summarized as converged when its final profile passes them
+    real_newton, real_continuation = cli.newton_solve, cli.continuation_solve
+    fallbacks = []
+
+    def newton_breaking_properties(*args, **kwargs):
+        profile, report = real_newton(*args, **kwargs)
+        assert report.converged
+        report.properties_ok = False
+        return profile, report
+
+    def counted_continuation(p, *args, **kwargs):
+        fallbacks.append(p.q)
+        profile, report = real_continuation(p, *args, **kwargs)
+        if fallback_breaks_too and fallbacks[1:]:
+            report.properties_ok = False
+        return profile, report
+
+    monkeypatch.setattr(cli, "newton_solve", newton_breaking_properties)
+    monkeypatch.setattr(cli, "continuation_solve", counted_continuation)
+    out = tmp_path / "sweep"
+    code = main(
+        [
+            "sweep", "--omega", "0.75pi", "--nodes", "300", "--rmax", "30",
+            "--sweep-param", "q", "--sweep-values", "0.1,0.05", "--out", str(out),
+        ]
+    )
+    assert fallbacks == [0.1, 0.05]
+    converged = [line.split(",")[-1] for line in (out / "summary.csv").read_text().strip().splitlines()[1:]]
+    assert converged == (["1", "0"] if fallback_breaks_too else ["1", "1"])
+    assert code == (2 if fallback_breaks_too else 0)
 
 
 def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):

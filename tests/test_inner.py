@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import NumericError, ParameterError
@@ -132,3 +133,49 @@ def test_inner_solution_of_converged_dyon_is_strictly_increasing(solved_points):
         assert np.max(np.abs(gs - s.g)) <= 1e-9
         assert np.all(np.diff(gs) > 0.0)
         assert np.all(gs[1:-1] < q)
+
+
+def _banded_reference_g(p, grid, a):
+    """The electric-sector solve through scipy.linalg.solve_banded: one solve, two refinement rounds."""
+    h, P, w = grid.h, grid.p_half, grid.w[1:-1]
+    main = P[:-1] / h[:-1] + P[1:] / h[1:] + 2.0 * (a[1:-1] * a[1:-1]) * w
+    off = -P[1:-1] / h[1:-1]
+    rhs = np.zeros(grid.N - 1, dtype=np.result_type(a, float))
+    rhs[-1] = P[-1] / h[-1] * p.q
+    ab = np.zeros((3, grid.N - 1), dtype=rhs.dtype)
+    ab[0, 1:], ab[1], ab[2, :-1] = off, main, off
+    g_int = solve_banded((1, 1), ab, rhs)
+    for _ in range(2):
+        resid = main * g_int
+        resid[:-1] += off * g_int[1:]
+        resid[1:] += off * g_int[:-1]
+        g_int += solve_banded((1, 1), ab, rhs - resid)
+    return np.concatenate(([0.0], g_int, [p.q]))
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 300])
+@pytest.mark.parametrize("complex_step", [False, True])
+def test_factorized_inner_solve_is_bitwise_the_banded_solve(rng, nodes, complex_step):
+    # one factorization reused by all three solves gives the same bits as
+    # three independent banded solves, for the complex a of the gradient
+    # checks too; below 3 x 3 the solve takes its dense route
+    g = sd.grid_from_nodes(np.linspace(0.0, 30.0, nodes + 1) ** 1.2)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    a = (1.0 / (1.0 + g.r**2)) * (1.0 + 0.1 * rng.standard_normal(g.N + 1))
+    a[0], a[-1] = 1.0, 0.0
+    if complex_step:
+        a = a.astype(complex)
+        a[g.N // 2] += 1e-30j
+    gs = sd.solve_inner_g(p, g, a)
+    ref = _banded_reference_g(p, g, a)
+    assert gs.dtype == ref.dtype
+    assert gs.tobytes() == ref.tobytes()
+
+
+def test_non_finite_diagonal_is_reported_with_its_node():
+    g = sd.build_grid(30.0, 300)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    a = np.linspace(1.0, 0.0, g.N + 1)
+    a[7] = 1e200  # finite, but a^2 overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="diagonal at node 7"):
+        sd.solve_inner_g(p, g, a)

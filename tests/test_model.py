@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.model import density_e1_array, density_e2_array
+from skyrme_dyon.model import _stencil, density_e1_array, density_e2_array
 
 OMEGA = 0.75 * math.pi
 
@@ -272,6 +272,24 @@ def test_residual_gradient_consistency_complex_step():
         gc[1 + k] += 1j * h
         grad = L_h(s.a.astype(complex), s.f.astype(complex), gc).imag / h
         assert grad == pytest.approx(2.0 * w[k] * rg[k], rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "omega, q, kappa",
+    [(OMEGA, 0.3, 1.0), (0.55 * math.pi, 0.05, 1.0), (OMEGA, 0.1, 0.0), (0.6 * math.pi, 0.0, 3.0)],
+)
+def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng, omega, q, kappa):
+    p = params(q, kappa, omega)
+    s = sd.initial_guess(p, grid_small)
+    s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid_small.N - 1)
+    s.f[1:-1] += 0.05 * rng.standard_normal(grid_small.N - 1)
+    sin_f = np.sin(s.f)
+    st = _stencil(grid_small, s.f, sin_f=sin_f)
+    assert st.sin is sin_f
+    for fresh, shared in zip(sd.residuals(p, s), sd.residuals(p, s, stencil=st)):
+        assert fresh.tobytes() == shared.tobytes()
+    assert density_e1_array(p, s).tobytes() == density_e1_array(p, s, sin_f=sin_f).tobytes()
+    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, sin_f=sin_f)
 
 
 def test_profile_validate(grid_small):

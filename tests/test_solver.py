@@ -7,7 +7,15 @@ from scipy.linalg import solve_banded
 import skyrme_dyon as sd
 from skyrme_dyon import solver
 from skyrme_dyon.errors import ParameterError
-from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _newton_step, _pack, _residual_vector, _unpack
+from skyrme_dyon.solver import (
+    _band_workspace,
+    _jacobian_banded,
+    _newton_step,
+    _pack,
+    _residual_vector,
+    _tridiagonal_solve,
+    _unpack,
+)
 
 OMEGA = 0.75 * math.pi
 
@@ -292,3 +300,79 @@ def test_oracle_equivalence_battery():
         assert rn.converged and rf.converged, (rn.message, rf.message)
         diff = max(np.max(np.abs(sn.a - sf.a)), np.max(np.abs(sn.f - sf.f)), np.max(np.abs(sn.g - sf.g)))
         assert diff <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "omega, q, kappa, flow_dt",
+    [
+        (OMEGA, 0.1, 1.0, None),
+        (OMEGA, 0.1, 0.0, None),
+        (0.6 * math.pi, 0.0, 3.0, None),
+        (0.6 * math.pi, 0.5 * sd.admissible_q_max(0.6 * math.pi), 10.0, 1e3),  # early trials are rejected
+    ],
+)
+def test_flow_reused_values_match_fresh_evaluation(monkeypatch, grid_small, omega, q, kappa, flow_dt):
+    # the flow evaluates each state once and carries sin f, the stencil and
+    # the action along; none of them may come from a rejected trial
+    inner_solves = []
+    real_inner = solver.solve_inner_g
+
+    def counting_inner(*args):
+        inner_solves.append(1)
+        return real_inner(*args)
+
+    monkeypatch.setattr(solver, "solve_inner_g", counting_inner)
+    if flow_dt is not None:
+        monkeypatch.setattr(solver, "FLOW_DT", flow_dt)
+    p = sd.validate_params(omega, q, kappa)
+    s, rep = sd.flow_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert rep.converged, rep.message
+    fresh = sd.action_breakdown(p, s)
+    assert rep.j_trace[-1] == fresh.L
+    assert rep.action == fresh
+    assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
+    assert len(rep.j_trace) == rep.iterations + 1
+    trials = len(inner_solves) - 1  # the first solve sets g of the guess
+    if flow_dt is not None:
+        assert trials > rep.iterations
+
+
+def _tridiagonal_system(rng, n=50):
+    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    d = 4.0 + rng.random(n)
+    return dl, d, du, rng.standard_normal(n)
+
+
+def _banded(dl, d, du):
+    ab = np.zeros((3, d.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
+
+def test_tridiagonal_solve_is_bitwise_solve_banded(rng):
+    dl, d, du, b = _tridiagonal_system(rng)
+    ab = _banded(dl, d, du)
+    x = _tridiagonal_solve(dl.copy(), d.copy(), du.copy(), b.copy())
+    assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spoil, error, reason",
+    [
+        ("nan", ValueError, "array must not contain infs or NaNs"),
+        ("inf-rhs", ValueError, "array must not contain infs or NaNs"),
+        ("zero", np.linalg.LinAlgError, "singular matrix"),
+    ],
+)
+def test_tridiagonal_solve_raises_as_solve_banded(rng, spoil, error, reason):
+    dl, d, du, b = _tridiagonal_system(rng)
+    if spoil == "nan":
+        d[3] = np.nan
+    elif spoil == "inf-rhs":
+        b[-1] = np.inf
+    else:  # an exactly singular system
+        dl[:], d[:], du[:] = 0.0, 0.0, 0.0
+    with pytest.raises(error, match=reason):
+        solve_banded((1, 1), _banded(dl, d, du), b)
+    with pytest.raises(error, match=reason):
+        _tridiagonal_solve(dl, d, du, b)
