@@ -18,6 +18,9 @@ from .model import FieldProfile, ModelParams, validate_params
 
 __all__ = ["write_profile_csv", "read_profile_csv", "write_summary_csv", "SUMMARY_COLUMNS"]
 
+# header keys read as numbers; any other header value stays a string
+_HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "N": int, "grading": lambda v: None if v == "none" else float(v)}
+
 SUMMARY_COLUMNS = ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged"]
 
 
@@ -41,31 +44,29 @@ def write_profile_csv(path: str | Path, p: ModelParams, s: FieldProfile) -> None
 
 def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header: dict[str, str] = {}
+    header: dict = {}
     rows: list[list[float]] = []
-    for line in text:
+    for lineno, line in enumerate(text, 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            header[key.strip()] = value.strip()
-        elif line.startswith("r,"):
-            continue
-        else:
-            rows.append([float(tok) for tok in line.split(",")])
+        try:
+            if line.startswith("#"):
+                key, _, value = line.lstrip("# ").partition("=")
+                header[key.strip()] = _HEADER_TYPES.get(key.strip(), str)(value.strip())
+            elif line and not line.startswith("r,"):
+                rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise ParameterError(f"profile file {path} line {lineno} is not readable: '{line}'") from None
     for key in ("omega", "q", "kappa", "R", "N", "grading"):
         if key not in header:
             raise ParameterError(f"profile file {path} is missing header line '# {key}='")
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 4:
+    if len({len(row) for row in rows}) != 1 or len(rows[0]) != 4:
         raise ParameterError(f"profile file {path} must have 4 columns r,a,f,g")
-    n_expected = int(header["N"]) + 1
+    data = np.asarray(rows, dtype=float)
+    n_expected = header["N"] + 1
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")
-    grading = None if header["grading"] == "none" else float(header["grading"])
-    grid = grid_from_nodes(data[:, 0], grading=grading)
-    p = validate_params(float(header["omega"]), float(header["q"]), float(header["kappa"]))
+    grid = grid_from_nodes(data[:, 0], grading=header["grading"])
+    p = validate_params(header["omega"], header["q"], header["kappa"])
     s = FieldProfile(grid, data[:, 1].copy(), data[:, 2].copy(), data[:, 3].copy())
     return p, s
 

@@ -25,11 +25,12 @@ Two structurally different routes to the same discrete root:
   one action), and both preconditioner systems are solved by LAPACK gtsv
   called directly.
 
-* continuation_solve runs Newton at the target from the closed-form
-  initial guess, as the dyon is a critical point at fixed (omega, q).  Only
-  when that attempt fails does it walk a q ladder from the monopole limit
-  q = 0 to the target, warm-starting each leg and falling back to flow
-  (plus a Newton polish) on any failed leg.
+* continuation_solve is Newton only: it runs Newton at the target from the
+  closed-form initial guess, as the dyon is a critical point at fixed
+  (omega, q).  Only when that attempt fails does it walk a q ladder of
+  Newton legs from the monopole limit q = 0 to the target, warm-starting
+  each leg; the first failed leg ends it.  flow_solve is never called
+  there, so the two routes stay independent checks of each other.
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
@@ -38,6 +39,7 @@ vanishes: every coupling of the g-sector to (a, f) carries a factor g.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -74,8 +76,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-CORE_SCALE = 1.0  # length scale of the closed-form initial guess
 
 
 # Newton and flow settings; production values for desk-scale runs
@@ -119,7 +119,8 @@ class LegRecord:
     """One solve toward the target: the q value solved and how the solve went.
 
     path is "direct" for the Newton attempt at the target from the initial
-    guess, else the path of a ladder leg ("newton" or "flow").
+    guess and "newton" for a ladder leg.  converged means the residual met
+    its target and the profile has every bound and monotonicity property.
     """
 
     q: float
@@ -133,6 +134,8 @@ class LegRecord:
 
 @dataclass
 class SolveReport:
+    """How a solve went; path is the route that produced it, "newton" or "flow"."""
+
     converged: bool
     iterations: int
     final_residual_norm: float
@@ -148,13 +151,16 @@ class SolveReport:
 def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
     """Closed-form profile shapes satisfying the boundary data and strict bounds.
 
-    a = 1/(1 + (r/rc)^2), f = (pi - omega)(1 - exp(-r/rc)), g = q r/(r + rc)
-    with rc = 1, endpoints clipped to the exact boundary values.
+    a = 1/(1 + (r/rc)^2), f = (pi - omega)(1 - exp(-r/rc)), g = q r/(r + rc),
+    endpoints clipped to the exact boundary values.  The core size is
+    rc = max(1, sqrt(kappa)): balancing r^2 f'^2 against the quartic
+    kappa a^2 sin^2 f f'^2 gives a core growing like sqrt(kappa).
     """
     r = grid.r
-    a = 1.0 / (1.0 + (r / CORE_SCALE) ** 2)
-    f = p.f_infinity * (1.0 - np.exp(-r / CORE_SCALE))
-    g = p.q * r / (r + CORE_SCALE)
+    rc = max(1.0, math.sqrt(p.kappa))
+    a = 1.0 / (1.0 + (r / rc) ** 2)
+    f = p.f_infinity * (1.0 - np.exp(-r / rc))
+    g = p.q * r / (r + rc)
     a[0], f[0], g[0] = 1.0, 0.0, 0.0
     a[-1], f[-1], g[-1] = 0.0, p.f_infinity, p.q
     return FieldProfile(grid, a, f, g)
@@ -509,19 +515,19 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     if p_prev.q > 0.0:
         s.g *= p_next.q / p_prev.q
     else:
-        s.g = p_next.q * s.grid.r / (s.grid.r + CORE_SCALE)
+        s.g = initial_guess(p_next, s.grid).g
     s.a[0], s.f[0], s.g[0] = 1.0, 0.0, 0.0
     s.a[-1], s.f[-1], s.g[-1] = 0.0, p_next.f_infinity, p_next.q
     return s
 
 
-def _leg_record(q: float, rep: SolveReport, path: str, converged: bool) -> LegRecord:
+def _leg_record(q: float, rep: SolveReport, direct: bool = False) -> LegRecord:
     return LegRecord(
         q=q,
-        converged=converged,
+        converged=rep.converged and rep.properties_ok,
         iterations=rep.iterations,
         residual=rep.final_residual_norm,
-        path=path,
+        path="direct" if direct else rep.path,
         L=rep.action.L if rep.action else float("nan"),
         E=rep.action.E if rep.action else float("nan"),
     )
@@ -533,11 +539,12 @@ def continuation_solve(
     """Newton at the target from the initial guess; the q ladder only if that fails.
 
     The ladder is cfg.ladder(q): it solves at its first q from the initial
-    guess, then warm-starts each leg from the previous converged profile; a
-    failed Newton leg falls back to flow followed by a Newton polish.  If a
-    leg still fails, the report carries the last good q in its message.  A
-    one-entry ladder is itself a direct solve and runs once.  The direct
-    attempt, when made, is the first record of continuation_trace.
+    guess, then warm-starts each Newton leg from the previous one.  The
+    first leg that fails to converge with every solution property ends it,
+    with that leg's report, converged = False and the last converged q, if
+    any, in the message.  A one-entry ladder is itself a direct solve and
+    runs once.  The direct attempt, when made, is the first record of
+    continuation_trace.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -547,35 +554,26 @@ def continuation_solve(
     trace: list[LegRecord] = []
     if len(steps) > 1:
         sol, rep = newton_solve(p_target, grid, initial_guess(p_target, grid), cfg)
-        trace.append(_leg_record(p_target.q, rep, "direct", rep.converged and rep.properties_ok))
+        trace.append(_leg_record(p_target.q, rep, direct=True))
         if trace[0].converged:
             rep.continuation_trace = trace
             rep.wall_time = time.perf_counter() - t0
             return sol, rep
         logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, rep.message)
 
-    used_flow = False
     profile: FieldProfile | None = None
-    p_prev = validate_params(p_target.omega, 0.0, p_target.kappa)
+    p_prev: ModelParams | None = None
     for q_k in steps:
         p_k = validate_params(p_target.omega, q_k, p_target.kappa)
         guess = initial_guess(p_k, grid) if profile is None else warm_start(profile, p_prev, p_k)
-        sol, rep = newton_solve(p_k, grid, guess, cfg)
-        if not (rep.converged and rep.properties_ok):
-            # flow is the globally robust route; its output warm-starts a
-            # final Newton polish, which must still meet tol_residual for
-            # the leg to count as converged
-            logger.info("newton leg at q=%.6g failed (%s); falling back to flow", q_k, rep.message)
-            flow_sol, _ = flow_solve(p_k, grid, guess)
-            used_flow = True
-            sol, rep = newton_solve(p_k, grid, flow_sol, cfg)
-        trace.append(_leg_record(q_k, rep, rep.path, rep.converged))
-        profile, report = sol, rep
-        if not rep.converged:
-            rep.message = f"continuation aborted at q={q_k:.6g}; last converged q={p_prev.q:.6g}. {rep.message}"
+        profile, report = newton_solve(p_k, grid, guess, cfg)
+        trace.append(_leg_record(q_k, report))
+        if not trace[-1].converged:
+            last = "no ladder leg converged" if p_prev is None else f"last converged q={p_prev.q:.6g}"
+            report.converged = False
+            report.message = f"continuation aborted at q={q_k:.6g}; {last}. {report.message}"
             break
         p_prev = p_k
     report.continuation_trace = trace
-    report.path = "both" if used_flow else "newton"
     report.wall_time = time.perf_counter() - t0
     return profile, report

@@ -165,6 +165,8 @@ def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):
     assert p.q == s.g[-1] == 0.0
     solve_txt = (out / "solve.txt").read_text().splitlines()
     assert "target_q 0.10000000000000001" in solve_txt and "profile_q 0" in solve_txt
+    # no leg converged, so the message must not name a converged q
+    assert "last converged" not in solve_txt[-1] and "no ladder leg converged" in solve_txt[-1]
     # the q = 0 leg meets the default 1e-10 but not the requested residual target
     assert main(["verify", str(out / "profile.csv")]) == 0
     assert main(["verify", str(out / "profile.csv"), "--tol", "1e-16"]) == 3
@@ -227,6 +229,28 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
     assert p2.omega == p.omega and p2.q == p.q and p2.kappa == p.kappa
     assert np.array_equal(s2.grid.r, s.grid.r)
     assert np.array_equal(s2.a, s.a) and np.array_equal(s2.f, s.f) and np.array_equal(s2.g, s.g)
+
+
+@pytest.mark.parametrize(
+    "line, content",
+    [
+        (9, "0.1,0.5,abc,0.05"),  # a non-numeric cell
+        (1, "# omega=abc"),  # a non-numeric header value
+        (5, "# N=300.5"),  # a non-integer node count
+        (9, "0.1,0.5,0.05"),  # a row with three columns
+    ],
+)
+def test_verify_rejects_malformed_profile(tmp_path, capsys, grid_small, line, content):
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, grid_small))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = content
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "4 columns" in err if content.count(",") == 2 else f"line {line} " in err
 
 
 @pytest.mark.parametrize(

@@ -261,16 +261,67 @@ def test_solve_config_validation():
     sd.SolveConfig().validate()
 
 
-def test_continuation_flow_fallback_rescues_crippled_newton(monkeypatch, grid_small):
-    # a 2-iteration Newton budget cannot converge from a cold guess, so the
-    # continuation legs must fall back to the flow route and polish from there
-    p = sd.validate_params(OMEGA, 0.1, 1.0)
+def test_continuation_is_newton_only(monkeypatch, grid_small):
+    # a 2-iteration Newton budget cannot converge from a cold guess; the
+    # continuation must stop with Newton's own report, never call the flow
+    def no_flow(*args, **kwargs):
+        raise AssertionError("continuation_solve called flow_solve")
+
+    monkeypatch.setattr(solver, "flow_solve", no_flow)
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-    cfg = sd.SolveConfig()
-    s, rep = sd.continuation_solve(p, grid_small, cfg)
-    assert rep.converged
-    assert rep.path == "both"
-    assert rep.final_residual_norm <= cfg.tol_residual
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.continuation_solve(p, grid_small)
+    assert not rep.converged and rep.path == "newton"
+    assert rep.message.startswith("continuation aborted at q=0; no ladder leg converged. iteration budget of 2 exhausted")
+    assert [(leg.path, leg.converged) for leg in rep.continuation_trace] == [("direct", False), ("newton", False)]
+    assert s.g[-1] == 0.0  # the profile of the failed q = 0 leg
+
+
+# large kappa near omega = pi/2: before the kappa-aware core scale, direct
+# Newton failed at 12 of these 27 points (N = 500)
+KAPPA_SCAN = [
+    (w * math.pi, share * sd.admissible_q_max(w * math.pi), kappa)
+    for w in (0.505, 0.52, 0.6)
+    for share in (0.0, 0.5, 0.999)
+    for kappa in (10.0, 30.0, 100.0)
+]
+
+
+def test_kappa_aware_start_converges_directly():
+    g = sd.build_grid(60.0, 500)
+    failed = []
+    for omega, q, kappa in KAPPA_SCAN:
+        p = sd.validate_params(omega, q, kappa)
+        _, rep = sd.newton_solve(p, g, sd.initial_guess(p, g))
+        if not (rep.converged and rep.properties_ok):
+            failed.append((omega / math.pi, q, kappa, rep.message))
+    assert not failed
+
+
+def test_initial_guess_core_scale():
+    g = sd.build_grid(30.0, 300)
+    r = g.r
+    for kappa, rc in [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (16.0, 4.0)]:
+        p = sd.validate_params(OMEGA, 0.3, kappa)
+        s = sd.initial_guess(p, g)
+        # rc = 1 exactly at kappa <= 1: the guess keeps its bits
+        assert s.g[1:-1].tobytes() == (p.q * r / (r + rc))[1:-1].tobytes()
+        assert s.a[1:-1].tobytes() == (1.0 / (1.0 + (r / rc) ** 2))[1:-1].tobytes()
+
+
+def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(caplog):
+    # direct Newton converges here to a critical point whose f leaves
+    # (0, pi - omega); the all-Newton q ladder reaches the right one
+    omega = 0.505 * math.pi
+    p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
+    g = sd.build_grid(60.0, 500)
+    with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
+        s, rep = sd.continuation_solve(p, g)
+    assert "bound-f-interval fails" in caplog.text
+    trace = rep.continuation_trace
+    assert [(leg.path, leg.converged) for leg in trace] == [("direct", False)] + [("newton", True)] * 6
+    assert trace[0].residual <= 1e-10
+    assert rep.converged and rep.properties_ok
 
 
 def test_solves_near_admissible_boundary():
