@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SkyrmeDyonError
 from .grid import DEFAULT_CLUSTER, build_grid
-from .io import read_profile_csv, write_profile_csv, write_summary_csv
+from .io import SUMMARY_COLUMNS, read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
 from .observables import observables, skyrme_charge_closed
 from .solver import SolveConfig, continuation_solve, default_continuation_steps, newton_solve, warm_start
@@ -144,9 +144,8 @@ def run_solve(cfg: RunConfig) -> int:
         (out / "solve.txt").write_text(f"{status}{report.message}\n", encoding="utf-8")
         print(f"solve failed: {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    obs = observables(p, profile, strict=False)
-    (out / "observables.txt").write_text(obs.as_text(), encoding="utf-8")
     suite = run_suite(p, profile, Tolerances(residual=cfg.tol, seed=cfg.seed))
+    (out / "observables.txt").write_text(suite.observables.as_text(), encoding="utf-8")
     (out / "verify.txt").write_text(suite.format(), encoding="utf-8")
     print(suite.format(), end="")
     if not suite.overall:
@@ -182,30 +181,14 @@ def run_sweep(cfg: RunConfig) -> int:
                 profile, report = continuation_solve(p, grid, solve_cfg)
         ok = report.converged and report.properties_ok
         all_ok &= ok
+        row = dict.fromkeys(SUMMARY_COLUMNS, float("nan"))
+        row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=ok)
         if ok:
             obs = observables(p, profile, strict=False)
-            rows.append(
-                {
-                    "omega": p.omega,
-                    "q": p.q,
-                    "kappa": p.kappa,
-                    "Qe": obs.Qe,
-                    "QS_numeric": obs.QS_numeric,
-                    "QS_closed": obs.QS_closed,
-                    "gamma_fit": obs.gamma_fit,
-                    "gamma_theory": obs.gamma_theory,
-                    "E": report.action.E,
-                    "L": report.action.L,
-                    "converged": True,
-                }
-            )
+            row.update(Qe=obs.Qe, QS_numeric=obs.QS_numeric, gamma_fit=obs.gamma_fit, gamma_theory=obs.gamma_theory)
+            row.update(E=report.action.E, L=report.action.L)
             prev = (profile, p)
-        else:
-            rows.append(
-                {"omega": p.omega, "q": p.q, "kappa": p.kappa, "Qe": float("nan"), "QS_numeric": float("nan"),
-                 "QS_closed": skyrme_charge_closed(p.omega), "gamma_fit": float("nan"), "gamma_theory": float("nan"),
-                 "E": float("nan"), "L": float("nan"), "converged": False}
-            )
+        rows.append(row)
     write_summary_csv(out / "summary.csv", rows)
     return EXIT_OK if all_ok else EXIT_NO_CONVERGENCE
 

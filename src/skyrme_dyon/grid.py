@@ -44,7 +44,7 @@ class RadialGrid:
     r        nodes r_0 = 0 < r_1 < ... < r_N = R
     R        outer truncation radius
     N        number of intervals (N+1 nodes, N-1 interior nodes)
-    grading  cluster parameter c of the quartic map, or None for grids
+    grading  cluster parameter c of the sinh map, or None for grids
              rebuilt from explicit nodes
     h        interval lengths, h_i = r_{i+1} - r_i
     w        dual-cell (trapezoid) weights: w_0 = h_0/2, w_N = h_{N-1}/2,
@@ -118,7 +118,7 @@ def _grading_map(xi: np.ndarray, cluster: float) -> np.ndarray:
 def build_grid(R: float, N: int, cluster: float = DEFAULT_CLUSTER) -> RadialGrid:
     """Build the graded mesh; cluster = 0 gives uniform spacing.
 
-    Raises ParameterError when R <= 0, N < 100, cluster outside [0, 0.99],
+    Raises ParameterError when R <= 0, N < 100, cluster outside [0, MAX_CLUSTER = 1],
     or when the requested grading would break the 1.2 adjacent-spacing bound.
     """
     if not np.isfinite(R) or R <= 0.0:

@@ -3,7 +3,8 @@
 Profile CSV: header lines `# key=value` for omega, q, kappa, R, N, grading
 (17 significant digits, lossless float round-trip), a column header line
 `r,a,f,g`, then one row per node.  Grids are reconstructed from the stored
-nodes, so re-reading a profile reproduces every derived quantity bitwise.
+nodes, so re-reading a profile reproduces every derived quantity bitwise;
+the R header must equal the last node's r.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .model import FieldProfile, ModelParams, validate_params
 __all__ = ["write_profile_csv", "read_profile_csv", "write_summary_csv", "SUMMARY_COLUMNS"]
 
 # header keys read as numbers; any other header value stays a string
-_HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "N": int, "grading": lambda v: None if v == "none" else float(v)}
+_HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "R": float, "N": int, "grading": lambda v: None if v == "none" else float(v)}
 
 SUMMARY_COLUMNS = ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged"]
 
@@ -45,13 +46,16 @@ def write_profile_csv(path: str | Path, p: ModelParams, s: FieldProfile) -> None
 def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header: dict = {}
+    header_line: dict[str, int] = {}
     rows: list[list[float]] = []
     for lineno, line in enumerate(text, 1):
         line = line.strip()
         try:
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
-                header[key.strip()] = _HEADER_TYPES.get(key.strip(), str)(value.strip())
+                key = key.strip()
+                header[key] = _HEADER_TYPES.get(key, str)(value.strip())
+                header_line[key] = lineno
             elif line and not line.startswith("r,"):
                 rows.append([float(tok) for tok in line.split(",")])
         except ValueError:
@@ -65,6 +69,10 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     n_expected = header["N"] + 1
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")
+    if header["R"] != data[-1, 0]:
+        raise ParameterError(
+            f"profile file {path} line {header_line['R']} says R={header['R']:.17g}, but the last node is r={data[-1, 0]:.17g}"
+        )
     grid = grid_from_nodes(data[:, 0], grading=header["grading"])
     p = validate_params(header["omega"], header["q"], header["kappa"])
     s = FieldProfile(grid, data[:, 1].copy(), data[:, 2].copy(), data[:, 3].copy())

@@ -2,10 +2,16 @@
 
 run_suite executes every analytic property the solution must satisfy and
 returns a structured report: one line per check with a measured value, a
-threshold, and an anchor naming the property family it belongs to
-("plumbing" for artifact-level checks).  Failures are report entries,
-never exceptions.  With a fixed seed the report is byte-identical across
-runs.
+threshold, and an anchor naming the property family it belongs to.
+Failures are report entries, never exceptions.  With a fixed seed the
+report is byte-identical across runs.
+
+run_suite is also the one place that evaluates a profile's observables:
+the charge, decay and tail checks read the ObservableReport it attaches
+to the VerifyReport, so a caller that writes both reports runs the decay
+fit and the tail constants once.  The thresholds are module constants;
+only the residual target and the test-function seed vary per run
+(Tolerances).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayWindowError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .grid import RadialGrid, build_grid
 from .inner import constraint_residual, solve_inner_g
 from .model import (
@@ -28,32 +34,31 @@ from .model import (
     property_checks,
     residuals,
 )
-from .observables import (
-    electric_charge,
-    fit_decay_rate,
-    gamma_theory,
-    skyrme_charge_closed,
-    skyrme_charge_numeric,
-    tail_constants,
-)
+from .observables import ObservableReport, electric_charge, observables, skyrme_charge_numeric
+from .observables import fit_decay_rate, tail_constants  # noqa: F401 - perfbench/tracing.py wraps these on verify
 from .solver import SolveConfig, continuation_solve
 
 __all__ = ["Tolerances", "CheckResult", "VerifyReport", "run_suite", "refinement_study", "RefinementReport"]
 
 
+BOUNDARY_TOL = 1e-12
+QS_ABS_TOL = 1e-3
+GAMMA_REL_TOL = 0.03
+CG_REL_TOL = 0.02
+CG_ABS_TOL_Q0 = 1e-10  # at q = 0 the electric charge vanishes, so the tail check is absolute
+CF_VARIATION_TOL = 0.05
+CONSTRAINT_TOL = 1e-12
+COERCIVE_REL_TOL = 1e-9
+SMALL_R_REL_TOL = 1e-9
+FLUX_TOL = 5e-12
+N_TEST_FUNCTIONS = 5
+
+
 @dataclass(frozen=True)
 class Tolerances:
+    """The per-run settings of run_suite: the residual target and the test-function seed."""
+
     residual: float = 1e-10
-    boundary: float = 1e-12
-    qs_abs: float = 1e-3
-    gamma_rel: float = 0.03
-    cg_rel: float = 0.02
-    cf_variation: float = 0.05
-    constraint_scale: float = 1e-12
-    coercive_rel: float = 1e-9
-    small_r_rel: float = 1e-9
-    flux_scale: float = 5e-12
-    n_test_functions: int = 5
     seed: int = 42
 
 
@@ -69,7 +74,10 @@ class CheckResult:
 
 @dataclass
 class VerifyReport:
+    """The checks of one run_suite pass, in order, and the observables they read."""
+
     checks: list[CheckResult] = field(default_factory=list)
+    observables: ObservableReport | None = None
 
     @property
     def overall(self) -> bool:
@@ -159,10 +167,15 @@ def _flux_identity_gap(s: FieldProfile, rg: np.ndarray) -> tuple[float, float]:
 
 
 def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) -> VerifyReport:
-    """Execute the full property battery on a profile claiming convergence."""
+    """Execute the full property battery on a profile claiming convergence.
+
+    The returned report carries the profile's ObservableReport (evaluated
+    with strict=False) in its observables field.
+    """
     tol = tol or Tolerances()
     grid, a, f = s.grid, s.a, s.f
-    rep = VerifyReport()
+    obs = observables(p, s, strict=False)
+    rep = VerifyReport(observables=obs)
 
     ra, rf, rg = residuals(p, s)
     rep.add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
@@ -177,7 +190,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         abs(s.f[-1] - p.f_infinity),
         abs(s.g[-1] - p.q),
     )
-    rep.add("boundary-values", "boundary-conditions", bc_defect, tol.boundary)
+    rep.add("boundary-values", "boundary-conditions", bc_defect, BOUNDARY_TOL)
 
     for row in property_checks(p, s):
         rep.add(row.check_id, row.anchor, row.measured, 0.0, row.passed, row.node)
@@ -193,45 +206,32 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
         rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
         gap, scale = _coercive_gap(p, s, act.L)
-        rep.add("coercive-bound", "coercive-lower-bound", -gap, tol.coercive_rel * scale)
+        rep.add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the
     # profile's own g is tied to it through the residual-g check above
     g_inner = solve_inner_g(p, grid, a)
     worst = 0.0
-    for G in seeded_test_functions(grid, tol.n_test_functions, tol.seed):
+    for G in seeded_test_functions(grid, N_TEST_FUNCTIONS, tol.seed):
         scale = 1.0 + float(e2_energy(grid, a, g_inner).real) + float(e2_energy(grid, a, G).real)
         worst = max(worst, abs(constraint_residual(grid, a, g_inner, G)) / scale)
-    rep.add("constraint-orthogonality", "weak-constraint", worst, tol.constraint_scale)
+    rep.add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)
 
-    rep.add(
-        "skyrme-charge-consistency",
-        "topological-charge",
-        abs(skyrme_charge_numeric(s) - skyrme_charge_closed(p.omega)),
-        tol.qs_abs,
-    )
-
-    gamma_th = gamma_theory(p)
-    try:
-        gamma_fit, _ = fit_decay_rate(s)
-        rep.add("decay-rate", "exponential-decay", abs(gamma_fit - gamma_th) / gamma_th, tol.gamma_rel)
-    except DecayWindowError:
-        rep.add("decay-rate", "exponential-decay", float("nan"), tol.gamma_rel, False)
-
-    tails = tail_constants(s, p)
-    qe = electric_charge(s)
+    rep.add("skyrme-charge-consistency", "topological-charge", abs(obs.QS_numeric - obs.QS_closed), QS_ABS_TOL)
+    # a failed decay fit leaves gamma_fit NaN, which fails the check
+    rep.add("decay-rate", "exponential-decay", abs(obs.gamma_fit - obs.gamma_theory) / obs.gamma_theory, GAMMA_REL_TOL)
     if p.q == 0.0:
-        rep.add("tail-electric-charge", "tail-laws", abs(tails.cg - qe), 1e-10)
+        rep.add("tail-electric-charge", "tail-laws", abs(obs.cg_tail - obs.Qe), CG_ABS_TOL_Q0)
     else:
-        rel = abs(tails.cg - qe) / abs(qe) if qe != 0.0 else float("nan")  # NaN fails the check
-        rep.add("tail-electric-charge", "tail-laws", rel, tol.cg_rel)
-    rep.add("tail-f-variation", "tail-laws", tails.cf_variation, tol.cf_variation)
+        rel = abs(obs.cg_tail - obs.Qe) / abs(obs.Qe) if obs.Qe != 0.0 else float("nan")  # NaN fails the check
+        rep.add("tail-electric-charge", "tail-laws", rel, CG_REL_TOL)
+    rep.add("tail-f-variation", "tail-laws", obs.cf_variation, CF_VARIATION_TOL)
 
     # Discrete Cauchy-Schwarz bound |a(r) - 1| <= sqrt(r * cumint a'^2); exact identity.
     da = np.diff(a) / grid.h
     cum_a = np.concatenate([[0.0], np.cumsum(da * da * grid.h)])
     gap_a = float(np.max(np.abs(a - 1.0) - np.sqrt(grid.r * cum_a)))
-    rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, tol.small_r_rel * (1.0 + float(cum_a[-1])))
+    rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, SMALL_R_REL_TOL * (1.0 + float(cum_a[-1])))
 
     if p.kappa > 0.0 and act is None:
         rep.add("small-r-skyrme-bound", "small-r-bounds", float("nan"), 0.0, False)
@@ -244,10 +244,10 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         lhs = np.sin(f[:cut]) ** 2
         rhs = 2.0 / math.sqrt(p.kappa) * np.sqrt(rr) * math.sqrt(act_L)
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
-        rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, tol.small_r_rel * (1.0 + act_L))
+        rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
 
     flux_gap, flux_scale = _flux_identity_gap(s, rg)
-    rep.add("flux-identity", "flux-identity", flux_gap, tol.flux_scale * flux_scale)
+    rep.add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
     return rep
 
 

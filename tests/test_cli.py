@@ -1,4 +1,6 @@
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +46,29 @@ def test_solve_end_to_end(tmp_path):
     assert abs(obs.QS_numeric - recorded["QS_numeric"]) <= 1e-12 * (1 + abs(recorded["QS_numeric"]))
     assert np.isfinite(energy)
 
+    # both reports are exactly what the stored profile reproduces
+    assert (out / "observables.txt").read_text() == sd.observables(p, s, strict=False).as_text()
+    assert main(["verify", str(out / "profile.csv"), "--out", str(tmp_path / "reverify.txt")]) == 0
+    assert (out / "verify.txt").read_bytes() == (tmp_path / "reverify.txt").read_bytes()
+
+
+def test_solve_runs_each_decay_fit_once(monkeypatch, tmp_path):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # the package attribute `observables` is the function; reach the module itself
+    for module in (importlib.import_module("skyrme_dyon.observables"), importlib.import_module("skyrme_dyon.verify")):
+        for name in ("fit_decay_rate", "tail_constants"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["solve", "--omega", "0.75pi", "--q", "0.3", "--kappa", "1", "--out", str(tmp_path)]) == 0
+    assert calls == {"fit_decay_rate": 1, "tail_constants": 1}
+
 
 def test_solve_region_error_exit_code(tmp_path):
     code = main(["solve", "--omega", "0.4pi", "--q", "0.1", "--out", str(tmp_path)])
@@ -52,7 +77,10 @@ def test_solve_region_error_exit_code(tmp_path):
 
 def test_solve_under_resolved_domain_is_diagnosed(tmp_path):
     code = main(["solve", "--omega", "0.75pi", "--q", "0.1", "--rmax", "5", "--nodes", "100", "--out", str(tmp_path)])
-    assert code in (2, 3)
+    assert code == 3
+    # the decay window is empty: the fit fails as a report entry, not an exception
+    assert any(line.startswith("decay-rate FAIL nan ") for line in (tmp_path / "verify.txt").read_text().splitlines())
+    assert any(line.startswith("note ") for line in (tmp_path / "observables.txt").read_text().splitlines())
 
 
 def test_sweep_end_to_end(tmp_path):
@@ -238,6 +266,8 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
         (1, "# omega=abc"),  # a non-numeric header value
         (5, "# N=300.5"),  # a non-integer node count
         (9, "0.1,0.5,0.05"),  # a row with three columns
+        (4, "# R=abc"),  # a non-numeric radius
+        (4, "# R=31"),  # a radius that is not the last node's
     ],
 )
 def test_verify_rejects_malformed_profile(tmp_path, capsys, grid_small, line, content):
