@@ -4,7 +4,7 @@ Two structurally different routes to the same discrete root:
 
 * newton_solve treats the stacked interior residuals as a root problem and
   runs damped Newton with the analytic block-tridiagonal Jacobian (3x3
-  blocks per node, a bandwidth-5 banded system) and a backtracking line
+  blocks per node, a bandwidth-4 banded system) and a backtracking line
   search on the residual norm.  Each Newton system is solved by LAPACK
   gbsv in place on one band workspace allocated per solve and reused by
   every iteration.  Indefiniteness of the action is irrelevant on this
@@ -198,7 +198,7 @@ def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float
 
 def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: int) -> None:
     """Place d(residual rf at node k)/d(field cf at node k+doff) into banded storage."""
-    band = 5 + rf - cf - 3 * doff
+    band = 4 + rf - cf - 3 * doff
     if doff == 0:
         ab[band, cf::3] = vals
     elif doff == 1:
@@ -208,15 +208,16 @@ def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: i
 
 
 def _band_workspace(grid: RadialGrid) -> np.ndarray:
-    """LAPACK gbsv band storage for the Newton system: 5 rows of LU fill-in above the l = u = 5 band."""
-    return np.zeros((16, 3 * (grid.N - 1)), order="F")
+    """LAPACK gbsv band storage for the Newton system: 4 rows of LU fill-in above the l = u = 4 band."""
+    return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
 def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray | None = None) -> np.ndarray:
-    """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 5).
+    """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 4).
 
-    Assembles into rows 5-15 of `work` (a `_band_workspace`, zeroed first) and
-    returns that l = u = 5 view: ab[5 + i - j, j] = dres_i/dx_j.
+    Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
+    returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
+    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.
     """
     grid = s.grid
     a, g = s.a, s.g
@@ -248,7 +249,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray | None = 
         work = _band_workspace(grid)
     else:
         work.fill(0.0)
-    ab = work[5:]
+    ab = work[4:]
 
     # residual_a partials
     _scatter(ab, iw_hm, 0, 0, -1, n)
@@ -299,7 +300,7 @@ def _newton_step(work: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(work).all() and np.isfinite(rvec).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, delta, info = dgbsv(5, 5, work, -rvec, overwrite_ab=1, overwrite_b=1)
+    _, _, delta, info = dgbsv(4, 4, work, -rvec, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

@@ -159,8 +159,8 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
         r_minus, _ = _residual_vector(p, _unpack(xm, p, grid))
         fd = (r_plus - r_minus) / (2.0 * h)
         col = np.zeros(n)
-        for i in range(max(0, j - 5), min(n, j + 6)):
-            col[i] = ab[5 + i - j, j]
+        for i in range(max(0, j - 4), min(n, j + 5)):
+            col[i] = ab[4 + i - j, j]
         worst_jac = max(worst_jac, float(np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col)))))
 
     # reduced-functional gradient against the residuals with g at the inner solution

@@ -108,10 +108,36 @@ def test_jacobian_matches_finite_differences(rng):
         rm, _ = _residual_vector(p, _unpack(xm, p, g))
         fd = (rp - rm) / (2.0 * h)
         col = np.zeros(n)
-        for i in range(max(0, j - 5), min(n, j + 6)):
-            col[i] = ab[5 + i - j, j]
+        for i in range(max(0, j - 4), min(n, j + 5)):
+            col[i] = ab[4 + i - j, j]
         worst = max(worst, np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col))))
     assert worst <= 1e-6
+
+
+def test_jacobian_bandwidth_is_four(rng):
+    # the dense finite-difference Jacobian: the a_j <-> f_(j+-1) couplings
+    # sit at offsets +-4, and nothing lies beyond them
+    g = sd.build_grid(30.0, 100)
+    p = sd.validate_params(OMEGA, 0.2, 1.0)
+    prof = sd.initial_guess(p, g)
+    prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
+    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
+    x = _pack(prof)
+    n = x.size
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        xm = x.copy()
+        xm[j] -= h
+        rp, _ = _residual_vector(p, _unpack(xp, p, g))
+        rm, _ = _residual_vector(p, _unpack(xm, p, g))
+        jac[:, j] = (rp - rm) / (2.0 * h)
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    assert np.all(jac[np.abs(offset) > 4] == 0.0)
+    assert np.count_nonzero(jac[offset == 4]) > 0 and np.count_nonzero(jac[offset == -4]) > 0
+    assert _jacobian_banded(p, prof).shape == (9, n)
 
 
 def test_newton_step_matches_solve_banded_and_workspace_reassembles(rng):
@@ -128,12 +154,12 @@ def test_newton_step_matches_solve_banded_and_workspace_reassembles(rng):
     assert np.shares_memory(ab, work)
     assert np.array_equal(ab, fresh)
     delta = _newton_step(work, rvec)
-    assert np.array_equal(delta, solve_banded((5, 5), fresh, -rvec))
+    assert np.array_equal(delta, solve_banded((4, 4), fresh, -rvec))
     # the factorization overwrote the workspace, LU fill-in rows included
-    assert np.any(work[:5] != 0.0)
+    assert np.any(work[:4] != 0.0)
     ab = _jacobian_banded(p, prof, work)
     assert np.array_equal(ab, fresh)
-    assert np.all(work[:5] == 0.0)
+    assert np.all(work[:4] == 0.0)
 
 
 @pytest.mark.parametrize(
