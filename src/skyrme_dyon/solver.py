@@ -25,12 +25,17 @@ Two structurally different routes to the same discrete root:
   one action), and both preconditioner systems are solved by LAPACK gtsv
   called directly.
 
-* continuation_solve is Newton only: it runs Newton at the target from the
-  closed-form initial guess, as the dyon is a critical point at fixed
-  (omega, q).  Only when that attempt fails does it walk a q ladder of
-  Newton legs from the monopole limit q = 0 to the target, warm-starting
-  each leg; the first failed leg ends it.  flow_solve is never called
-  there, so the two routes stay independent checks of each other.
+* continuation_solve is Newton only: it runs Newton at the target, as the
+  dyon is a critical point at fixed (omega, q).  A cold start is nested
+  iteration: Newton from the closed-form initial guess on a subgrid of
+  every k-th node (about COARSE_NODES intervals), interpolated onto the
+  fine grid.  The Newton iteration count does not depend on the mesh, so
+  the fine grid then needs only one or two iterations.  Only when the
+  target attempt fails does it walk a q ladder of Newton legs from the
+  monopole limit q = 0 to the target, cold-starting the first and
+  warm-starting each later leg; the first failed leg ends it.  flow_solve
+  is never called there, so the two routes stay independent checks of
+  each other.
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
@@ -49,7 +54,7 @@ from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import ParameterError
-from .grid import RadialGrid
+from .grid import RadialGrid, grid_from_nodes
 from .inner import solve_inner_g
 from .model import (
     ActionBreakdown,
@@ -85,6 +90,7 @@ MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
 FLOW_DT = 0.1  # initial flow time step
 FLOW_MAX_STEPS = 200_000  # flow step budget
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
+COARSE_NODES = 250  # fewest intervals of the coarse grid that seeds a cold Newton solve
 
 
 @dataclass
@@ -116,11 +122,12 @@ class SolveConfig:
 
 @dataclass
 class LegRecord:
-    """One solve toward the target: the q value solved and how the solve went.
+    """One Newton solve toward the target: the q value solved and how the solve went.
 
-    path is "direct" for the Newton attempt at the target from the initial
-    guess and "newton" for a ladder leg.  converged means the residual met
-    its target and the profile has every bound and monotonicity property.
+    path is "coarse" for the solve on the coarse subgrid that seeds a cold
+    start, "direct" for the Newton attempt at the target and "newton" for a
+    ladder leg.  converged means the residual met its target and the
+    profile has every bound and monotonicity property.
     """
 
     q: float
@@ -522,30 +529,72 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     return s
 
 
-def _leg_record(q: float, rep: SolveReport, direct: bool = False) -> LegRecord:
+def _leg_record(q: float, rep: SolveReport, path: str | None = None) -> LegRecord:
     return LegRecord(
         q=q,
         converged=rep.converged and rep.properties_ok,
         iterations=rep.iterations,
         residual=rep.final_residual_norm,
-        path="direct" if direct else rep.path,
+        path=path or rep.path,
         L=rep.action.L if rep.action else float("nan"),
         E=rep.action.E if rep.action else float("nan"),
     )
 
 
+def _coarse_grid(grid: RadialGrid) -> RadialGrid:
+    """Every k-th node of grid, for the largest power of two k dividing N with N/k >= COARSE_NODES.
+
+    Returns grid itself when no such k > 1 exists (N < 2 * COARSE_NODES or N odd).
+    """
+    k = 1
+    while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
+        k *= 2
+    return grid if k == 1 else grid_from_nodes(grid.r[::k], grading=grid.grading)
+
+
+def _coarse_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig) -> tuple[FieldProfile, SolveReport | None]:
+    """Cold start for Newton on grid: Newton on the coarse subgrid, interpolated back.
+
+    The coarse solve runs from initial_guess with the same cfg; its last
+    iterate is interpolated linearly onto grid.r whether or not it
+    converged, and returned with its report.  Newton's iteration count is
+    mesh independent, so the fine solve starts inside its quadratic basin.
+    Without a coarse subgrid this is initial_guess(p, grid) and no report.
+    """
+    coarse = _coarse_grid(grid)
+    if coarse is grid:
+        return initial_guess(p, grid), None
+    sol, rep = newton_solve(p, coarse, initial_guess(p, coarse), cfg)
+    r, rc = grid.r, coarse.r
+    return FieldProfile(grid, np.interp(r, rc, sol.a), np.interp(r, rc, sol.f), np.interp(r, rc, sol.g)), rep
+
+
+def _cold_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig, trace: list[LegRecord]) -> FieldProfile:
+    """_coarse_start's profile; its coarse solve, if any, is appended to trace."""
+    guess, rep = _coarse_start(p, grid, cfg)
+    if rep is not None:
+        trace.append(_leg_record(p.q, rep, path="coarse"))
+    return guess
+
+
 def continuation_solve(
     p_target: ModelParams, grid: RadialGrid, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
-    """Newton at the target from the initial guess; the q ladder only if that fails.
+    """Newton at the target from a cold start; the q ladder only if that fails.
 
-    The ladder is cfg.ladder(q): it solves at its first q from the initial
-    guess, then warm-starts each Newton leg from the previous one.  The
-    first leg that fails to converge with every solution property ends it,
-    with that leg's report, converged = False and the last converged q, if
-    any, in the message.  A one-entry ladder is itself a direct solve and
-    runs once.  The direct attempt, when made, is the first record of
-    continuation_trace.
+    A cold start is _coarse_start: Newton on every k-th node (at least
+    COARSE_NODES intervals), interpolated onto grid; below 2 * COARSE_NODES
+    intervals it is the initial guess itself.  The ladder is cfg.ladder(q):
+    it solves at its first q from a cold start, then warm-starts each
+    Newton leg from the previous one.  The first leg that fails to converge
+    with every solution property ends it, with that leg's report,
+    converged = False and the last converged q, if any, in the message.  A
+    one-entry ladder is itself a direct solve and runs once.
+
+    continuation_trace holds one record per newton_solve call, in order: a
+    coarse solve ("coarse") just before the fine solve it seeds, then the
+    direct attempt ("direct") when made, then the ladder legs ("newton").
+    The returned report is that of the last fine solve.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -554,9 +603,9 @@ def continuation_solve(
 
     trace: list[LegRecord] = []
     if len(steps) > 1:
-        sol, rep = newton_solve(p_target, grid, initial_guess(p_target, grid), cfg)
-        trace.append(_leg_record(p_target.q, rep, direct=True))
-        if trace[0].converged:
+        sol, rep = newton_solve(p_target, grid, _cold_start(p_target, grid, cfg, trace), cfg)
+        trace.append(_leg_record(p_target.q, rep, path="direct"))
+        if trace[-1].converged:
             rep.continuation_trace = trace
             rep.wall_time = time.perf_counter() - t0
             return sol, rep
@@ -566,7 +615,7 @@ def continuation_solve(
     p_prev: ModelParams | None = None
     for q_k in steps:
         p_k = validate_params(p_target.omega, q_k, p_target.kappa)
-        guess = initial_guess(p_k, grid) if profile is None else warm_start(profile, p_prev, p_k)
+        guess = _cold_start(p_k, grid, cfg, trace) if profile is None else warm_start(profile, p_prev, p_k)
         profile, report = newton_solve(p_k, grid, guess, cfg)
         trace.append(_leg_record(q_k, report))
         if not trace[-1].converged:

@@ -259,6 +259,23 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
     assert np.array_equal(s2.a, s.a) and np.array_equal(s2.f, s.f) and np.array_equal(s2.g, s.g)
 
 
+@pytest.mark.parametrize("rebuilt", [False, True])
+def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
+    grid = sd.build_grid(60.0, 1000)
+    if rebuilt:  # a grid read back from a file, grading None
+        grid = sd.grid_from_nodes(grid.r[::2].copy())
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    s = sd.initial_guess(p, grid)
+    s.a[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)  # full-length mantissas
+    s.f[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, s)
+    grading = "none" if grid.grading is None else f"{grid.grading:.17g}"
+    head = [f"# omega={p.omega:.17g}", f"# q={p.q:.17g}", f"# kappa={p.kappa:.17g}", f"# R={grid.R:.17g}", f"# N={grid.N}", f"# grading={grading}", "r,a,f,g"]
+    rows = [f"{r:.17g},{a:.17g},{f:.17g},{g:.17g}" for r, a, f, g in zip(grid.r.tolist(), s.a.tolist(), s.f.tolist(), s.g.tolist())]
+    assert path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
+
+
 @pytest.mark.parametrize(
     "line, content",
     [

@@ -217,33 +217,72 @@ def test_continuation_single_leg_at_q_zero(grid_small):
     assert rep.continuation_trace[0].q == 0.0
 
 
-def _reject_direct_attempt(monkeypatch):
-    """Make continuation_solve's first newton_solve call report failure, so it walks the ladder."""
+def _reject_direct_attempt(monkeypatch, grid):
+    """Make the first newton_solve on grid (the direct attempt) report failure, so continuation walks the ladder."""
     original = solver.newton_solve
-    calls = []
+    rejected = []
 
-    def newton_rejecting_first(*args, **kwargs):
-        s, rep = original(*args, **kwargs)
-        if not calls:
+    def newton_rejecting_first(p, g, *args, **kwargs):
+        s, rep = original(p, g, *args, **kwargs)
+        if g is grid and not rejected:
             rep.converged = False
             rep.message = "rejected by the test"
-        calls.append(rep)
+            rejected.append(rep)
         return s, rep
 
     monkeypatch.setattr(solver, "newton_solve", newton_rejecting_first)
 
 
+def _count_newton_calls(monkeypatch):
+    """Wrap solver.newton_solve; the returned list gets the grid of each call."""
+    original = solver.newton_solve
+    grids = []
+
+    def counting(p, g, *args, **kwargs):
+        grids.append(g)
+        return original(p, g, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", counting)
+    return grids
+
+
+@pytest.mark.parametrize("N, coarse_N", [(300, 300), (500, 250), (1000, 250), (2000, 250), (3000, 375), (8000, 250)])
+def test_coarse_grid_is_a_subgrid_of_at_least_coarse_nodes(N, coarse_N):
+    grid = sd.build_grid(60.0, N)
+    coarse = solver._coarse_grid(grid)
+    assert coarse.N == coarse_N and (coarse is grid) == (N == coarse_N)
+    assert coarse.R == grid.R and coarse.grading == grid.grading
+    assert np.isin(coarse.r, grid.r).all()
+    # the same subgrid from a grid rebuilt from its nodes, as read from a file
+    rebuilt = sd.grid_from_nodes(grid.r.copy())
+    assert np.array_equal(solver._coarse_grid(rebuilt).r, coarse.r)
+
+
+def test_cold_start_below_two_coarse_grids_is_the_initial_guess(monkeypatch, grid_small):
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    plain, plain_rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    grids = _count_newton_calls(monkeypatch)
+    s, rep = sd.continuation_solve(p, grid_small)
+    assert grids == [grid_small]
+    assert [leg.path for leg in rep.continuation_trace] == ["direct"]
+    for name in ("a", "f", "g"):
+        assert getattr(s, name).tobytes() == getattr(plain, name).tobytes()
+    assert rep.iterations == plain_rep.iterations and rep.final_residual_norm == plain_rep.final_residual_norm
+
+
 def test_continuation_tries_target_first(solved_points):
-    p, _, rep = solved_points[(OMEGA, 0.3, 1.0)]
-    assert rep.converged and rep.path == "newton"
-    assert len(rep.continuation_trace) == 1
-    leg = rep.continuation_trace[0]
-    assert leg.path == "direct" and leg.converged
-    assert leg.q == p.q and leg.iterations == rep.iterations and leg.residual == rep.final_residual_norm
+    for p, _, rep in solved_points.values():
+        assert rep.converged and rep.path == "newton"
+        coarse, leg = rep.continuation_trace
+        assert coarse.path == "coarse" and coarse.converged and coarse.q == p.q
+        assert leg.path == "direct" and leg.converged
+        assert leg.q == p.q and leg.iterations == rep.iterations and leg.residual == rep.final_residual_norm
+        # nested iteration: the fine grid starts inside Newton's quadratic basin
+        assert leg.iterations <= 2 < coarse.iterations
 
 
 def test_continuation_six_legs(monkeypatch, caplog, grid_small):
-    _reject_direct_attempt(monkeypatch)
+    _reject_direct_attempt(monkeypatch, grid_small)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
         s, rep = sd.continuation_solve(p, grid_small)
@@ -265,10 +304,10 @@ def test_continuation_six_legs(monkeypatch, caplog, grid_small):
 def test_direct_solve_agrees_with_ladder(monkeypatch, grid60, omega, q_share, kappa):
     p = sd.validate_params(omega, q_share * sd.admissible_q_max(omega), kappa)
     direct, rep = sd.continuation_solve(p, grid60)
-    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"]
-    _reject_direct_attempt(monkeypatch)
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["coarse", "direct"]
+    _reject_direct_attempt(monkeypatch, grid60)
     walked, rep = sd.continuation_solve(p, grid60)
-    assert rep.converged and len(rep.continuation_trace) == 7
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["coarse", "direct", "coarse"] + ["newton"] * 6
     diff = max(np.max(np.abs(direct.a - walked.a)), np.max(np.abs(direct.f - walked.f)), np.max(np.abs(direct.g - walked.g)))
     assert diff <= 1e-9
 
@@ -335,19 +374,51 @@ def test_initial_guess_core_scale():
         assert s.a[1:-1].tobytes() == (1.0 / (1.0 + (r / rc) ** 2))[1:-1].tobytes()
 
 
-def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(caplog):
+def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch, caplog):
     # direct Newton converges here to a critical point whose f leaves
     # (0, pi - omega); the all-Newton q ladder reaches the right one
     omega = 0.505 * math.pi
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
     g = sd.build_grid(60.0, 500)
+    grids = _count_newton_calls(monkeypatch)
     with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
         s, rep = sd.continuation_solve(p, g)
     assert "bound-f-interval fails" in caplog.text
     trace = rep.continuation_trace
-    assert [(leg.path, leg.converged) for leg in trace] == [("direct", False)] + [("newton", True)] * 6
-    assert trace[0].residual <= 1e-10
+    assert [(leg.path, leg.converged) for leg in trace] == [("coarse", False), ("direct", False), ("coarse", True)] + [("newton", True)] * 6
+    assert trace[0].residual <= 1e-10 and trace[1].residual <= 1e-10
     assert rep.converged and rep.properties_ok
+    # one record per newton_solve call, the coarse ones on the N = 250 subgrid
+    assert len(grids) == len(trace)
+    assert [gr.N for gr in grids] == [250 if leg.path == "coarse" else 500 for leg in trace]
+
+
+# the admissible region at R = 60: 7 omegas x 5 shares of q_max x 6 kappas
+REGION_SCAN = [
+    (w, share, kappa)
+    for w in (0.505, 0.52, 0.6, 0.75, 0.9, 0.98, 0.995)
+    for share in (0.0, 0.5, 0.9, 0.98, 0.999)
+    for kappa in (0.0, 1.0, 3.0, 10.0, 30.0, 100.0)
+]
+
+
+def test_region_scan_needs_the_ladder_only_on_the_wrong_branch(monkeypatch, grid60):
+    grids = _count_newton_calls(monkeypatch)
+    failed, walked, records = [], [], 0
+    for w, share, kappa in REGION_SCAN:
+        p = sd.validate_params(w * math.pi, share * sd.admissible_q_max(w * math.pi), kappa)
+        _, rep = sd.continuation_solve(p, grid60)
+        if not (rep.converged and rep.properties_ok):
+            failed.append((w, share, kappa, rep.message))
+        paths = [leg.path for leg in rep.continuation_trace]
+        # every fine solve from a cold start is seeded by its coarse solve
+        assert paths[0] == "coarse" and paths[1] != "coarse"
+        if len([path for path in paths if path != "coarse"]) > 1:
+            walked.append((w, share, kappa))
+        records += len(paths)
+    assert not failed
+    assert walked == [(0.505, 0.999, 0.0)]
+    assert records == len(grids)
 
 
 def test_solves_near_admissible_boundary():
