@@ -258,7 +258,7 @@ def test_coarse_grid_is_a_subgrid_of_at_least_coarse_nodes(N, coarse_N):
     assert np.array_equal(solver._coarse_grid(rebuilt).r, coarse.r)
 
 
-def test_cold_start_below_two_coarse_grids_is_the_initial_guess(monkeypatch, grid_small):
+def test_solve_below_500_intervals_is_newton_from_the_initial_guess(monkeypatch, grid_small):
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     plain, plain_rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
     grids = _count_newton_calls(monkeypatch)
