@@ -6,7 +6,11 @@ Commands:
   verify  re-run the property battery on a stored profile CSV
   table   write the analytic tables (no solving)
 
-Angles accept raw radians or a literal pi suffix, e.g. `--omega 0.75pi`.
+Each command's handler takes the parsed argparse.Namespace and calls the
+library directly; every default is written once, in the parser.  sweep
+solves each point as solve does, with continuation_solve and the default
+ladder.  Angles accept raw radians or a literal pi suffix, e.g.
+`--omega 0.75pi`; --tol must be a finite number > 0.
 Exit codes: 0 success, 1 invalid configuration, 2 non-convergence,
 3 verification failure.
 """
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +29,10 @@ from .grid import DEFAULT_CLUSTER, build_grid
 from .io import SUMMARY_COLUMNS, read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
 from .observables import observables, skyrme_charge_closed
-from .solver import SolveConfig, continuation_solve, default_continuation_steps, newton_solve, warm_start
+from .solver import SolveConfig, continuation_solve, default_continuation_steps
 from .verify import Tolerances, run_suite
 
-__all__ = ["main", "run_solve", "run_sweep", "run_table", "run_verify", "parse_angle", "RunConfig"]
+__all__ = ["main", "run_solve", "run_sweep", "run_table", "run_verify", "parse_angle"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,29 +49,12 @@ def parse_angle(token: str) -> float:
     return float(token)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    omega: float = 0.75 * math.pi
-    q: float = 0.0
-    kappa: float = 1.0
-    rmax: float = 60.0
-    nodes: int = 2000
-    grading: float = DEFAULT_CLUSTER
-    tol: float = 1e-10
-    continuation: list[float] | int = 6
-    sweep_param: str = "q"
-    sweep_values: list[float] = field(default_factory=list)
-    omegas: list[float] = field(default_factory=list)
-    out: Path = Path(".")
-    seed: int = 42
-
-    def solve_config(self, q_target: float) -> SolveConfig:
-        if isinstance(self.continuation, int):
-            steps = default_continuation_steps(q_target, self.continuation)
-        else:
-            steps = list(self.continuation)
-        return SolveConfig(tol_residual=self.tol, continuation_steps=steps)
+def positive_float(token: str) -> float:
+    """Parse a finite number > 0, such as a residual target."""
+    value = float(token)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {token}")
+    return value
 
 
 def continuation_legs(token: str) -> list[float] | int:
@@ -94,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rmax", type=float, default=60.0, help="outer truncation radius")
         sp.add_argument("--nodes", type=int, default=2000, help="number of mesh intervals")
         sp.add_argument("--grading", type=float, default=DEFAULT_CLUSTER, help="mesh cluster parameter in [0, 1]")
-        sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target")
+        sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     sp = sub.add_parser("solve", help="solve one parameter point")
@@ -107,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep-values", type=angle_list, required=True, help="comma list; a pi suffix is allowed, e.g. 0.75pi")
     sp = sub.add_parser("verify", help="verify a stored profile CSV")
     sp.add_argument("profile", type=Path)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--out", type=Path, default=None, help="optional path for the report (default: stdout only)")
     sp = sub.add_parser("table", help="write analytic tables over an omega grid")
@@ -116,24 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("omega", "q", "kappa", "rmax", "nodes", "grading", "tol", "out", "seed", "sweep_param", "sweep_values", "omegas"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "continuation_steps"):
-        cfg.continuation = args.continuation_steps
-    return cfg
-
-
-def run_solve(cfg: RunConfig) -> int:
-    p = validate_params(cfg.omega, cfg.q, cfg.kappa)
-    grid = build_grid(cfg.rmax, cfg.nodes, cluster=cfg.grading)
-    solve_cfg = cfg.solve_config(p.q)
-    # check the settings before --out is created, so a bad run leaves no directory
-    solve_cfg.validate()
+def run_solve(args: argparse.Namespace) -> int:
+    p = validate_params(args.omega, args.q, args.kappa)
+    grid = build_grid(args.rmax, args.nodes, cluster=args.grading)
+    legs = args.continuation_steps
+    steps = default_continuation_steps(p.q, legs) if isinstance(legs, int) else legs
+    solve_cfg = SolveConfig(tol_residual=args.tol, continuation_steps=steps)
+    # check the ladder before --out is created, so a bad run leaves no directory
     solve_cfg.ladder(p.q)
-    out = Path(cfg.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     profile, report = continuation_solve(p, grid, solve_cfg)
     # an aborted continuation returns the failed leg's profile, with that leg's q
@@ -144,7 +121,7 @@ def run_solve(cfg: RunConfig) -> int:
         (out / "solve.txt").write_text(f"{status}{report.message}\n", encoding="utf-8")
         print(f"solve failed: {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    suite = run_suite(p, profile, Tolerances(residual=cfg.tol, seed=cfg.seed))
+    suite = run_suite(p, profile, Tolerances(residual=args.tol, seed=args.seed))
     (out / "observables.txt").write_text(suite.observables.as_text(), encoding="utf-8")
     (out / "verify.txt").write_text(suite.format(), encoding="utf-8")
     print(suite.format(), end="")
@@ -154,50 +131,35 @@ def run_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    if not cfg.sweep_values:
+def run_sweep(args: argparse.Namespace) -> int:
+    """Solve each point as run_solve does (continuation_solve, default ladder); one summary row per point."""
+    if not args.sweep_values:
         raise SkyrmeDyonError("sweep value list is empty")
-    base = {"omega": cfg.omega, "q": cfg.q, "kappa": cfg.kappa}
-    points = []
-    for val in cfg.sweep_values:
-        point = dict(base)
-        point[cfg.sweep_param] = val
-        points.append(validate_params(point["omega"], point["q"], point["kappa"]))
-
-    grid = build_grid(cfg.rmax, cfg.nodes, cluster=cfg.grading)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    base = {"omega": args.omega, "q": args.q, "kappa": args.kappa}
+    points = [validate_params(**{**base, args.sweep_param: val}) for val in args.sweep_values]
+    grid = build_grid(args.rmax, args.nodes, cluster=args.grading)
+    solve_cfg = SolveConfig(tol_residual=args.tol)
+    args.out.mkdir(parents=True, exist_ok=True)
     rows = []
-    all_ok = True
-    prev = None
-    # explicit continuation lists cannot track a sweep; use the default path
-    solve_cfg = SolveConfig(tol_residual=cfg.tol)
     for p in points:
-        if prev is None:
-            profile, report = continuation_solve(p, grid, solve_cfg)
-        else:
-            profile, report = newton_solve(p, grid, warm_start(*prev, p), solve_cfg)
-            if not (report.converged and report.properties_ok):
-                profile, report = continuation_solve(p, grid, solve_cfg)
+        profile, report = continuation_solve(p, grid, solve_cfg)
         ok = report.converged and report.properties_ok
-        all_ok &= ok
         row = dict.fromkeys(SUMMARY_COLUMNS, float("nan"))
         row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=ok)
         if ok:
             obs = observables(p, profile, strict=False)
             row.update(Qe=obs.Qe, QS_numeric=obs.QS_numeric, gamma_fit=obs.gamma_fit, gamma_theory=obs.gamma_theory)
             row.update(E=report.action.E, L=report.action.L)
-            prev = (profile, p)
         rows.append(row)
-    write_summary_csv(out / "summary.csv", rows)
-    return EXIT_OK if all_ok else EXIT_NO_CONVERGENCE
+    write_summary_csv(args.out / "summary.csv", rows)
+    return EXIT_OK if all(row["converged"] for row in rows) else EXIT_NO_CONVERGENCE
 
 
-def run_table(cfg: RunConfig) -> int:
-    omegas = np.asarray(cfg.omegas if cfg.omegas else np.linspace(0.5 * math.pi, math.pi, 51))
+def run_table(args: argparse.Namespace) -> int:
+    omegas = np.asarray(args.omegas if args.omegas else np.linspace(0.5 * math.pi, math.pi, 51))
     if omegas.size == 0 or np.any(omegas < 0.0) or np.any(omegas > math.pi):
         raise SkyrmeDyonError(f"omega grid must be nonempty and inside [0, pi], got {omegas}")
-    out = Path(cfg.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     qmax = np.array([admissible_q_max(w) for w in omegas])
     qs = np.array([skyrme_charge_closed(w) for w in omegas])
@@ -217,8 +179,11 @@ def run_verify(args: argparse.Namespace) -> int:
     text = suite.format()
     print(text, end="")
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        args.out.write_text(text, encoding="utf-8")
     return EXIT_OK if suite.overall else EXIT_VERIFY_FAILED
+
+
+HANDLERS = {"solve": run_solve, "sweep": run_sweep, "verify": run_verify, "table": run_table}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -228,20 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return run_verify(args)
-        cfg = _config_from_args(args)
-        if args.command == "solve":
-            return run_solve(cfg)
-        if args.command == "sweep":
-            return run_sweep(cfg)
-        if args.command == "table":
-            return run_table(cfg)
-        raise SkyrmeDyonError(f"unknown command {args.command}")
-    except SkyrmeDyonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return HANDLERS[args.command](args)
+    except (SkyrmeDyonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

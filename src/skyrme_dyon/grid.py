@@ -43,7 +43,7 @@ class RadialGrid:
 
     r        nodes r_0 = 0 < r_1 < ... < r_N = R
     R        outer truncation radius
-    N        number of intervals (N+1 nodes, N-1 interior nodes)
+    N        number of intervals, at least 2 (N+1 nodes, N-1 interior nodes)
     grading  cluster parameter c of the sinh map, or None for grids
              rebuilt from explicit nodes
     h        interval lengths, h_i = r_{i+1} - r_i
@@ -64,6 +64,8 @@ class RadialGrid:
         r = np.asarray(self.r, dtype=float)
         if r.ndim != 1 or r.size != self.N + 1:
             raise ParameterError(f"node array must have N+1 = {self.N + 1} entries, got {r.size}")
+        if self.N < 2:
+            raise ParameterError(f"a mesh needs at least 2 intervals (one interior node), got N={self.N}")
         if r[0] != 0.0:
             raise ParameterError(f"first node must be 0, got {r[0]!r}")
         h = np.diff(r)

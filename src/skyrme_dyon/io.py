@@ -74,7 +74,10 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
         raise ParameterError(
             f"profile file {path} line {header_line['R']} says R={header['R']:.17g}, but the last node is r={data[-1, 0]:.17g}"
         )
-    grid = grid_from_nodes(data[:, 0], grading=header["grading"])
+    try:
+        grid = grid_from_nodes(data[:, 0], grading=header["grading"])
+    except ParameterError as exc:
+        raise ParameterError(f"profile file {path}: {exc}") from None
     p = validate_params(header["omega"], header["q"], header["kappa"])
     s = FieldProfile(grid, data[:, 1].copy(), data[:, 2].copy(), data[:, 3].copy())
     return p, s

@@ -205,12 +205,17 @@ def _f_source_double_integral(s: FieldProfile, p: ModelParams) -> np.ndarray:
 
 
 def tail_constants(s: FieldProfile, p: ModelParams) -> TailConstants:
-    """Median tail constants of g and f over radii in [R/10, R)."""
+    """Median tail constants of g and f over radii in [R/10, R).
+
+    Raises DecayWindowError when that window holds no interior node.
+    """
     grid = s.grid
     r = grid.r
     R = grid.R
     idx = np.flatnonzero((r >= R / 10.0) & (r < R))
     idx = idx[idx >= 1]
+    if idx.size == 0:
+        raise DecayWindowError(f"tail window r in [{R / 10.0:g}, {R:g}) holds no interior node; refine the mesh there")
     denom = 1.0 / r[idx] - 1.0 / R
     cg_vals = (p.q - s.g[idx]) / denom
     cf_vals = (p.f_infinity - s.f[idx] + _f_source_double_integral(s, p)[idx]) / denom
@@ -270,18 +275,26 @@ class ObservableReport:
 def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> ObservableReport:
     """Assemble the full observable report for a converged profile.
 
-    With strict=False a failed decay fit is recorded as NaN with a note
-    instead of raising, so partial reports can still be written.
+    With strict=False a failed decay fit or an empty tail window is
+    recorded as NaN with a note instead of raising, so partial reports can
+    still be written.
     """
-    note = ""
+    nan = float("nan")
+    notes = []
     try:
         gamma_fit, fit_window = fit_decay_rate(s)
     except DecayWindowError as exc:
         if strict:
             raise
-        gamma_fit, fit_window = float("nan"), (float("nan"), float("nan"))
-        note = str(exc)
-    tails = tail_constants(s, p)
+        gamma_fit, fit_window = nan, (nan, nan)
+        notes.append(str(exc))
+    try:
+        tails = tail_constants(s, p)
+    except DecayWindowError as exc:
+        if strict:
+            raise
+        tails = TailConstants(nan, nan, nan, nan, (nan, nan))
+        notes.append(str(exc))
     return ObservableReport(
         QS_numeric=skyrme_charge_numeric(s),
         QS_closed=skyrme_charge_closed(p.omega),
@@ -295,5 +308,5 @@ def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> Observa
         cf_variation=tails.cf_variation,
         fit_window=fit_window,
         tail_window=tails.window,
-        note=note,
+        note="; ".join(notes),
     )

@@ -101,8 +101,8 @@ class SolveConfig:
     continuation_steps: Sequence[float] | None = None
 
     def validate(self) -> None:
-        if not self.tol_residual > 0.0:
-            raise ParameterError(f"tol_residual must be positive, got {self.tol_residual}")
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
+            raise ParameterError(f"tol_residual must be a finite number > 0, got {self.tol_residual}")
 
     def ladder(self, q_target: float) -> list[float]:
         """The continuation q values toward q_target: continuation_steps, or the default ladder.
@@ -135,8 +135,6 @@ class LegRecord:
     iterations: int
     residual: float
     path: str
-    L: float = float("nan")
-    E: float = float("nan")
 
 
 @dataclass
@@ -536,8 +534,6 @@ def _leg_record(q: float, rep: SolveReport, path: str | None = None) -> LegRecor
         iterations=rep.iterations,
         residual=rep.final_residual_norm,
         path=path or rep.path,
-        L=rep.action.L if rep.action else float("nan"),
-        E=rep.action.E if rep.action else float("nan"),
     )
 
 
@@ -552,29 +548,23 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     return grid if k == 1 else grid_from_nodes(grid.r[::k], grading=grid.grading)
 
 
-def _coarse_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig) -> tuple[FieldProfile, SolveReport | None]:
+def _cold_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig, trace: list[LegRecord]) -> FieldProfile:
     """Cold start for Newton on grid: Newton on the coarse subgrid, interpolated back.
 
-    The coarse solve runs from initial_guess with the same cfg; its last
-    iterate is interpolated linearly onto grid.r whether or not it
-    converged, and returned with its report.  Newton's iteration count is
-    mesh independent, so the fine solve starts inside its quadratic basin.
-    Without a coarse subgrid this is initial_guess(p, grid) and no report.
+    The coarse solve runs from initial_guess with the same cfg and is
+    appended to trace as a "coarse" record; its last iterate is
+    interpolated linearly onto grid.r whether or not it converged.
+    Newton's iteration count is mesh independent, so the fine solve starts
+    inside its quadratic basin.  Without a coarse subgrid this is
+    initial_guess(p, grid) and trace is left as it is.
     """
     coarse = _coarse_grid(grid)
     if coarse is grid:
-        return initial_guess(p, grid), None
+        return initial_guess(p, grid)
     sol, rep = newton_solve(p, coarse, initial_guess(p, coarse), cfg)
+    trace.append(_leg_record(p.q, rep, path="coarse"))
     r, rc = grid.r, coarse.r
-    return FieldProfile(grid, np.interp(r, rc, sol.a), np.interp(r, rc, sol.f), np.interp(r, rc, sol.g)), rep
-
-
-def _cold_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig, trace: list[LegRecord]) -> FieldProfile:
-    """_coarse_start's profile; its coarse solve, if any, is appended to trace."""
-    guess, rep = _coarse_start(p, grid, cfg)
-    if rep is not None:
-        trace.append(_leg_record(p.q, rep, path="coarse"))
-    return guess
+    return FieldProfile(grid, np.interp(r, rc, sol.a), np.interp(r, rc, sol.f), np.interp(r, rc, sol.g))
 
 
 def continuation_solve(
@@ -582,7 +572,7 @@ def continuation_solve(
 ) -> tuple[FieldProfile, SolveReport]:
     """Newton at the target from a cold start; the q ladder only if that fails.
 
-    A cold start is _coarse_start: Newton on every k-th node (at least
+    A cold start is _cold_start: Newton on every k-th node (at least
     COARSE_NODES intervals), interpolated onto grid; below 2 * COARSE_NODES
     intervals it is the initial guess itself.  The ladder is cfg.ladder(q):
     it solves at its first q from a cold start, then warm-starts each

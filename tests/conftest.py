@@ -46,15 +46,11 @@ def solved_kappa0(grid60):
 
 @pytest.fixture(scope="session")
 def sweep_runs(grid60):
-    """Warm-started q-sweep at omega = 0.75 pi used by the charge-trend checks."""
+    """q-sweep at omega = 0.75 pi used by the charge-trend checks, each point solved as `sweep` does."""
     runs = []
     for q in SWEEP_QS:
         p = sd.validate_params(0.75 * math.pi, q, 1.0)
-        if not runs:
-            profile, report = sd.continuation_solve(p, grid60)
-        else:
-            p_prev, prev, _ = runs[-1]
-            profile, report = sd.newton_solve(p, grid60, sd.warm_start(prev, p_prev, p))
+        profile, report = sd.continuation_solve(p, grid60)
         assert report.converged, report.message
         runs.append((p, profile, report))
     return runs

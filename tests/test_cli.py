@@ -143,29 +143,18 @@ def test_sweep_records_per_point_failures(tmp_path):
     assert lines[1].split(",")[-1] == "0"
 
 
-@pytest.mark.parametrize("fallback_breaks_too", [False, True])
-def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch, tmp_path, fallback_breaks_too):
-    # a warm-started solve that converges onto a profile violating the
-    # property checks must fall back to continuation, and a point is only
-    # summarized as converged when its final profile passes them
-    real_newton, real_continuation = cli.newton_solve, cli.continuation_solve
-    fallbacks = []
+def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch, tmp_path):
+    # a point is only summarized as converged when its profile passes the
+    # property checks, and one such point makes the sweep exit 2
+    real_continuation = cli.continuation_solve
 
-    def newton_breaking_properties(*args, **kwargs):
-        profile, report = real_newton(*args, **kwargs)
-        assert report.converged
-        report.properties_ok = False
-        return profile, report
-
-    def counted_continuation(p, *args, **kwargs):
-        fallbacks.append(p.q)
+    def breaking_second_point(p, *args, **kwargs):
         profile, report = real_continuation(p, *args, **kwargs)
-        if fallback_breaks_too and fallbacks[1:]:
+        if p.q == 0.05:
             report.properties_ok = False
         return profile, report
 
-    monkeypatch.setattr(cli, "newton_solve", newton_breaking_properties)
-    monkeypatch.setattr(cli, "continuation_solve", counted_continuation)
+    monkeypatch.setattr(cli, "continuation_solve", breaking_second_point)
     out = tmp_path / "sweep"
     code = main(
         [
@@ -173,10 +162,40 @@ def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch,
             "--sweep-param", "q", "--sweep-values", "0.1,0.05", "--out", str(out),
         ]
     )
-    assert fallbacks == [0.1, 0.05]
     converged = [line.split(",")[-1] for line in (out / "summary.csv").read_text().strip().splitlines()[1:]]
-    assert converged == (["1", "0"] if fallback_breaks_too else ["1", "1"])
-    assert code == (2 if fallback_breaks_too else 0)
+    assert converged == ["1", "0"]
+    assert code == 2
+
+
+def test_sweep_solves_each_point_once_as_solve_does(monkeypatch, tmp_path):
+    # one continuation_solve per point, and each row is exactly that solve's
+    # profile summarized by observables, with nothing carried between points
+    real_continuation = cli.continuation_solve
+    solved = []
+
+    def counted(p, *args, **kwargs):
+        solved.append(p.q)
+        return real_continuation(p, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "continuation_solve", counted)
+    qs = [0.1, 0.05, 0.02]
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--omega", "0.75pi", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1,0.05,0.02", "--out", str(out)]
+    assert main(argv) == 0
+    assert solved == qs
+    lines = (out / "summary.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    grid = sd.build_grid(30.0, 300)
+    for q, line in zip(qs, lines[1:], strict=True):
+        p = sd.validate_params(0.75 * math.pi, q, 1.0)
+        profile, report = real_continuation(p, grid)
+        obs = sd.observables(p, profile, strict=False)
+        expected = {
+            "omega": p.omega, "q": p.q, "kappa": p.kappa, "Qe": obs.Qe, "QS_numeric": obs.QS_numeric,
+            "QS_closed": obs.QS_closed, "gamma_fit": obs.gamma_fit, "gamma_theory": obs.gamma_theory,
+            "E": report.action.E, "L": report.action.L, "converged": 1.0,
+        }
+        assert {name: float(cell) for name, cell in zip(header, line.split(","))} == expected
 
 
 def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):
@@ -319,11 +338,51 @@ def test_continuation_leg_count_below_two_exits_config(tmp_path, legs):
     assert not (tmp_path / "profile.csv").exists()
 
 
-@pytest.mark.parametrize("option", [["--continuation-steps", "1"], ["--continuation-steps", "0,0.05"], ["--tol", "-1"]])
+BAD_TOLS = ["-1", "0", "nan", "inf"]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["solve", "--continuation-steps", "1"],
+        ["solve", "--continuation-steps", "0,0.05"],
+        *(["solve", "--tol", tol] for tol in BAD_TOLS),
+        *(["sweep", "--sweep-values", "0.1", "--tol", tol] for tol in BAD_TOLS),
+    ],
+)
 def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
+    # option is the command and its bad setting
     out = tmp_path / "newdir"
-    assert main(["solve", "--q", "0.1", *option, "--out", str(out)]) == 1
+    assert main([*option, "--q", "0.1", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_tol_must_be_finite_and_positive(tmp_path, grid_small, tol):
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, grid_small))
+    assert main(["verify", str(path), "--tol", tol]) == 1
+
+
+def test_verify_reports_an_empty_tail_window_as_a_failure(tmp_path, capsys):
+    # 100 nodes on [0, 2.9] and one at R = 30: no interior node in [R/10, R)
+    p = sd.validate_params(0.75 * math.pi, 0.1, 1.0)
+    grid = sd.grid_from_nodes(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, grid))
+    assert main(["verify", str(path)]) == 3
+    report = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    for check in ("tail-electric-charge", "tail-f-variation"):
+        assert report[check].startswith("FAIL nan ")
+
+
+def test_verify_rejects_a_mesh_without_interior_node(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    header = ["# omega=2.3561944901923448", "# q=0.1", "# kappa=1", "# R=30", "# N=1", "# grading=none", "r,a,f,g"]
+    path.write_text("\n".join([*header, "0,1,0,0", "30,0,0.78539816339744828,0.1"]) + "\n")
+    assert main(["verify", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])

@@ -114,3 +114,9 @@ def test_nodes_immutable():
     g = sd.build_grid(10.0, 100)
     with pytest.raises(ValueError):
         g.r[3] = 1.0
+
+
+@pytest.mark.parametrize("nodes", [[0.0], [0.0, 30.0]])
+def test_grid_needs_an_interior_node(nodes):
+    with pytest.raises(ParameterError, match="at least 2 intervals"):
+        sd.grid_from_nodes(np.array(nodes))

@@ -207,3 +207,17 @@ def test_observables_nonstrict_on_small_domain():
     assert obs.note != ""
     with pytest.raises(DecayWindowError):
         sd.observables(p, s, strict=True)
+
+
+def test_empty_tail_window_is_a_window_error():
+    # 100 nodes on [0, 2.9] and one at R = 30: no interior node in [R/10, R)
+    g = sd.grid_from_nodes(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s = sd.initial_guess(p, g)
+    with pytest.raises(DecayWindowError, match="tail window"):
+        sd.tail_constants(s, p)
+    with pytest.raises(DecayWindowError):
+        sd.observables(p, s, strict=True)
+    obs = sd.observables(p, s, strict=False)
+    assert all(math.isnan(v) for v in (obs.cg_tail, obs.cf_tail, obs.cg_variation, obs.cf_variation, *obs.tail_window))
+    assert "tail window" in obs.note and "decay-fit window" in obs.note

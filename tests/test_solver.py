@@ -321,8 +321,9 @@ def test_continuation_validates_step_list(grid_small):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ParameterError):
-        sd.SolveConfig(tol_residual=-1.0).validate()
+    for tol in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            sd.SolveConfig(tol_residual=tol).validate()
     sd.SolveConfig().validate()
 
 
