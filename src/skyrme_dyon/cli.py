@@ -132,7 +132,10 @@ def run_solve(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    """Solve each point as run_solve does (continuation_solve, default ladder); one summary row per point."""
+    """Solve each point as run_solve does (continuation_solve, default ladder); one summary row per point.
+
+    Each failed point also prints one stderr line with its value and the solver's stopping reason.
+    """
     if not args.sweep_values:
         raise SkyrmeDyonError("sweep value list is empty")
     base = {"omega": args.omega, "q": args.q, "kappa": args.kappa}
@@ -146,7 +149,10 @@ def run_sweep(args: argparse.Namespace) -> int:
         ok = report.converged and report.properties_ok
         row = dict.fromkeys(SUMMARY_COLUMNS, float("nan"))
         row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=ok)
-        if ok:
+        if not ok:
+            value = getattr(p, args.sweep_param)
+            print(f"sweep point {args.sweep_param}={value:.17g} failed: {report.message}", file=sys.stderr)
+        else:
             obs = observables(p, profile, strict=False)
             row.update(Qe=obs.Qe, QS_numeric=obs.QS_numeric, gamma_fit=obs.gamma_fit, gamma_theory=obs.gamma_theory)
             row.update(E=report.action.E, L=report.action.L)

@@ -4,7 +4,10 @@ Profile CSV: header lines `# key=value` for omega, q, kappa, R, N, grading
 (17 significant digits, lossless float round-trip), a column header line
 `r,a,f,g`, then one row per node.  Grids are reconstructed from the stored
 nodes, so re-reading a profile reproduces every derived quantity bitwise;
-the R header must equal the last node's r.
+the R header must equal the last node's r.  The header block ends at the
+first data row; the rows are parsed in one np.loadtxt call, so a cell must
+be a float literal that it reads (`nan`, `inf`, exponents; no `_` digit
+separators).
 """
 
 from __future__ import annotations
@@ -44,29 +47,56 @@ def write_profile_csv(path: str | Path, p: ModelParams, s: FieldProfile) -> None
     Path(path).write_text("\n".join(lines) + "\n" + rows, encoding="utf-8")
 
 
+def _parse_rows(path: str | Path, text: list[str], start: int) -> np.ndarray:
+    """The data rows text[start:] as an (n, columns) array; (0, 0) when there are none.
+
+    A failed parse is re-read line by line only to name the first
+    unreadable line; when every line reads alone, the rows disagree on
+    their column count.
+    """
+    rows = text[start:]
+    if not rows:
+        return np.empty((0, 0))
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    for lineno, line in enumerate(rows, start + 1):
+        if not line:
+            continue  # the parse skips empty lines
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            raise ParameterError(f"profile file {path} line {lineno} is not readable: '{line.strip()}'") from None
+    raise ParameterError(f"profile file {path} must have 4 columns r,a,f,g")
+
+
 def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header: dict = {}
     header_line: dict[str, int] = {}
-    rows: list[list[float]] = []
+    # header lines, blank lines and the column header lead the file; the
+    # first other line starts the data rows, which are parsed in one call
+    start = len(text)
     for lineno, line in enumerate(text, 1):
         line = line.strip()
-        try:
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                key = key.strip()
+        if line.startswith("#"):
+            key, _, value = line.lstrip("# ").partition("=")
+            key = key.strip()
+            try:
                 header[key] = _HEADER_TYPES.get(key, str)(value.strip())
-                header_line[key] = lineno
-            elif line and not line.startswith("r,"):
-                rows.append([float(tok) for tok in line.split(",")])
-        except ValueError:
-            raise ParameterError(f"profile file {path} line {lineno} is not readable: '{line}'") from None
+            except ValueError:
+                raise ParameterError(f"profile file {path} line {lineno} is not readable: '{line}'") from None
+            header_line[key] = lineno
+        elif line and not line.startswith("r,"):
+            start = lineno - 1
+            break
+    data = _parse_rows(path, text, start)
     for key in ("omega", "q", "kappa", "R", "N", "grading"):
         if key not in header:
             raise ParameterError(f"profile file {path} is missing header line '# {key}='")
-    if len({len(row) for row in rows}) != 1 or len(rows[0]) != 4:
+    if data.shape[1] != 4:
         raise ParameterError(f"profile file {path} must have 4 columns r,a,f,g")
-    data = np.asarray(rows, dtype=float)
     n_expected = header["N"] + 1
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")

@@ -38,7 +38,8 @@ exact correspondence.
 
 _interval_e1/_nodal_e1 serve E1 and the verify battery's coercive bound;
 _stencil and _reaction_rates serve the residuals, the Newton Jacobian and
-the flow preconditioner.  residuals takes an optional precomputed stencil
+the flow preconditioner; _stencil's f'^2 average _qbar also serves the
+decay fit.  residuals takes an optional precomputed stencil
 and action_breakdown an optional sin(f), so a caller that already has
 them (the flow) evaluates a state once; the results are bitwise the same.
 
@@ -251,12 +252,15 @@ def _stencil(grid: RadialGrid, f, *, sin_f=None) -> _Stencil:
 
     sin_f, when given, must be np.sin(f) and is stored as is.
     """
-    h = grid.h
-    w = grid.w[1:-1]
     rj = grid.r[1:-1]
-    df = np.diff(f) / h
-    qbar = (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * w)
-    return _Stencil(w, 1.0 / (rj * rj), df, qbar, np.sin(f) if sin_f is None else sin_f, np.cos(f))
+    df = np.diff(f) / grid.h
+    return _Stencil(grid.w[1:-1], 1.0 / (rj * rj), df, _qbar(grid, df), np.sin(f) if sin_f is None else sin_f, np.cos(f))
+
+
+def _qbar(grid: RadialGrid, df):
+    """Dual-cell average of f'^2 at interior nodes, from the N interval quotients df."""
+    h = grid.h
+    return (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * grid.w[1:-1])
 
 
 def _reaction_rates(p: ModelParams, st: _Stencil, a, g):

@@ -16,10 +16,13 @@ gamma = sqrt(sin(omega)^2 - 2 q^2)/2; on the truncated domain the Dirichlet
 value a(R) = 0 adds the reflected mode ~ exp(+gamma r), so the plain
 log-slope is useless near R.  fit_decay_rate therefore extracts, per node
 triple, the exact rate lambda of the local two-mode family
-B exp(-lambda r) + C exp(+lambda r) (a scalar transcendental solve that is
-exact for any B, C, hence immune to the truncation mode) and fits
-lambda^2 = gamma^2 + c1/r by linear least squares; the intercept estimates
-gamma^2 and strips the algebraic-prefactor bias ~ 1/r.
+B exp(-lambda r) + C exp(+lambda r) (a scalar transcendental equation,
+exact for any B, C, hence immune to the truncation mode, solved by
+safeguarded Newton from its small-lambda Taylor root), subtracts the parts
+of the linearized a-potential that the profile's own f and g tails fix,
+kappa sin(f)^2 f'^2 included, and fits lambda^2 = gamma^2 + c1/r + c2/r^2
+by linear least squares; the intercept estimates gamma^2 and strips the
+algebraic-prefactor bias ~ 1/r.
 
 Similarly f and g approach their limits like const/r, but the outer
 Dirichlet data pins them to the limit exactly at r = R, so the truncated
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecayWindowError, ParameterError, RegionError
-from .model import FieldProfile, ModelParams
+from .model import FieldProfile, ModelParams, _qbar
 
 __all__ = [
     "ObservableReport",
@@ -53,6 +56,9 @@ __all__ = [
 FIT_WINDOW_LO = 1e-8
 FIT_WINDOW_HI = 1e-2
 MIN_FIT_NODES = 10
+RATE_LO, RATE_HI = 1e-9, 10.0  # bracket of the per-node two-mode rate
+RATE_XTOL = 1e-8  # relative Newton step after which a rate is at round-off
+RATE_MAX_ROUNDS = 100  # bisection alone narrows the bracket to round-off in about 85
 
 
 def skyrme_charge_closed(omega: float) -> float:
@@ -86,49 +92,80 @@ def gamma_theory(p: ModelParams) -> float:
     return 0.5 * math.sqrt(arg)
 
 
-def _local_two_mode_rates(r: np.ndarray, h: np.ndarray, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _local_two_mode_rates(h: np.ndarray, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-node rate lambda_i solving u_m sinh(l hp) + u_p sinh(l hm) = u_j sinh(l (hm+hp)).
 
-    Exact for any local combination B exp(-l r) + C exp(+l r); solved by
-    vectorized bisection on l in (0, 10], at most 90 rounds.  A round that
-    leaves every bracket unchanged is a fixed point of the update, so the
-    loop stops there with the bitwise result of all 90.
+    Exact for any local combination B exp(-l r) + C exp(+l r).  A node has
+    a rate when its residual changes sign on the bracket [1e-9, 10], and is
+    NaN otherwise.  The root is found by safeguarded Newton (rtsafe): each
+    round shrinks the bracket to the sign change and takes the Newton step,
+    or bisects when that step would leave the bracket or fails to halve the
+    previous one.  The seed is the small-l root of the cubic Taylor
+    polynomial, l^2 = -6 c1/c3 with c1 = u_m hp + u_p hm - u_j H and
+    c3 = u_m hp^3 + u_p hm^3 - u_j H^3 (H = hm + hp), or the bracket's
+    midpoint when that root is not real or lies outside.  A node stops
+    after a Newton step shorter than RATE_XTOL * l, whose quadratic
+    convergence leaves it at round-off; the seed is close enough that
+    this takes two or three rounds.
     """
     hm = h[idx - 1]
     hp = h[idx]
+    H = hm + hp
     um, uj, up = u[idx - 1], u[idx], u[idx + 1]
 
     def fval(lam):
-        return um * np.sinh(lam * hp) + up * np.sinh(lam * hm) - uj * np.sinh(lam * (hm + hp))
+        return um * np.sinh(lam * hp) + up * np.sinh(lam * hm) - uj * np.sinh(lam * H)
 
-    lo = np.full(idx.shape, 1e-9)
-    hi = np.full(idx.shape, 10.0)
-    f_lo = fval(lo)
-    f_hi = fval(hi)
-    ok = (f_lo > 0.0) & (f_hi < 0.0)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        f_mid = fval(mid)
-        take_hi = f_mid <= 0.0
-        hi_next = np.where(take_hi, mid, hi)
-        lo_next = np.where(take_hi, lo, mid)
-        if np.array_equal(hi_next, hi) and np.array_equal(lo_next, lo):
+    lo = np.full(idx.shape, RATE_LO)
+    hi = np.full(idx.shape, RATE_HI)
+    ok = (fval(lo) > 0.0) & (fval(hi) < 0.0)
+    c1 = um * hp + up * hm - uj * H
+    c3 = um * hp**3 + up * hm**3 - uj * H**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.sqrt(-6.0 * c1 / c3)
+    lam = np.where((lam > lo) & (lam < hi), lam, 0.5 * (lo + hi))
+    step_old = hi - lo
+    act = np.flatnonzero(ok)
+    for _ in range(RATE_MAX_ROUNDS):
+        if act.size == 0:
             break
-        lo, hi = lo_next, hi_next
-    lam = 0.5 * (lo + hi)
+        x, a_m, a_j, a_p, b_m, b_p, b_H = lam[act], um[act], uj[act], up[act], hm[act], hp[act], H[act]
+        F = a_m * np.sinh(x * b_p) + a_p * np.sinh(x * b_m) - a_j * np.sinh(x * b_H)
+        dF = a_m * b_p * np.cosh(x * b_p) + a_p * b_m * np.cosh(x * b_m) - a_j * b_H * np.cosh(x * b_H)
+        below = F > 0.0  # F is positive below the root and negative above it
+        x_lo = np.where(below, x, lo[act])
+        x_hi = np.where(below, hi[act], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = F / dF
+        x_new = x - step
+        bisect = ~((x_new >= x_lo) & (x_new <= x_hi)) | (np.abs(2.0 * step) > step_old[act])
+        x_new = np.where(bisect, 0.5 * (x_lo + x_hi), x_new)
+        moved = np.abs(x_new - x)
+        lo[act], hi[act], lam[act], step_old[act] = x_lo, x_hi, x_new, moved
+        done = (~bisect & (moved <= RATE_XTOL * x_new)) | (x_hi - x_lo <= 4.0 * np.finfo(float).eps * x_new)
+        act = act[~done]
     return np.where(ok, lam, np.nan)
 
 
-def fit_decay_rate(s: FieldProfile, lo: float = FIT_WINDOW_LO, hi: float = FIT_WINDOW_HI):
+def _fit_window_nodes(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Interior nodes with lo <= a <= hi and positive neighbours."""
+    interior = np.arange(1, a.size - 1)
+    sel = (a[interior] >= lo) & (a[interior] <= hi) & (a[interior - 1] > 0.0) & (a[interior + 1] > 0.0)
+    return interior[sel]
+
+
+def fit_decay_rate(s: FieldProfile, p: ModelParams, lo: float = FIT_WINDOW_LO, hi: float = FIT_WINDOW_HI):
     """Estimate the exponential decay rate of a over the window a in [lo, hi].
 
     Per node the exact two-mode rate lambda_i is extracted, then the known
     slowly-decaying part of the linearized potential is subtracted using
     the profile's own f and g tails,
 
-        lambda_i^2 - (sin(f_i)^2 - sin(f_N)^2)/4 + (g_i^2 - g_N^2)/2,
+        lambda_i^2 - (sin(f_i)^2 - sin(f_N)^2)/4 + (g_i^2 - g_N^2)/2
+                   - kappa sin(f_i)^2 qbar_i,
 
-    which removes the O(1/r) bias of the raw rates; the remaining
+    (qbar_i the dual-cell mean of f'^2, as in the residuals), which removes
+    the O(1/r) bias of the raw rates; the remaining
     centrifugal O(1/r^2) structure is absorbed by a linear least-squares
     fit against {1, 1/r, 1/r^2} whose intercept estimates gamma^2.
 
@@ -137,21 +174,20 @@ def fit_decay_rate(s: FieldProfile, lo: float = FIT_WINDOW_LO, hi: float = FIT_W
     small) or the least-squares intercept is not positive.
     """
     grid = s.grid
-    a = s.a
-    interior = np.arange(1, grid.N)
-    sel = (a[interior] >= lo) & (a[interior] <= hi) & (a[interior - 1] > 0.0) & (a[interior + 1] > 0.0)
-    idx = interior[sel]
+    idx = _fit_window_nodes(s.a, lo, hi)
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError(
             f"decay-fit window a in [{lo:g}, {hi:g}] holds {idx.size} nodes (< {MIN_FIT_NODES}); increase the domain radius"
         )
-    lam = _local_two_mode_rates(grid.r, grid.h, a, idx)
+    lam = _local_two_mode_rates(grid.h, s.a, idx)
     good = np.isfinite(lam)
     idx, lam = idx[good], lam[good]
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError("too few locally exponential nodes in the decay-fit window; increase the domain radius")
     r_used = grid.r[idx]
-    potential_shift = 0.25 * (np.sin(s.f[idx]) ** 2 - np.sin(s.f[-1]) ** 2) - 0.5 * (s.g[idx] ** 2 - s.g[-1] ** 2)
+    sin2 = np.sin(s.f[idx]) ** 2
+    qbar = _qbar(grid, np.diff(s.f) / grid.h)[idx - 1]
+    potential_shift = 0.25 * (sin2 - np.sin(s.f[-1]) ** 2) - 0.5 * (s.g[idx] ** 2 - s.g[-1] ** 2) + p.kappa * sin2 * qbar
     lam_sq = lam * lam - potential_shift
     design = np.column_stack([np.ones_like(r_used), 1.0 / r_used, 1.0 / r_used**2])
     coef, *_ = np.linalg.lstsq(design, lam_sq, rcond=None)
@@ -282,7 +318,7 @@ def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> Observa
     nan = float("nan")
     notes = []
     try:
-        gamma_fit, fit_window = fit_decay_rate(s)
+        gamma_fit, fit_window = fit_decay_rate(s, p)
     except DecayWindowError as exc:
         if strict:
             raise

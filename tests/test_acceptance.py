@@ -38,7 +38,7 @@ def test_criterion_01_skyrme_charge_consistency(solved_points):
 def test_criterion_02_decay_exponent(solved_points):
     worst = 0.0
     for key, (p, s, _) in solved_points.items():
-        gamma_fit, _ = sd.fit_decay_rate(s)
+        gamma_fit, _ = sd.fit_decay_rate(s, p)
         worst = max(worst, abs(gamma_fit - sd.gamma_theory(p)) / sd.gamma_theory(p))
     _report("02 decay-exponent", worst <= 0.03, f"max rel gamma error = {worst:.3e} (tol 0.03)")
 
@@ -202,7 +202,7 @@ def test_criterion_10_sigma_model_limit(solved_kappa0):
     checks = []
     checks.append(("converged", rep.converged))
     checks.append(("QS", abs(sd.skyrme_charge_numeric(s) - sd.skyrme_charge_closed(p.omega)) <= 1e-3))
-    gamma_fit, _ = sd.fit_decay_rate(s)
+    gamma_fit, _ = sd.fit_decay_rate(s, p)
     checks.append(("gamma", abs(gamma_fit - sd.gamma_theory(p)) / sd.gamma_theory(p) <= 0.03))
     tails = sd.tail_constants(s, p)
     qe = sd.electric_charge(s)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import skyrme_dyon as sd
 from skyrme_dyon import cli
@@ -125,6 +127,15 @@ def test_sweep_omega_checks_closed_form(tmp_path):
 def test_sweep_empty_values_exit_one(tmp_path):
     code = main(["sweep", "--sweep-param", "q", "--sweep-values", ",", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_sweep_names_why_a_point_failed(tmp_path, capsys):
+    argv = ["sweep", "--omega", "0.75pi", "--nodes", "300", "--rmax", "30", "--sweep-param", "q", "--sweep-values", "0.1", "--tol", "1e-16"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep point q=0.10000000000000001 failed: ")
+    assert "line search stalled" in err[0]
 
 
 def test_sweep_records_per_point_failures(tmp_path):
@@ -293,6 +304,27 @@ def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
     head = [f"# omega={p.omega:.17g}", f"# q={p.q:.17g}", f"# kappa={p.kappa:.17g}", f"# R={grid.R:.17g}", f"# N={grid.N}", f"# grading={grading}", "r,a,f,g"]
     rows = [f"{r:.17g},{a:.17g},{f:.17g},{g:.17g}" for r, a, f, g in zip(grid.r.tolist(), s.a.tolist(), s.f.tolist(), s.g.tolist())]
     assert path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
+
+
+# -0.0, the smallest and largest subnormals, the largest finite double, +-inf and NaN
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+ROUNDTRIP_NODES = 20
+# a written NaN reads back as the canonical quiet NaN, so that is the NaN drawn
+cells = st.lists(st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS), min_size=ROUNDTRIP_NODES + 1, max_size=ROUNDTRIP_NODES + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=cells, f=cells, g=cells)
+@example(a=(EDGE_FLOATS * 3)[: ROUNDTRIP_NODES + 1], f=(EDGE_FLOATS[::-1] * 3)[: ROUNDTRIP_NODES + 1], g=[math.nan] * (ROUNDTRIP_NODES + 1))
+def test_profile_csv_roundtrip_is_bitwise_for_any_float(tmp_path_factory, a, f, g):
+    grid = sd.grid_from_nodes(np.linspace(0.0, 3.0, ROUNDTRIP_NODES + 1))
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    path = tmp_path_factory.mktemp("roundtrip") / "p.csv"
+    written = sd.FieldProfile(grid, np.array(a), np.array(f), np.array(g))
+    write_profile_csv(path, p, written)
+    _, read = read_profile_csv(path)
+    for name in ("a", "f", "g"):
+        assert np.array_equal(getattr(read, name).view(np.int64), getattr(written, name).view(np.int64)), name
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
+from conftest import ACCEPT_POINTS
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
 
 observables_module = importlib.import_module("skyrme_dyon.observables")
@@ -73,11 +74,15 @@ def _flat_background(grid, f_val=0.6, g_val=0.2):
     return np.full(grid.N + 1, f_val), np.full(grid.N + 1, g_val)
 
 
+# the synthetic profiles have a flat f, so qbar = 0 and kappa does not enter the fit
+P_FLAT = sd.validate_params(OMEGA, 0.0, 1.0)
+
+
 def test_fit_decay_rate_exact_exponential():
     g = sd.build_grid(60.0, 1000, cluster=0.0)
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
-    gamma, window = sd.fit_decay_rate(s)
+    gamma, window = sd.fit_decay_rate(s, P_FLAT)
     assert abs(gamma - 0.3) <= 1e-6
     assert window[0] < window[1]
 
@@ -88,7 +93,7 @@ def test_fit_decay_rate_subexponential_prefactor():
     a = (1.0 + g.r) * np.exp(-0.3 * g.r)
     a /= a.max()
     s = sd.FieldProfile(g, a, f, gg)
-    gamma, _ = sd.fit_decay_rate(s)
+    gamma, _ = sd.fit_decay_rate(s, P_FLAT)
     assert abs(gamma - 0.3) / 0.3 <= 0.02
 
 
@@ -99,12 +104,12 @@ def test_fit_decay_rate_truncated_two_mode():
     gamma0 = 0.22
     a = np.exp(-gamma0 * g.r) - np.exp(-gamma0 * (2.0 * g.R - g.r))
     s = sd.FieldProfile(g, a, f, gg)
-    gamma, _ = sd.fit_decay_rate(s)
+    gamma, _ = sd.fit_decay_rate(s, P_FLAT)
     assert abs(gamma - gamma0) <= 1e-6
 
 
-def _two_mode_rates_90_rounds(r, h, u, idx):
-    # the bisection of observables._local_two_mode_rates, always run for all 90 rounds
+def _two_mode_rates_90_rounds(h, u, idx):
+    # the bisection that _local_two_mode_rates replaced, run for all 90 rounds
     hm, hp = h[idx - 1], h[idx]
     um, uj, up = u[idx - 1], u[idx], u[idx + 1]
 
@@ -122,13 +127,65 @@ def _two_mode_rates_90_rounds(r, h, u, idx):
     return np.where(ok, 0.5 * (lo + hi), np.nan)
 
 
-def test_two_mode_rates_stop_early_with_the_90_round_result():
+def _rates_matching_90_round_bisection(grid, u, idx):
+    # the rates, after checking them against the bisection: same NaN set, 1e-10 relative
+    lam = observables_module._local_two_mode_rates(grid.h, u, idx)
+    ref = _two_mode_rates_90_rounds(grid.h, u, idx)
+    assert np.array_equal(np.isnan(lam), np.isnan(ref))
+    good = np.isfinite(ref)
+    assert good.any()
+    assert np.max(np.abs(lam[good] - ref[good]) / ref[good]) <= 1e-10
+    return lam
+
+
+def test_two_mode_rates_match_the_90_round_bisection_on_the_truncated_family():
     g = sd.build_grid(60.0, 1500, cluster=0.5)
     a = np.exp(-0.22 * g.r) - np.exp(-0.22 * (2.0 * g.R - g.r))
-    idx = np.arange(1, g.N)
-    lam = observables_module._local_two_mode_rates(g.r, g.h, a, idx)
+    lam = _rates_matching_90_round_bisection(g, a, np.arange(1, g.N))
     assert np.isfinite(lam).sum() > 1000
-    assert np.array_equal(lam, _two_mode_rates_90_rounds(g.r, g.h, a, idx), equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def solved_fine():
+    """The acceptance points at N = 8000, solved to 1e-8 as the fine-mesh CI step does."""
+    grid = sd.build_grid(60.0, 8000)
+    out = []
+    for omega, q, kappa in ACCEPT_POINTS:
+        p = sd.validate_params(omega, q, kappa)
+        s, rep = sd.continuation_solve(p, grid, sd.SolveConfig(tol_residual=1e-8))
+        assert rep.converged, rep.message
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("nodes", [2000, 8000])
+def test_two_mode_rates_match_the_90_round_bisection_on_solved_profiles(nodes, solved_points, solved_fine):
+    profiles = [s for _, s, _ in solved_points.values()] if nodes == 2000 else solved_fine
+    for s in profiles:
+        assert s.grid.N == nodes
+        idx = observables_module._fit_window_nodes(s.a, observables_module.FIT_WINDOW_LO, observables_module.FIT_WINDOW_HI)
+        assert idx.size >= observables_module.MIN_FIT_NODES
+        _rates_matching_90_round_bisection(s.grid, s.a, idx)
+
+
+@pytest.mark.parametrize(
+    "u_out, u_mid",
+    [
+        (1.0, 0.001),  # c1 > 0 and c3 > 0: no real seed, and Newton from the midpoint 5 leaves the bracket
+        (1.0, 0.26),  # the Taylor seed is about 10.5, outside the bracket (1e-9, 10]
+    ],
+)
+def test_two_mode_rate_safeguard_when_the_seed_is_unusable(u_out, u_mid):
+    # a uniform triple has the closed form cosh(lambda h) = (u_m + u_p) / (2 u_j)
+    grid = sd.grid_from_nodes(np.array([0.0, 1.0, 2.0]))
+    u = np.array([u_out, u_mid, u_out])
+    h = grid.h
+    c1 = u[0] * h[1] + u[2] * h[0] - u[1] * (h[0] + h[1])
+    c3 = u[0] * h[1] ** 3 + u[2] * h[0] ** 3 - u[1] * (h[0] + h[1]) ** 3
+    seed_sq = -6.0 * c1 / c3
+    assert seed_sq < 0.0 or seed_sq > 10.0**2
+    lam = _rates_matching_90_round_bisection(grid, u, np.array([1]))
+    assert lam[0] == pytest.approx(math.acosh(u_out / u_mid), rel=1e-14)
 
 
 def test_fit_decay_rate_window_error_for_small_domain():
@@ -136,7 +193,7 @@ def test_fit_decay_rate_window_error_for_small_domain():
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
     with pytest.raises(DecayWindowError, match="radius"):
-        sd.fit_decay_rate(s)
+        sd.fit_decay_rate(s, P_FLAT)
 
 
 def test_tail_constants_exact_on_truncated_tail_family():
