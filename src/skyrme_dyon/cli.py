@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
-    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="fallback ladder if Newton at the target fails: leg count or comma list of q values")
+    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="fallback ladder if Newton at the target fails, walked on the coarse grid: leg count or comma list of q values")
     sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)

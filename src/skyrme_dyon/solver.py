@@ -25,17 +25,17 @@ Two structurally different routes to the same discrete root:
   one action), and both preconditioner systems are solved by LAPACK gtsv
   called directly.
 
-* continuation_solve is Newton only: it runs Newton at the target, as the
-  dyon is a critical point at fixed (omega, q).  A cold start is nested
-  iteration: Newton from the closed-form initial guess on a subgrid of
-  every k-th node (about COARSE_NODES intervals), interpolated onto the
-  fine grid.  The Newton iteration count does not depend on the mesh, so
-  the fine grid then needs only one or two iterations.  Only when the
-  target attempt fails does it walk a q ladder of Newton legs from the
-  monopole limit q = 0 to the target, cold-starting the first and
-  warm-starting each later leg; the first failed leg ends it.  flow_solve
-  is never called there, so the two routes stay independent checks of
-  each other.
+* continuation_solve is Newton only, in two stages.  It chooses and walks
+  its route on a subgrid of every k-th node (about COARSE_NODES
+  intervals): Newton at the target from the closed-form initial guess, as
+  the dyon is a critical point at fixed (omega, q), and only when that
+  fails a q ladder of Newton legs from the monopole limit q = 0 to the
+  target, the first from the initial guess and each later one
+  warm-started from the previous; the first failed leg ends it.  The
+  route's last iterate, interpolated onto the full mesh, starts one fine
+  Newton solve.  The Newton iteration count does not depend on the mesh,
+  so that solve needs only one or two iterations.  flow_solve is never
+  called there, so the two routes stay independent checks of each other.
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
@@ -90,7 +90,7 @@ MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
 FLOW_DT = 0.1  # initial flow time step
 FLOW_MAX_STEPS = 200_000  # flow step budget
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
-COARSE_NODES = 250  # fewest intervals of the coarse grid that seeds a cold Newton solve
+COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
 
 
 @dataclass
@@ -108,7 +108,8 @@ class SolveConfig:
         """The continuation q values toward q_target: continuation_steps, or the default ladder.
 
         Raises ParameterError unless the list is nonempty, nondecreasing and
-        ends at q_target.
+        ends within 1e-12 of q_target; that last entry is returned as q_target
+        itself, so the last leg solves at exactly the target.
         """
         steps = list(self.continuation_steps) if self.continuation_steps is not None else default_continuation_steps(q_target)
         if not steps:
@@ -117,17 +118,18 @@ class SolveConfig:
             raise ParameterError(f"continuation q values must be nondecreasing, got {steps}")
         if abs(steps[-1] - q_target) > 1e-12:
             raise ParameterError(f"last continuation step {steps[-1]} must equal target q {q_target}")
-        return steps
+        return steps[:-1] + [q_target]
 
 
 @dataclass
 class LegRecord:
     """One Newton solve toward the target: the q value solved and how the solve went.
 
-    path is "coarse" for the solve on the coarse subgrid that seeds a cold
-    start, "direct" for the Newton attempt at the target and "newton" for a
-    ladder leg.  converged means the residual met its target and the
-    profile has every bound and monotonicity property.
+    path is "direct" for the Newton attempt at the target and "newton" for a
+    ladder leg, both on the coarse subgrid when the grid has one, and
+    "fine" for the one solve on the full grid that the route seeds.
+    converged means the residual met its target and the profile has every
+    bound and monotonicity property.
     """
 
     q: float
@@ -153,6 +155,13 @@ class SolveReport:
     wall_time: float = 0.0
 
 
+def _with_boundary_data(p: ModelParams, s: FieldProfile) -> FieldProfile:
+    """Set (a, f, g) = (1, 0, 0) at r = 0 and (0, pi - omega, q) at R in place; returns s."""
+    s.a[0], s.f[0], s.g[0] = 1.0, 0.0, 0.0
+    s.a[-1], s.f[-1], s.g[-1] = 0.0, p.f_infinity, p.q
+    return s
+
+
 def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
     """Closed-form profile shapes satisfying the boundary data and strict bounds.
 
@@ -166,9 +175,7 @@ def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
     a = 1.0 / (1.0 + (r / rc) ** 2)
     f = p.f_infinity * (1.0 - np.exp(-r / rc))
     g = p.q * r / (r + rc)
-    a[0], f[0], g[0] = 1.0, 0.0, 0.0
-    a[-1], f[-1], g[-1] = 0.0, p.f_infinity, p.q
-    return FieldProfile(grid, a, f, g)
+    return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
 # -- stacked-vector helpers ---------------------------------------------------------
@@ -188,9 +195,7 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     f = np.empty(n)
     g = np.empty(n)
     a[1:-1], f[1:-1], g[1:-1] = x[0::3], x[1::3], x[2::3]
-    a[0], f[0], g[0] = 1.0, 0.0, 0.0
-    a[-1], f[-1], g[-1] = 0.0, p.f_infinity, p.q
-    return FieldProfile(grid, a, f, g)
+    return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
 def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float]:
@@ -522,18 +527,16 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
         s.g *= p_next.q / p_prev.q
     else:
         s.g = initial_guess(p_next, s.grid).g
-    s.a[0], s.f[0], s.g[0] = 1.0, 0.0, 0.0
-    s.a[-1], s.f[-1], s.g[-1] = 0.0, p_next.f_infinity, p_next.q
-    return s
+    return _with_boundary_data(p_next, s)
 
 
-def _leg_record(q: float, rep: SolveReport, path: str | None = None) -> LegRecord:
+def _leg_record(q: float, rep: SolveReport, path: str) -> LegRecord:
     return LegRecord(
         q=q,
         converged=rep.converged and rep.properties_ok,
         iterations=rep.iterations,
         residual=rep.final_residual_norm,
-        path=path or rep.path,
+        path=path,
     )
 
 
@@ -548,72 +551,64 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     return grid if k == 1 else grid_from_nodes(grid.r[::k], grading=grid.grading)
 
 
-def _cold_start(p: ModelParams, grid: RadialGrid, cfg: SolveConfig, trace: list[LegRecord]) -> FieldProfile:
-    """Cold start for Newton on grid: Newton on the coarse subgrid, interpolated back.
-
-    The coarse solve runs from initial_guess with the same cfg and is
-    appended to trace as a "coarse" record; its last iterate is
-    interpolated linearly onto grid.r whether or not it converged.
-    Newton's iteration count is mesh independent, so the fine solve starts
-    inside its quadratic basin.  Without a coarse subgrid this is
-    initial_guess(p, grid) and trace is left as it is.
-    """
-    coarse = _coarse_grid(grid)
-    if coarse is grid:
-        return initial_guess(p, grid)
-    sol, rep = newton_solve(p, coarse, initial_guess(p, coarse), cfg)
-    trace.append(_leg_record(p.q, rep, path="coarse"))
-    r, rc = grid.r, coarse.r
-    return FieldProfile(grid, np.interp(r, rc, sol.a), np.interp(r, rc, sol.f), np.interp(r, rc, sol.g))
-
-
 def continuation_solve(
     p_target: ModelParams, grid: RadialGrid, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
-    """Newton at the target from a cold start; the q ladder only if that fails.
+    """Choose and walk the route on the coarse subgrid, then run one Newton solve on grid.
 
-    A cold start is _cold_start: Newton on every k-th node (at least
-    COARSE_NODES intervals), interpolated onto grid; below 2 * COARSE_NODES
-    intervals it is the initial guess itself.  The ladder is cfg.ladder(q):
-    it solves at its first q from a cold start, then warm-starts each
-    Newton leg from the previous one.  The first leg that fails to converge
-    with every solution property ends it, with that leg's report,
-    converged = False and the last converged q, if any, in the message.  A
-    one-entry ladder is itself a direct solve and runs once.
+    The route runs on _coarse_grid(grid): Newton at the target from
+    initial_guess, kept when it converges with every solution property;
+    otherwise the q ladder cfg.ladder(q), its first leg from initial_guess
+    and each later one from warm_start of the previous leg, up to the first
+    leg that fails.  A one-entry ladder is itself the direct solve.  The
+    route's last iterate, interpolated linearly onto grid, starts one
+    newton_solve on grid at the q of the route's last leg, whether or not
+    the route succeeded; without a coarse subgrid (N < 2 * COARSE_NODES)
+    the route ran on grid and there is no fine solve.
 
-    continuation_trace holds one record per newton_solve call, in order: a
-    coarse solve ("coarse") just before the fine solve it seeds, then the
-    direct attempt ("direct") when made, then the ladder legs ("newton").
-    The returned report is that of the last fine solve.
+    continuation_trace holds one record per newton_solve call, in order:
+    the direct attempt ("direct"), the ladder legs ("newton"), then the
+    fine solve ("fine").  The returned report is the last solve's; it is
+    converged only if that solve has every solution property and the route
+    did not abort.  An abort's message names the failed q, the last
+    converged q, if any, that leg's reason and the fine solve's.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
     t0 = time.perf_counter()
     steps = cfg.ladder(p_target.q)
+    coarse = _coarse_grid(grid)
 
     trace: list[LegRecord] = []
+    p_k, aborted = p_target, ""
     if len(steps) > 1:
-        sol, rep = newton_solve(p_target, grid, _cold_start(p_target, grid, cfg, trace), cfg)
-        trace.append(_leg_record(p_target.q, rep, path="direct"))
-        if trace[-1].converged:
-            rep.continuation_trace = trace
-            rep.wall_time = time.perf_counter() - t0
-            return sol, rep
-        logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, rep.message)
-
-    profile: FieldProfile | None = None
-    p_prev: ModelParams | None = None
-    for q_k in steps:
-        p_k = validate_params(p_target.omega, q_k, p_target.kappa)
-        guess = _cold_start(p_k, grid, cfg, trace) if profile is None else warm_start(profile, p_prev, p_k)
-        profile, report = newton_solve(p_k, grid, guess, cfg)
-        trace.append(_leg_record(q_k, report))
+        profile, report = newton_solve(p_target, coarse, initial_guess(p_target, coarse), cfg)
+        trace.append(_leg_record(p_target.q, report, "direct"))
         if not trace[-1].converged:
-            last = "no ladder leg converged" if p_prev is None else f"last converged q={p_prev.q:.6g}"
-            report.converged = False
-            report.message = f"continuation aborted at q={q_k:.6g}; {last}. {report.message}"
-            break
-        p_prev = p_k
+            logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, report.message)
+    if not (trace and trace[-1].converged):
+        p_prev: ModelParams | None = None
+        for q_k in steps:
+            p_k = validate_params(p_target.omega, q_k, p_target.kappa)
+            guess = initial_guess(p_k, coarse) if p_prev is None else warm_start(profile, p_prev, p_k)
+            profile, report = newton_solve(p_k, coarse, guess, cfg)
+            trace.append(_leg_record(q_k, report, "newton"))
+            if not trace[-1].converged:
+                last = "no ladder leg converged" if p_prev is None else f"last converged q={p_prev.q:.6g}"
+                aborted = f"continuation aborted at q={q_k:.6g}; {last}. {report.message}"
+                break
+            p_prev = p_k
+
+    if coarse is not grid:
+        r, rc = grid.r, coarse.r
+        guess = FieldProfile(grid, np.interp(r, rc, profile.a), np.interp(r, rc, profile.f), np.interp(r, rc, profile.g))
+        profile, report = newton_solve(p_k, grid, guess, cfg)
+        trace.append(_leg_record(p_k.q, report, "fine"))
+        if aborted and report.message:
+            aborted = f"{aborted}; fine solve: {report.message}"
+    if aborted:
+        report.message = aborted
+    report.converged = trace[-1].converged and not aborted
     report.continuation_trace = trace
     report.wall_time = time.perf_counter() - t0
     return profile, report

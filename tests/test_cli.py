@@ -230,6 +230,52 @@ def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):
     assert main(["verify", str(out / "profile.csv"), "--tol", "1e-16"]) == 3
 
 
+def test_aborted_route_on_a_coarse_grid_ends_with_one_fine_solve(monkeypatch, tmp_path):
+    # N = 500 has a coarse subgrid: the q = 0 leg stalls there, and the
+    # fine solve still runs from it, so the written profile is on the full mesh
+    reports = []
+
+    def recording(*args, **kwargs):
+        profile, report = sd.continuation_solve(*args, **kwargs)
+        reports.append(report)
+        return profile, report
+
+    monkeypatch.setattr(cli, "continuation_solve", recording)
+    out = tmp_path / "failed"
+    code = main(
+        [
+            "solve", "--omega", "0.75pi", "--q", "0.1", "--nodes", "500", "--rmax", "30",
+            "--tol", "1e-16", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    (report,) = reports
+    fine = report.continuation_trace[-1]
+    assert [leg.path for leg in report.continuation_trace] == ["direct", "newton", "fine"]
+    assert fine.q == 0.0 and not report.converged
+    p, s = read_profile_csv(out / "profile.csv")
+    assert s.grid.r.size == 501 and p.q == s.g[-1] == 0.0
+    solve_txt = (out / "solve.txt").read_text().splitlines()
+    assert "profile_q 0" in solve_txt
+    assert f"residual {fine.residual:.6g}" in solve_txt
+    assert solve_txt[-1].startswith("continuation aborted at q=0; no ladder leg converged.")
+    assert solve_txt[-1] == report.message
+
+
+def test_ladder_ends_exactly_at_the_target(tmp_path):
+    # a last step within 1e-12 of the target is walked as the target itself
+    out = tmp_path / "ladder"
+    code = main(
+        [
+            "solve", "--omega", "0.505pi", "--q", "0.6993", "--kappa", "0",
+            "--continuation-steps", "0,0.35,0.5,0.6,0.6993000000001", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    p, s = read_profile_csv(out / "profile.csv")
+    assert s.g[-1] == p.q == 0.6993
+
+
 def test_table_reference_values(tmp_path):
     out = tmp_path / "table"
     code = main(["table", "--omegas", "0.5pi,0.75pi,pi", "--out", str(out)])

@@ -218,13 +218,14 @@ def test_continuation_single_leg_at_q_zero(grid_small):
 
 
 def _reject_direct_attempt(monkeypatch, grid):
-    """Make the first newton_solve on grid (the direct attempt) report failure, so continuation walks the ladder."""
+    """Make the first newton_solve (the direct attempt, on grid's coarse subgrid) report failure, so continuation walks the ladder."""
     original = solver.newton_solve
     rejected = []
 
     def newton_rejecting_first(p, g, *args, **kwargs):
         s, rep = original(p, g, *args, **kwargs)
-        if g is grid and not rejected:
+        if not rejected:
+            assert np.array_equal(g.r, solver._coarse_grid(grid).r)
             rep.converged = False
             rep.message = "rejected by the test"
             rejected.append(rep)
@@ -273,12 +274,12 @@ def test_solve_below_500_intervals_is_newton_from_the_initial_guess(monkeypatch,
 def test_continuation_tries_target_first(solved_points):
     for p, _, rep in solved_points.values():
         assert rep.converged and rep.path == "newton"
-        coarse, leg = rep.continuation_trace
-        assert coarse.path == "coarse" and coarse.converged and coarse.q == p.q
-        assert leg.path == "direct" and leg.converged
-        assert leg.q == p.q and leg.iterations == rep.iterations and leg.residual == rep.final_residual_norm
+        direct, fine = rep.continuation_trace
+        assert direct.path == "direct" and direct.converged and direct.q == p.q
+        assert fine.path == "fine" and fine.converged
+        assert fine.q == p.q and fine.iterations == rep.iterations and fine.residual == rep.final_residual_norm
         # nested iteration: the fine grid starts inside Newton's quadratic basin
-        assert leg.iterations <= 2 < coarse.iterations
+        assert fine.iterations <= 2 < direct.iterations
 
 
 def test_continuation_six_legs(monkeypatch, caplog, grid_small):
@@ -304,10 +305,10 @@ def test_continuation_six_legs(monkeypatch, caplog, grid_small):
 def test_direct_solve_agrees_with_ladder(monkeypatch, grid60, omega, q_share, kappa):
     p = sd.validate_params(omega, q_share * sd.admissible_q_max(omega), kappa)
     direct, rep = sd.continuation_solve(p, grid60)
-    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["coarse", "direct"]
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct", "fine"]
     _reject_direct_attempt(monkeypatch, grid60)
     walked, rep = sd.continuation_solve(p, grid60)
-    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["coarse", "direct", "coarse"] + ["newton"] * 6
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"] + ["newton"] * 6 + ["fine"]
     diff = max(np.max(np.abs(direct.a - walked.a)), np.max(np.abs(direct.f - walked.f)), np.max(np.abs(direct.g - walked.g)))
     assert diff <= 1e-9
 
@@ -341,6 +342,19 @@ def test_continuation_is_newton_only(monkeypatch, grid_small):
     assert rep.message.startswith("continuation aborted at q=0; no ladder leg converged. iteration budget of 2 exhausted")
     assert [(leg.path, leg.converged) for leg in rep.continuation_trace] == [("direct", False), ("newton", False)]
     assert s.g[-1] == 0.0  # the profile of the failed q = 0 leg
+
+
+@pytest.mark.parametrize("N", [300, 500])
+def test_leg_that_breaks_a_property_aborts_the_solve(N):
+    # a one-entry ladder at the wrong-branch point converges onto f outside
+    # (0, pi - omega): residuals met, properties not, so the solve is not converged
+    omega = 0.505 * math.pi
+    p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
+    s, rep = sd.continuation_solve(p, sd.build_grid(60.0, N), sd.SolveConfig(continuation_steps=[p.q]))
+    assert not rep.converged and not rep.properties_ok
+    assert all(leg.residual <= 1e-10 and not leg.converged for leg in rep.continuation_trace)
+    assert rep.message.startswith(f"continuation aborted at q={p.q:.6g}; no ladder leg converged. converged residuals")
+    assert ("; fine solve: converged residuals" in rep.message) == (N >= 500)
 
 
 # large kappa near omega = pi/2: before the kappa-aware core scale, direct
@@ -380,18 +394,31 @@ def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch, caplog)
     # (0, pi - omega); the all-Newton q ladder reaches the right one
     omega = 0.505 * math.pi
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
-    g = sd.build_grid(60.0, 500)
     grids = _count_newton_calls(monkeypatch)
-    with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
-        s, rep = sd.continuation_solve(p, g)
-    assert "bound-f-interval fails" in caplog.text
-    trace = rep.continuation_trace
-    assert [(leg.path, leg.converged) for leg in trace] == [("coarse", False), ("direct", False), ("coarse", True)] + [("newton", True)] * 6
-    assert trace[0].residual <= 1e-10 and trace[1].residual <= 1e-10
-    assert rep.converged and rep.properties_ok
-    # one record per newton_solve call, the coarse ones on the N = 250 subgrid
-    assert len(grids) == len(trace)
-    assert [gr.N for gr in grids] == [250 if leg.path == "coarse" else 500 for leg in trace]
+    warm_grids = []
+    original_warm_start = solver.warm_start
+
+    def counting_warm_start(prev, *args):
+        warm_grids.append(prev.grid.N)
+        return original_warm_start(prev, *args)
+
+    monkeypatch.setattr(solver, "warm_start", counting_warm_start)
+    for N, tol in [(500, 1e-10), (2000, 1e-10), (8000, 1e-8)]:
+        g = sd.build_grid(60.0, N)
+        grids.clear()
+        warm_grids.clear()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
+            s, rep = sd.continuation_solve(p, g, sd.SolveConfig(tol_residual=tol))
+        assert "bound-f-interval fails" in caplog.text
+        trace = rep.continuation_trace
+        assert [(leg.path, leg.converged) for leg in trace] == [("direct", False)] + [("newton", True)] * 6 + [("fine", True)]
+        assert trace[0].residual <= tol
+        assert rep.converged and rep.properties_ok
+        # the direct attempt and six legs on the N = 250 subgrid; the full mesh sees one solve
+        assert [gr.N for gr in grids] == [250] * 7 + [N]
+        assert warm_grids == [250] * 5
+        assert trace[-1].iterations <= 2 and trace[-1].q == p.q and s.grid is g
 
 
 # the admissible region at R = 60: 7 omegas x 5 shares of q_max x 6 kappas
@@ -412,14 +439,15 @@ def test_region_scan_needs_the_ladder_only_on_the_wrong_branch(monkeypatch, grid
         if not (rep.converged and rep.properties_ok):
             failed.append((w, share, kappa, rep.message))
         paths = [leg.path for leg in rep.continuation_trace]
-        # every fine solve from a cold start is seeded by its coarse solve
-        assert paths[0] == "coarse" and paths[1] != "coarse"
-        if len([path for path in paths if path != "coarse"]) > 1:
+        # the route on the coarse subgrid, then one fine solve
+        assert paths[-1] == "fine" and "fine" not in paths[:-1]
+        if len(paths) > 2:
             walked.append((w, share, kappa))
         records += len(paths)
     assert not failed
     assert walked == [(0.505, 0.999, 0.0)]
     assert records == len(grids)
+    assert sum(gr is grid60 for gr in grids) == len(REGION_SCAN)
 
 
 def test_solves_near_admissible_boundary():
