@@ -10,7 +10,8 @@ Each command's handler takes the parsed argparse.Namespace and calls the
 library directly; every default is written once, in the parser.  sweep
 solves each point as solve does, with continuation_solve and the default
 ladder.  Angles accept raw radians or a literal pi suffix, e.g.
-`--omega 0.75pi`; --tol must be a finite number > 0.
+`--omega 0.75pi`; --tol must be a finite number > 0 and --seed an
+integer >= 0.
 Exit codes: 0 success, 1 invalid configuration, 2 non-convergence,
 3 verification failure.
 """
@@ -57,6 +58,14 @@ def positive_float(token: str) -> float:
     return value
 
 
+def nonnegative_int(token: str) -> int:
+    """Parse an integer >= 0, such as a random seed."""
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {token}")
+    return value
+
+
 def continuation_legs(token: str) -> list[float] | int:
     """Parse a leg count like '6' or a comma list of q values like '0,0.1,0.2'."""
     if "," not in token and "." not in token:
@@ -86,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
     sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="fallback ladder if Newton at the target fails, walked on the coarse grid: leg count or comma list of q values")
-    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions")
+    sp.add_argument("--seed", type=nonnegative_int, default=42, help="seed for verification test functions, >= 0")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
     sp.add_argument("--sweep-param", choices=["q", "omega", "kappa"], default="q")
@@ -94,10 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="verify a stored profile CSV")
     sp.add_argument("profile", type=Path)
     sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=nonnegative_int, default=42, help="seed for verification test functions, >= 0")
     sp.add_argument("--out", type=Path, default=None, help="optional path for the report (default: stdout only)")
     sp = sub.add_parser("table", help="write analytic tables over an omega grid")
-    sp.add_argument("--omegas", type=angle_list, default=[], help="comma list of omega tokens; default 51 points on [0.5pi, pi]")
+    sp.add_argument("--omegas", type=angle_list, default=list(np.linspace(0.5 * math.pi, math.pi, 51)), help="nonempty comma list of omega tokens; default 51 points on [0.5pi, pi]")
     sp.add_argument("--out", type=Path, default=Path("."))
     return parser
 
@@ -162,7 +171,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 
 def run_table(args: argparse.Namespace) -> int:
-    omegas = np.asarray(args.omegas if args.omegas else np.linspace(0.5 * math.pi, math.pi, 51))
+    omegas = np.asarray(args.omegas)
     if omegas.size == 0 or np.any(omegas < 0.0) or np.any(omegas > math.pi):
         raise SkyrmeDyonError(f"omega grid must be nonempty and inside [0, pi], got {omegas}")
     out = args.out

@@ -154,8 +154,8 @@ def _fit_window_nodes(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return interior[sel]
 
 
-def fit_decay_rate(s: FieldProfile, p: ModelParams, lo: float = FIT_WINDOW_LO, hi: float = FIT_WINDOW_HI):
-    """Estimate the exponential decay rate of a over the window a in [lo, hi].
+def fit_decay_rate(s: FieldProfile, p: ModelParams):
+    """Estimate the exponential decay rate of a over the window a in [FIT_WINDOW_LO, FIT_WINDOW_HI].
 
     Per node the exact two-mode rate lambda_i is extracted, then the known
     slowly-decaying part of the linearized potential is subtracted using
@@ -174,10 +174,10 @@ def fit_decay_rate(s: FieldProfile, p: ModelParams, lo: float = FIT_WINDOW_LO, h
     small) or the least-squares intercept is not positive.
     """
     grid = s.grid
-    idx = _fit_window_nodes(s.a, lo, hi)
+    idx = _fit_window_nodes(s.a, FIT_WINDOW_LO, FIT_WINDOW_HI)
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError(
-            f"decay-fit window a in [{lo:g}, {hi:g}] holds {idx.size} nodes (< {MIN_FIT_NODES}); increase the domain radius"
+            f"decay-fit window a in [{FIT_WINDOW_LO:g}, {FIT_WINDOW_HI:g}] holds {idx.size} nodes (< {MIN_FIT_NODES}); increase the domain radius"
         )
     lam = _local_two_mode_rates(grid.h, s.a, idx)
     good = np.isfinite(lam)

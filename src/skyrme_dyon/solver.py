@@ -202,8 +202,7 @@ def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float
     ra, rf, rg = residuals(p, s)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
-    norm = float(np.max(np.abs(vec))) if vec.size else 0.0
-    return vec, norm
+    return vec, float(np.max(np.abs(vec)))
 
 
 def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: int) -> None:
@@ -222,7 +221,7 @@ def _band_workspace(grid: RadialGrid) -> np.ndarray:
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
-def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray | None = None) -> np.ndarray:
+def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 4).
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
@@ -255,10 +254,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray | None = 
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
     react_a, react_f = _reaction_rates(p, st, a, g)
 
-    if work is None:
-        work = _band_workspace(grid)
-    else:
-        work.fill(0.0)
+    work.fill(0.0)
     ab = work[4:]
 
     # residual_a partials
@@ -515,14 +511,13 @@ def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
 
 
 def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> FieldProfile:
-    """Copy of a profile solved at p_prev, rescaled to the boundary data of p_next.
+    """Copy of a profile solved at p_prev, with g rescaled to the g(R) = q of p_next.
 
-    f and g are scaled to the new f(R) and g(R); from q = 0, g takes the
-    initial-guess shape.  Boundary values are then set exactly.
+    The q ladder, the only caller, holds omega fixed, so a and f are kept.
+    From q = 0, g takes the initial-guess shape.  Boundary values are then
+    set exactly.
     """
     s = prev.copy()
-    if p_next.f_infinity != p_prev.f_infinity:
-        s.f *= p_next.f_infinity / p_prev.f_infinity
     if p_prev.q > 0.0:
         s.g *= p_next.q / p_prev.q
     else:

@@ -108,13 +108,13 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def seeded_test_functions(grid: RadialGrid, n: int = 5, seed: int = 42) -> list[np.ndarray]:
-    """Smooth bump combinations vanishing at r_N, reproducible by seed."""
+def seeded_test_functions(grid: RadialGrid, seed: int) -> list[np.ndarray]:
+    """N_TEST_FUNCTIONS smooth bump combinations vanishing at r_N, reproducible by seed."""
     rng = np.random.default_rng(seed)
     r = grid.r
     R = grid.R
     out = []
-    for _ in range(n):
+    for _ in range(N_TEST_FUNCTIONS):
         coeffs = rng.uniform(-1.0, 1.0, size=3)
         centers = rng.uniform(0.05, 0.7, size=3) * R
         widths = rng.uniform(0.05, 0.3, size=3) * R
@@ -212,7 +212,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     # profile's own g is tied to it through the residual-g check above
     g_inner = solve_inner_g(p, grid, a)
     worst = 0.0
-    for G in seeded_test_functions(grid, N_TEST_FUNCTIONS, tol.seed):
+    for G in seeded_test_functions(grid, tol.seed):
         scale = 1.0 + float(e2_energy(grid, a, g_inner).real) + float(e2_energy(grid, a, G).real)
         worst = max(worst, abs(constraint_residual(grid, a, g_inner, G)) / scale)
     rep.add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)

@@ -11,7 +11,7 @@ import numpy as np
 
 import skyrme_dyon as sd
 from skyrme_dyon.model import e2_energy
-from skyrme_dyon.solver import _jacobian_banded, _pack, _residual_vector, _unpack
+from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _pack, _residual_vector, _unpack
 from skyrme_dyon.verify import seeded_test_functions
 
 from conftest import SWEEP_QS
@@ -113,7 +113,7 @@ def test_criterion_07_inner_solve_exactness(grid60):
     g_sol = sd.solve_inner_g(p, grid60, ones)
     err = float(np.abs(g_sol - p.q * grid60.r / grid60.R).max())
     worst_constraint = 0.0
-    for G in seeded_test_functions(grid60, 5, 42):
+    for G in seeded_test_functions(grid60, 42):
         scale = 1.0 + float(e2_energy(grid60, ones, g_sol)) + float(e2_energy(grid60, ones, G))
         worst_constraint = max(worst_constraint, abs(sd.constraint_residual(grid60, ones, g_sol, G)) / scale)
     passed = err <= 1e-13 * p.q and worst_constraint <= 1e-12
@@ -146,7 +146,7 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     # analytic Jacobian columns against central differences
     x = _pack(prof)
-    ab = _jacobian_banded(p, prof)
+    ab = _jacobian_banded(p, prof, _band_workspace(grid))
     n = x.size
     worst_jac = 0.0
     for j in rng.choice(n, 90, replace=False):

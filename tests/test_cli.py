@@ -403,6 +403,7 @@ def test_verify_rejects_malformed_profile(tmp_path, capsys, grid_small, line, co
         ["sweep", "--sweep-param", "q", "--sweep-values", "abc"],
         ["table", "--omegas", "foo"],
         ["solve", "--q", "0.1", "--continuation-steps", "1e-1"],
+        ["table", "--omegas", ","],
     ],
 )
 def test_malformed_list_tokens_exit_config(tmp_path, argv):
@@ -426,6 +427,7 @@ BAD_TOLS = ["-1", "0", "nan", "inf"]
         ["solve", "--continuation-steps", "0,0.05"],
         *(["solve", "--tol", tol] for tol in BAD_TOLS),
         *(["sweep", "--sweep-values", "0.1", "--tol", tol] for tol in BAD_TOLS),
+        ["solve", "--seed", "-1"],
     ],
 )
 def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
@@ -441,6 +443,16 @@ def test_verify_tol_must_be_finite_and_positive(tmp_path, grid_small, tol):
     path = tmp_path / "p.csv"
     write_profile_csv(path, p, sd.initial_guess(p, grid_small))
     assert main(["verify", str(path), "--tol", tol]) == 1
+
+
+def test_verify_seed_must_be_nonnegative(tmp_path, capsys, grid_small):
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, grid_small))
+    report = tmp_path / "report.txt"
+    assert main(["verify", str(path), "--seed", "-1", "--out", str(report)]) == 1
+    assert "--seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_verify_reports_an_empty_tail_window_as_a_failure(tmp_path, capsys):

@@ -290,17 +290,3 @@ def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng
         assert fresh.tobytes() == shared.tobytes()
     assert density_e1_array(p, s).tobytes() == density_e1_array(p, s, sin_f=sin_f).tobytes()
     assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, sin_f=sin_f)
-
-
-def test_profile_validate(grid_small):
-    p = params(q=0.2)
-    s = sd.initial_guess(p, grid_small)
-    s.validate(p)
-    bad = s.copy()
-    bad.f[-1] = 0.5
-    with pytest.raises(ParameterError, match="boundary"):
-        bad.validate(p)
-    nan = s.copy()
-    nan.a[4] = np.nan
-    with pytest.raises(NumericError, match="node 4"):
-        nan.validate(p)
