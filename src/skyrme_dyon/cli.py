@@ -117,8 +117,8 @@ def run_solve(args: argparse.Namespace) -> int:
     legs = args.continuation_steps
     steps = default_continuation_steps(p.q, legs) if isinstance(legs, int) else legs
     solve_cfg = SolveConfig(tol_residual=args.tol, continuation_steps=steps)
-    # check the ladder before --out is created, so a bad run leaves no directory
-    solve_cfg.ladder(p.q)
+    # check the ladder, each q against the region, before --out is created, so a bad run leaves no directory
+    solve_cfg.ladder(p)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     profile, report = continuation_solve(p, grid, solve_cfg)

@@ -14,16 +14,15 @@ Two structurally different routes to the same discrete root:
   potential is eliminated through the inner solve at every step and the
   reduced functional J(a, f) = E1(a, f) - E2(a, g(a)) is driven downhill.
   Because the residuals are the exact gradients of the discrete action and
-  the inner solution makes the g-gradient vanish, the descent directions
-  are exactly the (a, f) residuals with g frozen at the inner solution.
-  Steps are preconditioned with the implicit linear stiffness
-  (I - dt*A)^(-1) - an SPD operator, so directions stay descent directions
-  - and accepted only if J does not increase; dt adapts by halving/growth.
-  A plain explicit update would need dt ~ h_min^2 and is hopeless at
-  production resolutions, which is the only deviation from a textbook
-  explicit flow.  Each state is evaluated once (one sin f, one stencil,
-  one action), and both preconditioner systems are solved by LAPACK gtsv
-  called directly.
+  the inner solution makes the g-gradient vanish, the J-gradient is
+  exactly the weighted (a, f) residuals with g frozen at the inner
+  solution.  Directions come from limited-memory BFGS (Nocedal, Math.
+  Comp. 35, 1980), which needs only J and that gradient, never the
+  Jacobian; its initial inverse Hessian is the implicit flow step
+  (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
+  steps halve from 1 until J falls enough (Armijo).  Each state is
+  evaluated once (one sin f, one stencil, one action), and both
+  preconditioner systems are solved by LAPACK gtsv called directly.
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -46,8 +45,9 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
@@ -87,7 +87,8 @@ logger = logging.getLogger(__name__)
 MAX_NEWTON_ITERS = 40  # Newton iteration budget
 BACKTRACK_FACTOR = 0.5  # line-search step reduction
 MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
-FLOW_DT = 0.1  # initial flow time step
+FLOW_DT = 100.0  # time step of the implicit flow step that serves as the initial inverse Hessian
+LBFGS_MEMORY = 8  # (s, y) pairs kept by the flow's L-BFGS recursion
 FLOW_MAX_STEPS = 200_000  # flow step budget
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
 COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
@@ -104,13 +105,15 @@ class SolveConfig:
         if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
             raise ParameterError(f"tol_residual must be a finite number > 0, got {self.tol_residual}")
 
-    def ladder(self, q_target: float) -> list[float]:
-        """The continuation q values toward q_target: continuation_steps, or the default ladder.
+    def ladder(self, p_target: ModelParams) -> list[ModelParams]:
+        """The continuation points toward p_target, one per q of continuation_steps or of the default ladder.
 
         Raises ParameterError unless the list is nonempty, nondecreasing and
-        ends within 1e-12 of q_target; that last entry is returned as q_target
-        itself, so the last leg solves at exactly the target.
+        ends within 1e-12 of the target q, and validate_params' error for a
+        q outside [0, q_max); the last point is p_target itself, so the last
+        leg solves at exactly the target.
         """
+        q_target = p_target.q
         steps = list(self.continuation_steps) if self.continuation_steps is not None else default_continuation_steps(q_target)
         if not steps:
             raise ParameterError("continuation step list must be nonempty")
@@ -118,7 +121,7 @@ class SolveConfig:
             raise ParameterError(f"continuation q values must be nondecreasing, got {steps}")
         if abs(steps[-1] - q_target) > 1e-12:
             raise ParameterError(f"last continuation step {steps[-1]} must equal target q {q_target}")
-        return steps[:-1] + [q_target]
+        return [validate_params(p_target.omega, q_k, p_target.kappa) for q_k in steps[:-1]] + [p_target]
 
 
 @dataclass
@@ -401,22 +404,51 @@ def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
+def _lbfgs_direction(
+    grad: np.ndarray, memory: Sequence[tuple[np.ndarray, np.ndarray, float]], precond: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion (Nocedal, Math. Comp. 35, 1980).
+
+    memory holds (s, y, 1/(s.y)) pairs, oldest first; precond(v) applies
+    the initial inverse Hessian H0, so an empty memory gives -H0 grad.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    r = precond(q)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        r += (alpha - rho * (y @ r)) * s
+    return -r
+
+
 def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[FieldProfile, SolveReport]:
     """Descent on the reduced functional J(a, f) = E1(a, f) - E2(a, g(a)).
 
-    g is re-solved from a at every step (so the g-equation holds exactly
-    along the whole path), descent directions are the preconditioned
-    residuals of the remaining two equations, and steps that would raise J
-    are rejected with dt halved.  Terminates when the full residual norm
-    drops below FLOW_TOL or FLOW_MAX_STEPS is exhausted.
+    g is re-solved from a at every trial (so the g-equation holds exactly
+    along the whole path), and J is driven down along limited-memory BFGS
+    directions in the interior (a, f) values.  Terminates when the full
+    residual norm drops below FLOW_TOL or FLOW_MAX_STEPS is exhausted.
 
-    Each step solves (I - c*(K - diag(reaction))) u = c*res per field, with
-    K u = (k_p Du_p - k_m Du_m)/w (c = 8 dt and k = 1 for a; c = dt and k
-    the f flux coefficient for f) and reaction >= 0 the stabilizing part
-    of the local reaction rate: folding it into the implicit operator
-    keeps the preconditioner positive definite while removing the explicit
-    stability limit of the stiff zero-order terms (notably (3a^2-1)/r^2
-    near the origin).
+    The J-gradient is G = (-8 w res_a, -w res_f), exact by the model
+    identity, since the inner solve makes the g-gradient vanish.  The
+    direction is -H G from the two-loop recursion over the last
+    LBFGS_MEMORY pairs (s, y) of state and gradient changes; a pair is kept
+    only when s.y > 0, and the memory is cleared whenever -H G is not a
+    descent direction.  The initial inverse Hessian H0 is the implicit flow
+    step with time step FLOW_DT at the current state: per field it solves
+    (I - c*(K - diag(reaction))) u = (dt/w) v, with K u = (k_p Du_p -
+    k_m Du_m)/w (c = 8 dt and k = 1 for a; c = dt and k the f flux
+    coefficient for f) and reaction >= 0 the stabilizing part of the local
+    reaction rate, which removes the stiffness of the zero-order terms
+    (notably (3a^2-1)/r^2 near the origin) from the operator.  diag(w)
+    times that operator is symmetric positive definite, so H0 is too, and
+    with an empty memory the direction is the implicit flow step of time
+    dt.  The step length halves from 1 until
+    J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); below MIN_STEP the
+    flow stops with "flow step size underflow".
 
     Each state is evaluated once: sin f of a trial serves its action and,
     once accepted, its stencil, which serves its residuals and reaction
@@ -436,6 +468,10 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     k_a = (1.0 / hm + 1.0 / hp) / w
     dt = FLOW_DT
+    c = 8.0 * dt
+    n = grid.N - 1
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
+    x_prev = grad_prev = None
     accepted = 0
     message = ""
     converged = False
@@ -447,22 +483,40 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         if norm <= FLOW_TOL:
             converged = True
             break
+        x = np.concatenate((s.a[1:-1], s.f[1:-1]))
+        grad = np.concatenate((-8.0 * w * ra, -w * rf))
+        if x_prev is not None:
+            dx, dgrad = x - x_prev, grad - grad_prev
+            sy = dx @ dgrad
+            if sy > 0.0:
+                memory.append((dx, dgrad, 1.0 / sy))
+        x_prev, grad_prev = x, grad
+
         react_a, react_f = _flow_reactions(p, st, s)
         # (a sin f)^2, not _c_half's order, for the same reason as in the Jacobian
         a_sin = s.a * st.sin
         coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
-        diag_a = k_a + react_a
-        diag_f = (coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f
-        stepped = False
-        while dt >= 1e-12:
-            c = 8.0 * dt
-            da = _tridiagonal_solve(-c / hmw, 1.0 + c * diag_a, -c / hpw, c * ra)
-            off_f = -dt * coeff_f[1:-1]
-            df = _tridiagonal_solve(off_f / hmw, 1.0 + dt * diag_f, off_f / hpw, dt * rf)
+        diag_a = 1.0 + c * (k_a + react_a)
+        diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
+        off_f = -dt * coeff_f[1:-1]
+
+        def precond(v):
+            da = _tridiagonal_solve(-c / hmw, diag_a.copy(), -c / hpw, dt * v[:n] / w)
+            df = _tridiagonal_solve(off_f / hmw, diag_f.copy(), off_f / hpw, dt * v[n:] / w)
+            return np.concatenate((da, df))
+
+        d = _lbfgs_direction(grad, memory, precond)
+        slope = d @ grad
+        if not slope < 0.0:
+            memory.clear()
+            d = -precond(grad)
+            slope = d @ grad
+        step = 1.0
+        while step >= MIN_STEP:
             a_try = s.a.copy()
             f_try = s.f.copy()
-            a_try[1:-1] += da
-            f_try[1:-1] += df
+            a_try[1:-1] += step * d[:n]
+            f_try[1:-1] += step * d[n:]
             g_try = solve_inner_g(p, grid, a_try)
             s_try = FieldProfile(grid, a_try, f_try, g_try)
             try:
@@ -471,15 +525,13 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
                 J_try = action_try.L
             except Exception:
                 J_try = float("inf")
-            if np.isfinite(J_try) and J_try <= J + 1e-12 * (1.0 + abs(J)):
+            if np.isfinite(J_try) and J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
                 s, J, sin_f, action = s_try, J_try, sin_try, action_try
                 j_trace.append(J)
                 accepted += 1
-                dt = min(dt * 1.3, 1e3)
-                stepped = True
                 break
-            dt *= 0.5
-        if not stepped:
+            step *= 0.5
+        else:
             message = "flow step size underflow"
             break
     else:
@@ -553,7 +605,7 @@ def continuation_solve(
 
     The route runs on _coarse_grid(grid): Newton at the target from
     initial_guess, kept when it converges with every solution property;
-    otherwise the q ladder cfg.ladder(q), its first leg from initial_guess
+    otherwise the q ladder cfg.ladder(p_target), its first leg from initial_guess
     and each later one from warm_start of the previous leg, up to the first
     leg that fails.  A one-entry ladder is itself the direct solve.  The
     route's last iterate, interpolated linearly onto grid, starts one
@@ -571,26 +623,25 @@ def continuation_solve(
     cfg = cfg or SolveConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    steps = cfg.ladder(p_target.q)
+    ladder = cfg.ladder(p_target)
     coarse = _coarse_grid(grid)
 
     trace: list[LegRecord] = []
     p_k, aborted = p_target, ""
-    if len(steps) > 1:
+    if len(ladder) > 1:
         profile, report = newton_solve(p_target, coarse, initial_guess(p_target, coarse), cfg)
         trace.append(_leg_record(p_target.q, report, "direct"))
         if not trace[-1].converged:
             logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, report.message)
     if not (trace and trace[-1].converged):
         p_prev: ModelParams | None = None
-        for q_k in steps:
-            p_k = validate_params(p_target.omega, q_k, p_target.kappa)
+        for p_k in ladder:
             guess = initial_guess(p_k, coarse) if p_prev is None else warm_start(profile, p_prev, p_k)
             profile, report = newton_solve(p_k, coarse, guess, cfg)
-            trace.append(_leg_record(q_k, report, "newton"))
+            trace.append(_leg_record(p_k.q, report, "newton"))
             if not trace[-1].converged:
                 last = "no ladder leg converged" if p_prev is None else f"last converged q={p_prev.q:.6g}"
-                aborted = f"continuation aborted at q={q_k:.6g}; {last}. {report.message}"
+                aborted = f"continuation aborted at q={p_k.q:.6g}; {last}. {report.message}"
                 break
             p_prev = p_k
 

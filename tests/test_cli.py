@@ -437,6 +437,22 @@ def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the direct attempt converges here, so the ladder would never be walked
+        ["--q", "0.1", "--nodes", "300", "--rmax", "30", "--continuation-steps=-0.1,0.1"],
+        # the direct attempt fails here, so the ladder would be walked to its q = -0.1
+        ["--omega", "0.505pi", "--q", "0.6993", "--kappa", "0", "--continuation-steps=-0.1,0.6993"],
+    ],
+)
+def test_out_of_range_ladder_exits_config_without_out_directory(tmp_path, capsys, argv):
+    out = tmp_path / "newdir"
+    assert main(["solve", *argv, "--out", str(out)]) == 1
+    assert "got q=-0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_verify_tol_must_be_finite_and_positive(tmp_path, grid_small, tol):
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
