@@ -398,6 +398,24 @@ def test_verify_rejects_malformed_profile(tmp_path, capsys, grid_small, line, co
 
 
 @pytest.mark.parametrize(
+    "line, content",
+    [
+        (3, "# omega=abc"),  # a bad header value below two blank lines
+        (12, "0.1,0.5,abc,0.05"),  # a bad cell below two blank lines
+    ],
+)
+def test_malformed_profile_line_numbers_count_leading_blank_lines(tmp_path, capsys, grid_small, line, content):
+    p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, grid_small))
+    lines = ["", "", *path.read_text().splitlines()]
+    lines[line - 1] = content
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == 1
+    assert f"line {line} is not readable: '{content}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--sweep-param", "q", "--sweep-values", "abc"],
