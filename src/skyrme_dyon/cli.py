@@ -7,11 +7,11 @@ Commands:
   table   write the analytic tables (no solving)
 
 Each command's handler takes the parsed argparse.Namespace and calls the
-library directly; every default is written once, in the parser.  sweep
-solves each point as solve does, with continuation_solve and the default
-ladder.  Angles accept raw radians or a literal pi suffix, e.g.
-`--omega 0.75pi`; --tol must be a finite number > 0 and --seed an
-integer >= 0.
+library directly; every default is written once, in the parser.  solve
+and every sweep point run continuation_solve with the default ladder,
+which it walks only when Newton at the target fails.  Angles accept raw
+radians or a literal pi suffix, e.g. `--omega 0.75pi`; --tol must be a
+finite number > 0 and --seed an integer >= 0.
 Exit codes: 0 success, 1 invalid configuration, 2 non-convergence,
 3 verification failure.
 """
@@ -30,7 +30,7 @@ from .grid import DEFAULT_CLUSTER, build_grid
 from .io import SUMMARY_COLUMNS, read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
 from .observables import observables, skyrme_charge_closed
-from .solver import SolveConfig, continuation_solve, default_continuation_steps
+from .solver import SolveConfig, continuation_solve
 from .verify import Tolerances, run_suite
 
 __all__ = ["main", "run_solve", "run_sweep", "run_table", "run_verify", "parse_angle"]
@@ -66,13 +66,6 @@ def nonnegative_int(token: str) -> int:
     return value
 
 
-def continuation_legs(token: str) -> list[float] | int:
-    """Parse a leg count like '6' or a comma list of q values like '0,0.1,0.2'."""
-    if "," not in token and "." not in token:
-        return int(token)
-    return [float(t) for t in token.split(",") if t.strip()]
-
-
 def angle_list(token: str) -> list[float]:
     """Parse a comma list of parse_angle tokens, e.g. '0.55pi,0.75pi' or '0.1,0.2'."""
     return [parse_angle(t) for t in token.split(",") if t.strip()]
@@ -94,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
-    sp.add_argument("--continuation-steps", type=continuation_legs, default=6, help="fallback ladder if Newton at the target fails, walked on the coarse grid: leg count or comma list of q values")
     sp.add_argument("--seed", type=nonnegative_int, default=42, help="seed for verification test functions, >= 0")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
@@ -114,14 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_solve(args: argparse.Namespace) -> int:
     p = validate_params(args.omega, args.q, args.kappa)
     grid = build_grid(args.rmax, args.nodes, cluster=args.grading)
-    legs = args.continuation_steps
-    steps = default_continuation_steps(p.q, legs) if isinstance(legs, int) else legs
-    solve_cfg = SolveConfig(tol_residual=args.tol, continuation_steps=steps)
-    # check the ladder, each q against the region, before --out is created, so a bad run leaves no directory
-    solve_cfg.ladder(p)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    profile, report = continuation_solve(p, grid, solve_cfg)
+    profile, report = continuation_solve(p, grid, SolveConfig(tol_residual=args.tol))
     # an aborted continuation returns the failed leg's profile, with that leg's q
     p_out = p if report.converged else validate_params(p.omega, report.continuation_trace[-1].q, p.kappa)
     write_profile_csv(out / "profile.csv", p_out, profile)
@@ -141,7 +128,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    """Solve each point as run_solve does (continuation_solve, default ladder); one summary row per point.
+    """Solve each point as run_solve does, from a cold start; one summary row per point.
 
     Each failed point also prints one stderr line with its value and the solver's stopping reason.
     """

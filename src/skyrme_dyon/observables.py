@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecayWindowError, ParameterError, RegionError
+from .errors import DecayWindowError, NumericError, ParameterError, RegionError
 from .model import FieldProfile, ModelParams, _qbar
 
 __all__ = [
@@ -311,9 +311,9 @@ class ObservableReport:
 def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> ObservableReport:
     """Assemble the full observable report for a converged profile.
 
-    With strict=False a failed decay fit or an empty tail window is
-    recorded as NaN with a note instead of raising, so partial reports can
-    still be written.
+    With strict=False a failed decay fit, an empty tail window or a
+    non-finite charge integrand is recorded as NaN with a note instead of
+    raising, so partial reports can still be written.
     """
     nan = float("nan")
     notes = []
@@ -331,10 +331,17 @@ def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> Observa
             raise
         tails = TailConstants(nan, nan, nan, nan, (nan, nan))
         notes.append(str(exc))
+    try:
+        Qe = electric_charge(s)
+    except NumericError as exc:
+        if strict:
+            raise
+        Qe = nan
+        notes.append(str(exc))
     return ObservableReport(
         QS_numeric=skyrme_charge_numeric(s),
         QS_closed=skyrme_charge_closed(p.omega),
-        Qe=electric_charge(s),
+        Qe=Qe,
         Qm=1.0,  # unit magnetic charge, an analytic identity
         gamma_fit=gamma_fit,
         gamma_theory=gamma_theory(p),

@@ -119,7 +119,7 @@ class SolveConfig:
             raise ParameterError("continuation step list must be nonempty")
         if any(b < a for a, b in zip(steps, steps[1:])):
             raise ParameterError(f"continuation q values must be nondecreasing, got {steps}")
-        if abs(steps[-1] - q_target) > 1e-12:
+        if not abs(steps[-1] - q_target) <= 1e-12:  # a NaN last step fails too
             raise ParameterError(f"last continuation step {steps[-1]} must equal target q {q_target}")
         return [validate_params(p_target.omega, q_k, p_target.kappa) for q_k in steps[:-1]] + [p_target]
 
@@ -317,6 +317,21 @@ def _newton_step(work: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     return delta
 
 
+def _report(
+    p: ModelParams, s: FieldProfile, converged: bool, iterations: int, norm: float, action: ActionBreakdown | None, path: str, message: str, t0: float
+) -> SolveReport:
+    """The report of a solve that stopped at s, started at perf_counter() t0.
+
+    A converged solve whose profile breaks a solution property keeps
+    converged=True; its message then names the first failing property.
+    """
+    props_ok, prop_msg = solution_properties_ok(p, s)
+    if converged and not props_ok:
+        message = f"converged residuals but solution properties violated: {prop_msg}"
+    wall_time = time.perf_counter() - t0
+    return SolveReport(converged, iterations, float(norm), action, path, properties_ok=props_ok, message=message, wall_time=wall_time)
+
+
 def newton_solve(
     p: ModelParams, grid: RadialGrid, guess: FieldProfile, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
@@ -360,25 +375,12 @@ def newton_solve(
     converged = norm <= cfg.tol_residual
     if not (converged or message):
         message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
-    props_ok, prop_msg = solution_properties_ok(p, s)
     action = None
     try:
         action = action_breakdown(p, s)
     except Exception as exc:  # non-finite transients only
         message = message or f"action not evaluable: {exc}"
-    if converged and not props_ok:
-        message = f"converged residuals but solution properties violated: {prop_msg}"
-    report = SolveReport(
-        converged=converged,
-        iterations=iters,
-        final_residual_norm=norm,
-        action=action,
-        path="newton",
-        properties_ok=props_ok,
-        message=message,
-        wall_time=time.perf_counter() - t0,
-    )
-    return s, report
+    return s, _report(p, s, converged, iters, norm, action, "newton", message, t0)
 
 
 def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -536,20 +538,8 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
             break
     else:
         message = f"flow step budget exhausted at residual {norm:.3e}"
-    props_ok, prop_msg = solution_properties_ok(p, s)
-    if converged and not props_ok:
-        message = f"converged residuals but solution properties violated: {prop_msg}"
-    report = SolveReport(
-        converged=converged,
-        iterations=accepted,
-        final_residual_norm=float(norm),
-        action=action,
-        path="flow",
-        properties_ok=props_ok,
-        message=message,
-        j_trace=j_trace,
-        wall_time=time.perf_counter() - t0,
-    )
+    report = _report(p, s, converged, accepted, norm, action, "flow", message, t0)
+    report.j_trace = j_trace
     return s, report
 
 

@@ -263,14 +263,9 @@ def test_aborted_route_on_a_coarse_grid_ends_with_one_fine_solve(monkeypatch, tm
 
 
 def test_ladder_ends_exactly_at_the_target(tmp_path):
-    # a last step within 1e-12 of the target is walked as the target itself
+    # direct Newton lands on the wrong branch here, so solve walks the default ladder, whose last leg is the target
     out = tmp_path / "ladder"
-    code = main(
-        [
-            "solve", "--omega", "0.505pi", "--q", "0.6993", "--kappa", "0",
-            "--continuation-steps", "0,0.35,0.5,0.6,0.6993000000001", "--out", str(out),
-        ]
-    )
+    code = main(["solve", "--omega", "0.505pi", "--q", "0.6993", "--kappa", "0", "--out", str(out)])
     assert code == 0
     p, s = read_profile_csv(out / "profile.csv")
     assert s.g[-1] == p.q == 0.6993
@@ -297,18 +292,6 @@ def test_table_reference_values(tmp_path):
 
 def test_table_invalid_range(tmp_path):
     assert main(["table", "--omegas", "1.5pi", "--out", str(tmp_path)]) == 1
-
-
-def test_solve_with_explicit_continuation_list(tmp_path):
-    out = tmp_path / "steps"
-    code = main(
-        [
-            "solve", "--omega", "0.75pi", "--q", "0.2", "--nodes", "2000",
-            "--continuation-steps", "0.0,0.1,0.2", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert "overall PASS" in (out / "verify.txt").read_text()
 
 
 def test_verify_command_on_stored_profile(tmp_path):
@@ -420,19 +403,12 @@ def test_malformed_profile_line_numbers_count_leading_blank_lines(tmp_path, caps
     [
         ["sweep", "--sweep-param", "q", "--sweep-values", "abc"],
         ["table", "--omegas", "foo"],
-        ["solve", "--q", "0.1", "--continuation-steps", "1e-1"],
+        ["sweep", "--sweep-param", "q", "--sweep-values", "0.1,abc"],
         ["table", "--omegas", ","],
     ],
 )
 def test_malformed_list_tokens_exit_config(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1
-
-
-@pytest.mark.parametrize("legs", ["0", "1", "-3"])
-def test_continuation_leg_count_below_two_exits_config(tmp_path, legs):
-    argv = ["solve", "--q", "0.1", "--nodes", "300", "--rmax", "30", "--continuation-steps", legs, "--out", str(tmp_path)]
-    assert main(argv) == 1
-    assert not (tmp_path / "profile.csv").exists()
 
 
 BAD_TOLS = ["-1", "0", "nan", "inf"]
@@ -441,8 +417,8 @@ BAD_TOLS = ["-1", "0", "nan", "inf"]
 @pytest.mark.parametrize(
     "option",
     [
-        ["solve", "--continuation-steps", "1"],
-        ["solve", "--continuation-steps", "0,0.05"],
+        ["solve", "--omega", "0.4pi"],
+        ["solve", "--grading", "2"],
         *(["solve", "--tol", tol] for tol in BAD_TOLS),
         *(["sweep", "--sweep-values", "0.1", "--tol", tol] for tol in BAD_TOLS),
         ["solve", "--seed", "-1"],
@@ -452,22 +428,6 @@ def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
     # option is the command and its bad setting
     out = tmp_path / "newdir"
     assert main([*option, "--q", "0.1", "--out", str(out)]) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # the direct attempt converges here, so the ladder would never be walked
-        ["--q", "0.1", "--nodes", "300", "--rmax", "30", "--continuation-steps=-0.1,0.1"],
-        # the direct attempt fails here, so the ladder would be walked to its q = -0.1
-        ["--omega", "0.505pi", "--q", "0.6993", "--kappa", "0", "--continuation-steps=-0.1,0.6993"],
-    ],
-)
-def test_out_of_range_ladder_exits_config_without_out_directory(tmp_path, capsys, argv):
-    out = tmp_path / "newdir"
-    assert main(["solve", *argv, "--out", str(out)]) == 1
-    assert "got q=-0.1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -509,7 +469,7 @@ def test_verify_rejects_a_mesh_without_interior_node(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])
+@pytest.mark.parametrize("option", [["--seed", "7"]])
 def test_sweep_rejects_solve_only_options(tmp_path, option):
     argv = ["sweep", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1", *option, "--out", str(tmp_path)]
     assert main(argv) == 1

@@ -319,10 +319,19 @@ def test_continuation_validates_step_list(grid_small):
         sd.continuation_solve(p, grid_small, sd.SolveConfig(continuation_steps=[0.0, 0.2, 0.1, 0.3]))
     with pytest.raises(ParameterError, match="target"):
         sd.continuation_solve(p, grid_small, sd.SolveConfig(continuation_steps=[0.0, 0.2]))
+    with pytest.raises(ParameterError, match="target"):
+        sd.SolveConfig(continuation_steps=[0.0, math.nan]).ladder(p)
     # a q outside [0, q_max) is rejected before any solve, even where the direct attempt would converge;
     # a nondecreasing list that ends at the target can leave the region only below q = 0
     with pytest.raises(RegionError, match="got q=-0.1"):
         sd.continuation_solve(p, grid_small, sd.SolveConfig(continuation_steps=[-0.1, 0.3]))
+
+
+@pytest.mark.parametrize("legs", [0, 1, -3])
+def test_default_ladder_needs_two_legs_for_positive_q(legs):
+    with pytest.raises(ParameterError, match="at least 2 continuation legs"):
+        solver.default_continuation_steps(0.1, legs)
+    assert solver.default_continuation_steps(0.0, legs) == [0.0]
 
 
 def test_ladder_holds_omega_and_kappa_and_ends_at_the_target():

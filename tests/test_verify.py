@@ -73,6 +73,26 @@ def test_suite_reports_non_finite_action_without_raising(grid_small, tmp_path, n
     assert main(["verify", str(path)]) == 3
 
 
+@pytest.mark.parametrize("field, node, value", [("a", 0, 0.5), ("a", 150, math.nan), ("a", 150, math.inf), ("g", 150, math.nan)])
+def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, field, node, value):
+    # a[0] != 1 or a non-finite a has no inner g minimizer, and a non-finite a or g no electric charge
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert rep.converged and sd.run_suite(p, s).overall
+    getattr(s, field)[node] = value
+    report = sd.run_suite(p, s)
+    assert not report.overall
+    if field == "a":
+        assert np.isnan(report["constraint-orthogonality"].measured)
+    if node == 0:
+        assert not report["boundary-values"].passed and report["boundary-values"].measured == 0.5
+    else:
+        assert np.isnan(report.observables.Qe)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, p, s)
+    assert main(["verify", str(path)]) == 3
+
+
 def _perturb(p, s, field, kind, node):
     arr = getattr(s, field)
     if kind == "negate":
