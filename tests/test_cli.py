@@ -469,7 +469,8 @@ def test_verify_rejects_a_mesh_without_interior_node(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", [["--seed", "7"]])
+# --continuation-steps was deleted from solve; a stale script passing it to sweep must still exit config
+@pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])
 def test_sweep_rejects_solve_only_options(tmp_path, option):
     argv = ["sweep", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1", *option, "--out", str(tmp_path)]
     assert main(argv) == 1
