@@ -100,18 +100,6 @@ class RadialGrid:
         nodes[1::2] = mid
         return RadialGrid(r=nodes, R=self.R, N=2 * self.N, grading=None)
 
-    def nodal_from_intervals(self, s: np.ndarray) -> np.ndarray:
-        """Dual-cell average turning per-interval values into nodal values.
-
-        Chosen so that integrate(nodal_from_intervals(s)) == sum(s * h) exactly;
-        this is what makes the discrete residuals exact action gradients.
-        """
-        out = np.empty(self.N + 1, dtype=s.dtype)
-        out[0] = s[0]
-        out[-1] = s[-1]
-        out[1:-1] = (self.h[:-1] * s[:-1] + self.h[1:] * s[1:]) / (2.0 * self.w[1:-1])
-        return out
-
 
 def _grading_map(xi: np.ndarray, cluster: float) -> np.ndarray:
     return (1.0 - cluster) * xi + cluster * np.sinh(GEOMETRIC_RATE * xi) / np.sinh(GEOMETRIC_RATE)

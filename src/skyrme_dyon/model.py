@@ -22,10 +22,9 @@ with static action L = integral(e1 - e2) and energy E = integral(e1 + e2).
 Discretization.  Derivative-squared terms are assembled per interval
 (difference quotients, with half-node coefficients r_i*r_{i+1} for r^2 and
 arithmetic means for a^2*sin(f)^2); zero-order terms per node with
-trapezoid weights.  density_e1_array/density_e2_array fold the interval
-terms back to nodes with the dual-cell average, so trapezoid integration
-of the density arrays reproduces the interval assembly exactly, and the
-residuals below are the exact gradients of the discrete action:
+trapezoid weights.  The discrete action sums each interval term times
+its length h_i and each node term times its dual-cell width w_i, and the
+residuals below are its exact gradients:
 
     dL/da_j = -8 * w_j * res_a[j-1]
     dL/df_j = -1 * w_j * res_f[j-1]
@@ -33,15 +32,17 @@ residuals below are the exact gradients of the discrete action:
 
 (w_j the dual-cell width, (res_a, res_f, res_g) = residuals(p, s)).  The
 flow solver, the inner electric solve and the gradient checks all rely on
-this identity, so any change here must keep densities and residuals in
-exact correspondence.
+this identity, so any change here must keep the action terms and the
+residuals in exact correspondence.
 
-_interval_e1/_nodal_e1 serve E1 and the verify battery's coercive bound;
-_stencil and _reaction_rates serve the residuals, the Newton Jacobian and
-the flow preconditioner; _stencil's f'^2 average _qbar also serves the
-decay fit.  residuals takes an optional precomputed stencil
-and action_breakdown an optional sin(f), so a caller that already has
-them (the flow) evaluates a state once; the results are bitwise the same.
+_e1 sums _interval_e1/_nodal_e1 for E1 and for the verify battery's
+coercive bound, and e2_energy is the one sum of E2.  _stencil and
+_reaction_rates serve the residuals, the Newton Jacobian and the flow
+preconditioner; _stencil's f'^2 average _qbar also serves the decay fit
+and the source of the f tail.  residuals takes an optional precomputed
+stencil and action_breakdown an optional sin(f), so a caller that already
+has them (the flow) evaluates a state once; the results are bitwise the
+same.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -66,8 +67,6 @@ __all__ = [
     "ActionBreakdown",
     "validate_params",
     "admissible_q_max",
-    "density_e1_array",
-    "density_e2_array",
     "action_breakdown",
     "e2_energy",
     "residuals",
@@ -177,44 +176,46 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
     return out
 
 
-def density_e1_array(p: ModelParams, s: FieldProfile, *, sin_f=None) -> np.ndarray:
-    """Nodal density array of e1 (trapezoid-integrating it gives E1).
+def _e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f, mass):
+    """Discrete E1 for r^2 f'^2 coefficient r2_coeff and mass term mass: interval terms times h plus node terms times w."""
+    return np.dot(_interval_e1(p, grid, a, f, r2_coeff, sin_f), grid.h) + np.dot(_nodal_e1(p, grid, a, sin_f, mass), grid.w)
+
+
+def _e2_terms(grid: RadialGrid, a, g):
+    """Per-interval part r^2 g'^2 and per-node part 2 a^2 g^2 of e2."""
+    dg = np.diff(g) / grid.h
+    return grid.p_half * dg * dg, 2.0 * a * a * g * g
+
+
+def e2_energy(grid: RadialGrid, a, g):
+    """Discrete E2(a, g) = sum over intervals + nodes; kappa-independent."""
+    interval, nodal = _e2_terms(grid, a, g)
+    return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
+
+
+def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBreakdown:
+    """E1 and E2 of the discrete action, L = E1 - E2, E = E1 + E2.
 
     sin_f, when given, must be np.sin(s.f); the result is then bitwise the same.
+    Raises NumericError naming the first node or interval whose term is not finite.
     """
     grid, a, f = s.grid, s.a, s.f
     if sin_f is None:
         sin_f = np.sin(f)
     mass = a * a * sin_f**2
-    return grid.nodal_from_intervals(_interval_e1(p, grid, a, f, 0.5, sin_f)) + _nodal_e1(p, grid, a, sin_f, mass)
-
-
-def density_e2_array(p: ModelParams, s: FieldProfile) -> np.ndarray:
-    """Nodal density array of e2 (trapezoid-integrating it gives E2)."""
-    grid = s.grid
-    dg = np.diff(s.g) / grid.h
-    return grid.nodal_from_intervals(grid.p_half * dg * dg) + 2.0 * s.a**2 * s.g**2
-
-
-def e2_energy(grid: RadialGrid, a, g):
-    """Discrete E2(a, g) = sum over intervals + nodes; kappa-independent."""
-    dg = np.diff(g) / grid.h
-    return np.dot(grid.p_half * dg * dg, grid.h) + np.dot(2.0 * a * a * g * g, grid.w)
-
-
-def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBreakdown:
-    """Integrate the density arrays: E1, E2, L = E1 - E2, E = E1 + E2.
-
-    sin_f, when given, must be np.sin(s.f); the result is then bitwise the same.
-    """
-    e1 = density_e1_array(p, s, sin_f=sin_f)
-    e2 = density_e2_array(p, s)
-    for name, arr in (("e1", e1), ("e2", e2)):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            raise NumericError(f"non-finite {name} density at node {int(np.flatnonzero(bad)[0])}")
-    E1 = s.grid.integrate(e1)
-    E2 = s.grid.integrate(e2)
+    E1 = float(_e1(p, grid, a, f, 0.5, sin_f, mass))
+    E2 = float(e2_energy(grid, a, s.g))
+    if not (math.isfinite(E1) and math.isfinite(E2)):
+        # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
+        interval_e2, nodal_e2 = _e2_terms(grid, a, s.g)
+        terms = np.empty(2 * grid.N + 1)
+        terms[0::2] = _nodal_e1(p, grid, a, sin_f, mass) + nodal_e2
+        terms[1::2] = _interval_e1(p, grid, a, f, 0.5, sin_f) + interval_e2
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.size:
+            k = int(bad[0]) // 2
+            where = f"node {k}" if bad[0] % 2 == 0 else f"the interval from node {k} to node {k + 1}"
+            raise NumericError(f"non-finite action term at {where}")
     return ActionBreakdown(E1=E1, E2=E2, L=E1 - E2, E=E1 + E2)
 
 

@@ -227,8 +227,9 @@ def _f_source_double_integral(s: FieldProfile, p: ModelParams) -> np.ndarray:
     if p.kappa != 0.0:
         quart = np.zeros(grid.N + 1)
         quart[1:] = a[1:] ** 4 * sf[1:] ** 3 * cf_[1:] / grid.r[1:] ** 2
-        df = np.diff(f) / grid.h
-        source = source + 8.0 * p.kappa * (a * a * sf * cf_ * grid.nodal_from_intervals(df * df) + quart)
+        fp2 = np.zeros(grid.N + 1)  # f'^2 at interior nodes; the source vanishes at both ends
+        fp2[1:-1] = _qbar(grid, np.diff(f) / grid.h)
+        source = source + 8.0 * p.kappa * (a * a * sf * cf_ * fp2 + quart)
     cell = source * grid.w
     # T at half node i+1/2 = sum of cell masses strictly beyond node i
     T_half = np.cumsum(cell[1:][::-1])[::-1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.model import _stencil, density_e1_array, density_e2_array
+from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _stencil, e2_energy
 
 OMEGA = 0.75 * math.pi
 
@@ -45,49 +45,58 @@ def test_validate_params_region_logic(omega, q):
         assert not inside
 
 
-# -- densities ----------------------------------------------------------------------
+# -- e1 and e2 terms ----------------------------------------------------------------
 
 
 def vacuum_profile(grid):
     return sd.FieldProfile(grid, np.ones(grid.N + 1), np.zeros(grid.N + 1), np.zeros(grid.N + 1))
 
 
+def e1_terms(p, s):
+    """(interval, node) terms of e1 as the action sums them."""
+    sin_f = np.sin(s.f)
+    return _interval_e1(p, s.grid, s.a, s.f, 0.5, sin_f), _nodal_e1(p, s.grid, s.a, sin_f, s.a * s.a * sin_f**2)
+
+
+def discrete_action(p, s):
+    """L = E1 - E2 through the package's one sum of each; complex inputs give complex L."""
+    sin_f = np.sin(s.f)
+    return _e1(p, s.grid, s.a, s.f, 0.5, sin_f, s.a * s.a * sin_f**2) - e2_energy(s.grid, s.a, s.g)
+
+
 def test_density_e1_vacuum_zero():
     g = sd.build_grid(10.0, 100)
-    s = vacuum_profile(g)
-    p = params()
-    assert np.all(density_e1_array(p, s)[1:-1] == 0.0)
+    for terms in e1_terms(params(), vacuum_profile(g)):
+        assert np.all(terms == 0.0)
 
 
 def test_density_e1_pure_core_term():
     g = sd.build_grid(10.0, 100)
     s = sd.FieldProfile(g, np.zeros(g.N + 1), np.full(g.N + 1, 0.4), np.zeros(g.N + 1))
-    p = params(kappa=1.0)
-    e1 = density_e1_array(p, s)
+    interval, nodal = e1_terms(params(kappa=1.0), s)
+    assert np.all(interval == 0.0)
     for i in (3, 40, 90):
-        assert e1[i] == pytest.approx(2.0 / g.r[i] ** 2, rel=1e-13)
+        assert nodal[i] == pytest.approx(2.0 / g.r[i] ** 2, rel=1e-13)
 
 
 def test_density_e1_linear_f_on_uniform_grid():
     g = sd.build_grid(10.0, 200, cluster=0.0)
     s = sd.FieldProfile(g, np.ones(g.N + 1), g.r.copy(), np.zeros(g.N + 1))
-    p = params(kappa=0.0, q=0.1)
-    e1 = density_e1_array(p, s)
+    interval, nodal = e1_terms(params(kappa=0.0, q=0.1), s)
     for i in (1, 50, 150):
-        want = 0.5 * (g.r[i] ** 2 + 2.0 * np.sin(g.r[i]) ** 2)
-        assert e1[i] == pytest.approx(want, rel=2e-4)
+        # the half-node coefficients r_{i-1} r_i and r_i r_{i+1} average to r_i^2 on a uniform mesh
+        assert 0.5 * (interval[i - 1] + interval[i]) == pytest.approx(0.5 * g.r[i] ** 2, rel=1e-12)
+        assert nodal[i] == pytest.approx(np.sin(g.r[i]) ** 2, rel=1e-13)
 
 
 def test_density_e2_examples():
     g = sd.build_grid(10.0, 120, cluster=0.0)
     p = params(q=0.25)
-    zero_g = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), np.zeros(g.N + 1))
-    assert np.all(density_e2_array(p, zero_g) == 0.0)
-    lin = density_e2_array(p, sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), p.q * g.r / g.R))
-    for i in (2, 30, 100):
-        assert lin[i] == pytest.approx(3.0 * p.q**2 * g.r[i] ** 2 / g.R**2, rel=1e-12)
-    flat = sd.FieldProfile(g, np.zeros(g.N + 1), np.zeros(g.N + 1), np.full(g.N + 1, p.q))
-    assert np.all(density_e2_array(p, flat) == 0.0)
+    ones, zeros = np.ones(g.N + 1), np.zeros(g.N + 1)
+    assert e2_energy(g, ones, zeros) == 0.0
+    assert e2_energy(g, zeros, np.full(g.N + 1, p.q)) == 0.0
+    # integral of (q/R)^2 r^2 + 2 (q r/R)^2 over [0, R] is q^2 R
+    assert e2_energy(g, ones, p.q * g.r / g.R) == pytest.approx(p.q**2 * g.R, rel=1e-4)
 
 
 @settings(max_examples=20, deadline=None)
@@ -104,23 +113,21 @@ def test_densities_nonnegative(seed, kappa):
     s.a[0] = 1.0
     s.f[0] = 0.0
     p = sd.ModelParams(OMEGA, 0.2, kappa, 0.35)
-    assert np.all(density_e1_array(p, s) >= 0.0)
-    assert np.all(density_e2_array(p, s) >= 0.0)
+    for terms in e1_terms(p, s) + _e2_terms(g, s.a, s.g):
+        assert np.all(terms >= 0.0)
+    assert e2_energy(g, s.a, s.g) >= 0.0
 
 
 def test_e1_reflection_symmetry():
     g = sd.build_grid(8.0, 100, cluster=0.6)
-    rng = np.random.default_rng(5)
     a = 1.0 / (1.0 + g.r**2) + 0.05 * np.sin(g.r)
     f = 0.8 * (1.0 - np.exp(-g.r)) + 0.1 * np.sin(0.7 * g.r)
     q = np.zeros(g.N + 1)
     p = params()
-    base = density_e1_array(p, sd.FieldProfile(g, a, f, q))
-    flip_f = density_e1_array(p, sd.FieldProfile(g, a, -f, q))
-    flip_a = density_e1_array(p, sd.FieldProfile(g, -a, f, q))
-    assert np.array_equal(base, flip_f)
-    assert np.array_equal(base, flip_a)
-    _ = rng
+    base = e1_terms(p, sd.FieldProfile(g, a, f, q))
+    for flipped in (sd.FieldProfile(g, a, -f, q), sd.FieldProfile(g, -a, f, q)):
+        for want, got in zip(base, e1_terms(p, flipped)):
+            assert np.array_equal(want, got)
 
 
 # -- action breakdown ---------------------------------------------------------------
@@ -156,6 +163,25 @@ def test_action_diverges_for_wrong_origin_data():
     s.a[0] = 0.5  # (a^2-1)^2/r^2 now diverges at the origin
     with pytest.raises(NumericError, match="node 0"):
         sd.action_breakdown(params(), s)
+
+
+def test_action_matches_trapezoid_of_nodal_densities(solved_points):
+    # fold each interval term onto its two nodes by the dual-cell average, then integrate by trapezoids
+    for p, s, _ in solved_points.values():
+        grid = s.grid
+
+        def trapezoid_of_nodal_density(interval, nodal):
+            density = nodal.copy()
+            density[0] += interval[0]
+            density[-1] += interval[-1]
+            density[1:-1] += (grid.h[:-1] * interval[:-1] + grid.h[1:] * interval[1:]) / (2.0 * grid.w[1:-1])
+            return float(np.sum(0.5 * (density[:-1] + density[1:]) * grid.h))
+
+        E1 = trapezoid_of_nodal_density(*e1_terms(p, s))
+        E2 = trapezoid_of_nodal_density(*_e2_terms(grid, s.a, s.g))
+        act = sd.action_breakdown(p, s)
+        for got, want in ((act.E1, E1), (act.E2, E2), (act.L, E1 - E2), (act.E, E1 + E2)):
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
 
 
 # -- residuals: trivial exact cases -------------------------------------------------
@@ -255,8 +281,7 @@ def test_residual_gradient_consistency_complex_step():
     w = g.w[1:-1]
 
     def L_h(a, f, gg):
-        prof = sd.FieldProfile(g, a, f, gg)
-        return np.dot(density_e1_array(p, prof), g.w) - np.dot(density_e2_array(p, prof), g.w)
+        return discrete_action(p, sd.FieldProfile(g, a, f, gg))
 
     h = 1e-30
     for k in rng.choice(g.N - 1, 40, replace=False):
@@ -288,5 +313,4 @@ def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng
     assert st.sin is sin_f
     for fresh, shared in zip(sd.residuals(p, s), sd.residuals(p, s, stencil=st)):
         assert fresh.tobytes() == shared.tobytes()
-    assert density_e1_array(p, s).tobytes() == density_e1_array(p, s, sin_f=sin_f).tobytes()
     assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, sin_f=sin_f)

@@ -73,9 +73,16 @@ def test_suite_reports_non_finite_action_without_raising(grid_small, tmp_path, n
     assert main(["verify", str(path)]) == 3
 
 
-@pytest.mark.parametrize("field, node, value", [("a", 0, 0.5), ("a", 150, math.nan), ("a", 150, math.inf), ("g", 150, math.nan)])
+CORRUPTIONS = [("a", 0, 0.5), ("a", 150, math.nan), ("g", 150, math.nan)] + [
+    (field, node, value) for field in "afg" for node in (0, 150, 300) for value in (math.inf, -math.inf)
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, node, value", CORRUPTIONS)
 def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, field, node, value):
-    # a[0] != 1 or a non-finite a has no inner g minimizer, and a non-finite a or g no electric charge
+    # a[0] != 1 or a non-finite a has no inner g minimizer, and a non-finite a or g no electric charge;
+    # an inf in any field fails rows without a numpy warning
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
     assert rep.converged and sd.run_suite(p, s).overall
@@ -84,9 +91,11 @@ def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, f
     assert not report.overall
     if field == "a":
         assert np.isnan(report["constraint-orthogonality"].measured)
-    if node == 0:
+    if value == 0.5:
         assert not report["boundary-values"].passed and report["boundary-values"].measured == 0.5
-    else:
+    elif node != 150:
+        assert not report["boundary-values"].passed and report["boundary-values"].measured == math.inf
+    if field != "f" and value != 0.5:
         assert np.isnan(report.observables.Qe)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, p, s)
