@@ -10,7 +10,6 @@ laws, and energy inequalities.
 
 from .errors import (
     DecayWindowError,
-    InternalSolveError,
     NumericError,
     ParameterError,
     RegionError,
@@ -59,7 +58,6 @@ __all__ = [
     "ActionBreakdown",
     "DecayWindowError",
     "FieldProfile",
-    "InternalSolveError",
     "LegRecord",
     "ModelParams",
     "NumericError",

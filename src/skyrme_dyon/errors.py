@@ -23,7 +23,3 @@ class TestFunctionError(SkyrmeDyonError, ValueError):
 
 class DecayWindowError(SkyrmeDyonError, RuntimeError):
     """The exponential-fit window is empty or too thin; enlarge the domain."""
-
-
-class InternalSolveError(SkyrmeDyonError, RuntimeError):
-    """A linear solve that is structurally guaranteed to succeed failed anyway."""

@@ -7,12 +7,13 @@ Nodes are r_i = R * m(i/N), i = 0..N, with the one-parameter mapping
 c = 0 degenerates to a uniform mesh; c = 1 (the default) gives spacing
 h(r) proportional to sqrt(s^2 + r^2) with core scale s = R/sinh(beta):
 a spacing floor near the origin, then near-geometric growth, so r/h stays
-bounded by ~N/beta everywhere.  Adjacent interval lengths never differ by
-more than a factor 1.2, which build_grid enforces.  The bounded r/h is
-what keeps the float-quantization floor of the residual evaluation
-(~ (r/h)^2 * ulp per node) a safe factor below the 1e-10 solver target at
-N ~ 2000; both much finer cores and much finer tails were measured to push
-that floor above target.
+bounded by ~N/beta everywhere.  Adjacent interval lengths differ by at
+most e^(beta/N) <= e^0.05 for N >= MIN_NODES (the most m' grows over one
+interval), inside the MAX_SPACING_RATIO that the tests assert.  The
+bounded r/h is what keeps the float-quantization floor of the residual
+evaluation (~ (r/h)^2 * ulp per node) a safe factor below the 1e-10
+solver target at N ~ 2000; both much finer cores and much finer tails
+were measured to push that floor above target.
 
 The grid holds the mesh data of the discrete model: interval lengths h,
 dual-cell (trapezoid) weights w and the half-node coefficients r_i*r_{i+1}
@@ -108,8 +109,7 @@ def _grading_map(xi: np.ndarray, cluster: float) -> np.ndarray:
 def build_grid(R: float, N: int, cluster: float = DEFAULT_CLUSTER) -> RadialGrid:
     """Build the graded mesh; cluster = 0 gives uniform spacing.
 
-    Raises ParameterError when R <= 0, N < 100, cluster outside [0, MAX_CLUSTER = 1],
-    or when the requested grading would break the 1.2 adjacent-spacing bound.
+    Raises ParameterError when R <= 0, N < 100 or cluster outside [0, MAX_CLUSTER = 1].
     """
     if not np.isfinite(R) or R <= 0.0:
         raise ParameterError(f"R must be positive and finite, got {R}")
@@ -122,12 +122,6 @@ def build_grid(R: float, N: int, cluster: float = DEFAULT_CLUSTER) -> RadialGrid
     r = R * _grading_map(xi, cluster)
     r[0] = 0.0
     r[-1] = R
-    h = np.diff(r)
-    ratio = np.max(np.maximum(h[1:] / h[:-1], h[:-1] / h[1:]))
-    if ratio > MAX_SPACING_RATIO * (1.0 + 1e-12):
-        raise ParameterError(
-            f"cluster={cluster} gives adjacent spacing ratio {ratio:.4f} > {MAX_SPACING_RATIO} at N={N}"
-        )
     return RadialGrid(r=r, R=float(R), N=N, grading=float(cluster))
 
 

@@ -8,8 +8,7 @@ equivalently the solution of the linear two-point problem
 (r^2 g')' = 2 a^2 g with g(0) = 0, g(R) = q.  The discrete system is the
 exact stationarity condition of the discrete E2: a symmetric positive
 definite tridiagonal M-matrix, solved directly with two rounds of
-iterative refinement; one LAPACK gttrf factorization serves all three
-gttrs solves.  Consequences used elsewhere:
+iterative refinement.  Consequences used elsewhere:
 
 * 0 <= g <= q nodewise and g nondecreasing (inverse positivity + the
   telescoped flux identity r^2 g' = integral_0^r 2 a^2 g);
@@ -22,14 +21,23 @@ The first half-node coefficient r_0*r_1 vanishes, so the solve never
 divides by r = 0 and the value g_0 = 0 is boundary data that the interior
 system does not even need, mirroring the fact that g(0) = 0 is forced
 rather than imposed in the continuum.
+
+_tridiagonal_solver, the package's one tridiagonal solver, factorizes once
+with LAPACK gttrf and returns a gttrs solve: one factorization serves the
+electric solve and its refinement rounds, and one per flow state each of
+the flow's two initial inverse Hessian systems.  Without row exchanges
+gttrf + gttrs do the eliminations of gtsv, which solve_banded calls, so
+the results are bitwise those of scipy.linalg.solve_banded((1, 1), ...).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_banded
 
-from .errors import InternalSolveError, NumericError, ParameterError, TestFunctionError
+from .errors import NumericError, ParameterError, TestFunctionError
 from .grid import RadialGrid
 from .model import ModelParams, e2_energy
 
@@ -41,6 +49,46 @@ def _tridiag_matvec(main, off, x):
     y[:-1] += off * x[1:]
     y[1:] += off * x[:-1]
     return y
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Raise ValueError, as scipy.linalg.solve_banded does, unless every entry is finite."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _raise_for_info(info: int, routine: str) -> None:
+    """Map a LAPACK info code to scipy.linalg.solve_banded's exceptions."""
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+
+
+def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factorize the tridiagonal matrix (sub-, main, super-diagonal) once; returns solve(b) -> x.
+
+    LAPACK gttrf/gttrs of the arrays' dtype, so complex-step input works;
+    scipy's gttrf wrapper rejects systems smaller than 3 x 3, which go
+    through scipy.linalg.solve_banded.  The arrays are not modified.
+    Raises as solve_banded does: ValueError on non-finite input (the
+    matrix here, b in solve), LinAlgError on an exactly singular matrix.
+    """
+    _require_finite(dl, d, du)
+    if d.size < 3:
+        ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
+        return lambda b: solve_banded((1, 1), ab, b)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+    *lu, info = gttrf(dl, d, du)
+    _raise_for_info(info, "gttrf")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        _require_finite(b)
+        x, info = gttrs(*lu, b)
+        _raise_for_info(info, "gttrs")
+        return x
+
+    return solve
 
 
 def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray:
@@ -69,27 +117,10 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     if not np.all(np.isfinite(main)):
         raise NumericError(f"non-finite electric-sector diagonal at node {int(np.flatnonzero(~np.isfinite(main))[0]) + 1}")
 
-    # one LU factorization serves the solve and both refinement rounds
-    if n >= 3:
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (main, rhs))
-        *lu, info = gttrf(off, main, off)
-        if info > 0:  # pragma: no cover - structurally excluded
-            raise InternalSolveError("electric-sector tridiagonal solve failed: singular matrix")
-
-        def solve(b):
-            return gttrs(*lu, b)[0]
-
-    else:  # scipy's gttrf wrapper rejects systems smaller than 3 x 3
-        ab = np.array([np.r_[0.0, off], main, np.r_[off, 0.0]])
-
-        def solve(b):
-            return solve_banded((1, 1), ab, b)
-
+    solve = _tridiagonal_solver(off, main, off)  # one factorization serves the solve and both refinement rounds
     g_int = solve(rhs)
     for _ in range(2):  # iterative refinement to near-lattice accuracy
         g_int += solve(rhs - _tridiag_matvec(main, off, g_int))
-    if not np.all(np.isfinite(g_int.real)):  # pragma: no cover - structurally excluded
-        raise InternalSolveError("electric-sector solve produced non-finite values")
 
     g = np.empty(grid.N + 1, dtype=dtype)
     g[0] = 0.0

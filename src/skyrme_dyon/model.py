@@ -70,7 +70,7 @@ __all__ = [
     "action_breakdown",
     "e2_energy",
     "residuals",
-    "PropertyCheck",
+    "CheckResult",
     "property_checks",
     "solution_properties_ok",
 ]
@@ -325,23 +325,28 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
     return res_a, res_f, res_g
 
 
-class PropertyCheck(NamedTuple):
-    """One pointwise-bound or strict-monotonicity check of a profile."""
+@dataclass(frozen=True)
+class CheckResult:
+    """One row of a check battery: the measured value, its threshold and whether it passed."""
 
     check_id: str
     anchor: str
-    measured: float  # largest violation; <= 0 when the check passes
+    measured: float
+    threshold: float
     passed: bool
-    node: int | None  # first offending node, None when the check passes
+    node: int | None = None  # first offending node for pointwise checks
 
 
-def _property_check(check_id: str, anchor: str, measured, ok: np.ndarray, first: int = 0) -> PropertyCheck:
-    """Row for the condition `ok`, evaluated at nodes first, first + 1, ..."""
+def _property_check(check_id: str, anchor: str, measured, ok: np.ndarray, first: int = 0) -> CheckResult:
+    """Row for the condition `ok`, evaluated at nodes first, first + 1, ...
+
+    measured is the largest violation, <= 0 when the check passes; the threshold is 0.
+    """
     bad = np.flatnonzero(~ok)
-    return PropertyCheck(check_id, anchor, float(measured), not bad.size, int(bad[0]) + first if bad.size else None)
+    return CheckResult(check_id, anchor, float(measured), 0.0, not bad.size, int(bad[0]) + first if bad.size else None)
 
 
-def property_checks(p: ModelParams, s: FieldProfile) -> list[PropertyCheck]:
+def property_checks(p: ModelParams, s: FieldProfile) -> list[CheckResult]:
     """Pointwise bounds and strict monotonicity a solution must satisfy.
 
     a > 0 and strictly decreasing; 0 < f < pi - omega and strictly

@@ -21,8 +21,9 @@ Two structurally different routes to the same discrete root:
   Jacobian; its initial inverse Hessian is the implicit flow step
   (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
   steps halve from 1 until J falls enough (Armijo).  Each state is
-  evaluated once (one sin f, one stencil, one action), and both
-  preconditioner systems are solved by LAPACK gtsv called directly.
+  evaluated once (one sin f, one stencil, one action), and each of the
+  two initial inverse Hessian systems is factorized once per state by
+  inner._tridiagonal_solver, the solver of the electric system.
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -51,11 +52,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
-from scipy.linalg.lapack import dgbsv, dgtsv
+from scipy.linalg.lapack import dgbsv
 
 from .errors import ParameterError
 from .grid import RadialGrid, grid_from_nodes
-from .inner import solve_inner_g
+from .inner import _raise_for_info, _require_finite, _tridiagonal_solver, solve_inner_g
 from .model import (
     ActionBreakdown,
     FieldProfile,
@@ -89,7 +90,7 @@ BACKTRACK_FACTOR = 0.5  # line-search step reduction
 MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
 FLOW_DT = 100.0  # time step of the implicit flow step that serves as the initial inverse Hessian
 LBFGS_MEMORY = 8  # (s, y) pairs kept by the flow's L-BFGS recursion
-FLOW_MAX_STEPS = 200_000  # flow step budget
+FLOW_MAX_STEPS = 1_000  # flow step budget; the 210-point region scan takes at most 25 steps
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
 COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
 
@@ -307,13 +308,9 @@ def _newton_step(work: np.ndarray, rvec: np.ndarray) -> np.ndarray:
     Raises as scipy.linalg.solve_banded does: ValueError on non-finite
     input, LinAlgError on an exactly singular factor.
     """
-    if not (np.isfinite(work).all() and np.isfinite(rvec).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    _require_finite(work, rvec)
     _, _, delta, info = dgbsv(4, 4, work, -rvec, overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    _raise_for_info(info, "gbsv")
     return delta
 
 
@@ -383,23 +380,6 @@ def newton_solve(
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0)
 
 
-def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system (sub-, main, super-diagonal) x = b with LAPACK gtsv.
-
-    All four arrays are overwritten.  Raises as scipy.linalg.solve_banded
-    does: ValueError on non-finite input, LinAlgError on an exactly
-    singular matrix.
-    """
-    if not (np.isfinite(dl).all() and np.isfinite(d).all() and np.isfinite(du).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
-
-
 def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
     """Positive parts of the diagonal reaction rates of the a- and f-equations."""
     react_a, react_f = _reaction_rates(p, st, s.a, s.g)
@@ -464,26 +444,27 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     J = action.L
     j_trace = [J]
     # grid-only parts of the operators: (hm*w, hp*w) below and above the
-    # diagonal, and the a-operator's diagonal K part
+    # diagonal, and the a-operator's off-diagonals and diagonal K part
     hm, hp = grid.h[:-1], grid.h[1:]
     w = grid.w[1:-1]
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     k_a = (1.0 / hm + 1.0 / hp) / w
     dt = FLOW_DT
     c = 8.0 * dt
+    lo_a, up_a = -c / hmw, -c / hpw
     n = grid.N - 1
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     x_prev = grad_prev = None
     accepted = 0
     message = ""
-    converged = False
-    norm = float("inf")
-    for _ in range(FLOW_MAX_STEPS):
+    while True:
         st = _stencil(grid, s.f, sin_f=sin_f)
         ra, rf, rg = residuals(p, s, stencil=st)
         norm = max(np.max(np.abs(ra)), np.max(np.abs(rf)), np.max(np.abs(rg)))
         if norm <= FLOW_TOL:
-            converged = True
+            break
+        if accepted == FLOW_MAX_STEPS:
+            message = f"flow step budget exhausted at residual {norm:.3e}"
             break
         x = np.concatenate((s.a[1:-1], s.f[1:-1]))
         grad = np.concatenate((-8.0 * w * ra, -w * rf))
@@ -502,10 +483,11 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
         off_f = -dt * coeff_f[1:-1]
 
+        solve_a = _tridiagonal_solver(lo_a, diag_a, up_a)
+        solve_f = _tridiagonal_solver(off_f / hmw, diag_f, off_f / hpw)
+
         def precond(v):
-            da = _tridiagonal_solve(-c / hmw, diag_a.copy(), -c / hpw, dt * v[:n] / w)
-            df = _tridiagonal_solve(off_f / hmw, diag_f.copy(), off_f / hpw, dt * v[n:] / w)
-            return np.concatenate((da, df))
+            return np.concatenate((solve_a(dt * v[:n] / w), solve_f(dt * v[n:] / w)))
 
         d = _lbfgs_direction(grad, memory, precond)
         slope = d @ grad
@@ -532,13 +514,11 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
                 j_trace.append(J)
                 accepted += 1
                 break
-            step *= 0.5
+            step *= BACKTRACK_FACTOR
         else:
             message = "flow step size underflow"
             break
-    else:
-        message = f"flow step budget exhausted at residual {norm:.3e}"
-    report = _report(p, s, converged, accepted, norm, action, "flow", message, t0)
+    report = _report(p, s, bool(norm <= FLOW_TOL), accepted, norm, action, "flow", message, t0)
     report.j_trace = j_trace
     return s, report
 

@@ -25,6 +25,7 @@ from .errors import NumericError, ParameterError
 from .grid import RadialGrid, build_grid
 from .inner import constraint_residual, solve_inner_g
 from .model import (
+    CheckResult,
     FieldProfile,
     ModelParams,
     _e1,
@@ -59,16 +60,6 @@ class Tolerances:
 
     residual: float = 1e-10
     seed: int = 42
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    anchor: str
-    measured: float
-    threshold: float
-    passed: bool
-    node: int | None = None  # first offending node for pointwise checks
 
 
 @dataclass
@@ -191,8 +182,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     )
     rep.add("boundary-values", "boundary-conditions", bc_defect, BOUNDARY_TOL)
 
-    for row in property_checks(p, s):
-        rep.add(row.check_id, row.anchor, row.measured, 0.0, row.passed, row.node)
+    rep.checks.extend(property_checks(p, s))
 
     try:
         act = action_breakdown(p, s)

@@ -469,6 +469,26 @@ def test_verify_rejects_a_mesh_without_interior_node(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,1,0,0", "1,0.5,0.4,0.05", "2,0,0.78539816339744828,0.1"],
+        ["0,1,0,0", "1,0.6,0.3,0.03", "2,0.3,0.6,0.07", "3,0,0.78539816339744828,0.1"],
+    ],
+    ids=["2-intervals", "3-intervals"],
+)
+def test_verify_solves_the_smallest_electric_systems(tmp_path, capsys, rows):
+    # 1 x 1 and 2 x 2 electric systems take the tridiagonal solver's small-system route; the CI writes the same files
+    n = len(rows) - 1
+    header = ["# omega=2.356194490192345", "# q=0.1", "# kappa=1", f"# R={n}", f"# N={n}", "# grading=none", "r,a,f,g"]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([*header, *rows]) + "\n")
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    report = dict(line.split(" ", 1) for line in out.splitlines())
+    assert report["constraint-orthogonality"].startswith("PASS ") and not err
+
+
 # --continuation-steps was deleted from solve; a stale script passing it to sweep must still exit config
 @pytest.mark.parametrize("option", [["--continuation-steps", "3"], ["--seed", "7"]])
 def test_sweep_rejects_solve_only_options(tmp_path, option):

@@ -3,6 +3,7 @@ import pytest
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import NumericError, ParameterError
+from skyrme_dyon.grid import MAX_SPACING_RATIO
 
 
 def test_uniform_grading_degenerates_to_equal_spacing():
@@ -16,11 +17,12 @@ def test_default_grading_puts_at_least_ten_percent_of_nodes_in_the_core():
 
 
 def test_spacing_ratio_bounded():
-    for cluster in (0.0, 0.5, 1.0):
-        for N in (100, 400):
+    # build_grid does not check the ratio: for N >= MIN_NODES it is at most e^(beta/N) <= e^0.05
+    for cluster in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for N in (100, 101, 400):
             g = sd.build_grid(60.0, N, cluster=cluster)
             ratios = g.h[1:] / g.h[:-1]
-            assert np.max(np.maximum(ratios, 1.0 / ratios)) <= 1.2
+            assert np.max(np.maximum(ratios, 1.0 / ratios)) <= MAX_SPACING_RATIO
 
 
 def test_build_grid_rejects_bad_parameters():

@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 import skyrme_dyon as sd
 from skyrme_dyon import solver
 from skyrme_dyon.errors import ParameterError, RegionError
+from skyrme_dyon.inner import _tridiagonal_solver
 from skyrme_dyon.model import _stencil
 from skyrme_dyon.solver import (
     _band_workspace,
@@ -14,7 +15,6 @@ from skyrme_dyon.solver import (
     _newton_step,
     _pack,
     _residual_vector,
-    _tridiagonal_solve,
     _unpack,
 )
 
@@ -567,12 +567,12 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
     hm, hp, w = g.h[:-1], g.h[1:], g.w[1:-1]
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     c = 8.0 * dt
-    da = _tridiagonal_solve(-c / hmw, 1.0 + c * ((1.0 / hm + 1.0 / hp) / w + react_a), -c / hpw, c * ra)
+    da = _tridiagonal_solver(-c / hmw, 1.0 + c * ((1.0 / hm + 1.0 / hp) / w + react_a), -c / hpw)(c * ra)
     a_sin = s.a * st.sin
     coeff_f = g.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
     off_f = -dt * coeff_f[1:-1]
     diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
-    df = _tridiagonal_solve(off_f / hmw, diag_f, off_f / hpw, dt * rf)
+    df = _tridiagonal_solver(off_f / hmw, diag_f, off_f / hpw)(dt * rf)
     step = np.concatenate((da, df))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
 
@@ -602,23 +602,44 @@ def test_flow_converges_in_few_steps_at_the_benchmark_points(solved_points, solv
         assert np.all(np.diff(jt) <= 1e-12 * (1.0 + np.abs(jt[:-1])))
 
 
-def _tridiagonal_system(rng, n=50):
-    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
-    d = 4.0 + rng.random(n)
-    return dl, d, du, rng.standard_normal(n)
+def test_flow_reports_an_exhausted_step_budget(monkeypatch, grid_small):
+    monkeypatch.setattr(solver, "FLOW_MAX_STEPS", 2)
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.flow_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert not rep.converged and rep.iterations == 2
+    # the residual is that of the returned profile, after the last accepted step
+    assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
+    assert rep.message == f"flow step budget exhausted at residual {rep.final_residual_norm:.3e}"
+
+
+def _tridiagonal_system(rng, n, dtype=float):
+    """Sub-, main and super-diagonal and right-hand side; the matrix is diagonally dominant, so no rows are exchanged."""
+    dl, d, du, b = (rng.standard_normal(m).astype(dtype) for m in (n - 1, n, n - 1, n))
+    if dtype is complex:
+        for x in (dl, d, du, b):
+            x.imag = rng.standard_normal(x.size)
+    d += 12.0
+    return dl, d, du, b
 
 
 def _banded(dl, d, du):
-    ab = np.zeros((3, d.size))
+    ab = np.zeros((3, d.size), dtype=d.dtype)
     ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
     return ab
 
 
 def test_tridiagonal_solve_is_bitwise_solve_banded(rng):
-    dl, d, du, b = _tridiagonal_system(rng)
-    ab = _banded(dl, d, du)
-    x = _tridiagonal_solve(dl.copy(), d.copy(), du.copy(), b.copy())
-    assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    # gttrf + gttrs from 3 x 3 up, solve_banded's own route below
+    for n in (1, 2, 3, 300):
+        for dtype in (float, complex):
+            dl, d, du, b = _tridiagonal_system(rng, n, dtype)
+            copies = [x.copy() for x in (dl, d, du, b)]
+            solve = _tridiagonal_solver(dl, d, du)
+            x = solve(b)
+            ref = solve_banded((1, 1), _banded(dl, d, du), b)
+            assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+            assert solve(b).tobytes() == x.tobytes()  # the factors are reused unchanged
+            assert all(np.array_equal(u, v) for u, v in zip((dl, d, du, b), copies))
 
 
 @pytest.mark.parametrize(
@@ -630,14 +651,16 @@ def test_tridiagonal_solve_is_bitwise_solve_banded(rng):
     ],
 )
 def test_tridiagonal_solve_raises_as_solve_banded(rng, spoil, error, reason):
-    dl, d, du, b = _tridiagonal_system(rng)
-    if spoil == "nan":
-        d[3] = np.nan
-    elif spoil == "inf-rhs":
-        b[-1] = np.inf
-    else:  # an exactly singular system
-        dl[:], d[:], du[:] = 0.0, 0.0, 0.0
-    with pytest.raises(error, match=reason):
-        solve_banded((1, 1), _banded(dl, d, du), b)
-    with pytest.raises(error, match=reason):
-        _tridiagonal_solve(dl, d, du, b)
+    # a 1 x 1 zero matrix is left out: solve_banded divides by it
+    for n in (1, 2, 3, 300) if spoil != "zero" else (2, 3, 300):
+        dl, d, du, b = _tridiagonal_system(rng, n)
+        if spoil == "nan":
+            d[n // 2] = np.nan
+        elif spoil == "inf-rhs":
+            b[-1] = np.inf
+        else:  # an exactly singular system
+            dl[:], d[:], du[:] = 0.0, 0.0, 0.0
+        with pytest.raises(error, match=reason):
+            solve_banded((1, 1), _banded(dl, d, du), b)
+        with pytest.raises(error, match=reason):
+            _tridiagonal_solver(dl, d, du)(b)
