@@ -159,7 +159,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 def run_table(args: argparse.Namespace) -> int:
     omegas = np.asarray(args.omegas)
-    if omegas.size == 0 or np.any(omegas < 0.0) or np.any(omegas > math.pi):
+    if omegas.size == 0 or not np.all((omegas >= 0.0) & (omegas <= math.pi)):  # NaN fails both comparisons
         raise SkyrmeDyonError(f"omega grid must be nonempty and inside [0, pi], got {omegas}")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,9 @@ For fixed a, the electric potential g is the unique minimizer of
 equivalently the solution of the linear two-point problem
 (r^2 g')' = 2 a^2 g with g(0) = 0, g(R) = q.  The discrete system is the
 exact stationarity condition of the discrete E2: a symmetric positive
-definite tridiagonal M-matrix, solved directly with two rounds of
-iterative refinement.  Consequences used elsewhere:
+definite tridiagonal M-matrix, solved directly by one factorization and
+one solve (elimination without row exchanges is componentwise backward
+stable on it).  Consequences used elsewhere:
 
 * 0 <= g <= q nodewise and g nondecreasing (inverse positivity + the
   telescoped flux identity r^2 g' = integral_0^r 2 a^2 g);
@@ -23,11 +24,11 @@ system does not even need, mirroring the fact that g(0) = 0 is forced
 rather than imposed in the continuum.
 
 _tridiagonal_solver, the package's one tridiagonal solver, factorizes once
-with LAPACK gttrf and returns a gttrs solve: one factorization serves the
-electric solve and its refinement rounds, and one per flow state each of
-the flow's two initial inverse Hessian systems.  Without row exchanges
-gttrf + gttrs do the eliminations of gtsv, which solve_banded calls, so
-the results are bitwise those of scipy.linalg.solve_banded((1, 1), ...).
+with LAPACK gttrf and returns a gttrs solve: it serves the electric solve
+and, once per flow state, each of the flow's two initial inverse Hessian
+systems.  Without row exchanges gttrf + gttrs do the eliminations of
+gtsv, which solve_banded calls, so the results are bitwise those of
+scipy.linalg.solve_banded((1, 1), ...).
 """
 
 from __future__ import annotations
@@ -39,16 +40,9 @@ from scipy.linalg import get_lapack_funcs, solve_banded
 
 from .errors import NumericError, ParameterError, TestFunctionError
 from .grid import RadialGrid
-from .model import ModelParams, e2_energy
+from .model import ModelParams, _e2_form, e2_energy
 
 __all__ = ["solve_inner_g", "constraint_residual"]
-
-
-def _tridiag_matvec(main, off, x):
-    y = main * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -117,14 +111,9 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     if not np.all(np.isfinite(main)):
         raise NumericError(f"non-finite electric-sector diagonal at node {int(np.flatnonzero(~np.isfinite(main))[0]) + 1}")
 
-    solve = _tridiagonal_solver(off, main, off)  # one factorization serves the solve and both refinement rounds
-    g_int = solve(rhs)
-    for _ in range(2):  # iterative refinement to near-lattice accuracy
-        g_int += solve(rhs - _tridiag_matvec(main, off, g_int))
-
     g = np.empty(grid.N + 1, dtype=dtype)
     g[0] = 0.0
-    g[1:-1] = g_int
+    g[1:-1] = _tridiagonal_solver(off, main, off)(rhs)
     g[-1] = p.q
     return g
 
@@ -146,8 +135,4 @@ def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.nd
         raise TestFunctionError(f"test function must vanish at r = R, got G[-1]={G[-1]!r}")
     if not np.isfinite(e2_energy(grid, a, G)):
         raise NumericError("test function has non-finite energy E2(a, G)")
-    dg = np.diff(g) / grid.h
-    dG = np.diff(G) / grid.h
-    gradient_part = np.dot(grid.p_half * dg * dG, grid.h)
-    mass_part = np.dot(2.0 * a * a * g * G, grid.w)
-    return float(gradient_part + mass_part)
+    return float(_e2_form(grid, a, g, G))

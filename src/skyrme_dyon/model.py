@@ -36,7 +36,8 @@ this identity, so any change here must keep the action terms and the
 residuals in exact correspondence.
 
 _e1 sums _interval_e1/_nodal_e1 for E1 and for the verify battery's
-coercive bound, and e2_energy is the one sum of E2.  _stencil and
+coercive bound, and _e2_form sums E2's bilinear form for e2_energy (its
+diagonal) and for the electric constraint residual.  _stencil and
 _reaction_rates serve the residuals, the Newton Jacobian and the flow
 preconditioner; _stencil's f'^2 average _qbar also serves the decay fit
 and the source of the f tail.  residuals takes an optional precomputed
@@ -181,16 +182,20 @@ def _e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f, mass):
     return np.dot(_interval_e1(p, grid, a, f, r2_coeff, sin_f), grid.h) + np.dot(_nodal_e1(p, grid, a, sin_f, mass), grid.w)
 
 
-def _e2_terms(grid: RadialGrid, a, g):
-    """Per-interval part r^2 g'^2 and per-node part 2 a^2 g^2 of e2."""
-    dg = np.diff(g) / grid.h
-    return grid.p_half * dg * dg, 2.0 * a * a * g * g
+def _e2_terms(grid: RadialGrid, a, g, G):
+    """Per-interval part r^2 g' G' and per-node part 2 a^2 g G of E2's bilinear form."""
+    return grid.p_half * (np.diff(g) / grid.h) * (np.diff(G) / grid.h), 2.0 * a * a * g * G
+
+
+def _e2_form(grid: RadialGrid, a, g, G):
+    """Discrete bilinear form of E2: interval terms times h plus node terms times w."""
+    interval, nodal = _e2_terms(grid, a, g, G)
+    return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
 
 
 def e2_energy(grid: RadialGrid, a, g):
-    """Discrete E2(a, g) = sum over intervals + nodes; kappa-independent."""
-    interval, nodal = _e2_terms(grid, a, g)
-    return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
+    """Discrete E2(a, g), the diagonal of _e2_form; kappa-independent."""
+    return _e2_form(grid, a, g, g)
 
 
 def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBreakdown:
@@ -207,7 +212,7 @@ def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBr
     E2 = float(e2_energy(grid, a, s.g))
     if not (math.isfinite(E1) and math.isfinite(E2)):
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
-        interval_e2, nodal_e2 = _e2_terms(grid, a, s.g)
+        interval_e2, nodal_e2 = _e2_terms(grid, a, s.g, s.g)
         terms = np.empty(2 * grid.N + 1)
         terms[0::2] = _nodal_e1(p, grid, a, sin_f, mass) + nodal_e2
         terms[1::2] = _interval_e1(p, grid, a, f, 0.5, sin_f) + interval_e2

@@ -329,13 +329,15 @@ def _report(
     return SolveReport(converged, iterations, float(norm), action, path, properties_ok=props_ok, message=message, wall_time=wall_time)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def newton_solve(
     p: ModelParams, grid: RadialGrid, guess: FieldProfile, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
     """Damped Newton on the stacked interior residuals.
 
-    Returns the last iterate and a report; line-search stalls and Jacobian
-    factorization failures produce a non-converged report, never a crash.
+    Returns the last iterate and a report; a non-finite starting residual,
+    line-search stalls and Jacobian factorization failures produce a
+    non-converged report, never a crash or a numpy warning.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -345,7 +347,7 @@ def newton_solve(
     rvec, norm = _residual_vector(p, s)
     work = _band_workspace(grid)
     iters = 0
-    message = ""
+    message = "" if np.isfinite(norm) else f"non-finite residual ({norm}) at the starting profile"
     while norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
         _jacobian_banded(p, s, work)
         try:

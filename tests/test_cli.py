@@ -290,8 +290,11 @@ def test_table_reference_values(tmp_path):
         assert len(dat) == 3 and all(len(line.split()) == 2 for line in dat)
 
 
-def test_table_invalid_range(tmp_path):
-    assert main(["table", "--omegas", "1.5pi", "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("omega", ["1.5pi", "-0.1", "nan"])
+def test_table_invalid_range(tmp_path, omega):
+    out = tmp_path / "table"
+    assert main(["table", "--omegas", omega, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_verify_command_on_stored_profile(tmp_path):

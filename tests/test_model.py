@@ -97,6 +97,12 @@ def test_density_e2_examples():
     assert e2_energy(g, zeros, np.full(g.N + 1, p.q)) == 0.0
     # integral of (q/R)^2 r^2 + 2 (q r/R)^2 over [0, R] is q^2 R
     assert e2_energy(g, ones, p.q * g.r / g.R) == pytest.approx(p.q**2 * g.R, rel=1e-4)
+    # the constraint residual sums the same bilinear form: on its diagonal it is
+    # E2 bit for bit, and it is symmetric in (g, G) up to rounding
+    a = 1.0 / (1.0 + g.r**2)
+    gv, G = np.sin(np.pi * g.r / g.R), g.r * (g.R - g.r) / g.R**2
+    assert sd.constraint_residual(g, a, gv, gv) == e2_energy(g, a, gv)
+    assert sd.constraint_residual(g, a, gv, G) == pytest.approx(sd.constraint_residual(g, a, G, gv), rel=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -113,7 +119,7 @@ def test_densities_nonnegative(seed, kappa):
     s.a[0] = 1.0
     s.f[0] = 0.0
     p = sd.ModelParams(OMEGA, 0.2, kappa, 0.35)
-    for terms in e1_terms(p, s) + _e2_terms(g, s.a, s.g):
+    for terms in e1_terms(p, s) + _e2_terms(g, s.a, s.g, s.g):
         assert np.all(terms >= 0.0)
     assert e2_energy(g, s.a, s.g) >= 0.0
 
@@ -178,7 +184,7 @@ def test_action_matches_trapezoid_of_nodal_densities(solved_points):
             return float(np.sum(0.5 * (density[:-1] + density[1:]) * grid.h))
 
         E1 = trapezoid_of_nodal_density(*e1_terms(p, s))
-        E2 = trapezoid_of_nodal_density(*_e2_terms(grid, s.a, s.g))
+        E2 = trapezoid_of_nodal_density(*_e2_terms(grid, s.a, s.g, s.g))
         act = sd.action_breakdown(p, s)
         for got, want in ((act.E1, E1), (act.E2, E2), (act.L, E1 - E2), (act.E, E1 + E2)):
             assert abs(got - want) <= 1e-14 * (1.0 + abs(want))

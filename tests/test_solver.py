@@ -87,6 +87,27 @@ def test_newton_failure_is_reported_not_raised(monkeypatch):
     assert rep.message == f"iteration budget of 1 exhausted at residual {rep.final_residual_norm:.3e}"
 
 
+def test_newton_names_a_non_finite_start():
+    g = sd.build_grid(30.0, 300)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, g)
+    guess.f[150] = np.nan
+    _, rep = sd.newton_solve(p, g, guess)
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.message == "non-finite residual (nan) at the starting profile"
+
+
+def test_newton_on_a_degenerate_grid_is_reported_without_warnings():
+    # r^2 underflows on this grid; the run must end in a report, and the
+    # suite turns any numpy RuntimeWarning into an error
+    g = sd.build_grid(1e-300, 100)
+    p = sd.validate_params(OMEGA, 0.0, 1.0)
+    _, rep = sd.newton_solve(p, g, sd.initial_guess(p, g))
+    assert not rep.converged
+    assert rep.message.startswith("non-finite residual")
+
+
 def test_jacobian_matches_finite_differences(rng):
     g = sd.build_grid(40.0, 400)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
