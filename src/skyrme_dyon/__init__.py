@@ -16,7 +16,7 @@ from .errors import (
     SkyrmeDyonError,
     TestFunctionError,
 )
-from .grid import RadialGrid, build_grid, grid_from_nodes
+from .grid import RadialGrid, build_grid
 from .inner import constraint_residual, solve_inner_g
 from .model import (
     ActionBreakdown,
@@ -50,7 +50,7 @@ from .solver import (
     newton_solve,
     warm_start,
 )
-from .verify import RefinementReport, Tolerances, VerifyReport, refinement_study, run_suite
+from .verify import Tolerances, VerifyReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "ObservableReport",
     "ParameterError",
     "RadialGrid",
-    "RefinementReport",
     "RegionError",
     "SkyrmeDyonError",
     "SolveConfig",
@@ -83,11 +82,9 @@ __all__ = [
     "fit_decay_rate",
     "flow_solve",
     "gamma_theory",
-    "grid_from_nodes",
     "initial_guess",
     "newton_solve",
     "observables",
-    "refinement_study",
     "residuals",
     "run_suite",
     "skyrme_charge_closed",

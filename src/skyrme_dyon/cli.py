@@ -42,11 +42,11 @@ EXIT_VERIFY_FAILED = 3
 
 
 def parse_angle(token: str) -> float:
-    """Parse '0.75pi' or plain radians like '2.356'."""
+    """Parse '0.75pi', '-pi' or plain radians like '2.356'."""
     token = token.strip().lower()
     if token.endswith("pi"):
         prefix = token[:-2]
-        return (float(prefix) if prefix else 1.0) * math.pi
+        return float(prefix + "1" if prefix in ("", "+", "-") else prefix) * math.pi
     return float(token)
 
 

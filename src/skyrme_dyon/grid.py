@@ -15,6 +15,9 @@ evaluation (~ (r/h)^2 * ulp per node) a safe factor below the 1e-10
 solver target at N ~ 2000; both much finer cores and much finer tails
 were measured to push that floor above target.
 
+A RadialGrid is its nodes: R and N are read from them, and its constructor
+holds every node check; build_grid makes the graded nodes.
+
 The grid holds the mesh data of the discrete model: interval lengths h,
 dual-cell (trapezoid) weights w and the half-node coefficients r_i*r_{i+1}
 of (r^2 u')'.  model.py writes out the stencils; its conservative flux form
@@ -40,13 +43,13 @@ GEOMETRIC_RATE = 5.0
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Immutable graded mesh with derived stencil/quadrature data.
+    """Immutable graded mesh: its nodes and the stencil/quadrature data derived from them.
 
-    r        nodes r_0 = 0 < r_1 < ... < r_N = R
-    R        outer truncation radius
-    N        number of intervals, at least 2 (N+1 nodes, N-1 interior nodes)
+    r        nodes r_0 = 0 < r_1 < ... < r_N = R, at least 3 of them
     grading  cluster parameter c of the sinh map, or None for grids
-             rebuilt from explicit nodes
+             read from explicit nodes
+    R        outer truncation radius, the last node
+    N        number of intervals, at least 2 (N+1 nodes, N-1 interior nodes)
     h        interval lengths, h_i = r_{i+1} - r_i
     w        dual-cell (trapezoid) weights: w_0 = h_0/2, w_N = h_{N-1}/2,
              w_i = (h_{i-1} + h_i)/2 otherwise
@@ -54,29 +57,35 @@ class RadialGrid:
     """
 
     r: np.ndarray
-    R: float
-    N: int
-    grading: float | None
+    grading: float | None = None
+    R: float = field(init=False)
+    N: int = field(init=False)
     h: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
     p_half: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size != self.N + 1:
-            raise ParameterError(f"node array must have N+1 = {self.N + 1} entries, got {r.size}")
-        if self.N < 2:
-            raise ParameterError(f"a mesh needs at least 2 intervals (one interior node), got N={self.N}")
+        if r.ndim != 1:
+            raise ParameterError(f"nodes must be a 1-D array, got shape {r.shape}")
+        if r.size < 3:
+            raise ParameterError(f"a mesh needs at least 2 intervals (one interior node), got {r.size} nodes")
         if r[0] != 0.0:
-            raise ParameterError(f"first node must be 0, got {r[0]!r}")
+            raise ParameterError(f"first node must be 0, got {float(r[0])}")
+        # a NaN anywhere or an infinite inner node breaks the increase below; only an infinite R passes it
+        if not np.isfinite(r[-1]):
+            raise ParameterError(f"last node must be finite, got {float(r[-1])}")
         h = np.diff(r)
         if not np.all(h > 0.0):
             raise ParameterError("nodes must be strictly increasing")
-        w = np.empty(self.N + 1)
+        N = r.size - 1
+        w = np.empty(N + 1)
         w[0] = 0.5 * h[0]
         w[-1] = 0.5 * h[-1]
         w[1:-1] = 0.5 * (h[:-1] + h[1:])
         p_half = r[:-1] * r[1:]
+        object.__setattr__(self, "R", float(r[-1]))
+        object.__setattr__(self, "N", N)
         for name, arr in (("r", r), ("h", h), ("w", w), ("p_half", p_half)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -90,16 +99,6 @@ class RadialGrid:
         if np.any(bad):
             raise NumericError(f"non-finite integrand at node {int(np.flatnonzero(bad)[0])}")
         return float(np.dot(values, self.w))
-
-    def refine(self) -> "RadialGrid":
-        """Same R and grading with 2N intervals; parent nodes are a subset."""
-        if self.grading is not None:
-            return build_grid(self.R, 2 * self.N, cluster=self.grading)
-        mid = 0.5 * (self.r[:-1] + self.r[1:])
-        nodes = np.empty(2 * self.N + 1)
-        nodes[0::2] = self.r
-        nodes[1::2] = mid
-        return RadialGrid(r=nodes, R=self.R, N=2 * self.N, grading=None)
 
 
 def _grading_map(xi: np.ndarray, cluster: float) -> np.ndarray:
@@ -122,10 +121,5 @@ def build_grid(R: float, N: int, cluster: float = DEFAULT_CLUSTER) -> RadialGrid
     r = R * _grading_map(xi, cluster)
     r[0] = 0.0
     r[-1] = R
-    return RadialGrid(r=r, R=float(R), N=N, grading=float(cluster))
+    return RadialGrid(r, grading=float(cluster))
 
-
-def grid_from_nodes(r: np.ndarray, grading: float | None = None) -> RadialGrid:
-    """Rebuild a grid from explicit nodes (profile files round-trip through this)."""
-    r = np.asarray(r, dtype=float)
-    return RadialGrid(r=r, R=float(r[-1]), N=r.size - 1, grading=grading)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .grid import grid_from_nodes
+from .grid import RadialGrid
 from .model import FieldProfile, ModelParams, validate_params
 
 __all__ = ["write_profile_csv", "read_profile_csv", "write_summary_csv", "SUMMARY_COLUMNS"]
@@ -228,7 +228,7 @@ def _format_rows(table: np.ndarray) -> bytes:
 
 
 def _parse_rows(path: str | Path, text: list[str], start: int) -> np.ndarray:
-    """The data rows text[start:] as an (n, columns) array; (0, 0) when there are none.
+    """The data rows text[start:] as an (n, columns) array; (0, 4) when there are none.
 
     A failed parse is re-read line by line only to name the first
     unreadable line; when every line reads alone, the rows disagree on
@@ -236,7 +236,7 @@ def _parse_rows(path: str | Path, text: list[str], start: int) -> np.ndarray:
     """
     rows = text[start:]
     if not rows:
-        return np.empty((0, 0))
+        return np.empty((0, 4))  # the row count check names a file without rows
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -281,14 +281,12 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     n_expected = header["N"] + 1
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")
-    if header["R"] != data[-1, 0]:
-        raise ParameterError(
-            f"profile file {path} line {header_line['R']} says R={header['R']:.17g}, but the last node is r={data[-1, 0]:.17g}"
-        )
     try:
-        grid = grid_from_nodes(data[:, 0], grading=header["grading"])
+        grid = RadialGrid(data[:, 0], grading=header["grading"])
     except ParameterError as exc:
         raise ParameterError(f"profile file {path}: {exc}") from None
+    if header["R"] != grid.R:
+        raise ParameterError(f"profile file {path} line {header_line['R']} says R={header['R']:.17g}, but the last node is r={grid.R:.17g}")
     p = validate_params(header["omega"], header["q"], header["kappa"])
     s = FieldProfile(grid, data[:, 1].copy(), data[:, 2].copy(), data[:, 3].copy())
     return p, s

@@ -55,7 +55,7 @@ from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps
 from scipy.linalg.lapack import dgbsv
 
 from .errors import ParameterError
-from .grid import RadialGrid, grid_from_nodes
+from .grid import RadialGrid
 from .inner import _raise_for_info, _require_finite, _tridiagonal_solver, solve_inner_g
 from .model import (
     ActionBreakdown,
@@ -567,7 +567,7 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     k = 1
     while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
         k *= 2
-    return grid if k == 1 else grid_from_nodes(grid.r[::k], grading=grid.grading)
+    return grid if k == 1 else RadialGrid(grid.r[::k], grading=grid.grading)
 
 
 def continuation_solve(

@@ -1,4 +1,4 @@
-"""Property battery for solved profiles and the mesh-refinement study.
+"""Property battery for solved profiles.
 
 run_suite executes every analytic property the solution must satisfy and
 returns a structured report: one line per check with a measured value, a
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .grid import RadialGrid, build_grid
+from .grid import RadialGrid
 from .inner import constraint_residual, solve_inner_g
 from .model import (
     CheckResult,
@@ -34,11 +34,11 @@ from .model import (
     property_checks,
     residuals,
 )
-from .observables import ObservableReport, electric_charge, observables, skyrme_charge_numeric
-from .observables import fit_decay_rate, tail_constants  # noqa: F401 - perfbench/tracing.py wraps these on verify
-from .solver import SolveConfig, continuation_solve
+from .observables import ObservableReport, observables
+# perfbench/tracing.py wraps these on verify
+from .observables import electric_charge, fit_decay_rate, skyrme_charge_numeric, tail_constants  # noqa: F401
 
-__all__ = ["Tolerances", "CheckResult", "VerifyReport", "run_suite", "refinement_study", "RefinementReport"]
+__all__ = ["Tolerances", "CheckResult", "VerifyReport", "run_suite"]
 
 
 BOUNDARY_TOL = 1e-12
@@ -244,83 +244,3 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     rep.add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
     return rep
 
-
-@dataclass
-class RefinementReport:
-    """Mesh-refinement study: observables per level plus convergence estimates."""
-
-    Ns: list[int]
-    converged: list[bool]
-    Qe: list[float]
-    QS: list[float]
-    E: list[float]
-    dQe_rel_finest: float
-    order_E: float
-    R_values: tuple[float, float]
-    dQe_rel_R: float
-    complete: bool
-
-    def format(self) -> str:
-        lines = ["N converged Qe QS E"]
-        for N, c, qe, qs, e in zip(self.Ns, self.converged, self.Qe, self.QS, self.E):
-            lines.append(f"{N} {'yes' if c else 'no'} {qe:.12g} {qs:.12g} {e:.12g}")
-        lines.append(f"dQe_rel_finest {self.dQe_rel_finest:.6g}")
-        lines.append(f"order_E {self.order_E:.6g}")
-        lines.append(f"R_extension {self.R_values[0]:g} {self.R_values[1]:g} dQe_rel {self.dQe_rel_R:.6g}")
-        lines.append(f"complete {'yes' if self.complete else 'no'}")
-        return "\n".join(lines) + "\n"
-
-
-def refinement_study(
-    p: ModelParams,
-    base_grid: RadialGrid,
-    cfg: SolveConfig | None = None,
-    levels: int = 3,
-) -> RefinementReport:
-    """Solve on doubled meshes (and a stretched domain) and report Cauchy differences.
-
-    Levels run N, 2N, 4N, ... at fixed R; a final solve at 1.5 R probes the
-    domain-truncation error.  The convergence order is estimated from the
-    energy differences of the last three levels (expected close to 2).
-    """
-    if levels < 2:
-        raise ParameterError(f"refinement study needs at least 2 levels, got {levels}")
-    cfg = cfg or SolveConfig()
-    grading = base_grid.grading if base_grid.grading is not None else 0.0
-    Ns, conv, qe, qs, en = [], [], [], [], []
-    grid = base_grid
-    for level in range(levels):
-        if level > 0:
-            grid = grid.refine()
-        sol, rep = continuation_solve(p, grid, cfg)
-        Ns.append(grid.N)
-        conv.append(bool(rep.converged))
-        qe.append(electric_charge(sol) if rep.converged else float("nan"))
-        qs.append(skyrme_charge_numeric(sol) if rep.converged else float("nan"))
-        en.append(rep.action.E if rep.converged and rep.action else float("nan"))
-
-    dqe = abs(qe[-1] - qe[-2]) / abs(qe[-1]) if np.isfinite(qe[-1]) and qe[-1] != 0.0 else float("nan")
-    if levels >= 3 and all(np.isfinite(en[-3:])):
-        num = abs(en[-3] - en[-2])
-        den = abs(en[-2] - en[-1])
-        order = math.log2(num / den) if den > 0.0 else float("nan")
-    else:
-        order = float("nan")
-
-    grid_R = build_grid(1.5 * base_grid.R, Ns[-1], cluster=grading)
-    sol_R, rep_R = continuation_solve(p, grid_R, cfg)
-    qe_R = electric_charge(sol_R) if rep_R.converged else float("nan")
-    dqe_R = abs(qe_R - qe[-1]) / abs(qe[-1]) if np.isfinite(qe_R) and np.isfinite(qe[-1]) and qe[-1] != 0.0 else float("nan")
-
-    return RefinementReport(
-        Ns=Ns,
-        converged=conv,
-        Qe=qe,
-        QS=qs,
-        E=en,
-        dQe_rel_finest=float(dqe),
-        order_E=float(order),
-        R_values=(base_grid.R, 1.5 * base_grid.R),
-        dQe_rel_R=float(dqe_R),
-        complete=bool(all(conv) and rep_R.converged),
-    )

@@ -125,14 +125,21 @@ def test_criterion_07_inner_solve_exactness(grid60):
 
 
 def test_criterion_08_refinement_convergence():
+    # three doubled meshes at R = 60, then a solve on the finest N at 1.5 R probes the domain
     p = sd.validate_params(OMEGA, 0.3, 1.0)
-    base = sd.build_grid(60.0, 500)
-    rep = sd.refinement_study(p, base, levels=3)
-    passed = rep.complete and rep.dQe_rel_finest <= 0.005 and 1.7 <= rep.order_E <= 2.3
+    Ns = [500, 1000, 2000]
+    runs = [sd.continuation_solve(p, sd.build_grid(60.0, N)) for N in Ns]
+    _, probe = sd.continuation_solve(p, sd.build_grid(90.0, Ns[-1]))
+    complete = probe.converged and all(rep.converged for _, rep in runs)
+    qe = [sd.electric_charge(s) for s, _ in runs]
+    e = [rep.action.E if rep.action else math.nan for _, rep in runs]  # a level without an action fails as NaN
+    dqe = abs(qe[2] - qe[1]) / abs(qe[2])
+    order = math.log2(abs(e[0] - e[1]) / abs(e[1] - e[2]))
+    passed = complete and dqe <= 0.005 and 1.7 <= order <= 2.3
     _report(
         "08 refinement-convergence",
         passed,
-        f"N={rep.Ns}, finest dQe = {rep.dQe_rel_finest:.3e} (tol 5e-3), order(E) = {rep.order_E:.3f} (in [1.7, 2.3])",
+        f"N={Ns}, finest dQe = {dqe:.3e} (tol 5e-3), order(E) = {order:.3f} (in [1.7, 2.3])",
     )
 
 

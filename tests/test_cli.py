@@ -18,6 +18,10 @@ def test_parse_angle():
     assert parse_angle("pi") == pytest.approx(math.pi)
     assert parse_angle("2.356") == pytest.approx(2.356)
     assert parse_angle(" 0.5PI ") == pytest.approx(0.5 * math.pi)
+    assert parse_angle("-pi") == -math.pi
+    assert parse_angle("+pi") == math.pi
+    assert parse_angle("-0.5pi") == -0.5 * math.pi
+    assert cli.angle_list("+pi,-pi") == [math.pi, -math.pi]  # a --omegas or --sweep-values list
 
 
 def test_solve_end_to_end(tmp_path):
@@ -325,7 +329,7 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
 def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
     grid = sd.build_grid(60.0, 1000)
     if rebuilt:  # a grid read back from a file, grading None
-        grid = sd.grid_from_nodes(grid.r[::2].copy())
+        grid = sd.RadialGrid(grid.r[::2].copy())
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
     s = sd.initial_guess(p, grid)
     s.a[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)  # full-length mantissas
@@ -349,7 +353,7 @@ cells = st.lists(st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS), min_
 @given(a=cells, f=cells, g=cells)
 @example(a=(EDGE_FLOATS * 3)[: ROUNDTRIP_NODES + 1], f=(EDGE_FLOATS[::-1] * 3)[: ROUNDTRIP_NODES + 1], g=[math.nan] * (ROUNDTRIP_NODES + 1))
 def test_profile_csv_roundtrip_is_bitwise_for_any_float(tmp_path_factory, a, f, g):
-    grid = sd.grid_from_nodes(np.linspace(0.0, 3.0, ROUNDTRIP_NODES + 1))
+    grid = sd.RadialGrid(np.linspace(0.0, 3.0, ROUNDTRIP_NODES + 1))
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
     path = tmp_path_factory.mktemp("roundtrip") / "p.csv"
     written = sd.FieldProfile(grid, np.array(a), np.array(f), np.array(g))
@@ -455,13 +459,31 @@ def test_verify_seed_must_be_nonnegative(tmp_path, capsys, grid_small):
 def test_verify_reports_an_empty_tail_window_as_a_failure(tmp_path, capsys):
     # 100 nodes on [0, 2.9] and one at R = 30: no interior node in [R/10, R)
     p = sd.validate_params(0.75 * math.pi, 0.1, 1.0)
-    grid = sd.grid_from_nodes(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
+    grid = sd.RadialGrid(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
     path = tmp_path / "p.csv"
     write_profile_csv(path, p, sd.initial_guess(p, grid))
     assert main(["verify", str(path)]) == 3
     report = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
     for check in ("tail-electric-charge", "tail-f-variation"):
         assert report[check].startswith("FAIL nan ")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "has 0 rows, header says 3"),
+        (["0,1,0,0", "1,0.5,0.4,0.05", "inf,0,0.78539816339744828,0.1"], "last node must be finite, got inf"),
+    ],
+    ids=["no-rows", "infinite-last-node"],
+)
+def test_verify_names_the_file_of_an_unusable_profile(tmp_path, capsys, rows, message):
+    R = rows[-1].split(",")[0] if rows else "2"
+    header = ["# omega=2.356194490192345", "# q=0.1", "# kappa=1", f"# R={R}", "# N=2", "# grading=none", "r,a,f,g"]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([*header, *rows]) + "\n")
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"profile file {path}" in err and message in err and not out
 
 
 def test_verify_rejects_a_mesh_without_interior_node(tmp_path, capsys):

@@ -86,30 +86,28 @@ def test_integrate_rejects_non_finite_with_node_index():
 
 def test_quadrature_second_order_under_refinement():
     errors = []
-    g = sd.build_grid(10.0, 125)
-    for _ in range(3):
+    for k in range(3):
+        g = sd.build_grid(10.0, 125 * 2**k)
         errors.append(abs(g.integrate(np.cos(g.r)) - np.sin(10.0)))
-        g = g.refine()
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] / errors[2] >= 3.5
 
 
 def test_refine_doubles_intervals_and_contains_parent_nodes():
     g = sd.build_grid(10.0, 100)
-    g2 = g.refine()
+    g2 = sd.build_grid(10.0, 200)
     assert g2.N == 2 * g.N and g2.R == g.R and g2.grading == g.grading
     assert np.array_equal(g2.r[::2], g.r)
-    g4 = g2.refine()
+    g4 = sd.build_grid(10.0, 400)
     assert g4.N == 4 * g.N
     assert np.array_equal(g4.r[::4], g.r)
 
 
-def test_grid_from_nodes_roundtrip_and_refine():
+def test_grid_rebuilt_from_its_nodes_roundtrips():
     g = sd.build_grid(12.0, 110, cluster=0.7)
-    g2 = sd.grid_from_nodes(g.r)
-    assert g2.N == g.N and g2.R == g.R
-    g3 = g2.refine()
-    assert np.array_equal(g3.r[::2], g.r)
+    g2 = sd.RadialGrid(g.r.copy())
+    assert g2.N == g.N and g2.R == g.R and g2.grading is None
+    assert np.array_equal(g2.w, g.w)
 
 
 def test_nodes_immutable():
@@ -118,7 +116,17 @@ def test_nodes_immutable():
         g.r[3] = 1.0
 
 
-@pytest.mark.parametrize("nodes", [[0.0], [0.0, 30.0]])
-def test_grid_needs_an_interior_node(nodes):
-    with pytest.raises(ParameterError, match="at least 2 intervals"):
-        sd.grid_from_nodes(np.array(nodes))
+BAD_NODES = [
+    ([0.0], "at least 2 intervals"),
+    ([0.0, 30.0], "at least 2 intervals"),
+    ([], "at least 2 intervals"),
+    ([[0.0, 1.0, 2.0]], "1-D"),
+    ([0.0, 1.0, np.inf], "last node must be finite, got inf$"),
+    ([1.0, 2.0, 3.0], "first node must be 0, got 1.0$"),
+]
+
+
+@pytest.mark.parametrize("nodes, match", BAD_NODES, ids=[f"nodes{i}" for i in range(len(BAD_NODES))])
+def test_grid_needs_an_interior_node(nodes, match):
+    with pytest.raises(ParameterError, match=match):
+        sd.RadialGrid(np.array(nodes))

@@ -153,7 +153,7 @@ def test_factorized_inner_solve_is_bitwise_the_banded_solve(rng, nodes, complex_
     # the factorized solve gives the same bits as one banded solve, for the
     # complex a of the gradient checks too; below 3 x 3 the solve takes its
     # dense route
-    g = sd.grid_from_nodes(np.linspace(0.0, 30.0, nodes + 1) ** 1.2)
+    g = sd.RadialGrid(np.linspace(0.0, 30.0, nodes + 1) ** 1.2)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     a = (1.0 / (1.0 + g.r**2)) * (1.0 + 0.1 * rng.standard_normal(g.N + 1))
     a[0], a[-1] = 1.0, 0.0

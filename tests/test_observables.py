@@ -177,7 +177,7 @@ def test_two_mode_rates_match_the_90_round_bisection_on_solved_profiles(nodes, s
 )
 def test_two_mode_rate_safeguard_when_the_seed_is_unusable(u_out, u_mid):
     # a uniform triple has the closed form cosh(lambda h) = (u_m + u_p) / (2 u_j)
-    grid = sd.grid_from_nodes(np.array([0.0, 1.0, 2.0]))
+    grid = sd.RadialGrid(np.array([0.0, 1.0, 2.0]))
     u = np.array([u_out, u_mid, u_out])
     h = grid.h
     c1 = u[0] * h[1] + u[2] * h[0] - u[1] * (h[0] + h[1])
@@ -268,7 +268,7 @@ def test_observables_nonstrict_on_small_domain():
 
 def test_empty_tail_window_is_a_window_error():
     # 100 nodes on [0, 2.9] and one at R = 30: no interior node in [R/10, R)
-    g = sd.grid_from_nodes(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
+    g = sd.RadialGrid(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     s = sd.initial_guess(p, g)
     with pytest.raises(DecayWindowError, match="tail window"):

@@ -276,7 +276,7 @@ def test_coarse_grid_is_a_subgrid_of_at_least_coarse_nodes(N, coarse_N):
     assert coarse.R == grid.R and coarse.grading == grid.grading
     assert np.isin(coarse.r, grid.r).all()
     # the same subgrid from a grid rebuilt from its nodes, as read from a file
-    rebuilt = sd.grid_from_nodes(grid.r.copy())
+    rebuilt = sd.RadialGrid(grid.r.copy())
     assert np.array_equal(solver._coarse_grid(rebuilt).r, coarse.r)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 import skyrme_dyon as sd
 from skyrme_dyon.cli import main
-from skyrme_dyon.errors import ParameterError
 from skyrme_dyon.io import write_profile_csv
 
 OMEGA = 0.75 * math.pi
@@ -229,20 +228,3 @@ def test_scaling_identity_cross_check(solved_points, solved_kappa0):
     d90 = abs(_virial_defect(p, s90)[0])
     assert d90 < d60
 
-
-def test_refinement_study_requires_two_levels(grid_small):
-    p = sd.validate_params(OMEGA, 0.1, 1.0)
-    with pytest.raises(ParameterError, match="levels"):
-        sd.refinement_study(p, grid_small, levels=1)
-
-
-def test_refinement_study_small_case():
-    p = sd.validate_params(OMEGA, 0.2, 1.0)
-    base = sd.build_grid(40.0, 250)
-    rep = sd.refinement_study(p, base, levels=2)
-    assert rep.complete
-    assert rep.Ns == [250, 500]
-    assert np.isfinite(rep.dQe_rel_finest)
-    assert math.isnan(rep.order_E)  # needs three levels
-    text = rep.format()
-    assert "order_E" in text and "complete yes" in text
