@@ -41,9 +41,12 @@ MAX_CLUSTER = 1.0
 GEOMETRIC_RATE = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Immutable graded mesh: its nodes and the stencil/quadrature data derived from them.
+
+    Grids compare and hash by identity, as their array fields have no
+    single truth value.
 
     r        nodes r_0 = 0 < r_1 < ... < r_N = R, at least 3 of them
     grading  cluster parameter c of the sinh map, or None for grids

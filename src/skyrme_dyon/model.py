@@ -42,8 +42,8 @@ _reaction_rates serve the residuals, the Newton Jacobian and the flow
 preconditioner; _stencil's f'^2 average _qbar also serves the decay fit
 and the source of the f tail.  residuals takes an optional precomputed
 stencil and action_breakdown an optional sin(f), so a caller that already
-has them (the flow) evaluates a state once; the results are bitwise the
-same.
+has them (the flow, and Newton for its Jacobian) evaluates a state once;
+the results are bitwise the same.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make

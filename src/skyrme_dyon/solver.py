@@ -7,7 +7,8 @@ Two structurally different routes to the same discrete root:
   blocks per node, a bandwidth-4 banded system) and a backtracking line
   search on the residual norm.  Each Newton system is solved by LAPACK
   gbsv in place on one band workspace allocated per solve and reused by
-  every iteration.  Indefiniteness of the action is irrelevant on this
+  every iteration; the stencil that the accepted trial's residual built
+  also serves the next Jacobian.  Indefiniteness of the action is irrelevant on this
   route.
 
 * flow_solve mirrors the constrained-minimization structure: the electric
@@ -32,9 +33,11 @@ Two structurally different routes to the same discrete root:
   fails a q ladder of Newton legs from the monopole limit q = 0 to the
   target, the first from the initial guess and each later one
   warm-started from the previous; the first failed leg ends it.  The
-  route's last iterate, interpolated onto the full mesh, starts one fine
-  Newton solve.  The Newton iteration count does not depend on the mesh,
-  so that solve needs only one or two iterations.  flow_solve is never
+  route's last iterate, carried onto the full mesh by cubic interpolation
+  in the node index (_prolong), starts one fine Newton solve.  The Newton
+  iteration count does not depend on the mesh, and the cubic is one order
+  above the discretization, so that solve needs only one or two
+  iterations.  flow_solve is never
   called there, so the two routes stay independent checks of each other.
 
 Both routes keep g identically zero when q = 0 and the starting g
@@ -202,8 +205,8 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
-def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float]:
-    ra, rf, rg = residuals(p, s)
+def _residual_vector(p: ModelParams, s: FieldProfile, stencil: _Stencil | None = None) -> tuple[np.ndarray, float]:
+    ra, rf, rg = residuals(p, s, stencil=stencil)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
     return vec, float(np.max(np.abs(vec)))
@@ -225,16 +228,18 @@ def _band_workspace(grid: RadialGrid) -> np.ndarray:
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
-def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.ndarray:
+def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil: _Stencil | None = None) -> np.ndarray:
     """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 4).
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
-    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.
+    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.  stencil,
+    when given, must be _stencil(s.grid, s.f); the result is then bitwise the
+    same.
     """
     grid = s.grid
     a, g = s.a, s.g
-    st = _stencil(grid, s.f)
+    st = _stencil(grid, s.f) if stencil is None else stencil
     h = grid.h
     hm, hp = h[:-1], h[1:]
     w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
@@ -344,12 +349,14 @@ def newton_solve(
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     x = _pack(s)
-    rvec, norm = _residual_vector(p, s)
+    st = _stencil(grid, s.f)
+    rvec, norm = _residual_vector(p, s, st)
     work = _band_workspace(grid)
     iters = 0
     message = "" if np.isfinite(norm) else f"non-finite residual ({norm}) at the starting profile"
     while norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
-        _jacobian_banded(p, s, work)
+        _jacobian_banded(p, s, work, stencil=st)
+        del st  # kept beside each trial's own stencil, it would raise the solve's peak memory
         try:
             delta = _newton_step(work, rvec)
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -362,9 +369,10 @@ def newton_solve(
         while step >= MIN_STEP:
             x_try = x + step * delta
             s_try = _unpack(x_try, p, grid)
-            rvec_try, norm_try = _residual_vector(p, s_try)
+            st_try = _stencil(grid, s_try.f)
+            rvec_try, norm_try = _residual_vector(p, s_try, st_try)
             if np.isfinite(norm_try) and (norm_try <= (1.0 - 1e-4 * step) * norm or norm_try <= cfg.tol_residual):
-                x, s, rvec, norm = x_try, s_try, rvec_try, norm_try
+                x, s, st, rvec, norm = x_try, s_try, st_try, rvec_try, norm_try
                 break
             step *= BACKTRACK_FACTOR
         else:
@@ -570,6 +578,33 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     return grid if k == 1 else RadialGrid(grid.r[::k], grading=grid.grading)
 
 
+def _prolong(v: np.ndarray, k: int) -> np.ndarray:
+    """Nodal values on a mesh whose every k-th node carries v, by cubic interpolation in the node index.
+
+    The fine node at fraction t = m/k of coarse interval j takes the cubic
+    through coarse nodes j-1 .. j+2; the first and last intervals use the
+    cubic through the first and last four coarse nodes.  The coarse nodes
+    keep their values bitwise, and a cubic in the node index is reproduced
+    to round-off.
+    """
+    t = np.arange(k) / k
+    # Lagrange weights of four consecutive coarse nodes at s = t, 1 + t and
+    # 2 + t from the first: the first, an inner and the last interval
+    s = np.stack((t, 1.0 + t, 2.0 + t))
+    w = (
+        -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0,
+        s * (s - 2.0) * (s - 3.0) / 2.0,
+        -s * (s - 1.0) * (s - 3.0) / 2.0,
+        s * (s - 1.0) * (s - 2.0) / 6.0,
+    )
+    nc = v.size - 1
+    fine = np.empty((nc, k))
+    fine[0] = sum(wi[0] * vi for wi, vi in zip(w, v[:4]))
+    fine[1:-1] = sum(wi[1] * v[i : nc - 2 + i, None] for i, wi in enumerate(w))
+    fine[-1] = sum(wi[2] * vi for wi, vi in zip(w, v[-4:]))
+    return np.append(fine.ravel(), v[-1])
+
+
 def continuation_solve(
     p_target: ModelParams, grid: RadialGrid, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
@@ -580,9 +615,9 @@ def continuation_solve(
     otherwise the q ladder cfg.ladder(p_target), its first leg from initial_guess
     and each later one from warm_start of the previous leg, up to the first
     leg that fails.  A one-entry ladder is itself the direct solve.  The
-    route's last iterate, interpolated linearly onto grid, starts one
-    newton_solve on grid at the q of the route's last leg, whether or not
-    the route succeeded; without a coarse subgrid (N < 2 * COARSE_NODES)
+    route's last iterate, carried onto grid by cubic interpolation in the
+    node index (_prolong), starts one newton_solve on grid at the q of the
+    route's last leg, whether or not the route succeeded; without a coarse subgrid (N < 2 * COARSE_NODES)
     the route ran on grid and there is no fine solve.
 
     continuation_trace holds one record per newton_solve call, in order:
@@ -618,8 +653,8 @@ def continuation_solve(
             p_prev = p_k
 
     if coarse is not grid:
-        r, rc = grid.r, coarse.r
-        guess = FieldProfile(grid, np.interp(r, rc, profile.a), np.interp(r, rc, profile.f), np.interp(r, rc, profile.g))
+        k = grid.N // coarse.N
+        guess = FieldProfile(grid, _prolong(profile.a, k), _prolong(profile.f, k), _prolong(profile.g, k))
         profile, report = newton_solve(p_k, grid, guess, cfg)
         trace.append(_leg_record(p_k.q, report, "fine"))
         if aborted and report.message:

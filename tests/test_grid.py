@@ -110,6 +110,12 @@ def test_grid_rebuilt_from_its_nodes_roundtrips():
     assert np.array_equal(g2.w, g.w)
 
 
+def test_grids_compare_and_hash_by_identity():
+    g, twin = sd.build_grid(60.0, 200), sd.build_grid(60.0, 200)
+    assert g == g and g != twin
+    assert {g: 1, twin: 2}[g] == 1
+
+
 def test_nodes_immutable():
     g = sd.build_grid(10.0, 100)
     with pytest.raises(ValueError):

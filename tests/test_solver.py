@@ -135,6 +135,16 @@ def test_jacobian_matches_finite_differences(rng):
     assert worst <= 1e-6
 
 
+def test_jacobian_with_the_residuals_stencil_is_bitwise_the_same(rng):
+    g = sd.build_grid(40.0, 400)
+    p = sd.validate_params(OMEGA, 0.2, 3.0)
+    prof = sd.initial_guess(p, g)
+    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
+    fresh = _jacobian_banded(p, prof, _band_workspace(g))
+    shared = _jacobian_banded(p, prof, _band_workspace(g), stencil=_stencil(g, prof.f))
+    assert fresh.tobytes() == shared.tobytes()
+
+
 def test_jacobian_bandwidth_is_four(rng):
     # the dense finite-difference Jacobian: the a_j <-> f_(j+-1) couplings
     # sit at offsets +-4, and nothing lies beyond them
@@ -280,6 +290,27 @@ def test_coarse_grid_is_a_subgrid_of_at_least_coarse_nodes(N, coarse_N):
     assert np.array_equal(solver._coarse_grid(rebuilt).r, coarse.r)
 
 
+@pytest.mark.parametrize("nc, k", [(3, 2), (7, 4), (250, 32)])
+def test_prolong_reproduces_a_cubic_in_the_node_index(rng, nc, k):
+    c = rng.standard_normal(4)
+    x = np.arange(nc * k + 1) / k  # fine nodes in coarse-node units
+
+    def cubic(t):
+        return c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3
+
+    fine = solver._prolong(cubic(np.arange(nc + 1.0)), k)
+    exact = cubic(x)
+    assert fine.shape == exact.shape
+    # every fine node, the two end intervals with their own cubics included
+    assert np.max(np.abs(fine - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_prolong_keeps_the_coarse_nodes_bitwise(rng):
+    v = rng.standard_normal(251)
+    fine = solver._prolong(v, 32)
+    assert fine.size == 8001 and fine[::32].tobytes() == v.tobytes()
+
+
 def test_solve_below_500_intervals_is_newton_from_the_initial_guess(monkeypatch, grid_small):
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     plain, plain_rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
@@ -301,6 +332,16 @@ def test_continuation_tries_target_first(solved_points):
         assert fine.q == p.q and fine.iterations == rep.iterations and fine.residual == rep.final_residual_norm
         # nested iteration: the fine grid starts inside Newton's quadratic basin
         assert fine.iterations <= 2 < direct.iterations
+
+
+@pytest.mark.parametrize("omega, q", [(0.75 * math.pi, 0.3), (0.9 * math.pi, 0.05)], ids=["0.75pi", "0.9pi"])
+def test_fine_leg_takes_one_iteration_at_8000_intervals(omega, q):
+    # the cubic prolongation starts the fine mesh within one Newton step of 1e-8
+    p = sd.validate_params(omega, q, 1.0)
+    _, rep = sd.continuation_solve(p, sd.build_grid(60.0, 8000), sd.SolveConfig(tol_residual=1e-8))
+    assert rep.converged
+    fine = rep.continuation_trace[-1]
+    assert fine.path == "fine" and fine.iterations == 1
 
 
 def test_continuation_six_legs(monkeypatch, caplog, grid_small):
