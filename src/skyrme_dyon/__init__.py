@@ -41,7 +41,6 @@ from .observables import (
     tail_constants,
 )
 from .solver import (
-    LegRecord,
     SolveConfig,
     SolveReport,
     continuation_solve,
@@ -58,7 +57,6 @@ __all__ = [
     "ActionBreakdown",
     "DecayWindowError",
     "FieldProfile",
-    "LegRecord",
     "ModelParams",
     "NumericError",
     "ObservableReport",

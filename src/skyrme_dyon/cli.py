@@ -110,7 +110,7 @@ def run_solve(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     profile, report = continuation_solve(p, grid, SolveConfig(tol_residual=args.tol))
     # an aborted continuation returns the failed leg's profile, with that leg's q
-    p_out = p if report.converged else validate_params(p.omega, report.continuation_trace[-1].q, p.kappa)
+    p_out = p if report.converged else validate_params(p.omega, report.q, p.kappa)
     write_profile_csv(out / "profile.csv", p_out, profile)
     if not report.converged:
         status = f"converged 0\nresidual {report.final_residual_norm:.6g}\ntarget_q {p.q:.17g}\nprofile_q {p_out.q:.17g}\n"
@@ -142,10 +142,9 @@ def run_sweep(args: argparse.Namespace) -> int:
     rows = []
     for p in points:
         profile, report = continuation_solve(p, grid, solve_cfg)
-        ok = report.converged and report.properties_ok
         row = dict.fromkeys(SUMMARY_COLUMNS, float("nan"))
-        row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=ok)
-        if not ok:
+        row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=report.converged)
+        if not report.converged:
             value = getattr(p, args.sweep_param)
             print(f"sweep point {args.sweep_param}={value:.17g} failed: {report.message}", file=sys.stderr)
         else:

@@ -81,6 +81,9 @@ class RadialGrid:
         h = np.diff(r)
         if not np.all(h > 0.0):
             raise ParameterError("nodes must be strictly increasing")
+        # the largest half-node product is the last; Python floats overflow to inf without a warning
+        if not np.isfinite(float(r[-2]) * float(r[-1])):
+            raise ParameterError(f"last node {float(r[-1])} is too large: the half-node product r_(N-1)*r_N overflows")
         N = r.size - 1
         w = np.empty(N + 1)
         w[0] = 0.5 * h[0]

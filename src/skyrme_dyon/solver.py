@@ -42,6 +42,10 @@ Two structurally different routes to the same discrete root:
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
+
+Every solve ends in a SolveReport whose converged means a solution: the
+residual met its target and solution_properties_ok holds.  The
+continuation trace is the list of its Newton solves' own reports.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,7 +80,6 @@ from .model import (
 __all__ = [
     "SolveConfig",
     "SolveReport",
-    "LegRecord",
     "initial_guess",
     "warm_start",
     "newton_solve",
@@ -129,33 +132,24 @@ class SolveConfig:
 
 
 @dataclass
-class LegRecord:
-    """One Newton solve toward the target: the q value solved and how the solve went.
-
-    path is "direct" for the Newton attempt at the target and "newton" for a
-    ladder leg, both on the coarse subgrid when the grid has one, and
-    "fine" for the one solve on the full grid that the route seeds.
-    converged means the residual met its target and the profile has every
-    bound and monotonicity property.
-    """
-
-    q: float
-    converged: bool
-    iterations: int
-    residual: float
-    path: str
-
-
-@dataclass
 class SolveReport:
-    """How a solve went; path is the route that produced it, "newton" or "flow"."""
+    """How a solve at q went, from its stop message to its wall time.
+
+    converged means a solution: the residual met its target and the profile
+    has every bound and monotonicity property (properties_ok).  path is the
+    route that produced it: "newton" or "flow", and in a continuation trace
+    "direct" for the Newton attempt at the target and "fine" for the one
+    solve on the full mesh.  continuation_trace holds the reports of a
+    continuation's Newton solves, in order.
+    """
 
     converged: bool
     iterations: int
     final_residual_norm: float
     action: ActionBreakdown | None
     path: str
-    continuation_trace: list[LegRecord] = field(default_factory=list)
+    q: float
+    continuation_trace: list[SolveReport] = field(default_factory=list)
     properties_ok: bool = False
     message: str = ""
     j_trace: list[float] = field(default_factory=list)
@@ -324,14 +318,16 @@ def _report(
 ) -> SolveReport:
     """The report of a solve that stopped at s, started at perf_counter() t0.
 
-    A converged solve whose profile breaks a solution property keeps
-    converged=True; its message then names the first failing property.
+    converged is whether the residual met its target; a profile that met
+    it but breaks a solution property is reported not converged, with a
+    message that names the first failing property.
     """
     props_ok, prop_msg = solution_properties_ok(p, s)
     if converged and not props_ok:
+        converged = False
         message = f"converged residuals but solution properties violated: {prop_msg}"
     wall_time = time.perf_counter() - t0
-    return SolveReport(converged, iterations, float(norm), action, path, properties_ok=props_ok, message=message, wall_time=wall_time)
+    return SolveReport(converged, iterations, float(norm), action, path, p.q, properties_ok=props_ok, message=message, wall_time=wall_time)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -557,16 +553,6 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     return _with_boundary_data(p_next, s)
 
 
-def _leg_record(q: float, rep: SolveReport, path: str) -> LegRecord:
-    return LegRecord(
-        q=q,
-        converged=rep.converged and rep.properties_ok,
-        iterations=rep.iterations,
-        residual=rep.final_residual_norm,
-        path=path,
-    )
-
-
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     """Every k-th node of grid, for the largest power of two k dividing N with N/k >= COARSE_NODES.
 
@@ -581,11 +567,12 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
 def _prolong(v: np.ndarray, k: int) -> np.ndarray:
     """Nodal values on a mesh whose every k-th node carries v, by cubic interpolation in the node index.
 
-    The fine node at fraction t = m/k of coarse interval j takes the cubic
-    through coarse nodes j-1 .. j+2; the first and last intervals use the
-    cubic through the first and last four coarse nodes.  The coarse nodes
-    keep their values bitwise, and a cubic in the node index is reproduced
-    to round-off.
+    v holds one field per row, or is a single 1-D field; the nodes run
+    along its last axis.  The fine node at fraction t = m/k of coarse
+    interval j takes the cubic through coarse nodes j-1 .. j+2; the first
+    and last intervals use the cubic through the first and last four
+    coarse nodes.  The coarse nodes keep their values bitwise, and a cubic
+    in the node index is reproduced to round-off.
     """
     t = np.arange(k) / k
     # Lagrange weights of four consecutive coarse nodes at s = t, 1 + t and
@@ -597,12 +584,12 @@ def _prolong(v: np.ndarray, k: int) -> np.ndarray:
         -s * (s - 1.0) * (s - 3.0) / 2.0,
         s * (s - 1.0) * (s - 2.0) / 6.0,
     )
-    nc = v.size - 1
-    fine = np.empty((nc, k))
-    fine[0] = sum(wi[0] * vi for wi, vi in zip(w, v[:4]))
-    fine[1:-1] = sum(wi[1] * v[i : nc - 2 + i, None] for i, wi in enumerate(w))
-    fine[-1] = sum(wi[2] * vi for wi, vi in zip(w, v[-4:]))
-    return np.append(fine.ravel(), v[-1])
+    nc = v.shape[-1] - 1
+    fine = np.empty(v.shape[:-1] + (nc, k))
+    fine[..., 0, :] = sum(wi[0] * v[..., i, None] for i, wi in enumerate(w))
+    fine[..., 1:-1, :] = sum(wi[1] * v[..., i : nc - 2 + i, None] for i, wi in enumerate(w))
+    fine[..., -1, :] = sum(wi[2] * v[..., nc - 3 + i, None] for i, wi in enumerate(w))
+    return np.concatenate((fine.reshape(v.shape[:-1] + (-1,)), v[..., -1:]), axis=-1)
 
 
 def continuation_solve(
@@ -611,21 +598,24 @@ def continuation_solve(
     """Choose and walk the route on the coarse subgrid, then run one Newton solve on grid.
 
     The route runs on _coarse_grid(grid): Newton at the target from
-    initial_guess, kept when it converges with every solution property;
-    otherwise the q ladder cfg.ladder(p_target), its first leg from initial_guess
-    and each later one from warm_start of the previous leg, up to the first
-    leg that fails.  A one-entry ladder is itself the direct solve.  The
-    route's last iterate, carried onto grid by cubic interpolation in the
-    node index (_prolong), starts one newton_solve on grid at the q of the
-    route's last leg, whether or not the route succeeded; without a coarse subgrid (N < 2 * COARSE_NODES)
-    the route ran on grid and there is no fine solve.
+    initial_guess, kept when it converges; otherwise the q ladder
+    cfg.ladder(p_target), its first leg from initial_guess and each later
+    one from warm_start of the previous leg, up to the first leg that
+    fails.  A one-entry ladder is itself the direct solve.  The route's
+    last iterate, carried onto grid by cubic interpolation in the node
+    index (_prolong), starts one newton_solve on grid at the q of the
+    route's last leg, whether or not the route succeeded; without a coarse
+    subgrid (N < 2 * COARSE_NODES) the route ran on grid and there is no
+    fine solve.
 
-    continuation_trace holds one record per newton_solve call, in order:
-    the direct attempt ("direct"), the ladder legs ("newton"), then the
-    fine solve ("fine").  The returned report is the last solve's; it is
-    converged only if that solve has every solution property and the route
-    did not abort.  An abort's message names the failed q, the last
-    converged q, if any, that leg's reason and the fine solve's.
+    continuation_trace holds each newton_solve's own report, in order: the
+    direct attempt (path "direct"), the ladder legs ("newton"), then the
+    fine solve ("fine"), each with its q, stop message, action and wall
+    time.  The returned report is a copy of the last one with the whole
+    trace and the continuation's wall time; it is converged only if that
+    solve converged and the route did not abort.  An abort's message names
+    the failed q, the last converged q, if any, that leg's reason and the
+    fine solve's.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -633,35 +623,31 @@ def continuation_solve(
     ladder = cfg.ladder(p_target)
     coarse = _coarse_grid(grid)
 
-    trace: list[LegRecord] = []
+    trace: list[SolveReport] = []
     p_k, aborted = p_target, ""
     if len(ladder) > 1:
         profile, report = newton_solve(p_target, coarse, initial_guess(p_target, coarse), cfg)
-        trace.append(_leg_record(p_target.q, report, "direct"))
-        if not trace[-1].converged:
+        trace.append(replace(report, path="direct"))
+        if not report.converged:
             logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, report.message)
     if not (trace and trace[-1].converged):
         p_prev: ModelParams | None = None
         for p_k in ladder:
             guess = initial_guess(p_k, coarse) if p_prev is None else warm_start(profile, p_prev, p_k)
             profile, report = newton_solve(p_k, coarse, guess, cfg)
-            trace.append(_leg_record(p_k.q, report, "newton"))
-            if not trace[-1].converged:
+            trace.append(report)
+            if not report.converged:
                 last = "no ladder leg converged" if p_prev is None else f"last converged q={p_prev.q:.6g}"
                 aborted = f"continuation aborted at q={p_k.q:.6g}; {last}. {report.message}"
                 break
             p_prev = p_k
 
     if coarse is not grid:
-        k = grid.N // coarse.N
-        guess = FieldProfile(grid, _prolong(profile.a, k), _prolong(profile.f, k), _prolong(profile.g, k))
-        profile, report = newton_solve(p_k, grid, guess, cfg)
-        trace.append(_leg_record(p_k.q, report, "fine"))
+        a, f, g = _prolong(np.stack((profile.a, profile.f, profile.g)), grid.N // coarse.N)
+        profile, report = newton_solve(p_k, grid, FieldProfile(grid, a, f, g), cfg)
+        trace.append(replace(report, path="fine"))
         if aborted and report.message:
             aborted = f"{aborted}; fine solve: {report.message}"
-    if aborted:
-        report.message = aborted
-    report.converged = trace[-1].converged and not aborted
-    report.continuation_trace = trace
-    report.wall_time = time.perf_counter() - t0
-    return profile, report
+    end = trace[-1]
+    wall_time = time.perf_counter() - t0
+    return profile, replace(end, converged=end.converged and not aborted, message=aborted or end.message, continuation_trace=trace, wall_time=wall_time)

@@ -159,14 +159,15 @@ def test_sweep_records_per_point_failures(tmp_path):
 
 
 def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch, tmp_path):
-    # a point is only summarized as converged when its profile passes the
-    # property checks, and one such point makes the sweep exit 2
+    # a point is summarized as converged only when its report is, and a
+    # report whose profile breaks a property check is not; one such point
+    # makes the sweep exit 2
     real_continuation = cli.continuation_solve
 
     def breaking_second_point(p, *args, **kwargs):
         profile, report = real_continuation(p, *args, **kwargs)
         if p.q == 0.05:
-            report.properties_ok = False
+            report.converged = report.properties_ok = False
         return profile, report
 
     monkeypatch.setattr(cli, "continuation_solve", breaking_second_point)
@@ -261,7 +262,7 @@ def test_aborted_route_on_a_coarse_grid_ends_with_one_fine_solve(monkeypatch, tm
     assert s.grid.r.size == 501 and p.q == s.g[-1] == 0.0
     solve_txt = (out / "solve.txt").read_text().splitlines()
     assert "profile_q 0" in solve_txt
-    assert f"residual {fine.residual:.6g}" in solve_txt
+    assert f"residual {fine.final_residual_norm:.6g}" in solve_txt
     assert solve_txt[-1].startswith("continuation aborted at q=0; no ladder leg converged.")
     assert solve_txt[-1] == report.message
 
@@ -429,10 +430,12 @@ BAD_TOLS = ["-1", "0", "nan", "inf"]
         *(["solve", "--tol", tol] for tol in BAD_TOLS),
         *(["sweep", "--sweep-values", "0.1", "--tol", tol] for tol in BAD_TOLS),
         ["solve", "--seed", "-1"],
+        ["solve", "--rmax", "1e160", "--nodes", "100"],
     ],
 )
 def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
-    # option is the command and its bad setting
+    # option is the command and its bad setting; the suite turns any
+    # RuntimeWarning, such as an overflow in the mesh's r_i*r_(i+1), into an error
     out = tmp_path / "newdir"
     assert main([*option, "--q", "0.1", "--out", str(out)]) == 1
     assert not out.exists()
@@ -473,8 +476,9 @@ def test_verify_reports_an_empty_tail_window_as_a_failure(tmp_path, capsys):
     [
         ([], "has 0 rows, header says 3"),
         (["0,1,0,0", "1,0.5,0.4,0.05", "inf,0,0.78539816339744828,0.1"], "last node must be finite, got inf"),
+        (["0,1,0,0", "1e160,0.5,0.4,0.05", "2e160,0,0.78539816339744828,0.1"], "last node 2e+160 is too large"),
     ],
-    ids=["no-rows", "infinite-last-node"],
+    ids=["no-rows", "infinite-last-node", "overflowing-last-node"],
 )
 def test_verify_names_the_file_of_an_unusable_profile(tmp_path, capsys, rows, message):
     R = rows[-1].split(",")[0] if rows else "2"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ def test_build_grid_rejects_bad_parameters():
         sd.build_grid(-1.0, 200)
     with pytest.raises(ParameterError, match="cluster"):
         sd.build_grid(60.0, 200, cluster=1.5)
+
+
+def test_grid_rejects_nodes_whose_half_node_products_overflow():
+    # r_(N-1) * r_N must be a finite double; the check itself raises no warning
+    for R in (1e160, 1e300):
+        with pytest.raises(ParameterError, match=re.escape(f"last node {R} is too large")):
+            sd.build_grid(R, 100)
+    assert np.all(np.isfinite(sd.build_grid(1e154, 100).p_half))
 
 
 def flux_divergence(grid, u):

@@ -292,7 +292,7 @@ def test_coarse_grid_is_a_subgrid_of_at_least_coarse_nodes(N, coarse_N):
 
 @pytest.mark.parametrize("nc, k", [(3, 2), (7, 4), (250, 32)])
 def test_prolong_reproduces_a_cubic_in_the_node_index(rng, nc, k):
-    c = rng.standard_normal(4)
+    c = rng.standard_normal((4, 3, 1))  # one cubic per row, as continuation_solve stacks (a, f, g)
     x = np.arange(nc * k + 1) / k  # fine nodes in coarse-node units
 
     def cubic(t):
@@ -300,15 +300,18 @@ def test_prolong_reproduces_a_cubic_in_the_node_index(rng, nc, k):
 
     fine = solver._prolong(cubic(np.arange(nc + 1.0)), k)
     exact = cubic(x)
-    assert fine.shape == exact.shape
+    assert fine.shape == exact.shape == (3, nc * k + 1)
     # every fine node, the two end intervals with their own cubics included
     assert np.max(np.abs(fine - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 def test_prolong_keeps_the_coarse_nodes_bitwise(rng):
-    v = rng.standard_normal(251)
-    fine = solver._prolong(v, 32)
-    assert fine.size == 8001 and fine[::32].tobytes() == v.tobytes()
+    v = rng.standard_normal((3, 251))
+    for k in (8, 32):
+        fine = solver._prolong(v, k)
+        assert fine.shape == (3, 250 * k + 1) and fine[:, ::k].tobytes() == v.tobytes()
+        # the stacked call is bitwise one call per field
+        assert all(fine[i].tobytes() == solver._prolong(v[i], k).tobytes() for i in range(3))
 
 
 def test_solve_below_500_intervals_is_newton_from_the_initial_guess(monkeypatch, grid_small):
@@ -325,11 +328,13 @@ def test_solve_below_500_intervals_is_newton_from_the_initial_guess(monkeypatch,
 
 def test_continuation_tries_target_first(solved_points):
     for p, _, rep in solved_points.values():
-        assert rep.converged and rep.path == "newton"
+        assert rep.converged and rep.path == "fine"
         direct, fine = rep.continuation_trace
         assert direct.path == "direct" and direct.converged and direct.q == p.q
         assert fine.path == "fine" and fine.converged
-        assert fine.q == p.q and fine.iterations == rep.iterations and fine.residual == rep.final_residual_norm
+        assert fine.q == p.q and fine.iterations == rep.iterations and fine.final_residual_norm == rep.final_residual_norm
+        # each leg keeps its own time; the returned report times the whole continuation
+        assert 0.0 < direct.wall_time + fine.wall_time <= rep.wall_time and not fine.continuation_trace
         # nested iteration: the fine grid starts inside Newton's quadratic basin
         assert fine.iterations <= 2 < direct.iterations
 
@@ -423,6 +428,8 @@ def test_continuation_is_newton_only(monkeypatch, grid_small):
     assert not rep.converged and rep.path == "newton"
     assert rep.message.startswith("continuation aborted at q=0; no ladder leg converged. iteration budget of 2 exhausted")
     assert [(leg.path, leg.converged) for leg in rep.continuation_trace] == [("direct", False), ("newton", False)]
+    # each leg keeps its own stop reason
+    assert all(leg.message.startswith("iteration budget of 2 exhausted") for leg in rep.continuation_trace)
     assert s.g[-1] == 0.0  # the profile of the failed q = 0 leg
 
 
@@ -434,9 +441,21 @@ def test_leg_that_breaks_a_property_aborts_the_solve(N):
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
     s, rep = sd.continuation_solve(p, sd.build_grid(60.0, N), sd.SolveConfig(continuation_steps=[p.q]))
     assert not rep.converged and not rep.properties_ok
-    assert all(leg.residual <= 1e-10 and not leg.converged for leg in rep.continuation_trace)
+    assert all(leg.final_residual_norm <= 1e-10 and not leg.converged for leg in rep.continuation_trace)
     assert rep.message.startswith(f"continuation aborted at q={p.q:.6g}; no ladder leg converged. converged residuals")
     assert ("; fine solve: converged residuals" in rep.message) == (N >= 500)
+
+
+def test_newton_on_the_wrong_branch_is_not_converged():
+    # Newton from the guess meets the residual target here, but on a critical
+    # point with f outside (0, pi - omega): a report's converged means a solution
+    omega = 0.505 * math.pi
+    p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
+    grid = sd.build_grid(60.0, 300)
+    _, rep = sd.newton_solve(p, grid, sd.initial_guess(p, grid))
+    assert rep.final_residual_norm <= 1e-10 and rep.q == p.q
+    assert not rep.converged and not rep.properties_ok
+    assert rep.message.startswith("converged residuals but solution properties violated: bound-f-interval fails")
 
 
 # large kappa near omega = pi/2: before the kappa-aware core scale, direct
@@ -495,7 +514,7 @@ def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch, caplog)
         assert "bound-f-interval fails" in caplog.text
         trace = rep.continuation_trace
         assert [(leg.path, leg.converged) for leg in trace] == [("direct", False)] + [("newton", True)] * 6 + [("fine", True)]
-        assert trace[0].residual <= tol
+        assert trace[0].final_residual_norm <= tol
         assert rep.converged and rep.properties_ok
         # the direct attempt and six legs on the N = 250 subgrid; the full mesh sees one solve
         assert [gr.N for gr in grids] == [250] * 7 + [N]
