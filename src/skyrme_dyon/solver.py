@@ -5,11 +5,16 @@ Two structurally different routes to the same discrete root:
 * newton_solve treats the stacked interior residuals as a root problem and
   runs damped Newton with the analytic block-tridiagonal Jacobian (3x3
   blocks per node, a bandwidth-4 banded system) and a backtracking line
-  search on the residual norm.  Each Newton system is solved by LAPACK
-  gbsv in place on one band workspace allocated per solve and reused by
-  every iteration; the stencil that the accepted trial's residual built
-  also serves the next Jacobian.  Indefiniteness of the action is irrelevant on this
-  route.
+  search on the residual norm.  Each Jacobian is factorized by LAPACK
+  gbtrf in place on one band workspace allocated per solve and reused by
+  every iteration, and each step is one gbtrs solve on those factors; the
+  stencil that the accepted trial's residual built also serves the next
+  Jacobian.  While Newton contracts fast, a factorization is reused (the
+  chord method; Kelley, Solving Nonlinear Equations with Newton's Method,
+  SIAM 2003, sec. 2.3): a full step that cuts the residual by
+  1/CHORD_CONTRACTION or more keeps its factors, and the next iteration
+  first tries the chord step with them, kept only if it contracts as
+  much.  Indefiniteness of the action is irrelevant on this route.
 
 * flow_solve mirrors the constrained-minimization structure: the electric
   potential is eliminated through the inner solve at every step and the
@@ -37,8 +42,9 @@ Two structurally different routes to the same discrete root:
   in the node index (_prolong), starts one fine Newton solve.  The Newton
   iteration count does not depend on the mesh, and the cubic is one order
   above the discretization, so that solve needs only one or two
-  iterations.  flow_solve is never
-  called there, so the two routes stay independent checks of each other.
+  iterations and, at the acceptance points, one factorization.
+  flow_solve is never called there, so the two routes stay independent
+  checks of each other.
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
@@ -59,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ParameterError
 from .grid import RadialGrid
@@ -93,6 +99,7 @@ logger = logging.getLogger(__name__)
 # Newton and flow settings; production values for desk-scale runs
 MAX_NEWTON_ITERS = 40  # Newton iteration budget
 BACKTRACK_FACTOR = 0.5  # line-search step reduction
+CHORD_CONTRACTION = 0.01  # a full Newton step keeps its factors for chord steps when it cuts the residual at least this much
 MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
 FLOW_DT = 100.0  # time step of the implicit flow step that serves as the initial inverse Hessian
 LBFGS_MEMORY = 8  # (s, y) pairs kept by the flow's L-BFGS recursion
@@ -140,7 +147,9 @@ class SolveReport:
     route that produced it: "newton" or "flow", and in a continuation trace
     "direct" for the Newton attempt at the target and "fine" for the one
     solve on the full mesh.  continuation_trace holds the reports of a
-    continuation's Newton solves, in order.
+    continuation's Newton solves, in order.  factorizations counts a
+    Newton solve's Jacobian factorizations; it falls below iterations by
+    the chord steps taken, and a flow report keeps 0.
     """
 
     converged: bool
@@ -154,6 +163,7 @@ class SolveReport:
     message: str = ""
     j_trace: list[float] = field(default_factory=list)
     wall_time: float = 0.0
+    factorizations: int = 0
 
 
 def _with_boundary_data(p: ModelParams, s: FieldProfile) -> FieldProfile:
@@ -218,7 +228,7 @@ def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: i
 
 
 def _band_workspace(grid: RadialGrid) -> np.ndarray:
-    """LAPACK gbsv band storage for the Newton system: 4 rows of LU fill-in above the l = u = 4 band."""
+    """LAPACK gbtrf band storage for the Newton system: 4 rows of LU fill-in above the l = u = 4 band."""
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
@@ -301,20 +311,38 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     return ab
 
 
-def _newton_step(work: np.ndarray, rvec: np.ndarray) -> np.ndarray:
-    """Solve J delta = -rvec for the Jacobian assembled in `work`, factorizing it in place.
+def _banded_solver(work: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factorize the Jacobian assembled in `work` in place (LAPACK gbtrf); returns solve(b) -> J^(-1) b.
 
-    Raises as scipy.linalg.solve_banded does: ValueError on non-finite
-    input, LinAlgError on an exactly singular factor.
+    Each solve is a gbtrs on the same factors, so gbtrf + one solve is
+    bitwise the gbsv step, and scipy.linalg.solve_banded((4, 4), J, b).
+    Raises as solve_banded does: ValueError on non-finite input (the
+    matrix here, b in solve), LinAlgError on an exactly singular factor.
     """
-    _require_finite(work, rvec)
-    _, _, delta, info = dgbsv(4, 4, work, -rvec, overwrite_ab=1, overwrite_b=1)
-    _raise_for_info(info, "gbsv")
-    return delta
+    _require_finite(work)
+    lu, ipiv, info = dgbtrf(work, 4, 4, overwrite_ab=1)
+    _raise_for_info(info, "gbtrf")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        _require_finite(b)
+        x, info = dgbtrs(lu, 4, 4, b, ipiv)
+        _raise_for_info(info, "gbtrs")
+        return x
+
+    return solve
 
 
 def _report(
-    p: ModelParams, s: FieldProfile, converged: bool, iterations: int, norm: float, action: ActionBreakdown | None, path: str, message: str, t0: float
+    p: ModelParams,
+    s: FieldProfile,
+    converged: bool,
+    iterations: int,
+    norm: float,
+    action: ActionBreakdown | None,
+    path: str,
+    message: str,
+    t0: float,
+    factorizations: int = 0,
 ) -> SolveReport:
     """The report of a solve that stopped at s, started at perf_counter() t0.
 
@@ -327,14 +355,34 @@ def _report(
         converged = False
         message = f"converged residuals but solution properties violated: {prop_msg}"
     wall_time = time.perf_counter() - t0
-    return SolveReport(converged, iterations, float(norm), action, path, p.q, properties_ok=props_ok, message=message, wall_time=wall_time)
+    return SolveReport(
+        converged, iterations, float(norm), action, path, p.q, properties_ok=props_ok, message=message, wall_time=wall_time, factorizations=factorizations
+    )
+
+
+def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _Stencil, np.ndarray, float]:
+    """(x, profile, stencil, residual vector, residual norm) at the stacked interior values x."""
+    s = _unpack(x, p, grid)
+    st = _stencil(grid, s.f)
+    return (x, s, st, *_residual_vector(p, s, st))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def newton_solve(
     p: ModelParams, grid: RadialGrid, guess: FieldProfile, cfg: SolveConfig | None = None
 ) -> tuple[FieldProfile, SolveReport]:
-    """Damped Newton on the stacked interior residuals.
+    """Damped Newton on the stacked interior residuals, reusing a factorization while Newton contracts fast.
+
+    Each iteration assembles the Jacobian at the iterate, factorizes it
+    (_banded_solver) and backtracks from the full step until the residual
+    norm falls (Armijo) or meets its target.  A full step that cuts the
+    norm to CHORD_CONTRACTION times its old value or less keeps its
+    factors, and the next iteration first tries the chord step
+    x - J_old^(-1) F(x) at full length.  That step is kept, and counts as
+    an iteration, only if it meets the target or cuts the norm by the same
+    factor; otherwise it is discarded, and the iteration assembles and
+    factorizes at x as usual.  With fresh factors a step is bitwise the
+    gbsv step.
 
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
@@ -348,32 +396,44 @@ def newton_solve(
     st = _stencil(grid, s.f)
     rvec, norm = _residual_vector(p, s, st)
     work = _band_workspace(grid)
-    iters = 0
+    solve = None  # the factors a chord trial reuses, while Newton contracts fast
+    iters = factorizations = 0
     message = "" if np.isfinite(norm) else f"non-finite residual ({norm}) at the starting profile"
-    while norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
-        _jacobian_banded(p, s, work, stencil=st)
-        del st  # kept beside each trial's own stencil, it would raise the solve's peak memory
-        try:
-            delta = _newton_step(work, rvec)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            message = f"jacobian factorization failed: {exc}"
-            break
-        if not np.all(np.isfinite(delta)):
-            message = "jacobian solve produced non-finite step"
-            break
-        step = 1.0
-        while step >= MIN_STEP:
-            x_try = x + step * delta
-            s_try = _unpack(x_try, p, grid)
-            st_try = _stencil(grid, s_try.f)
-            rvec_try, norm_try = _residual_vector(p, s_try, st_try)
-            if np.isfinite(norm_try) and (norm_try <= (1.0 - 1e-4 * step) * norm or norm_try <= cfg.tol_residual):
-                x, s, st, rvec, norm = x_try, s_try, st_try, rvec_try, norm_try
+    while not message and norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
+        trial = None
+        if solve is not None:
+            st = None  # freed as before the line search below; after a discarded trial the Jacobian builds its own
+            delta = solve(-rvec)
+            trial = _trial_state(p, grid, x + delta)
+            if not (trial[-1] <= cfg.tol_residual or trial[-1] <= CHORD_CONTRACTION * norm):
+                trial = None
+        if trial is None:
+            _jacobian_banded(p, s, work, stencil=st)
+            del st  # kept beside each trial's own stencil, it would raise the solve's peak memory
+            try:
+                solve = _banded_solver(work)
+                factorizations += 1
+                delta = solve(-rvec)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                message = f"jacobian factorization failed: {exc}"
                 break
-            step *= BACKTRACK_FACTOR
-        else:
-            message = f"line search stalled at step < {MIN_STEP} (residual {norm:.3e})"
-            break
+            if not np.all(np.isfinite(delta)):
+                message = "jacobian solve produced non-finite step"
+                break
+            step = 1.0
+            while step >= MIN_STEP:
+                trial = _trial_state(p, grid, x + step * delta)
+                norm_try = trial[-1]
+                if np.isfinite(norm_try) and (norm_try <= (1.0 - 1e-4 * step) * norm or norm_try <= cfg.tol_residual):
+                    break
+                step *= BACKTRACK_FACTOR
+            else:
+                message = f"line search stalled at step < {MIN_STEP} (residual {norm:.3e})"
+                break
+            if not (step == 1.0 and norm_try <= CHORD_CONTRACTION * norm):
+                solve = None
+        x, s, st, rvec, norm = trial
+        del trial  # it holds st too, which the next iteration frees
         iters += 1
     converged = norm <= cfg.tol_residual
     if not (converged or message):
@@ -383,7 +443,7 @@ def newton_solve(
         action = action_breakdown(p, s)
     except Exception as exc:  # non-finite transients only
         message = message or f"action not evaluable: {exc}"
-    return s, _report(p, s, converged, iters, norm, action, "newton", message, t0)
+    return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
 
 
 def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
@@ -440,10 +500,17 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
 
     Each state is evaluated once: sin f of a trial serves its action and,
     once accepted, its stencil, which serves its residuals and reaction
-    rates; the report's action is that of the last accepted state.
+    rates; the report's action is that of the last accepted state.  A
+    start whose a or f is not finite ends at once, in a non-converged
+    report with 0 steps that names the first such node.
     """
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
+    for name in ("a", "f"):  # g is re-solved from a
+        bad = np.flatnonzero(~np.isfinite(getattr(s, name)))
+        if bad.size:
+            message = f"non-finite {name} at node {bad[0]} of the starting profile"
+            return s, _report(p, s, False, 0, float("nan"), None, "flow", message, t0)
     s.g = solve_inner_g(p, grid, s.a)
     sin_f = np.sin(s.f)
     action = action_breakdown(p, s, sin_f=sin_f)

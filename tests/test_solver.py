@@ -11,8 +11,8 @@ from skyrme_dyon.inner import _tridiagonal_solver
 from skyrme_dyon.model import _stencil
 from skyrme_dyon.solver import (
     _band_workspace,
+    _banded_solver,
     _jacobian_banded,
-    _newton_step,
     _pack,
     _residual_vector,
     _unpack,
@@ -90,12 +90,14 @@ def test_newton_failure_is_reported_not_raised(monkeypatch):
 def test_newton_names_a_non_finite_start():
     g = sd.build_grid(30.0, 300)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
-    guess = sd.initial_guess(p, g)
-    guess.f[150] = np.nan
-    _, rep = sd.newton_solve(p, g, guess)
-    assert not rep.converged
-    assert rep.iterations == 0
-    assert rep.message == "non-finite residual (nan) at the starting profile"
+    # an infinite residual must not enter the iteration, as NaN does not
+    for field, value, shown in (("f", np.nan, "nan"), ("g", np.inf, "inf")):
+        guess = sd.initial_guess(p, g)
+        getattr(guess, field)[150] = value
+        _, rep = sd.newton_solve(p, g, guess)
+        assert not rep.converged
+        assert rep.iterations == 0 and rep.factorizations == 0
+        assert rep.message == f"non-finite residual ({shown}) at the starting profile"
 
 
 def test_newton_on_a_degenerate_grid_is_reported_without_warnings():
@@ -171,7 +173,7 @@ def test_jacobian_bandwidth_is_four(rng):
     assert _jacobian_banded(p, prof, _band_workspace(g)).shape == (9, n)
 
 
-def test_newton_step_matches_solve_banded_and_workspace_reassembles(rng):
+def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
     g = sd.build_grid(40.0, 400)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
     prof = sd.initial_guess(p, g)
@@ -184,8 +186,12 @@ def test_newton_step_matches_solve_banded_and_workspace_reassembles(rng):
     ab = _jacobian_banded(p, prof, work)
     assert np.shares_memory(ab, work)
     assert np.array_equal(ab, fresh)
-    delta = _newton_step(work, rvec)
-    assert np.array_equal(delta, solve_banded((4, 4), fresh, -rvec))
+    solve = _banded_solver(work)
+    # one factorization serves every right-hand side, each bitwise solve_banded's
+    for b in (-rvec, rng.standard_normal(rvec.size)):
+        b_copy = b.copy()
+        assert np.array_equal(solve(b), solve_banded((4, 4), fresh, b))
+        assert np.array_equal(b, b_copy)
     # the factorization overwrote the workspace, LU fill-in rows included
     assert np.any(work[:4] != 0.0)
     ab = _jacobian_banded(p, prof, work)
@@ -210,6 +216,48 @@ def test_newton_factorization_failure_is_reported_not_raised(monkeypatch, grid_s
     assert rep.converged is False
     assert rep.iterations == 0
     assert rep.message == f"jacobian factorization failed: {reason}"
+
+
+def test_chord_trial_that_does_not_contract_is_discarded(monkeypatch, grid_small):
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, grid_small)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "CHORD_CONTRACTION", 0.0)
+        newton, newton_rep = sd.newton_solve(p, grid_small, guess)
+    original = solver._banded_solver
+    chord_trials = []
+
+    def halving_chords(work):
+        solve = original(work)
+        solves = []
+
+        def solve_or_halve(b):
+            # the first solve on a factorization is its Newton step, later ones are chord trials
+            solves.append(b)
+            if len(solves) == 1:
+                return solve(b)
+            chord_trials.append(b)
+            return 0.5 * solve(b)
+
+        return solve_or_halve
+
+    monkeypatch.setattr(solver, "_banded_solver", halving_chords)
+    s, rep = sd.newton_solve(p, grid_small, guess)
+    assert chord_trials and rep.converged
+    # a discarded trial leaves no trace: each iteration is then the Newton step at a fresh factorization
+    assert rep.iterations == rep.factorizations == newton_rep.iterations == newton_rep.factorizations
+    for name in ("a", "f", "g"):
+        assert getattr(s, name).tobytes() == getattr(newton, name).tobytes()
+
+
+def test_flow_names_a_non_finite_start(grid_small):
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    for field, value in (("a", np.nan), ("f", np.nan), ("f", -np.inf)):
+        guess = sd.initial_guess(p, grid_small)
+        getattr(guess, field)[150] = value
+        _, rep = sd.flow_solve(p, grid_small, guess)
+        assert not rep.converged and rep.iterations == 0
+        assert rep.message == f"non-finite {field} at node 150 of the starting profile"
 
 
 def test_flow_from_converged_solution_terminates_immediately(monopole_small):
@@ -337,6 +385,22 @@ def test_continuation_tries_target_first(solved_points):
         assert 0.0 < direct.wall_time + fine.wall_time <= rep.wall_time and not fine.continuation_trace
         # nested iteration: the fine grid starts inside Newton's quadratic basin
         assert fine.iterations <= 2 < direct.iterations
+
+
+def test_fine_solve_factorizes_once_at_the_acceptance_points(solved_points):
+    # the first Newton step contracts more than 1/CHORD_CONTRACTION, so the second is a chord step
+    for _, _, rep in solved_points.values():
+        fine = rep.continuation_trace[-1]
+        assert fine.path == "fine" and fine.iterations == 2 and fine.factorizations == 1
+
+
+def test_no_chord_steps_without_contraction(monkeypatch, grid60):
+    monkeypatch.setattr(solver, "CHORD_CONTRACTION", 0.0)
+    p = sd.validate_params(0.55 * math.pi, 0.05, 1.0)
+    _, rep = sd.continuation_solve(p, grid60)
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct", "fine"]
+    for leg in rep.continuation_trace:
+        assert leg.factorizations == leg.iterations > 0
 
 
 @pytest.mark.parametrize("omega, q", [(0.75 * math.pi, 0.3), (0.9 * math.pi, 0.05)], ids=["0.75pi", "0.9pi"])
