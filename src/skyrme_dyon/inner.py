@@ -118,21 +118,32 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     return g
 
 
-def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.ndarray) -> float:
-    """Discrete weak form integral(r^2 g' G' + 2 a^2 g G) for a test array G.
+def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.ndarray, *, e2_G=None):
+    """Discrete weak form integral(r^2 g' G' + 2 a^2 g G) for a test array G, or per row of a stack of them.
 
-    G must vanish at the outer node.  The value is zero to round-off
+    G is one array of N+1 nodal values, which gives a float, or a
+    (k, N+1) stack, which gives an array of k values, each bitwise the
+    value of its row alone.  Every test function must vanish at the outer
+    node and have finite energy E2(a, G).  The value is zero to round-off
     whenever g came out of solve_inner_g with the same a; for any other g
-    the value measures how far g is from the constrained minimizer.
+    it measures how far g is from the constrained minimizer.  e2_G, when
+    given, must be e2_energy(grid, a, G), which the caller already has;
+    the energy check then reads it instead of summing E2 again.
     """
-    for name, arr in (("a", a), ("g", g), ("G", G)):
+    G = np.asarray(G)
+    for name, arr, ndims in (("a", a, (1,)), ("g", g, (1,)), ("G", G, (1, 2))):
         arr = np.asarray(arr)
-        if arr.shape != (grid.N + 1,):
+        if arr.ndim not in ndims or arr.shape[-1] != grid.N + 1:
             raise ParameterError(f"{name} must have {grid.N + 1} nodal values, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite {name} at node {int(np.flatnonzero(~np.isfinite(arr))[0])}")
-    if abs(G[-1]) > 1e-14 * (1.0 + float(np.max(np.abs(G)))):
-        raise TestFunctionError(f"test function must vanish at r = R, got G[-1]={G[-1]!r}")
-    if not np.isfinite(e2_energy(grid, a, G)):
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            raise NumericError(f"non-finite {name} at node {int(bad[-1])}" + (f" of test function {int(bad[0])}" if arr.ndim == 2 else ""))
+    outer = np.abs(G[..., -1]) > 1e-14 * (1.0 + np.max(np.abs(G), axis=-1))
+    if np.any(outer):
+        k = int(np.flatnonzero(outer)[0])
+        where, value = ("G[-1]", G[-1]) if G.ndim == 1 else (f"G[{k}, -1]", G[k, -1])
+        raise TestFunctionError(f"test function must vanish at r = R, got {where}={value!r}")
+    if not np.all(np.isfinite(e2_energy(grid, a, G) if e2_G is None else e2_G)):
         raise NumericError("test function has non-finite energy E2(a, G)")
-    return float(_e2_form(grid, a, g, G))
+    form = _e2_form(grid, a, g, G)
+    return float(form) if G.ndim == 1 else form

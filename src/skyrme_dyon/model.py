@@ -42,8 +42,10 @@ _reaction_rates serve the residuals, the Newton Jacobian and the flow
 preconditioner; _stencil's f'^2 average _qbar also serves the decay fit
 and the source of the f tail.  residuals takes an optional precomputed
 stencil and action_breakdown an optional sin(f), so a caller that already
-has them (the flow, and Newton for its Jacobian) evaluates a state once;
-the results are bitwise the same.
+has them (the flow, Newton for its Jacobian, and the verify battery)
+evaluates a state once; the results are bitwise the same.  _e2_form and
+e2_energy also take a stack of arrays, one value per row, so the battery
+sums its test functions in one pass.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -184,17 +186,25 @@ def _e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f, mass):
 
 def _e2_terms(grid: RadialGrid, a, g, G):
     """Per-interval part r^2 g' G' and per-node part 2 a^2 g G of E2's bilinear form."""
-    return grid.p_half * (np.diff(g) / grid.h) * (np.diff(G) / grid.h), 2.0 * a * a * g * G
+    dG = np.diff(G) / grid.h
+    dg = dG if g is G else np.diff(g) / grid.h  # the diagonal differences once
+    return grid.p_half * dg * dG, 2.0 * a * a * g * G
 
 
 def _e2_form(grid: RadialGrid, a, g, G):
-    """Discrete bilinear form of E2: interval terms times h plus node terms times w."""
+    """Discrete bilinear form of E2: interval terms times h plus node terms times w.
+
+    G may be a stack of arrays, one per row; the result then holds one value
+    per row, each summed by the same two dots as a single G, so bitwise the same.
+    """
     interval, nodal = _e2_terms(grid, a, g, G)
-    return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
+    if interval.ndim == 1:
+        return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
+    return np.array([np.dot(i, grid.h) + np.dot(n, grid.w) for i, n in zip(interval, nodal)])
 
 
 def e2_energy(grid: RadialGrid, a, g):
-    """Discrete E2(a, g), the diagonal of _e2_form; kappa-independent."""
+    """Discrete E2(a, g), the diagonal of _e2_form, per row for a stack of g; kappa-independent."""
     return _e2_form(grid, a, g, g)
 
 
@@ -245,10 +255,10 @@ def _stencil(grid: RadialGrid, f, *, sin_f=None) -> _Stencil:
     return _Stencil(grid.w[1:-1], 1.0 / (rj * rj), df, _qbar(grid, df), np.sin(f) if sin_f is None else sin_f, np.cos(f))
 
 
-def _qbar(grid: RadialGrid, df):
-    """Dual-cell average of f'^2 at interior nodes, from the N interval quotients df."""
-    h = grid.h
-    return (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * grid.w[1:-1])
+def _qbar(grid: RadialGrid, df, first: int = 0):
+    """Dual-cell average of f'^2 at interior nodes first+1..N-1, from the quotients df of intervals first..N-1."""
+    h = grid.h[first:]
+    return (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * grid.w[first + 1 : -1])
 
 
 def _reaction_rates(p: ModelParams, st: _Stencil, a, g):

@@ -212,51 +212,50 @@ class TailConstants:
     window: tuple[float, float]
 
 
-def _f_source_double_integral(s: FieldProfile, p: ModelParams) -> np.ndarray:
-    """Nodal values of integral_r^R rho^-2 * (integral_rho^R F) d rho.
+def _f_source_double_integral(s: FieldProfile, p: ModelParams, first: int) -> np.ndarray:
+    """Values of integral_r^R rho^-2 * (integral_rho^R F) d rho at nodes first..N-1 (first >= 1).
 
     F is the zero-order side of the f-equation (2 a^2 sin f cos f plus its
     quartic-coupling companions); subtracting this double integral from
     pi - omega - f isolates the homogeneous 1/r tail even where the
-    exponentially decaying source is not yet negligible.
+    exponentially decaying source is not yet negligible.  Only the nodes
+    beyond first enter, and both cumulative sums run inward from R, so the
+    values are bitwise those of a pass over every node.
     """
     grid = s.grid
-    a, f = s.a, s.f
-    sf, cf_ = np.sin(f), np.cos(f)
+    beyond = slice(first + 1, None)  # nodes first+1..N, whose cells carry the mass beyond node first
+    a, r, w = s.a[beyond], grid.r[beyond], grid.w[beyond]
+    sf, cf_ = np.sin(s.f[beyond]), np.cos(s.f[beyond])
     source = 2.0 * a * a * sf * cf_
     if p.kappa != 0.0:
-        quart = np.zeros(grid.N + 1)
-        quart[1:] = a[1:] ** 4 * sf[1:] ** 3 * cf_[1:] / grid.r[1:] ** 2
-        fp2 = np.zeros(grid.N + 1)  # f'^2 at interior nodes; the source vanishes at both ends
-        fp2[1:-1] = _qbar(grid, np.diff(f) / grid.h)
+        quart = a**4 * sf**3 * cf_ / r**2
+        fp2 = np.zeros(a.size)  # f'^2 at interior nodes; the source vanishes at R
+        fp2[:-1] = _qbar(grid, np.diff(s.f[first:]) / grid.h[first:], first)
         source = source + 8.0 * p.kappa * (a * a * sf * cf_ * fp2 + quart)
-    cell = source * grid.w
-    # T at half node i+1/2 = sum of cell masses strictly beyond node i
-    T_half = np.cumsum(cell[1:][::-1])[::-1]
-    seg = np.zeros(grid.N)  # integral of rho^-2 T over [r_k, r_{k+1}]
-    seg[1:] = T_half[1:] * (1.0 / grid.r[1:-1] - 1.0 / grid.r[2:])
-    out = np.zeros(grid.N + 1)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
-    out[0] = out[1]  # 1/rho^2 is singular on the first cell; node 0 is never consumed
-    return out
+    # T at half node i+1/2 = sum of cell masses strictly beyond node i, i = first..N-1
+    T_half = np.cumsum((source * w)[::-1])[::-1]
+    seg = T_half * (1.0 / grid.r[first:-1] - 1.0 / r)  # integral of rho^-2 T over [r_i, r_{i+1}]
+    return np.cumsum(seg[::-1])[::-1]
 
 
 def tail_constants(s: FieldProfile, p: ModelParams) -> TailConstants:
     """Median tail constants of g and f over radii in [R/10, R).
 
+    The window is the nodes from the first with r >= R/10 (node 1 at the
+    least) to N-1; the f source integral is evaluated on them alone.
     Raises DecayWindowError when that window holds no interior node.
     """
     grid = s.grid
     r = grid.r
     R = grid.R
-    idx = np.flatnonzero((r >= R / 10.0) & (r < R))
-    idx = idx[idx >= 1]
-    if idx.size == 0:
+    first = max(int(np.searchsorted(r, R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
+    if first >= grid.N:
         raise DecayWindowError(f"tail window r in [{R / 10.0:g}, {R:g}) holds no interior node; refine the mesh there")
-    denom = 1.0 / r[idx] - 1.0 / R
-    cg_vals = (p.q - s.g[idx]) / denom
-    cf_vals = (p.f_infinity - s.f[idx] + _f_source_double_integral(s, p)[idx]) / denom
-    weights = grid.w[idx]  # median in the radius measure, not per node
+    window = slice(first, -1)
+    denom = 1.0 / r[window] - 1.0 / R
+    cg_vals = (p.q - s.g[window]) / denom
+    cf_vals = (p.f_infinity - s.f[window] + _f_source_double_integral(s, p, first)) / denom
+    weights = grid.w[window]  # median in the radius measure, not per node
 
     def med_var(vals):
         order = np.argsort(vals)
@@ -268,7 +267,7 @@ def tail_constants(s: FieldProfile, p: ModelParams) -> TailConstants:
 
     cg, cg_var = med_var(cg_vals)
     cf, cf_var = med_var(cf_vals)
-    return TailConstants(cg=cg, cf=cf, cg_variation=cg_var, cf_variation=cf_var, window=(float(r[idx[0]]), float(r[idx[-1]])))
+    return TailConstants(cg=cg, cf=cf, cg_variation=cg_var, cf_variation=cf_var, window=(float(r[first]), float(r[-2])))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,8 @@ def test_weak_form_orthogonality_at_solution():
     a[0] = 1.0
     gs = sd.solve_inner_g(p, g, a)
     # includes the specific test function 1 - r/R
-    functions = seeded_test_functions(g, 42) + [1.0 - g.r / g.R]
+    functions = np.vstack([seeded_test_functions(g, 42), 1.0 - g.r / g.R])
+    assert functions.shape == (6, g.N + 1)
     for G in functions:
         scale = 1.0 + e2_energy(g, a, gs) + e2_energy(g, a, G)
         assert abs(sd.constraint_residual(g, a, gs, G)) <= 1e-12 * scale
@@ -109,6 +110,41 @@ def test_constraint_rejects_bad_test_function():
     bad[3] = np.inf
     with pytest.raises(NumericError):
         sd.constraint_residual(g, a, gs, bad)
+
+
+def test_constraint_residual_of_a_stack_is_bitwise_its_rows():
+    g = sd.build_grid(40.0, 500)
+    p = sd.validate_params(OMEGA, 0.2, 1.0)
+    a = np.exp(-g.r)
+    a[0] = 1.0
+    g_lin = p.q * g.r / g.R  # not the minimizer, so the values are far from round-off
+    stack = np.vstack([seeded_test_functions(g, 7), 1.0 - g.r / g.R])
+    values = sd.constraint_residual(g, a, g_lin, stack)
+    assert values.shape == (6,)
+    assert [float(v) for v in values] == [sd.constraint_residual(g, a, g_lin, G) for G in stack]
+    assert np.array_equal(sd.constraint_residual(g, a, g_lin, stack, e2_G=e2_energy(g, a, stack)), values)
+
+
+def test_constraint_residual_names_the_bad_row_of_a_stack():
+    g = sd.build_grid(30.0, 300)
+    a = np.ones(g.N + 1)
+    gs = 0.1 * g.r / g.R
+    stack = seeded_test_functions(g, 42)
+    outer = stack.copy()
+    outer[2, -1] = 1.0
+    with pytest.raises(BadTestFunction, match=r"G\[2, -1\]"):
+        sd.constraint_residual(g, a, gs, outer)
+    bad = stack.copy()
+    bad[1, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite G at node 3 of test function 1"):
+        sd.constraint_residual(g, a, gs, bad)
+    with pytest.raises(NumericError, match="non-finite energy"):
+        sd.constraint_residual(g, a, gs, stack, e2_G=np.array([1.0, 1.0, np.inf, 1.0, 1.0]))
+    for shape in ((5, g.N), (2, 5, g.N + 1)):
+        with pytest.raises(ParameterError, match="G must have"):
+            sd.constraint_residual(g, a, gs, np.zeros(shape))
+    with pytest.raises(ParameterError, match="g must have"):
+        sd.constraint_residual(g, a, stack, stack)
 
 
 def test_flux_identity_telescopes():

@@ -217,6 +217,40 @@ def test_tail_constants_exact_on_truncated_tail_family():
     assert tails.cf_variation <= 1e-10
 
 
+def _f_source_double_integral_everywhere(s, p):
+    """The f-source double integral at every node, from one pass over the whole mesh."""
+    grid = s.grid
+    a, f = s.a, s.f
+    sf, cf_ = np.sin(f), np.cos(f)
+    source = 2.0 * a * a * sf * cf_
+    if p.kappa != 0.0:
+        quart = np.zeros(grid.N + 1)
+        quart[1:] = a[1:] ** 4 * sf[1:] ** 3 * cf_[1:] / grid.r[1:] ** 2
+        df = np.diff(f) / grid.h
+        fp2 = np.zeros(grid.N + 1)
+        fp2[1:-1] = (grid.h[:-1] * df[:-1] * df[:-1] + grid.h[1:] * df[1:] * df[1:]) / (2.0 * grid.w[1:-1])
+        source = source + 8.0 * p.kappa * (a * a * sf * cf_ * fp2 + quart)
+    cell = source * grid.w
+    T_half = np.cumsum(cell[1:][::-1])[::-1]
+    seg = np.zeros(grid.N)
+    seg[1:] = T_half[1:] * (1.0 / grid.r[1:-1] - 1.0 / grid.r[2:])
+    out = np.zeros(grid.N + 1)
+    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    return out
+
+
+def test_tail_integral_on_the_window_is_bitwise_the_pass_over_every_node(monkeypatch, solved_points, solved_kappa0, monopole_small):
+    for p, s, _ in [*solved_points.values(), solved_kappa0, monopole_small]:
+        tails = sd.tail_constants(s, p)
+        first = int(np.searchsorted(s.grid.r, tails.window[0]))
+        assert s.grid.r[first] == tails.window[0] and s.grid.r[first - 1] < s.grid.R / 10.0
+        everywhere = _f_source_double_integral_everywhere(s, p)
+        assert np.array_equal(observables_module._f_source_double_integral(s, p, first), everywhere[first:-1])
+        with monkeypatch.context() as m:
+            m.setattr(observables_module, "_f_source_double_integral", lambda s, p, first: _f_source_double_integral_everywhere(s, p)[first:-1])
+            assert sd.tail_constants(s, p) == tails
+
+
 def test_tail_constants_monopole_limit_is_zero(monopole_small):
     p, s, _ = monopole_small
     tails = sd.tail_constants(s, p)

@@ -1,13 +1,29 @@
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import skyrme_dyon as sd
 from skyrme_dyon.cli import main
-from skyrme_dyon.io import write_profile_csv
+from skyrme_dyon.errors import ParameterError
+from skyrme_dyon.io import read_profile_csv, write_profile_csv
+from skyrme_dyon.model import e2_energy
+from skyrme_dyon.verify import N_TEST_FUNCTIONS, seeded_test_functions
 
 OMEGA = 0.75 * math.pi
+
+model_module = importlib.import_module("skyrme_dyon.model")
+verify_module = importlib.import_module("skyrme_dyon.verify")
+
+# The 2- and 3-interval profiles of the CI step "Verify runs the smallest electric systems".
+TINY_HEADER = "# omega=2.356194490192345\n# q=0.1\n# kappa=1\n"
+TINY_PROFILES = {
+    2: TINY_HEADER + "# R=2\n# N=2\n# grading=none\nr,a,f,g\n0,1,0,0\n1,0.5,0.4,0.05\n2,0,0.78539816339744828,0.1\n",
+    3: TINY_HEADER
+    + "# R=3\n# N=3\n# grading=none\nr,a,f,g\n0,1,0,0\n1,0.6,0.3,0.03\n2,0.3,0.6,0.07\n3,0,0.78539816339744828,0.1\n",
+}
 
 
 def test_suite_passes_on_converged_dyon(solved_points):
@@ -228,3 +244,73 @@ def test_scaling_identity_cross_check(solved_points, solved_kappa0):
     d90 = abs(_virial_defect(p, s90)[0])
     assert d90 < d60
 
+
+def _seeded_test_functions_by_loop(grid, seed):
+    """The seeded test functions one at a time: draw a function's nine values, then add its bumps in turn."""
+    rng = np.random.default_rng(seed)
+    r, R = grid.r, grid.R
+    out = []
+    for _ in range(N_TEST_FUNCTIONS):
+        coeffs = rng.uniform(-1.0, 1.0, size=3)
+        centers = rng.uniform(0.05, 0.7, size=3) * R
+        widths = rng.uniform(0.05, 0.3, size=3) * R
+        G = (1.0 - r / R) * sum(c * np.exp(-(((r - mu) / sg) ** 2)) for c, mu, sg in zip(coeffs, centers, widths))
+        G[-1] = 0.0
+        out.append(G)
+    return out
+
+
+def _orthogonality_by_loop(p, s, seed):
+    """constraint-orthogonality one test function at a time, each with its own E2 and a single-G constraint_residual."""
+    grid, a = s.grid, s.a
+    g_inner = sd.solve_inner_g(p, grid, a)
+    scale_inner = 1.0 + float(e2_energy(grid, a, g_inner).real)
+    worst = 0.0
+    for G in _seeded_test_functions_by_loop(grid, seed):
+        scale = scale_inner + float(e2_energy(grid, a, G).real)
+        worst = max(worst, abs(sd.constraint_residual(grid, a, g_inner, G)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_constraint_orthogonality_is_bitwise_the_per_function_loop(solved_points, tmp_path, seed):
+    profiles = [(p, s) for p, s, _ in solved_points.values()]
+    for n, text in TINY_PROFILES.items():
+        path = tmp_path / f"tiny{n}.csv"
+        path.write_text(text, encoding="utf-8")
+        profiles.append(read_profile_csv(path))
+    for p, s in profiles:
+        assert np.array_equal(seeded_test_functions(s.grid, seed), _seeded_test_functions_by_loop(s.grid, seed))
+        row = sd.run_suite(p, s, sd.Tolerances(seed=seed))["constraint-orthogonality"]
+        assert row.measured == _orthogonality_by_loop(p, s, seed)
+
+
+def test_run_suite_builds_one_stencil_and_one_constraint_residual(monkeypatch, solved_points):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # verify binds both names at import; residuals reaches model's own _stencil when it is not handed one
+    stencil = model_module._stencil
+    for module in (model_module, verify_module):
+        monkeypatch.setattr(module, "_stencil", counted("_stencil", stencil))
+    monkeypatch.setattr(verify_module, "constraint_residual", counted("constraint_residual", verify_module.constraint_residual))
+    p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
+    assert sd.run_suite(p, s).overall
+    assert calls == {"_stencil": 1, "constraint_residual": 1}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("residual", math.nan), ("residual", -1.0), ("residual", 0.0), ("residual", math.inf), ("seed", -1), ("seed", 1.5)],
+)
+def test_tolerances_reject_invalid_fields(field, value):
+    # before validation seed=-1 raised numpy's ValueError from inside run_suite, seed=1.5 a TypeError,
+    # and a NaN or negative residual failed the three residual rows as if the profile were bad
+    with pytest.raises(ParameterError, match=field):
+        sd.Tolerances(**{field: value})
