@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SkyrmeDyonError
-from .grid import DEFAULT_CLUSTER, build_grid
+from .grid import build_grid
 from .io import SUMMARY_COLUMNS, read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
 from .observables import observables, skyrme_charge_closed
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kappa", type=float, default=1.0, help="quartic coupling (0 = sigma-model limit)")
         sp.add_argument("--rmax", type=float, default=60.0, help="outer truncation radius")
         sp.add_argument("--nodes", type=int, default=2000, help="number of mesh intervals")
-        sp.add_argument("--grading", type=float, default=DEFAULT_CLUSTER, help="mesh cluster parameter in [0, 1]")
         sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
@@ -105,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_solve(args: argparse.Namespace) -> int:
     p = validate_params(args.omega, args.q, args.kappa)
-    grid = build_grid(args.rmax, args.nodes, cluster=args.grading)
+    grid = build_grid(args.rmax, args.nodes)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     profile, report = continuation_solve(p, grid, SolveConfig(tol_residual=args.tol))
@@ -136,7 +135,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise SkyrmeDyonError("sweep value list is empty")
     base = {"omega": args.omega, "q": args.q, "kappa": args.kappa}
     points = [validate_params(**{**base, args.sweep_param: val}) for val in args.sweep_values]
-    grid = build_grid(args.rmax, args.nodes, cluster=args.grading)
+    grid = build_grid(args.rmax, args.nodes)
     solve_cfg = SolveConfig(tol_residual=args.tol)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -1,6 +1,6 @@
 """Profile and summary file formats.
 
-Profile CSV: header lines `# key=value` for omega, q, kappa, R, N, grading
+Profile CSV: header lines `# key=value` for omega, q, kappa, R, N
 (17 significant digits, lossless float round-trip), a column header line
 `r,a,f,g`, then one row per node.  The rows hold the bytes of `'%.17g'`,
 written by a numpy kernel (`_format_rows`) that rounds a block of values
@@ -10,6 +10,9 @@ those within 1e-9 of a rounding tie, and those whose rounding carries
 into an 18th digit or whose decimal exponent log10 misjudges.  Grids are
 reconstructed from the stored nodes, so re-reading a profile reproduces
 every derived quantity bitwise; the R header must equal the last node's r.
+A header line with any other key is read and ignored, such as the
+`# grading=` line that files written before the mesh lost its parameter
+carry, so those files still verify.
 The header block ends at the first data row; the rows are parsed in one
 np.loadtxt call, so a cell must be a float literal that it reads (`nan`,
 `inf`, exponents; no `_` digit separators).
@@ -29,21 +32,19 @@ from .model import FieldProfile, ModelParams, validate_params
 __all__ = ["write_profile_csv", "read_profile_csv", "write_summary_csv", "SUMMARY_COLUMNS"]
 
 # header keys read as numbers; any other header value stays a string
-_HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "R": float, "N": int, "grading": lambda v: None if v == "none" else float(v)}
+_HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "R": float, "N": int}
 
 SUMMARY_COLUMNS = ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged"]
 
 
 def write_profile_csv(path: str | Path, p: ModelParams, s: FieldProfile) -> None:
     grid = s.grid
-    grading = "none" if grid.grading is None else f"{grid.grading:.17g}"
     lines = [
         f"# omega={p.omega:.17g}",
         f"# q={p.q:.17g}",
         f"# kappa={p.kappa:.17g}",
         f"# R={grid.R:.17g}",
         f"# N={grid.N}",
-        f"# grading={grading}",
         "r,a,f,g",
     ]
     header = ("\n".join(lines) + "\n").encode()
@@ -273,7 +274,7 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
             start = lineno - 1
             break
     data = _parse_rows(path, text, start)
-    for key in ("omega", "q", "kappa", "R", "N", "grading"):
+    for key in ("omega", "q", "kappa", "R", "N"):
         if key not in header:
             raise ParameterError(f"profile file {path} is missing header line '# {key}='")
     if data.shape[1] != 4:
@@ -282,7 +283,7 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")
     try:
-        grid = RadialGrid(data[:, 0], grading=header["grading"])
+        grid = RadialGrid(data[:, 0])
     except ParameterError as exc:
         raise ParameterError(f"profile file {path}: {exc}") from None
     if header["R"] != grid.R:

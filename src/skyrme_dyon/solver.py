@@ -108,14 +108,17 @@ FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
 COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
-    """Per-run solver settings: the Newton residual target and the fallback ladder's q values."""
+    """Per-run solver settings: the Newton residual target and the fallback ladder's q values.
+
+    Raises ParameterError unless tol_residual is a finite number > 0.
+    """
 
     tol_residual: float = 1e-10
     continuation_steps: Sequence[float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
             raise ParameterError(f"tol_residual must be a finite number > 0, got {self.tol_residual}")
 
@@ -389,7 +392,6 @@ def newton_solve(
     non-converged report, never a crash or a numpy warning.
     """
     cfg = cfg or SolveConfig()
-    cfg.validate()
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     x = _pack(s)
@@ -628,7 +630,7 @@ def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     k = 1
     while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
         k *= 2
-    return grid if k == 1 else RadialGrid(grid.r[::k], grading=grid.grading)
+    return grid if k == 1 else RadialGrid(grid.r[::k])
 
 
 def _prolong(v: np.ndarray, k: int) -> np.ndarray:
@@ -685,7 +687,6 @@ def continuation_solve(
     fine solve's.
     """
     cfg = cfg or SolveConfig()
-    cfg.validate()
     t0 = time.perf_counter()
     ladder = cfg.ladder(p_target)
     coarse = _coarse_grid(grid)

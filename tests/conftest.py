@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
+from skyrme_dyon.grid import GEOMETRIC_RATE
 
 ACCEPT_POINTS = [
     (0.55 * math.pi, 0.05, 1.0),
@@ -11,6 +12,19 @@ ACCEPT_POINTS = [
     (0.90 * math.pi, 0.05, 1.0),
 ]
 SWEEP_QS = [0.30, 0.20, 0.10, 0.05, 0.02]
+
+
+def blended_grid(R, N, c):
+    """Mesh on explicit nodes r_i = R * ((1 - c) x_i + c sinh(beta x_i) / sinh(beta)), x_i = i/N.
+
+    c = 0 is uniform and c = 1 gives build_grid's nodes bitwise; model
+    tests use the other values to check the discretization off that mesh.
+    """
+    xi = np.arange(N + 1, dtype=float) / N
+    r = R * ((1.0 - c) * xi + c * np.sinh(GEOMETRIC_RATE * xi) / np.sinh(GEOMETRIC_RATE))
+    r[0] = 0.0
+    r[-1] = R
+    return sd.RadialGrid(r)
 
 
 @pytest.fixture(scope="session")

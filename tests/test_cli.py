@@ -315,6 +315,21 @@ def test_verify_command_on_stored_profile(tmp_path):
     assert main(["verify", str(path)]) == 3
 
 
+@pytest.mark.parametrize("old_line", ["# grading=1", "# grading=none"])
+def test_profile_with_a_grading_line_verifies_as_without(tmp_path, capsys, old_line):
+    # files written before the mesh lost its parameter carry a grading line; it is read and ignored
+    out = tmp_path / "run"
+    main(["solve", "--nodes", "300", "--rmax", "30", "--q", "0.1", "--out", str(out)])
+    lines = (out / "profile.csv").read_text().splitlines()
+    assert [line.split("=")[0] for line in lines[:6]] == ["# omega", "# q", "# kappa", "# R", "# N", "r,a,f,g"]
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join([*lines[:5], old_line, *lines[5:]]) + "\n")
+    for path, report in ((out / "profile.csv", tmp_path / "new.txt"), (old, tmp_path / "old.txt")):
+        main(["verify", str(path), "--out", str(report)])
+    assert (tmp_path / "old.txt").read_bytes() == (tmp_path / "new.txt").read_bytes() == (out / "verify.txt").read_bytes()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
     s = sd.initial_guess(p, grid_small)
@@ -329,7 +344,7 @@ def test_profile_csv_bitwise_roundtrip(tmp_path, grid_small):
 @pytest.mark.parametrize("rebuilt", [False, True])
 def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
     grid = sd.build_grid(60.0, 1000)
-    if rebuilt:  # a grid read back from a file, grading None
+    if rebuilt:  # a grid read back from a file
         grid = sd.RadialGrid(grid.r[::2].copy())
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
     s = sd.initial_guess(p, grid)
@@ -337,8 +352,7 @@ def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
     s.f[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)
     path = tmp_path / "p.csv"
     write_profile_csv(path, p, s)
-    grading = "none" if grid.grading is None else f"{grid.grading:.17g}"
-    head = [f"# omega={p.omega:.17g}", f"# q={p.q:.17g}", f"# kappa={p.kappa:.17g}", f"# R={grid.R:.17g}", f"# N={grid.N}", f"# grading={grading}", "r,a,f,g"]
+    head = [f"# omega={p.omega:.17g}", f"# q={p.q:.17g}", f"# kappa={p.kappa:.17g}", f"# R={grid.R:.17g}", f"# N={grid.N}", "r,a,f,g"]
     rows = [f"{r:.17g},{a:.17g},{f:.17g},{g:.17g}" for r, a, f, g in zip(grid.r.tolist(), s.a.tolist(), s.f.tolist(), s.g.tolist())]
     assert path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
 
@@ -426,19 +440,21 @@ BAD_TOLS = ["-1", "0", "nan", "inf"]
     "option",
     [
         ["solve", "--omega", "0.4pi"],
-        ["solve", "--grading", "2"],
+        ["solve", "--grading", "0"],  # the mesh has no parameter: a deleted option
         *(["solve", "--tol", tol] for tol in BAD_TOLS),
         *(["sweep", "--sweep-values", "0.1", "--tol", tol] for tol in BAD_TOLS),
         ["solve", "--seed", "-1"],
         ["solve", "--rmax", "1e160", "--nodes", "100"],
+        ["solve", "--nodes", "100000000000000000000"],  # above MAX_NODES, rejected before any allocation
     ],
 )
-def test_bad_solve_settings_create_no_out_directory(tmp_path, option):
+def test_bad_solve_settings_create_no_out_directory(tmp_path, capsys, option):
     # option is the command and its bad setting; the suite turns any
     # RuntimeWarning, such as an overflow in the mesh's r_i*r_(i+1), into an error
     out = tmp_path / "newdir"
     assert main([*option, "--q", "0.1", "--out", str(out)]) == 1
     assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)

@@ -1,16 +1,20 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 import skyrme_dyon as sd
+from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError
-from skyrme_dyon.grid import MAX_SPACING_RATIO
+from skyrme_dyon.grid import MAX_NODES, MAX_SPACING_RATIO
 
 
-def test_uniform_grading_degenerates_to_equal_spacing():
-    g = sd.build_grid(10.0, 100, cluster=0.0)
-    assert np.allclose(g.r, np.arange(101) * 0.1, rtol=0.0, atol=1e-14)
+@pytest.mark.parametrize("R, N", [(60.0, 2000), (60.0, 8000), (30.0, 300), (60.0, 250), (1000.0, 100)])
+def test_build_grid_nodes_are_the_sinh_map(R, N):
+    # bitwise the nodes of R * ((1 - c) x + c sinh(5x) / sinh(5)) at c = 1, the one mesh every stored profile was solved on
+    r = sd.build_grid(R, N).r
+    assert np.array_equal(r.view(np.int64), blended_grid(R, N, 1.0).r.view(np.int64))
 
 
 def test_default_grading_puts_at_least_ten_percent_of_nodes_in_the_core():
@@ -20,11 +24,10 @@ def test_default_grading_puts_at_least_ten_percent_of_nodes_in_the_core():
 
 def test_spacing_ratio_bounded():
     # build_grid does not check the ratio: for N >= MIN_NODES it is at most e^(beta/N) <= e^0.05
-    for cluster in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for N in (100, 101, 400):
-            g = sd.build_grid(60.0, N, cluster=cluster)
-            ratios = g.h[1:] / g.h[:-1]
-            assert np.max(np.maximum(ratios, 1.0 / ratios)) <= MAX_SPACING_RATIO
+    for N in (100, 101, 400):
+        g = sd.build_grid(60.0, N)
+        ratios = g.h[1:] / g.h[:-1]
+        assert np.max(np.maximum(ratios, 1.0 / ratios)) <= MAX_SPACING_RATIO
 
 
 def test_build_grid_rejects_bad_parameters():
@@ -32,8 +35,10 @@ def test_build_grid_rejects_bad_parameters():
         sd.build_grid(60.0, 50)
     with pytest.raises(ParameterError, match="R"):
         sd.build_grid(-1.0, 200)
-    with pytest.raises(ParameterError, match="cluster"):
-        sd.build_grid(60.0, 200, cluster=1.5)
+    # N above the cap is rejected before any array is allocated
+    for N in (MAX_NODES + 1, 10**13, 10**20, math.inf, math.nan):
+        with pytest.raises(ParameterError, match=rf"N must be an integer in \[100, {MAX_NODES}\], got {N}$"):
+            sd.build_grid(60.0, N)
 
 
 def test_grid_rejects_nodes_whose_half_node_products_overflow():
@@ -52,7 +57,7 @@ def flux_divergence(grid, u):
 
 
 def test_sturm_liouville_exact_on_constant_linear_and_reciprocal():
-    g = sd.build_grid(20.0, 200, cluster=1.0)
+    g = sd.build_grid(20.0, 200)
     const = flux_divergence(g, np.full(g.N + 1, 3.7))
     lin = flux_divergence(g, 0.4 * g.r)
     for i in (1, 5, 50, g.N - 1):
@@ -65,7 +70,7 @@ def test_sturm_liouville_exact_on_constant_linear_and_reciprocal():
 
 
 def test_sturm_liouville_conservativity_telescopes():
-    g = sd.build_grid(15.0, 150, cluster=0.8)
+    g = blended_grid(15.0, 150, 0.8)
     rng = np.random.default_rng(3)
     u = np.cumsum(rng.uniform(-1, 1, g.N + 1))
     total = np.dot(flux_divergence(g, u), g.w[1:-1])
@@ -75,14 +80,14 @@ def test_sturm_liouville_conservativity_telescopes():
 
 
 def test_integrate_constant_and_linear_exact():
-    g = sd.build_grid(7.5, 130, cluster=0.9)
+    g = blended_grid(7.5, 130, 0.9)
     assert abs(g.integrate(np.ones(g.N + 1)) - 7.5) <= 1e-12
-    gu = sd.build_grid(10.0, 100, cluster=0.0)
+    gu = blended_grid(10.0, 100, 0.0)
     assert abs(gu.integrate(gu.r.copy()) - 50.0) <= 1e-12
 
 
 def test_integrate_quadratic_accuracy():
-    g = sd.build_grid(1.0, 1000, cluster=0.0)
+    g = blended_grid(1.0, 1000, 0.0)
     assert abs(g.integrate(g.r**2) - 1.0 / 3.0) <= 1e-5
 
 
@@ -106,7 +111,7 @@ def test_quadrature_second_order_under_refinement():
 def test_refine_doubles_intervals_and_contains_parent_nodes():
     g = sd.build_grid(10.0, 100)
     g2 = sd.build_grid(10.0, 200)
-    assert g2.N == 2 * g.N and g2.R == g.R and g2.grading == g.grading
+    assert g2.N == 2 * g.N and g2.R == g.R
     assert np.array_equal(g2.r[::2], g.r)
     g4 = sd.build_grid(10.0, 400)
     assert g4.N == 4 * g.N
@@ -114,9 +119,9 @@ def test_refine_doubles_intervals_and_contains_parent_nodes():
 
 
 def test_grid_rebuilt_from_its_nodes_roundtrips():
-    g = sd.build_grid(12.0, 110, cluster=0.7)
+    g = blended_grid(12.0, 110, 0.7)
     g2 = sd.RadialGrid(g.r.copy())
-    assert g2.N == g.N and g2.R == g.R and g2.grading is None
+    assert g2.N == g.N and g2.R == g.R
     assert np.array_equal(g2.w, g.w)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import skyrme_dyon as sd
+from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError
 from skyrme_dyon.errors import TestFunctionError as BadTestFunction
 from skyrme_dyon.model import e2_energy
@@ -40,7 +41,7 @@ def test_requires_unit_gauge_at_origin():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), q=st.floats(0.01, 0.35))
 def test_maximum_principle_and_monotonicity(seed, q):
-    g = sd.build_grid(25.0, 250, cluster=0.7)
+    g = blended_grid(25.0, 250, 0.7)
     rng = np.random.default_rng(seed)
     decay = rng.uniform(0.2, 2.0)
     wobble = rng.uniform(-0.4, 0.4, size=3)
@@ -68,7 +69,7 @@ def test_solution_minimizes_discrete_e2(monopole_small, rng):
 
 
 def test_weak_form_orthogonality_at_solution():
-    g = sd.build_grid(40.0, 500, cluster=0.9)
+    g = blended_grid(40.0, 500, 0.9)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
     a = np.exp(-0.5 * g.r**2 / (1 + g.r))
     a[0] = 1.0
@@ -148,7 +149,7 @@ def test_constraint_residual_names_the_bad_row_of_a_stack():
 
 
 def test_flux_identity_telescopes():
-    g = sd.build_grid(30.0, 400, cluster=0.8)
+    g = blended_grid(30.0, 400, 0.8)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     a = 1.0 / (1.0 + 0.5 * g.r**2)
     a[0] = 1.0

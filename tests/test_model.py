@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyrme_dyon as sd
+from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
 from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _stencil, e2_energy
 
@@ -80,7 +81,7 @@ def test_density_e1_pure_core_term():
 
 
 def test_density_e1_linear_f_on_uniform_grid():
-    g = sd.build_grid(10.0, 200, cluster=0.0)
+    g = blended_grid(10.0, 200, 0.0)
     s = sd.FieldProfile(g, np.ones(g.N + 1), g.r.copy(), np.zeros(g.N + 1))
     interval, nodal = e1_terms(params(kappa=0.0, q=0.1), s)
     for i in (1, 50, 150):
@@ -90,7 +91,7 @@ def test_density_e1_linear_f_on_uniform_grid():
 
 
 def test_density_e2_examples():
-    g = sd.build_grid(10.0, 120, cluster=0.0)
+    g = blended_grid(10.0, 120, 0.0)
     p = params(q=0.25)
     ones, zeros = np.ones(g.N + 1), np.zeros(g.N + 1)
     assert e2_energy(g, ones, zeros) == 0.0
@@ -108,7 +109,7 @@ def test_density_e2_examples():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), kappa=st.floats(0.0, 3.0))
 def test_densities_nonnegative(seed, kappa):
-    g = sd.build_grid(8.0, 100, cluster=0.6)
+    g = blended_grid(8.0, 100, 0.6)
     rng = np.random.default_rng(seed)
     s = sd.FieldProfile(
         g,
@@ -125,7 +126,7 @@ def test_densities_nonnegative(seed, kappa):
 
 
 def test_e1_reflection_symmetry():
-    g = sd.build_grid(8.0, 100, cluster=0.6)
+    g = blended_grid(8.0, 100, 0.6)
     a = 1.0 / (1.0 + g.r**2) + 0.05 * np.sin(g.r)
     f = 0.8 * (1.0 - np.exp(-g.r)) + 0.1 * np.sin(0.7 * g.r)
     q = np.zeros(g.N + 1)
@@ -146,7 +147,7 @@ def test_action_vacuum_zero():
 
 
 def test_action_linear_g_closed_form():
-    g = sd.build_grid(10.0, 1000, cluster=0.0)
+    g = blended_grid(10.0, 1000, 0.0)
     p = params(q=0.25)
     s = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), p.q * g.r / g.R)
     act = sd.action_breakdown(p, s)
@@ -212,7 +213,7 @@ def test_residual_f_trivial_cases():
 
 
 def test_residual_g_exact_linear_family():
-    g = sd.build_grid(10.0, 150, cluster=0.8)
+    g = blended_grid(10.0, 150, 0.8)
     p = params()
     c = 0.031
     s = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), c * g.r)
@@ -258,7 +259,7 @@ def test_residuals_match_symbolic_oracle(kappa_val):
     p = sd.ModelParams(OMEGA, 0.25, kappa, 0.35)
     errs = {}
     for N in (800, 1600):
-        g = sd.build_grid(20.0, N, cluster=0.9)
+        g = blended_grid(20.0, N, 0.9)
         s = sd.FieldProfile(g, a_fn(g.r), f_fn(g.r), g_fn(g.r))
         ra, rf, rg = sd.residuals(p, s)
         idx = np.random.default_rng(42).integers(5, g.N - 5, size=10)
@@ -276,7 +277,7 @@ def test_residuals_match_symbolic_oracle(kappa_val):
 
 
 def test_residual_gradient_consistency_complex_step():
-    g = sd.build_grid(12.0, 150, cluster=0.8)
+    g = blended_grid(12.0, 150, 0.8)
     p = params(q=0.2)
     rng = np.random.default_rng(8)
     s = sd.initial_guess(p, g)

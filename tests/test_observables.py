@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
-from conftest import ACCEPT_POINTS
+from conftest import ACCEPT_POINTS, blended_grid
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
 
 observables_module = importlib.import_module("skyrme_dyon.observables")
@@ -52,7 +52,7 @@ def test_skyrme_charge_ramp_independent_of_shape(shape):
 
 
 def test_electric_charge_examples():
-    g = sd.build_grid(10.0, 500, cluster=0.0)
+    g = blended_grid(10.0, 500, 0.0)
     zero = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), np.zeros(g.N + 1))
     assert sd.electric_charge(zero) == 0.0
     q = 0.2
@@ -79,7 +79,7 @@ P_FLAT = sd.validate_params(OMEGA, 0.0, 1.0)
 
 
 def test_fit_decay_rate_exact_exponential():
-    g = sd.build_grid(60.0, 1000, cluster=0.0)
+    g = blended_grid(60.0, 1000, 0.0)
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
     gamma, window = sd.fit_decay_rate(s, P_FLAT)
@@ -88,7 +88,7 @@ def test_fit_decay_rate_exact_exponential():
 
 
 def test_fit_decay_rate_subexponential_prefactor():
-    g = sd.build_grid(60.0, 1000, cluster=0.0)
+    g = blended_grid(60.0, 1000, 0.0)
     f, gg = _flat_background(g)
     a = (1.0 + g.r) * np.exp(-0.3 * g.r)
     a /= a.max()
@@ -99,7 +99,7 @@ def test_fit_decay_rate_subexponential_prefactor():
 
 def test_fit_decay_rate_truncated_two_mode():
     # hard outer Dirichlet data: a = B (exp(-gamma r) - exp(-gamma (2R - r)))
-    g = sd.build_grid(60.0, 1500, cluster=0.5)
+    g = blended_grid(60.0, 1500, 0.5)
     f, gg = _flat_background(g)
     gamma0 = 0.22
     a = np.exp(-gamma0 * g.r) - np.exp(-gamma0 * (2.0 * g.R - g.r))
@@ -139,7 +139,7 @@ def _rates_matching_90_round_bisection(grid, u, idx):
 
 
 def test_two_mode_rates_match_the_90_round_bisection_on_the_truncated_family():
-    g = sd.build_grid(60.0, 1500, cluster=0.5)
+    g = blended_grid(60.0, 1500, 0.5)
     a = np.exp(-0.22 * g.r) - np.exp(-0.22 * (2.0 * g.R - g.r))
     lam = _rates_matching_90_round_bisection(g, a, np.arange(1, g.N))
     assert np.isfinite(lam).sum() > 1000
@@ -189,7 +189,7 @@ def test_two_mode_rate_safeguard_when_the_seed_is_unusable(u_out, u_mid):
 
 
 def test_fit_decay_rate_window_error_for_small_domain():
-    g = sd.build_grid(5.0, 100, cluster=0.0)
+    g = blended_grid(5.0, 100, 0.0)
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
     with pytest.raises(DecayWindowError, match="radius"):
