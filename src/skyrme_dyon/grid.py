@@ -18,8 +18,11 @@ A RadialGrid is its nodes: R and N are read from them, and its constructor
 holds every node check; build_grid makes the graded nodes.
 
 The grid holds the mesh data of the discrete model: interval lengths h,
-dual-cell (trapezoid) weights w and the half-node coefficients r_i*r_{i+1}
-of (r^2 u')'.  model.py writes out the stencils; its conservative flux form
+dual-cell (trapezoid) weights w, the half-node coefficients r_i*r_{i+1}
+of (r^2 u')', and the interval conductances r_i*r_{i+1}/h_i with their
+sums at the interior nodes, the stiffness of (r^2 u')' that the electric
+solve and the Newton Jacobian read instead of rebuilding it per call.
+model.py writes out the stencils; its conservative flux form
 of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth
 mode of the continuous operator), so u = c*r satisfies the discrete
 equation (r^2 u')' = 2*c*r exactly on any admissible mesh.
@@ -54,6 +57,9 @@ class RadialGrid:
     w        dual-cell (trapezoid) weights: w_0 = h_0/2, w_N = h_{N-1}/2,
              w_i = (h_{i-1} + h_i)/2 otherwise
     p_half   half-node coefficient of (r^2 u')': p_half_i = r_i * r_{i+1}
+    conductance      interval conductance of (r^2 u')': p_half_i / h_i
+    conductance_sum  its sum over the two intervals at interior node j:
+                     conductance_{j-1} + conductance_j, j = 1..N-1
     """
 
     r: np.ndarray
@@ -62,6 +68,8 @@ class RadialGrid:
     h: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
     p_half: np.ndarray = field(init=False, repr=False)
+    conductance: np.ndarray = field(init=False, repr=False)
+    conductance_sum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
@@ -86,9 +94,12 @@ class RadialGrid:
         w[-1] = 0.5 * h[-1]
         w[1:-1] = 0.5 * (h[:-1] + h[1:])
         p_half = r[:-1] * r[1:]
+        # finite: h_i is at least half an ulp of r_(i+1), so p_half_i/h_i stays below ~1e16 r_i
+        conductance = p_half / h
         object.__setattr__(self, "R", float(r[-1]))
         object.__setattr__(self, "N", N)
-        for name, arr in (("r", r), ("h", h), ("w", w), ("p_half", p_half)):
+        arrays = (("r", r), ("h", h), ("w", w), ("p_half", p_half), ("conductance", conductance), ("conductance_sum", conductance[:-1] + conductance[1:]))
+        for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -25,10 +25,13 @@ rather than imposed in the continuum.
 
 _tridiagonal_solver, the package's one tridiagonal solver, factorizes once
 with LAPACK gttrf and returns a gttrs solve: it serves the electric solve
-and, once per flow state, each of the flow's two initial inverse Hessian
-systems.  Without row exchanges gttrf + gttrs do the eliminations of
-gtsv, which solve_banded calls, so the results are bitwise those of
-scipy.linalg.solve_banded((1, 1), ...).
+and, once per flow state, the flow's initial inverse Hessian, whose a- and
+f-systems it factorizes as one tridiagonal system with zero coupling
+between the two blocks.  Without row exchanges gttrf + gttrs do the
+eliminations of gtsv, which solve_banded calls, so the results are
+bitwise those of scipy.linalg.solve_banded((1, 1), ...).  The electric
+solve reads its stiffness, the grid's conductances and their sums, from
+the grid, checks its diagonal once and factorizes without a second check.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def _raise_for_info(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
 
 
-def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, finite: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Factorize the tridiagonal matrix (sub-, main, super-diagonal) once; returns solve(b) -> x.
 
     LAPACK gttrf/gttrs of the arrays' dtype, so complex-step input works;
@@ -67,8 +70,11 @@ def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> Callab
     through scipy.linalg.solve_banded.  The arrays are not modified.
     Raises as solve_banded does: ValueError on non-finite input (the
     matrix here, b in solve), LinAlgError on an exactly singular matrix.
+    finite=True skips the check of the matrix, for a caller that has
+    already checked it.
     """
-    _require_finite(dl, d, du)
+    if not finite:
+        _require_finite(dl, d, du)
     if d.size < 3:
         ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
         return lambda b: solve_banded((1, 1), ab, b)
@@ -96,24 +102,20 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
         raise ParameterError(f"a[0] must equal 1, got {a[0]!r}")
 
     dtype = np.result_type(a, float)
-    h = grid.h
-    P = grid.p_half
-    w = grid.w[1:-1]
+    cond = grid.conductance
     a2 = a[1:-1] * a[1:-1]
-    n = grid.N - 1
 
     # Row-scaled symmetric form: diag = P_m/h_m + P_p/h_p + 2 a^2 w, off = -P/h.
-    main = P[:-1] / h[:-1] + P[1:] / h[1:] + 2.0 * a2 * w
-    off = -P[1:-1] / h[1:-1]
-    rhs = np.zeros(n, dtype=dtype)
-    rhs[-1] = P[-1] / h[-1] * p.q
-
+    main = grid.conductance_sum + 2.0 * a2 * grid.w[1:-1]
     if not np.all(np.isfinite(main)):
         raise NumericError(f"non-finite electric-sector diagonal at node {int(np.flatnonzero(~np.isfinite(main))[0]) + 1}")
+    off = -cond[1:-1]  # finite, as the grid's conductances are
+    rhs = np.zeros(grid.N - 1, dtype=dtype)
+    rhs[-1] = cond[-1] * p.q
 
     g = np.empty(grid.N + 1, dtype=dtype)
     g[0] = 0.0
-    g[1:-1] = _tridiagonal_solver(off, main, off)(rhs)
+    g[1:-1] = _tridiagonal_solver(off, main, off, finite=True)(rhs)
     g[-1] = p.q
     return g
 

@@ -35,17 +35,22 @@ flow solver, the inner electric solve and the gradient checks all rely on
 this identity, so any change here must keep the action terms and the
 residuals in exact correspondence.
 
-_e1 sums _interval_e1/_nodal_e1 for E1 and for the verify battery's
-coercive bound, and _e2_form sums E2's bilinear form for e2_energy (its
-diagonal) and for the electric constraint residual.  _stencil and
-_reaction_rates serve the residuals, the Newton Jacobian and the flow
-preconditioner; _stencil's f'^2 average _qbar also serves the decay fit
-and the source of the f tail.  residuals takes an optional precomputed
-stencil and action_breakdown an optional sin(f), so a caller that already
-has them (the flow, Newton for its Jacobian, and the verify battery)
-evaluates a state once; the results are bitwise the same.  _e2_form and
-e2_energy also take a stack of arrays, one value per row, so the battery
-sums its test functions in one pass.
+_products forms what the action and the residuals of one state (a, f, g)
+share: sin f, the difference quotients of a, f and g, the mass
+a^2 sin^2 f and its interval means.  _e1 sums _interval_e1/_nodal_e1 on
+them for E1 and for the verify battery's coercive bound, and _e2_form
+sums E2's bilinear form for e2_energy (its diagonal), for the action and
+for the electric constraint residual.  _stencil (f's quotients, sin f,
+cos f and the f'^2 average _qbar) and _reaction_rates serve the
+residuals, the Newton Jacobian and the flow preconditioner; _qbar also
+serves the decay fit and the source of the f tail.  residuals takes an
+optional precomputed stencil and products, and action_breakdown an
+optional sin(f) or products, so a caller that already has them (Newton,
+whose stencil also serves its Jacobian, the flow, whose trial's products
+serve the accepted state, and the verify battery) evaluates a state once;
+the results are bitwise the same.  _e2_form and e2_energy also take a
+stack of arrays, one value per row, so the battery sums its test
+functions in one pass.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -148,17 +153,29 @@ class ActionBreakdown:
     E: float
 
 
-def _c_half(a, sin_f):
-    """Interval means of a^2 sin^2(f) from nodal a and sin(f)."""
-    c_nodal = a * a * sin_f**2
-    return 0.5 * (c_nodal[:-1] + c_nodal[1:])
+class _Products(NamedTuple):
+    """Products of one state (a, f, g) that its action, its stencil and its residuals all read."""
+
+    sin: np.ndarray  # sin(f) at all N+1 nodes
+    da: np.ndarray  # a difference quotients on all N intervals
+    df: np.ndarray  # f difference quotients on all N intervals
+    dg: np.ndarray  # g difference quotients on all N intervals
+    mass: np.ndarray  # a^2 sin^2(f) at all N+1 nodes
+    c_half: np.ndarray  # interval means of mass
 
 
-def _interval_e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f):
+def _products(grid: RadialGrid, a, f, g, *, sin_f=None) -> _Products:
+    """The _Products of (a, f, g); sin_f, when given, must be np.sin(f) and is stored as is."""
+    sin = np.sin(f) if sin_f is None else sin_f
+    h = grid.h
+    mass = a * a * sin**2
+    # u[1:] - u[:-1] is np.diff(u) without its call overhead
+    return _Products(sin, (a[1:] - a[:-1]) / h, (f[1:] - f[:-1]) / h, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]))
+
+
+def _interval_e1(p: ModelParams, grid: RadialGrid, pr: _Products, r2_coeff):
     """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
-    da = np.diff(a) / grid.h
-    df = np.diff(f) / grid.h
-    return 4.0 * da * da + (r2_coeff * grid.p_half + 4.0 * p.kappa * _c_half(a, sin_f)) * df * df
+    return 4.0 * pr.da * pr.da + (r2_coeff * grid.p_half + 4.0 * p.kappa * pr.c_half) * pr.df * pr.df
 
 
 def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
@@ -179,25 +196,33 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
     return out
 
 
-def _e1(p: ModelParams, grid: RadialGrid, a, f, r2_coeff, sin_f, mass):
-    """Discrete E1 for r^2 f'^2 coefficient r2_coeff and mass term mass: interval terms times h plus node terms times w."""
-    return np.dot(_interval_e1(p, grid, a, f, r2_coeff, sin_f), grid.h) + np.dot(_nodal_e1(p, grid, a, sin_f, mass), grid.w)
+def _e1(p: ModelParams, grid: RadialGrid, a, pr: _Products, r2_coeff, mass):
+    """Discrete E1 of the state with products pr, for r^2 f'^2 coefficient r2_coeff and mass term mass.
+
+    Interval terms times h plus node terms times w.
+    """
+    return np.dot(_interval_e1(p, grid, pr, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, pr.sin, mass), grid.w)
 
 
-def _e2_terms(grid: RadialGrid, a, g, G):
-    """Per-interval part r^2 g' G' and per-node part 2 a^2 g G of E2's bilinear form."""
-    dG = np.diff(G) / grid.h
+def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
+    """Per-interval part r^2 g' G' and per-node part 2 a^2 g G of E2's bilinear form.
+
+    dG, when given, must be np.diff(G) / grid.h.
+    """
+    if dG is None:
+        dG = np.diff(G) / grid.h
     dg = dG if g is G else np.diff(g) / grid.h  # the diagonal differences once
     return grid.p_half * dg * dG, 2.0 * a * a * g * G
 
 
-def _e2_form(grid: RadialGrid, a, g, G):
+def _e2_form(grid: RadialGrid, a, g, G, dG=None):
     """Discrete bilinear form of E2: interval terms times h plus node terms times w.
 
     G may be a stack of arrays, one per row; the result then holds one value
-    per row, each summed by the same two dots as a single G, so bitwise the same.
+    per row, each summed by the same two dots as a single G, so bitwise the
+    same.  dG, when given, must be np.diff(G) / grid.h.
     """
-    interval, nodal = _e2_terms(grid, a, g, G)
+    interval, nodal = _e2_terms(grid, a, g, G, dG)
     if interval.ndim == 1:
         return np.dot(interval, grid.h) + np.dot(nodal, grid.w)
     return np.array([np.dot(i, grid.h) + np.dot(n, grid.w) for i, n in zip(interval, nodal)])
@@ -208,24 +233,23 @@ def e2_energy(grid: RadialGrid, a, g):
     return _e2_form(grid, a, g, g)
 
 
-def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None) -> ActionBreakdown:
+def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None, products: _Products | None = None) -> ActionBreakdown:
     """E1 and E2 of the discrete action, L = E1 - E2, E = E1 + E2.
 
-    sin_f, when given, must be np.sin(s.f); the result is then bitwise the same.
+    sin_f, when given, must be np.sin(s.f), and products, when given,
+    _products(s.grid, s.a, s.f, s.g); the result is then bitwise the same.
     Raises NumericError naming the first node or interval whose term is not finite.
     """
-    grid, a, f = s.grid, s.a, s.f
-    if sin_f is None:
-        sin_f = np.sin(f)
-    mass = a * a * sin_f**2
-    E1 = float(_e1(p, grid, a, f, 0.5, sin_f, mass))
-    E2 = float(e2_energy(grid, a, s.g))
+    grid, a, g = s.grid, s.a, s.g
+    pr = _products(grid, a, s.f, g, sin_f=sin_f) if products is None else products
+    E1 = float(_e1(p, grid, a, pr, 0.5, pr.mass))
+    E2 = float(_e2_form(grid, a, g, g, pr.dg))
     if not (math.isfinite(E1) and math.isfinite(E2)):
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
-        interval_e2, nodal_e2 = _e2_terms(grid, a, s.g, s.g)
+        interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, pr.dg)
         terms = np.empty(2 * grid.N + 1)
-        terms[0::2] = _nodal_e1(p, grid, a, sin_f, mass) + nodal_e2
-        terms[1::2] = _interval_e1(p, grid, a, f, 0.5, sin_f) + interval_e2
+        terms[0::2] = _nodal_e1(p, grid, a, pr.sin, pr.mass) + nodal_e2
+        terms[1::2] = _interval_e1(p, grid, pr, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
             k = int(bad[0]) // 2
@@ -245,20 +269,21 @@ class _Stencil(NamedTuple):
     cos: np.ndarray  # cos(f) at all N+1 nodes
 
 
-def _stencil(grid: RadialGrid, f, *, sin_f=None) -> _Stencil:
+def _stencil(grid: RadialGrid, f, *, products: _Products | None = None) -> _Stencil:
     """Shared setup of the residuals, the Newton Jacobian and the flow preconditioner.
 
-    sin_f, when given, must be np.sin(f) and is stored as is.
+    products, when given, must be the _products of a state with this f; its
+    f difference quotients and sin(f) are stored as they are.
     """
     rj = grid.r[1:-1]
-    df = np.diff(f) / grid.h
-    return _Stencil(grid.w[1:-1], 1.0 / (rj * rj), df, _qbar(grid, df), np.sin(f) if sin_f is None else sin_f, np.cos(f))
+    df, sin = (np.diff(f) / grid.h, np.sin(f)) if products is None else (products.df, products.sin)
+    return _Stencil(grid.w[1:-1], 1.0 / (rj * rj), df, _qbar(grid, df), sin, np.cos(f))
 
 
 def _qbar(grid: RadialGrid, df, first: int = 0):
     """Dual-cell average of f'^2 at interior nodes first+1..N-1, from the quotients df of intervals first..N-1."""
-    h = grid.h[first:]
-    return (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * grid.w[first + 1 : -1])
+    hdd = grid.h[first:] * df * df  # h_i df_i^2 on each interval, shared by its two nodes
+    return (hdd[:-1] + hdd[1:]) / (2.0 * grid.w[first + 1 : -1])
 
 
 def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
@@ -286,7 +311,7 @@ def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
     return react_a, react_f
 
 
-def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = None):
+def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = None, products: _Products | None = None):
     """Vectorized (residual_a, residual_f, residual_g) over interior nodes 1..N-1.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
@@ -299,20 +324,25 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
     f'^2 factors use the dual-cell average of interval difference quotients
     and D(.) the conservative flux stencil, so each residual is the exact
     gradient of the discrete action (see module docstring).  stencil, when
-    given, must be _stencil(s.grid, s.f); the result is then bitwise the same.
+    given, must be _stencil(s.grid, s.f), and products, when given,
+    _products(s.grid, s.a, s.f, s.g); the result is then bitwise the same.
     """
     grid, a, f, g = s.grid, s.a, s.f, s.g
-    st = _stencil(grid, f) if stencil is None else stencil
+    if products is None:
+        products = _products(grid, a, f, g, sin_f=None if stencil is None else stencil.sin)
+    st = _stencil(grid, f, products=products) if stencil is None else stencil
     w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
-    Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
     k = p.kappa
     aj, gj = a[1:-1], g[1:-1]
-    da = np.diff(a) / grid.h
-    dg = np.diff(g) / grid.h
-    Dfm, Dfp = st.df[:-1], st.df[1:]
     sj, cj = st.sin[1:-1], st.cos[1:-1]
     s2 = sj * sj
+    two_a2 = 2.0 * aj * aj
+    # interval fluxes r^2 f', a^2 sin^2(f) f' and r^2 g', each differenced at the nodes
+    flux_r2f = grid.p_half * st.df
+    flux_cf = products.c_half * st.df
+    flux_r2g = grid.p_half * products.dg
 
+    da = products.da
     app = (da[1:] - da[:-1]) / w
     res_a = app - (
         aj * (aj * aj - 1.0) * inv_r2
@@ -322,21 +352,20 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
         - 0.5 * aj * gj * gj
     )
 
-    sl_f = (Pp * Dfp - Pm * Dfm) / w
-    C = _c_half(a, st.sin)
-    flux_f = (C[1:] * Dfp - C[:-1] * Dfm) / w
+    sl_f = (flux_r2f[1:] - flux_r2f[:-1]) / w
+    flux_f = (flux_cf[1:] - flux_cf[:-1]) / w
     res_f = (
         8.0 * k * flux_f
         + sl_f
         - (
-            2.0 * aj * aj * sj * cj
+            two_a2 * sj * cj
             + 8.0 * k * aj * aj * sj * cj * qbar
             + 8.0 * k * aj**4 * s2 * sj * cj * inv_r2
         )
     )
 
-    sl_g = (Pp * dg[1:] - Pm * dg[:-1]) / w
-    res_g = sl_g - 2.0 * aj * aj * gj
+    sl_g = (flux_r2g[1:] - flux_r2g[:-1]) / w
+    res_g = sl_g - two_a2 * gj
     return res_a, res_f, res_g
 
 

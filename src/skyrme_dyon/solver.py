@@ -27,9 +27,12 @@ Two structurally different routes to the same discrete root:
   Jacobian; its initial inverse Hessian is the implicit flow step
   (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
   steps halve from 1 until J falls enough (Armijo).  Each state is
-  evaluated once (one sin f, one stencil, one action), and each of the
-  two initial inverse Hessian systems is factorized once per state by
-  inner._tridiagonal_solver, the solver of the electric system.
+  evaluated once: the products its action sums (model._products: sin f,
+  the difference quotients, a^2 sin^2 f) also serve its stencil and
+  residuals once it is accepted.  The a- and f-systems of the initial
+  inverse Hessian are one tridiagonal system, uncoupled at the seam,
+  factorized once per state by inner._tridiagonal_solver, the solver of
+  the electric system, and solved once per application.
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -67,13 +70,15 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .grid import RadialGrid
 from .inner import _raise_for_info, _require_finite, _tridiagonal_solver, solve_inner_g
 from .model import (
     ActionBreakdown,
     FieldProfile,
     ModelParams,
+    _Products,
+    _products,
     _reaction_rates,
     _stencil,
     _Stencil,
@@ -212,11 +217,11 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
-def _residual_vector(p: ModelParams, s: FieldProfile, stencil: _Stencil | None = None) -> tuple[np.ndarray, float]:
-    ra, rf, rg = residuals(p, s, stencil=stencil)
+def _residual_vector(p: ModelParams, s: FieldProfile, stencil: _Stencil | None = None, products: _Products | None = None) -> tuple[np.ndarray, float]:
+    ra, rf, rg = residuals(p, s, stencil=stencil, products=products)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
-    return vec, float(np.max(np.abs(vec)))
+    return vec, float(np.abs(vec).max())
 
 
 def _scatter(ab: np.ndarray, vals: np.ndarray, rf: int, cf: int, doff: int, n: int) -> None:
@@ -251,6 +256,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     hm, hp = h[:-1], h[1:]
     w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
     Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
+    stiff = grid.conductance_sum  # Pm/hm + Pp/hp
     k = p.kappa
     n = grid.N - 1
 
@@ -265,7 +271,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     s2 = sj * sj
     sc = sj * cj
     # interval means of a^2 sin^2 f; the product order differs from the
-    # residual's _c_half on purpose, since that order moves solutions by ulps
+    # residual's _products.c_half on purpose, since that order moves solutions by ulps
     Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
     react_a, react_f = _reaction_rates(p, st, a, g)
@@ -293,7 +299,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     rf_fp = 8.0 * k * (Cp / hp + ap * ap * sp_ * cp_ * Dfp) / w + Pp * iw_hp - 8.0 * k * aj * aj * sc * Dfp / w
     rf_fj = (
         8.0 * k * (aj * aj * sc * (Dfp - Dfm) - Cp / hp - Cm / hm) / w
-        - (Pp / hp + Pm / hm) / w
+        - stiff / w
         - (react_f + 8.0 * k * aj * aj * sc * (Dfm - Dfp) / w)
     )
     _scatter(ab, rf_fm, 1, 1, -1, n)
@@ -309,7 +315,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     # residual_g partials
     _scatter(ab, Pm * iw_hm, 2, 2, -1, n)
     _scatter(ab, Pp * iw_hp, 2, 2, 1, n)
-    _scatter(ab, -(Pp / hp + Pm / hm) / w - 2.0 * aj * aj, 2, 2, 0, n)
+    _scatter(ab, -stiff / w - 2.0 * aj * aj, 2, 2, 0, n)
     _scatter(ab, -4.0 * aj * gj, 2, 0, 0, n)
     return ab
 
@@ -366,8 +372,9 @@ def _report(
 def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _Stencil, np.ndarray, float]:
     """(x, profile, stencil, residual vector, residual norm) at the stacked interior values x."""
     s = _unpack(x, p, grid)
-    st = _stencil(grid, s.f)
-    return (x, s, st, *_residual_vector(p, s, st))
+    pr = _products(grid, s.a, s.f, s.g)
+    st = _stencil(grid, s.f, products=pr)
+    return (x, s, st, *_residual_vector(p, s, st, pr))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -393,10 +400,7 @@ def newton_solve(
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
-    s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
-    x = _pack(s)
-    st = _stencil(grid, s.f)
-    rvec, norm = _residual_vector(p, s, st)
+    x, s, st, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
     work = _band_workspace(grid)
     solve = None  # the factors a chord trial reuses, while Newton contracts fast
     iters = factorizations = 0
@@ -474,6 +478,19 @@ def _lbfgs_direction(
     return -r
 
 
+def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[FieldProfile, _Products, ActionBreakdown]:
+    """(profile, products, action) of the flow state (a, f), with g solved from a.
+
+    The products that the action sums also serve the state's stencil and
+    residuals once it is accepted.  Raises NumericError when the electric
+    solve or the action is not finite.
+    """
+    s = FieldProfile(grid, a, f, solve_inner_g(p, grid, a))
+    pr = _products(grid, a, f, s.g)
+    return s, pr, action_breakdown(p, s, products=pr)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[FieldProfile, SolveReport]:
     """Descent on the reduced functional J(a, f) = E1(a, f) - E2(a, g(a)).
 
@@ -496,15 +513,19 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     (notably (3a^2-1)/r^2 near the origin) from the operator.  diag(w)
     times that operator is symmetric positive definite, so H0 is too, and
     with an empty memory the direction is the implicit flow step of time
-    dt.  The step length halves from 1 until
-    J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); below MIN_STEP the
-    flow stops with "flow step size underflow".
+    dt.  The two fields' systems are factorized as one tridiagonal system
+    with zero coupling at the seam, once per state.  The step length
+    halves from 1 until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a
+    trial whose electric solve or action is not finite halves it too.
+    Below MIN_STEP the flow stops with "flow step size underflow at
+    residual R".
 
-    Each state is evaluated once: sin f of a trial serves its action and,
-    once accepted, its stencil, which serves its residuals and reaction
-    rates; the report's action is that of the last accepted state.  A
-    start whose a or f is not finite ends at once, in a non-converged
-    report with 0 steps that names the first such node.
+    Each state is evaluated once: the _products of a trial serve its action
+    and, once accepted, its stencil and residuals, and the stencil its
+    reaction rates; the report's action is that of the last accepted state.
+    A start whose a or f is not finite, or whose electric solve or action
+    is not, ends at once, in a non-converged report with 0 steps that names
+    the failure.  The flow runs without numpy warnings.
     """
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
@@ -513,29 +534,34 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         if bad.size:
             message = f"non-finite {name} at node {bad[0]} of the starting profile"
             return s, _report(p, s, False, 0, float("nan"), None, "flow", message, t0)
-    s.g = solve_inner_g(p, grid, s.a)
-    sin_f = np.sin(s.f)
-    action = action_breakdown(p, s, sin_f=sin_f)
+    try:
+        s, pr, action = _flow_state(p, grid, s.a, s.f)
+    except NumericError as exc:
+        return s, _report(p, s, False, 0, float("nan"), None, "flow", f"{exc} of the starting profile", t0)
     J = action.L
     j_trace = [J]
     # grid-only parts of the operators: (hm*w, hp*w) below and above the
-    # diagonal, and the a-operator's off-diagonals and diagonal K part
+    # diagonal, and the a-operator's diagonal K part
     hm, hp = grid.h[:-1], grid.h[1:]
     w = grid.w[1:-1]
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     k_a = (1.0 / hm + 1.0 / hp) / w
     dt = FLOW_DT
     c = 8.0 * dt
-    lo_a, up_a = -c / hmw, -c / hpw
     n = grid.N - 1
+    # H0's a- and f-systems as one tridiagonal system of 2n unknowns: a
+    # first, then f, uncoupled at the seam; the a off-diagonals are grid-only
+    lower, diag, upper = np.zeros(2 * n - 1), np.empty(2 * n), np.zeros(2 * n - 1)
+    lower[: n - 1], upper[: n - 1] = -c / hmw, -c / hpw
+    ww = np.concatenate((w, w))  # the dual-cell widths of both blocks
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     x_prev = grad_prev = None
     accepted = 0
     message = ""
     while True:
-        st = _stencil(grid, s.f, sin_f=sin_f)
-        ra, rf, rg = residuals(p, s, stencil=st)
-        norm = max(np.max(np.abs(ra)), np.max(np.abs(rf)), np.max(np.abs(rg)))
+        st = _stencil(grid, s.f, products=pr)
+        ra, rf, rg = residuals(p, s, stencil=st, products=pr)
+        norm = max(np.abs(ra).max(), np.abs(rf).max(), np.abs(rg).max())
         if norm <= FLOW_TOL:
             break
         if accepted == FLOW_MAX_STEPS:
@@ -551,18 +577,18 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         x_prev, grad_prev = x, grad
 
         react_a, react_f = _flow_reactions(p, st, s)
-        # (a sin f)^2, not _c_half's order, for the same reason as in the Jacobian
+        # (a sin f)^2, not _products' order, for the same reason as in the Jacobian
         a_sin = s.a * st.sin
         coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
-        diag_a = 1.0 + c * (k_a + react_a)
-        diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
         off_f = -dt * coeff_f[1:-1]
-
-        solve_a = _tridiagonal_solver(lo_a, diag_a, up_a)
-        solve_f = _tridiagonal_solver(off_f / hmw, diag_f, off_f / hpw)
+        diag[:n] = 1.0 + c * (k_a + react_a)
+        diag[n:] = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
+        lower[n:] = off_f / hmw
+        upper[n:] = off_f / hpw
+        solve = _tridiagonal_solver(lower, diag, upper)
 
         def precond(v):
-            return np.concatenate((solve_a(dt * v[:n] / w), solve_f(dt * v[n:] / w)))
+            return solve(dt * v / ww)
 
         d = _lbfgs_direction(grad, memory, precond)
         slope = d @ grad
@@ -576,22 +602,19 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
             f_try = s.f.copy()
             a_try[1:-1] += step * d[:n]
             f_try[1:-1] += step * d[n:]
-            g_try = solve_inner_g(p, grid, a_try)
-            s_try = FieldProfile(grid, a_try, f_try, g_try)
             try:
-                sin_try = np.sin(f_try)
-                action_try = action_breakdown(p, s_try, sin_f=sin_try)
+                s_try, pr_try, action_try = _flow_state(p, grid, a_try, f_try)
                 J_try = action_try.L
-            except Exception:
-                J_try = float("inf")
-            if np.isfinite(J_try) and J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
-                s, J, sin_f, action = s_try, J_try, sin_try, action_try
+            except NumericError:  # rejected, as a trial that raises J is
+                J_try = math.inf
+            if J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
+                s, pr, action, J = s_try, pr_try, action_try, J_try
                 j_trace.append(J)
                 accepted += 1
                 break
             step *= BACKTRACK_FACTOR
         else:
-            message = "flow step size underflow"
+            message = f"flow step size underflow at residual {norm:.3e}"
             break
     report = _report(p, s, bool(norm <= FLOW_TOL), accepted, norm, action, "flow", message, t0)
     report.j_trace = j_trace

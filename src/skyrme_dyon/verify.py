@@ -30,6 +30,8 @@ from .model import (
     FieldProfile,
     ModelParams,
     _e1,
+    _Products,
+    _products,
     _stencil,
     action_breakdown,
     e2_energy,
@@ -130,13 +132,13 @@ def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
     return G
 
 
-def _coercive_gap(p: ModelParams, s: FieldProfile, L: float, sin_f: np.ndarray) -> tuple[float, float]:
+def _coercive_gap(p: ModelParams, s: FieldProfile, L: float, pr: _Products) -> tuple[float, float]:
     """The action L of s minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
 
     The bound is E1 with the r^2 f'^2 coefficient 1/2 lowered to c1 and the
     mass term a^2 sin^2 f replaced by c2 a^2 f^2.  Returns (gap, scale).
     The discrete inequality is exact whenever g is the inner minimizer and
-    0 <= f <= pi/2 nodewise, so gap >= -round-off.  sin_f is np.sin(s.f).
+    0 <= f <= pi/2 nodewise, so gap >= -round-off.  pr is _products of s.
     """
     grid = s.grid
     om_gap = p.f_infinity
@@ -144,7 +146,7 @@ def _coercive_gap(p: ModelParams, s: FieldProfile, L: float, sin_f: np.ndarray) 
     c1 = 0.5 - (p.q / om_gap) ** 2
     c2 = 2.0 / om_gap**2 * (q_om**2 - p.q**2)
     a, f = s.a, s.f
-    bound = float(_e1(p, grid, a, f, c1, sin_f, c2 * a * a * f * f))
+    bound = float(_e1(p, grid, a, pr, c1, c2 * a * a * f * f))
     return L - bound, abs(L) + abs(bound) + 1.0
 
 
@@ -174,16 +176,17 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     The returned report carries the profile's ObservableReport (evaluated
     with strict=False) in its observables field.  A non-finite value fails
     the rows it reaches, so the battery runs without numpy's invalid-value
-    and overflow warnings.  One stencil of f serves the residual rows, and
-    its sin(f) the action, the coercive bound and the small-r Skyrme bound.
+    and overflow warnings.  One _products of the profile serves the residual
+    rows, the action, the coercive bound and both small-r bounds, and one
+    stencil built on it the residual rows.
     """
     tol = tol or Tolerances()
     grid, a = s.grid, s.a
     obs = observables(p, s, strict=False)
     rep = VerifyReport(observables=obs)
 
-    st = _stencil(grid, s.f)
-    ra, rf, rg = residuals(p, s, stencil=st)
+    pr = _products(grid, a, s.f, s.g)
+    ra, rf, rg = residuals(p, s, stencil=_stencil(grid, s.f, products=pr), products=pr)
     rep.add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
     rep.add("residual-f", "euler-lagrange", float(np.max(np.abs(rf))), tol.residual)
     rep.add("residual-g", "euler-lagrange", float(np.max(np.abs(rg))), tol.residual)
@@ -201,7 +204,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     rep.checks.extend(property_checks(p, s))
 
     try:
-        act = action_breakdown(p, s, sin_f=st.sin)
+        act = action_breakdown(p, s, products=pr)
     except NumericError:
         act = None  # non-finite energy density: every check built on the action fails
     if act is None:
@@ -210,7 +213,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     else:
         energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
         rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
-        gap, scale = _coercive_gap(p, s, act.L, st.sin)
+        gap, scale = _coercive_gap(p, s, act.L, pr)
         rep.add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the
@@ -238,8 +241,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     rep.add("tail-f-variation", "tail-laws", obs.cf_variation, CF_VARIATION_TOL)
 
     # Discrete Cauchy-Schwarz bound |a(r) - 1| <= sqrt(r * cumint a'^2); exact identity.
-    da = np.diff(a) / grid.h
-    cum_a = np.concatenate([[0.0], np.cumsum(da * da * grid.h)])
+    cum_a = np.concatenate([[0.0], np.cumsum(pr.da * pr.da * grid.h)])
     gap_a = float(np.max(np.abs(a - 1.0) - np.sqrt(grid.r * cum_a)))
     rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, SMALL_R_REL_TOL * (1.0 + float(cum_a[-1])))
 
@@ -251,7 +253,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         below = np.flatnonzero(a < 0.5)
         cut = below[0] if below.size else grid.N + 1
         rr = grid.r[:cut]
-        lhs = st.sin[:cut] ** 2
+        lhs = pr.sin[:cut] ** 2
         rhs = 2.0 / math.sqrt(p.kappa) * np.sqrt(rr) * math.sqrt(act_L)
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import skyrme_dyon as sd
-from skyrme_dyon.model import _e1, e2_energy
+from skyrme_dyon.model import _e1, _products, e2_energy
 from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _pack, _residual_vector, _unpack
 from skyrme_dyon.verify import seeded_test_functions
 
@@ -177,8 +177,8 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     def reduced(a, f):
         gg = sd.solve_inner_g(p, grid, a)
-        sin_f = np.sin(f)
-        return _e1(p, grid, a, f, 0.5, sin_f, a * a * sin_f**2) - e2_energy(grid, a, gg)
+        pr = _products(grid, a, f, gg)
+        return _e1(p, grid, a, pr, 0.5, pr.mass) - e2_energy(grid, a, gg)
 
     h = 1e-30
     worst_grad = 0.0

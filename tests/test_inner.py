@@ -203,6 +203,20 @@ def test_factorized_inner_solve_is_bitwise_the_banded_solve(rng, nodes, complex_
     assert gs.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("R, N", [(30.0, 300), (60.0, 2000)])
+def test_inner_solve_on_grid_held_stiffness_is_bitwise_the_per_call_assembly(rng, R, N):
+    # solve_inner_g reads the grid's conductances and checks its diagonal
+    # once; the solution keeps the bits of the assembly that divides P/h on
+    # every call, in _banded_reference_g
+    g = sd.build_grid(R, N)
+    for q in (0.0, 0.05, 0.3):
+        p = sd.validate_params(OMEGA, q, 1.0)
+        for _ in range(3):
+            a = rng.uniform(0.0, 2.0, g.N + 1)
+            a[0], a[-1] = 1.0, 0.0
+            assert sd.solve_inner_g(p, g, a).tobytes() == _banded_reference_g(p, g, a).tobytes()
+
+
 def test_non_finite_diagonal_is_reported_with_its_node():
     g = sd.build_grid(30.0, 300)
     p = sd.validate_params(OMEGA, 0.3, 1.0)

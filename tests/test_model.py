@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import skyrme_dyon as sd
 from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _stencil, e2_energy
+from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _products, _stencil, e2_energy
 
 OMEGA = 0.75 * math.pi
 
@@ -55,14 +55,14 @@ def vacuum_profile(grid):
 
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
-    sin_f = np.sin(s.f)
-    return _interval_e1(p, s.grid, s.a, s.f, 0.5, sin_f), _nodal_e1(p, s.grid, s.a, sin_f, s.a * s.a * sin_f**2)
+    pr = _products(s.grid, s.a, s.f, s.g)
+    return _interval_e1(p, s.grid, pr, 0.5), _nodal_e1(p, s.grid, s.a, pr.sin, pr.mass)
 
 
 def discrete_action(p, s):
     """L = E1 - E2 through the package's one sum of each; complex inputs give complex L."""
-    sin_f = np.sin(s.f)
-    return _e1(p, s.grid, s.a, s.f, 0.5, sin_f, s.a * s.a * sin_f**2) - e2_energy(s.grid, s.a, s.g)
+    pr = _products(s.grid, s.a, s.f, s.g)
+    return _e1(p, s.grid, s.a, pr, 0.5, pr.mass) - e2_energy(s.grid, s.a, s.g)
 
 
 def test_density_e1_vacuum_zero():
@@ -316,8 +316,71 @@ def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng
     s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid_small.N - 1)
     s.f[1:-1] += 0.05 * rng.standard_normal(grid_small.N - 1)
     sin_f = np.sin(s.f)
-    st = _stencil(grid_small, s.f, sin_f=sin_f)
-    assert st.sin is sin_f
-    for fresh, shared in zip(sd.residuals(p, s), sd.residuals(p, s, stencil=st)):
-        assert fresh.tobytes() == shared.tobytes()
-    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, sin_f=sin_f)
+    pr = _products(grid_small, s.a, s.f, s.g, sin_f=sin_f)
+    st = _stencil(grid_small, s.f, products=pr)
+    assert pr.sin is sin_f and st.sin is sin_f and st.df is pr.df
+    fresh = sd.residuals(p, s)
+    for shared in (
+        sd.residuals(p, s, stencil=st),
+        sd.residuals(p, s, products=pr),
+        sd.residuals(p, s, stencil=st, products=pr),
+        sd.residuals(p, s, stencil=_stencil(grid_small, s.f)),
+    ):
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(fresh, shared))
+    for name, value in zip(pr._fields, pr):
+        assert value.tobytes() == getattr(_products(grid_small, s.a, s.f, s.g), name).tobytes()
+    action = sd.action_breakdown(p, s)
+    assert action == sd.action_breakdown(p, s, sin_f=sin_f) == sd.action_breakdown(p, s, products=pr)
+
+
+def _per_term_residuals_and_action(p, s):
+    """Residuals and (E1, E2) written term by term, each product formed where it is used.
+
+    The package forms the difference quotients, a^2 sin^2 f, its interval
+    means and the interval fluxes once per state and shares them; every
+    value must still be bitwise this direct evaluation.
+    """
+    grid, a, f, g = s.grid, s.a, s.f, s.g
+    h, w, P = grid.h, grid.w[1:-1], grid.p_half
+    k = p.kappa
+    rj = grid.r[1:-1]
+    inv_r2 = 1.0 / (rj * rj)
+    sin_f, cos_f = np.sin(f), np.cos(f)
+    da, df, dg = np.diff(a) / h, np.diff(f) / h, np.diff(g) / h
+    qbar = (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * w)
+    c_nodal = a * a * sin_f**2
+    C = 0.5 * (c_nodal[:-1] + c_nodal[1:])
+    aj, gj, sj, cj = a[1:-1], g[1:-1], sin_f[1:-1], cos_f[1:-1]
+    s2 = sj * sj
+    Dfm, Dfp = df[:-1], df[1:]
+    res_a = (da[1:] - da[:-1]) / w - (
+        aj * (aj * aj - 1.0) * inv_r2 + 0.25 * aj * s2 + k * aj * s2 * qbar + k * aj**3 * s2 * s2 * inv_r2 - 0.5 * aj * gj * gj
+    )
+    res_f = (
+        8.0 * k * ((C[1:] * Dfp - C[:-1] * Dfm) / w)
+        + (P[1:] * Dfp - P[:-1] * Dfm) / w
+        - (2.0 * aj * aj * sj * cj + 8.0 * k * aj * aj * sj * cj * qbar + 8.0 * k * aj**4 * s2 * sj * cj * inv_r2)
+    )
+    res_g = (P[1:] * dg[1:] - P[:-1] * dg[:-1]) / w - 2.0 * aj * aj * gj
+    interval = 4.0 * da * da + (0.5 * P + 4.0 * k * C) * df * df
+    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, grid, a, sin_f, a * a * sin_f**2), grid.w))
+    E2 = float(np.dot(P * dg * dg, h) + np.dot(2.0 * a * a * g * g, grid.w))
+    return (res_a, res_f, res_g), (E1, E2), qbar
+
+
+@pytest.mark.parametrize(
+    "omega, q, kappa",
+    [(OMEGA, 0.3, 1.0), (0.55 * math.pi, 0.05, 1.0), (OMEGA, 0.1, 0.0), (0.6 * math.pi, 0.0, 3.0)],
+)
+@pytest.mark.parametrize("R, N", [(30.0, 300), (60.0, 2000)])
+def test_shared_products_are_bitwise_the_per_term_formulas(rng, omega, q, kappa, R, N):
+    grid = sd.build_grid(R, N)
+    p = params(q, kappa, omega)
+    s = sd.initial_guess(p, grid)
+    for field in (s.a, s.f, s.g):
+        field[1:-1] *= 1.0 + 0.05 * rng.standard_normal(N - 1)
+    residuals, (E1, E2), qbar = _per_term_residuals_and_action(p, s)
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), residuals))
+    action = sd.action_breakdown(p, s)
+    assert (action.E1, action.E2) == (E1, E2)
+    assert _stencil(grid, s.f).qbar.tobytes() == qbar.tobytes()

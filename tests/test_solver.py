@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
 import skyrme_dyon as sd
 from skyrme_dyon import solver
-from skyrme_dyon.errors import ParameterError, RegionError
+from skyrme_dyon.errors import NumericError, ParameterError, RegionError
 from skyrme_dyon.inner import _tridiagonal_solver
 from skyrme_dyon.model import _stencil
 from skyrme_dyon.solver import (
@@ -259,6 +260,55 @@ def test_flow_names_a_non_finite_start(grid_small):
         _, rep = sd.flow_solve(p, grid_small, guess)
         assert not rep.converged and rep.iterations == 0
         assert rep.message == f"non-finite {field} at node 150 of the starting profile"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a_interior, message",
+    [
+        (1e160, "non-finite electric-sector diagonal at node 1 of the starting profile"),  # 2 a^2 w overflows
+        (1e100, "non-finite action term at node 1 of the starting profile"),  # (a^2 - 1)^2 / r^2 overflows
+    ],
+)
+def test_flow_reports_an_overflowing_start(a_interior, message):
+    # finite, but too large for the electric solve or the action: a report, as from Newton, never an exception or a warning
+    g = sd.build_grid(60.0, 300)
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    guess = sd.initial_guess(p, g)
+    guess.a[1:-1] = a_interior
+    _, rep = sd.flow_solve(p, g, guess)
+    assert not rep.converged and rep.iterations == 0
+    assert rep.message == message
+    _, newton = sd.newton_solve(p, g, guess)
+    assert not newton.converged and newton.message.startswith("non-finite residual")
+
+
+def test_flow_rejects_a_trial_whose_electric_solve_raises(monkeypatch, grid_small):
+    # a trial that overflows is rejected by halving its step, as one that raises J is
+    calls = []
+    real_inner = solver.solve_inner_g
+
+    def raising_once(p, grid, a):
+        calls.append(1)
+        if len(calls) == 2:  # the first trial; the first call sets g of the guess
+            raise NumericError("non-finite electric-sector diagonal at node 1")
+        return real_inner(p, grid, a)
+
+    monkeypatch.setattr(solver, "solve_inner_g", raising_once)
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.flow_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert rep.converged, rep.message
+    assert len(calls) - 1 > rep.iterations  # more trials than accepted steps
+    assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
+
+
+def test_flow_names_its_residual_when_the_step_underflows(monkeypatch, grid_small):
+    monkeypatch.setattr(solver, "MIN_STEP", 2.0)  # even the full step is below it
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.flow_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert not rep.converged and rep.iterations == 0
+    assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
+    assert rep.message == f"flow step size underflow at residual {rep.final_residual_norm:.3e}"
 
 
 def test_flow_from_converged_solution_terminates_immediately(monopole_small):
@@ -748,6 +798,54 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
     df = _tridiagonal_solver(off_f / hmw, diag_f, off_f / hpw)(dt * rf)
     step = np.concatenate((da, df))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
+
+
+def _split_solve(dl, d, du, b):
+    """The a- and f-blocks of a one-system preconditioner solved apart, then concatenated."""
+    n = d.size // 2
+    assert dl[n - 1] == 0.0 and du[n - 1] == 0.0  # no coupling at the seam
+    return np.concatenate((_tridiagonal_solver(dl[: n - 1], d[:n], du[: n - 1])(b[:n]), _tridiagonal_solver(dl[n:], d[n:], du[n:])(b[n:])))
+
+
+def test_one_system_preconditioner_is_bitwise_the_two_field_solves_on_the_flow(monkeypatch, grid_small):
+    # every application of H0 the flow makes, on the diagonals of its states
+    applied = []
+    real_solver = solver._tridiagonal_solver
+
+    def recording(dl, d, du):
+        system = (dl.copy(), d.copy(), du.copy())  # the flow refills its arrays at the next state
+        solve = real_solver(dl, d, du)
+
+        def recorded(b):
+            x = solve(b)
+            applied.append((*system, b.copy(), x.copy()))  # the two-loop recursion updates x in place
+            return x
+
+        return recorded
+
+    monkeypatch.setattr(solver, "_tridiagonal_solver", recording)
+    for omega, q, kappa in [(OMEGA, 0.1, 1.0), REJECTING_FLOW_CASE]:
+        p = sd.validate_params(omega, q, kappa)
+        applied.clear()
+        _, rep = sd.flow_solve(p, grid_small, sd.initial_guess(p, grid_small))
+        assert rep.converged and len(applied) >= rep.iterations
+        for dl, d, du, b, x in applied:
+            assert d.size == 2 * (grid_small.N - 1)
+            assert x.tobytes() == _split_solve(dl, d, du, b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 300])
+def test_one_system_solve_is_bitwise_the_two_block_solves_with_row_exchanges(rng, n):
+    # a small diagonal makes gttrf exchange rows inside each block
+    exchanged = 0
+    for _ in range(5):
+        (dl_a, d_a, du_a), (dl_f, d_f, du_f) = ((rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n), rng.standard_normal(n - 1)) for _ in range(2))
+        dl, d, du = np.concatenate((dl_a, [0.0], dl_f)), np.concatenate((d_a, d_f)), np.concatenate((du_a, [0.0], du_f))
+        b = rng.standard_normal(2 * n)
+        assert _tridiagonal_solver(dl, d, du)(b).tobytes() == _split_solve(dl, d, du, b).tobytes()
+        if n >= 2:
+            exchanged += int(np.any(dgttrf(dl, d, du)[4] != np.arange(1, 2 * n + 1)))
+    assert n < 2 or exchanged
 
 
 def test_flow_converges_at_large_kappa():
