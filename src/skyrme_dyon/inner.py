@@ -23,15 +23,19 @@ divides by r = 0 and the value g_0 = 0 is boundary data that the interior
 system does not even need, mirroring the fact that g(0) = 0 is forced
 rather than imposed in the continuum.
 
-_tridiagonal_solver, the package's one tridiagonal solver, factorizes once
-with LAPACK gttrf and returns a gttrs solve: it serves the electric solve
-and, once per flow state, the flow's initial inverse Hessian, whose a- and
-f-systems it factorizes as one tridiagonal system with zero coupling
-between the two blocks.  Without row exchanges gttrf + gttrs do the
-eliminations of gtsv, which solve_banded calls, so the results are
-bitwise those of scipy.linalg.solve_banded((1, 1), ...).  The electric
-solve reads its stiffness, the grid's conductances and their sums, from
-the grid, checks its diagonal once and factorizes without a second check.
+_tridiagonal_solver factorizes once with LAPACK gttrf and returns a gttrs
+solve; it serves the electric solve, whose system must also take the
+complex-step input that differentiates it.  Without row exchanges gttrf +
+gttrs do the eliminations of gtsv, which solve_banded calls, so the
+results are bitwise those of scipy.linalg.solve_banded((1, 1), ...).  The
+electric solve reads its stiffness, the grid's conductances and their
+sums, from the grid, checks its diagonal once and factorizes without a
+second check.  _spd_tridiagonal_solver factorizes a real symmetric
+positive definite tridiagonal matrix as L D L^T with LAPACK pttrf, with
+no pivoting (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3),
+and returns a pttrs solve: it serves, once per flow state, the flow's
+initial inverse Hessian, whose a- and f-systems it factorizes as one
+system with zero coupling between the two blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericError, ParameterError, TestFunctionError
 from .grid import RadialGrid
@@ -55,7 +60,9 @@ def _require_finite(*arrays: np.ndarray) -> None:
 
 
 def _raise_for_info(info: int, routine: str) -> None:
-    """Map a LAPACK info code to scipy.linalg.solve_banded's exceptions."""
+    """Map a LAPACK info code to scipy.linalg.solve_banded's exceptions; pttrf's names its pivot."""
+    if info > 0 and routine == "pttrf":
+        raise np.linalg.LinAlgError(f"matrix not positive definite: pivot {info} of pttrf is not positive")
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -86,6 +93,28 @@ def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, finite
         _require_finite(b)
         x, info = gttrs(*lu, b)
         _raise_for_info(info, "gttrs")
+        return x
+
+    return solve
+
+
+def _spd_tridiagonal_solver(d: np.ndarray, e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factorize the real SPD tridiagonal matrix (diagonal d, off-diagonal e) once as L D L^T; returns solve(b) -> x.
+
+    LAPACK dpttrf/dpttrs, from 2 x 2 up: scipy's pttrf wrapper rejects a
+    1 x 1 system, and the flow's system has two blocks of at least one
+    unknown each.  The arrays are not modified.  Raises ValueError on
+    non-finite input (the matrix here, b in solve), LinAlgError naming
+    the first pivot that is not positive.
+    """
+    _require_finite(d, e)
+    *ldl, info = dpttrf(d, e)
+    _raise_for_info(info, "pttrf")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        _require_finite(b)
+        x, info = dpttrs(*ldl, b)
+        _raise_for_info(info, "pttrs")
         return x
 
     return solve

@@ -233,15 +233,15 @@ def e2_energy(grid: RadialGrid, a, g):
     return _e2_form(grid, a, g, g)
 
 
-def action_breakdown(p: ModelParams, s: FieldProfile, *, sin_f=None, products: _Products | None = None) -> ActionBreakdown:
+def action_breakdown(p: ModelParams, s: FieldProfile, *, products: _Products | None = None) -> ActionBreakdown:
     """E1 and E2 of the discrete action, L = E1 - E2, E = E1 + E2.
 
-    sin_f, when given, must be np.sin(s.f), and products, when given,
-    _products(s.grid, s.a, s.f, s.g); the result is then bitwise the same.
+    products, when given, must be _products(s.grid, s.a, s.f, s.g); the
+    result is then bitwise the same.
     Raises NumericError naming the first node or interval whose term is not finite.
     """
     grid, a, g = s.grid, s.a, s.g
-    pr = _products(grid, a, s.f, g, sin_f=sin_f) if products is None else products
+    pr = _products(grid, a, s.f, g) if products is None else products
     E1 = float(_e1(p, grid, a, pr, 0.5, pr.mass))
     E2 = float(_e2_form(grid, a, g, g, pr.dg))
     if not (math.isfinite(E1) and math.isfinite(E2)):

@@ -30,9 +30,10 @@ Two structurally different routes to the same discrete root:
   evaluated once: the products its action sums (model._products: sin f,
   the difference quotients, a^2 sin^2 f) also serve its stencil and
   residuals once it is accepted.  The a- and f-systems of the initial
-  inverse Hessian are one tridiagonal system, uncoupled at the seam,
-  factorized once per state by inner._tridiagonal_solver, the solver of
-  the electric system, and solved once per application.
+  inverse Hessian, each row scaled by its dual-cell width, are one
+  symmetric positive definite tridiagonal system, uncoupled at the seam,
+  factorized once per state as L D L^T by inner._spd_tridiagonal_solver
+  (LAPACK pttrf) and solved once per application (pttrs).
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -72,7 +73,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NumericError, ParameterError
 from .grid import RadialGrid
-from .inner import _raise_for_info, _require_finite, _tridiagonal_solver, solve_inner_g
+from .inner import _raise_for_info, _require_finite, _spd_tridiagonal_solver, solve_inner_g
 from .model import (
     ActionBreakdown,
     FieldProfile,
@@ -513,10 +514,16 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     (notably (3a^2-1)/r^2 near the origin) from the operator.  diag(w)
     times that operator is symmetric positive definite, so H0 is too, and
     with an empty memory the direction is the implicit flow step of time
-    dt.  The two fields' systems are factorized as one tridiagonal system
-    with zero coupling at the seam, once per state.  The step length
-    halves from 1 until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a
-    trial whose electric solve or action is not finite halves it too.
+    dt.  With each row multiplied by its w, H0 v is the solve of one SPD
+    tridiagonal system for dt*v, the two fields' blocks with zero coupling
+    at the seam: a-rows w + c (1/h_m + 1/h_p + w react_a) on the diagonal
+    and -c/h off it, f-rows w + dt (k_m/h_m + k_p/h_p + w react_f) and
+    -dt k/h.  It is factorized once per state as L D L^T, without
+    pivoting; a factorization or solve that fails ends the flow in a
+    non-converged report, "flow preconditioner factorization failed: ...",
+    as a failed Jacobian factorization ends Newton.  The step length halves
+    from 1 until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a trial
+    whose electric solve or action is not finite halves it too.
     Below MIN_STEP the flow stops with "flow step size underflow at
     residual R".
 
@@ -540,20 +547,17 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         return s, _report(p, s, False, 0, float("nan"), None, "flow", f"{exc} of the starting profile", t0)
     J = action.L
     j_trace = [J]
-    # grid-only parts of the operators: (hm*w, hp*w) below and above the
-    # diagonal, and the a-operator's diagonal K part
     hm, hp = grid.h[:-1], grid.h[1:]
     w = grid.w[1:-1]
-    hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
-    k_a = (1.0 / hm + 1.0 / hp) / w
+    k_a = 1.0 / hm + 1.0 / hp  # grid-only: w times the a-operator's diagonal K part
     dt = FLOW_DT
     c = 8.0 * dt
     n = grid.N - 1
-    # H0's a- and f-systems as one tridiagonal system of 2n unknowns: a
-    # first, then f, uncoupled at the seam; the a off-diagonals are grid-only
-    lower, diag, upper = np.zeros(2 * n - 1), np.empty(2 * n), np.zeros(2 * n - 1)
-    lower[: n - 1], upper[: n - 1] = -c / hmw, -c / hpw
-    ww = np.concatenate((w, w))  # the dual-cell widths of both blocks
+    # H0's a- and f-systems, each row times its w, as one SPD tridiagonal
+    # system of 2n unknowns: a first, then f, uncoupled at the seam; the a
+    # off-diagonal is grid-only
+    diag, off = np.empty(2 * n), np.zeros(2 * n - 1)
+    off[: n - 1] = -c / grid.h[1:-1]
     memory: deque = deque(maxlen=LBFGS_MEMORY)
     x_prev = grad_prev = None
     accepted = 0
@@ -580,22 +584,24 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         # (a sin f)^2, not _products' order, for the same reason as in the Jacobian
         a_sin = s.a * st.sin
         coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
-        off_f = -dt * coeff_f[1:-1]
-        diag[:n] = 1.0 + c * (k_a + react_a)
-        diag[n:] = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
-        lower[n:] = off_f / hmw
-        upper[n:] = off_f / hpw
-        solve = _tridiagonal_solver(lower, diag, upper)
+        diag[:n] = w + c * (k_a + w * react_a)
+        diag[n:] = w + dt * (coeff_f[:-1] / hm + coeff_f[1:] / hp + w * react_f)
+        off[n:] = -dt * coeff_f[1:-1] / grid.h[1:-1]
+        try:
+            solve = _spd_tridiagonal_solver(diag, off)
 
-        def precond(v):
-            return solve(dt * v / ww)
+            def precond(v):
+                return solve(dt * v)
 
-        d = _lbfgs_direction(grad, memory, precond)
-        slope = d @ grad
-        if not slope < 0.0:
-            memory.clear()
-            d = -precond(grad)
+            d = _lbfgs_direction(grad, memory, precond)
             slope = d @ grad
+            if not slope < 0.0:
+                memory.clear()
+                d = -precond(grad)
+                slope = d @ grad
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            message = f"flow preconditioner factorization failed: {exc}"
+            break
         step = 1.0
         while step >= MIN_STEP:
             a_try = s.a.copy()
