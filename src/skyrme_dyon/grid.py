@@ -21,7 +21,8 @@ The grid holds the mesh data of the discrete model: interval lengths h,
 dual-cell (trapezoid) weights w, the half-node coefficients r_i*r_{i+1}
 of (r^2 u')', and the interval conductances r_i*r_{i+1}/h_i with their
 sums at the interior nodes, the stiffness of (r^2 u')' that the electric
-solve and the Newton Jacobian read instead of rebuilding it per call.
+solve and the Newton Jacobian read instead of rebuilding it per call, and
+1/r^2 at the interior nodes, which the residuals and the Jacobian read.
 model.py writes out the stencils; its conservative flux form
 of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth
 mode of the continuous operator), so u = c*r satisfies the discrete
@@ -60,6 +61,7 @@ class RadialGrid:
     conductance      interval conductance of (r^2 u')': p_half_i / h_i
     conductance_sum  its sum over the two intervals at interior node j:
                      conductance_{j-1} + conductance_j, j = 1..N-1
+    inv_r2   1/r_j^2 at the interior nodes j = 1..N-1
     """
 
     r: np.ndarray
@@ -70,6 +72,7 @@ class RadialGrid:
     p_half: np.ndarray = field(init=False, repr=False)
     conductance: np.ndarray = field(init=False, repr=False)
     conductance_sum: np.ndarray = field(init=False, repr=False)
+    inv_r2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
@@ -98,7 +101,10 @@ class RadialGrid:
         conductance = p_half / h
         object.__setattr__(self, "R", float(r[-1]))
         object.__setattr__(self, "N", N)
-        arrays = (("r", r), ("h", h), ("w", w), ("p_half", p_half), ("conductance", conductance), ("conductance_sum", conductance[:-1] + conductance[1:]))
+        with np.errstate(divide="ignore"):  # r^2 underflows to 0 on a tiny mesh: inf, and the residuals it enters are not finite
+            inv_r2 = 1.0 / (r[1:-1] * r[1:-1])
+        arrays = (("r", r), ("h", h), ("w", w), ("p_half", p_half), ("conductance", conductance))
+        arrays += (("conductance_sum", conductance[:-1] + conductance[1:]), ("inv_r2", inv_r2))
         for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -23,19 +23,18 @@ divides by r = 0 and the value g_0 = 0 is boundary data that the interior
 system does not even need, mirroring the fact that g(0) = 0 is forced
 rather than imposed in the continuum.
 
-_tridiagonal_solver factorizes once with LAPACK gttrf and returns a gttrs
-solve; it serves the electric solve, whose system must also take the
-complex-step input that differentiates it.  Without row exchanges gttrf +
-gttrs do the eliminations of gtsv, which solve_banded calls, so the
-results are bitwise those of scipy.linalg.solve_banded((1, 1), ...).  The
-electric solve reads its stiffness, the grid's conductances and their
-sums, from the grid, checks its diagonal once and factorizes without a
-second check.  _spd_tridiagonal_solver factorizes a real symmetric
-positive definite tridiagonal matrix as L D L^T with LAPACK pttrf, with
-no pivoting (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3),
-and returns a pttrs solve: it serves, once per flow state, the flow's
-initial inverse Hessian, whose a- and f-systems it factorizes as one
-system with zero coupling between the two blocks.
+The electric solve reads its stiffness, the grid's conductances and
+their sums, from the grid, checks its diagonal once and solves with one
+call of LAPACK gtsv of the arrays' dtype, so the complex-step input that
+differentiates it works too; a 1 x 1 system, which scipy's gtsv wrapper
+rejects, is divided directly.  gtsv is the routine that
+scipy.linalg.solve_banded((1, 1), ...) calls, so the results are bitwise
+its.  _spd_tridiagonal_solver factorizes a real symmetric positive
+definite tridiagonal matrix as L D L^T with LAPACK pttrf, with no
+pivoting (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3), and
+returns a pttrs solve: it serves, once per flow state, the flow's initial
+inverse Hessian, whose a- and f-systems it factorizes as one system with
+zero coupling between the two blocks.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericError, ParameterError, TestFunctionError
@@ -67,35 +66,6 @@ def _raise_for_info(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
-
-
-def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray, *, finite: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorize the tridiagonal matrix (sub-, main, super-diagonal) once; returns solve(b) -> x.
-
-    LAPACK gttrf/gttrs of the arrays' dtype, so complex-step input works;
-    scipy's gttrf wrapper rejects systems smaller than 3 x 3, which go
-    through scipy.linalg.solve_banded.  The arrays are not modified.
-    Raises as solve_banded does: ValueError on non-finite input (the
-    matrix here, b in solve), LinAlgError on an exactly singular matrix.
-    finite=True skips the check of the matrix, for a caller that has
-    already checked it.
-    """
-    if not finite:
-        _require_finite(dl, d, du)
-    if d.size < 3:
-        ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
-        return lambda b: solve_banded((1, 1), ab, b)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
-    *lu, info = gttrf(dl, d, du)
-    _raise_for_info(info, "gttrf")
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        _require_finite(b)
-        x, info = gttrs(*lu, b)
-        _raise_for_info(info, "gttrs")
-        return x
-
-    return solve
 
 
 def _spd_tridiagonal_solver(d: np.ndarray, e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -144,7 +114,12 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
 
     g = np.empty(grid.N + 1, dtype=dtype)
     g[0] = 0.0
-    g[1:-1] = _tridiagonal_solver(off, main, off, finite=True)(rhs)
+    if main.size == 1:
+        g[1:-1] = rhs / main
+    else:
+        (gtsv,) = get_lapack_funcs(("gtsv",), (off, main, rhs))
+        *_, g[1:-1], info = gtsv(off, main, off, rhs)
+        _raise_for_info(info, "gtsv")
     g[-1] = p.q
     return g
 

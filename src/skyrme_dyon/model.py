@@ -35,22 +35,22 @@ flow solver, the inner electric solve and the gradient checks all rely on
 this identity, so any change here must keep the action terms and the
 residuals in exact correspondence.
 
-_products forms what the action and the residuals of one state (a, f, g)
-share: sin f, the difference quotients of a, f and g, the mass
-a^2 sin^2 f and its interval means.  _e1 sums _interval_e1/_nodal_e1 on
-them for E1 and for the verify battery's coercive bound, and _e2_form
-sums E2's bilinear form for e2_energy (its diagonal), for the action and
-for the electric constraint residual.  _stencil (f's quotients, sin f,
-cos f and the f'^2 average _qbar) and _reaction_rates serve the
-residuals, the Newton Jacobian and the flow preconditioner; _qbar also
-serves the decay fit and the source of the f tail.  residuals takes an
-optional precomputed stencil and products, and action_breakdown an
-optional sin(f) or products, so a caller that already has them (Newton,
-whose stencil also serves its Jacobian, the flow, whose trial's products
-serve the accepted state, and the verify battery) evaluates a state once;
-the results are bitwise the same.  _e2_form and e2_energy also take a
-stack of arrays, one value per row, so the battery sums its test
-functions in one pass.
+_state evaluates one state (a, f, g) into the one record that its
+action, its residuals, the Newton Jacobian and the flow preconditioner
+read: sin f and cos f, the difference quotients of a, f and g, the mass
+a^2 sin^2 f and its interval means, the f'^2 average _qbar and the powers
+a^3 and a^4; what depends on the grid alone (w, 1/r^2) the grid holds.
+_e1 sums _interval_e1/_nodal_e1 on it for E1 and for the verify
+battery's coercive bound, and _e2_form sums E2's bilinear form for
+e2_energy (its diagonal), for the action and for the electric constraint
+residual.  _reaction_rates serves the Newton Jacobian and the flow
+preconditioner; _qbar also serves the decay fit and the source of the f
+tail.  residuals and action_breakdown take an optional state, so a caller
+that already has it (Newton, whose trial's state also serves its
+Jacobian, the flow, whose trial's state serves the accepted state, and
+the verify battery) evaluates a state once; the results are bitwise the
+same.  _e2_form and e2_energy also take a stack of arrays, one value per
+row, so the battery sums its test functions in one pass.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -153,29 +153,37 @@ class ActionBreakdown:
     E: float
 
 
-class _Products(NamedTuple):
-    """Products of one state (a, f, g) that its action, its stencil and its residuals all read."""
+class _State(NamedTuple):
+    """What the action, the residuals, the Newton Jacobian and the flow preconditioner read of one state (a, f, g)."""
 
     sin: np.ndarray  # sin(f) at all N+1 nodes
+    cos: np.ndarray  # cos(f) at all N+1 nodes
     da: np.ndarray  # a difference quotients on all N intervals
     df: np.ndarray  # f difference quotients on all N intervals
     dg: np.ndarray  # g difference quotients on all N intervals
     mass: np.ndarray  # a^2 sin^2(f) at all N+1 nodes
     c_half: np.ndarray  # interval means of mass
+    qbar: np.ndarray  # dual-cell average of f'^2 at interior nodes
+    a3: np.ndarray  # a^3 at interior nodes
+    a4: np.ndarray  # a^4 at interior nodes
 
 
-def _products(grid: RadialGrid, a, f, g, *, sin_f=None) -> _Products:
-    """The _Products of (a, f, g); sin_f, when given, must be np.sin(f) and is stored as is."""
-    sin = np.sin(f) if sin_f is None else sin_f
+def _state(grid: RadialGrid, a, f, g) -> _State:
+    """The _State of (a, f, g)."""
     h = grid.h
+    sin = np.sin(f)
     mass = a * a * sin**2
     # u[1:] - u[:-1] is np.diff(u) without its call overhead
-    return _Products(sin, (a[1:] - a[:-1]) / h, (f[1:] - f[:-1]) / h, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]))
+    df = (f[1:] - f[:-1]) / h
+    aj = a[1:-1]
+    return _State(
+        sin, np.cos(f), (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
+    )
 
 
-def _interval_e1(p: ModelParams, grid: RadialGrid, pr: _Products, r2_coeff):
+def _interval_e1(p: ModelParams, grid: RadialGrid, st: _State, r2_coeff):
     """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
-    return 4.0 * pr.da * pr.da + (r2_coeff * grid.p_half + 4.0 * p.kappa * pr.c_half) * pr.df * pr.df
+    return 4.0 * st.da * st.da + (r2_coeff * grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
 
 
 def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
@@ -196,12 +204,12 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
     return out
 
 
-def _e1(p: ModelParams, grid: RadialGrid, a, pr: _Products, r2_coeff, mass):
-    """Discrete E1 of the state with products pr, for r^2 f'^2 coefficient r2_coeff and mass term mass.
+def _e1(p: ModelParams, grid: RadialGrid, a, st: _State, r2_coeff, mass):
+    """Discrete E1 of the state st, for r^2 f'^2 coefficient r2_coeff and mass term mass.
 
     Interval terms times h plus node terms times w.
     """
-    return np.dot(_interval_e1(p, grid, pr, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, pr.sin, mass), grid.w)
+    return np.dot(_interval_e1(p, grid, st, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, st.sin, mass), grid.w)
 
 
 def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
@@ -233,23 +241,23 @@ def e2_energy(grid: RadialGrid, a, g):
     return _e2_form(grid, a, g, g)
 
 
-def action_breakdown(p: ModelParams, s: FieldProfile, *, products: _Products | None = None) -> ActionBreakdown:
+def action_breakdown(p: ModelParams, s: FieldProfile, *, state: _State | None = None) -> ActionBreakdown:
     """E1 and E2 of the discrete action, L = E1 - E2, E = E1 + E2.
 
-    products, when given, must be _products(s.grid, s.a, s.f, s.g); the
-    result is then bitwise the same.
+    state, when given, must be _state(s.grid, s.a, s.f, s.g); the result
+    is then bitwise the same.
     Raises NumericError naming the first node or interval whose term is not finite.
     """
     grid, a, g = s.grid, s.a, s.g
-    pr = _products(grid, a, s.f, g) if products is None else products
-    E1 = float(_e1(p, grid, a, pr, 0.5, pr.mass))
-    E2 = float(_e2_form(grid, a, g, g, pr.dg))
+    st = _state(grid, a, s.f, g) if state is None else state
+    E1 = float(_e1(p, grid, a, st, 0.5, st.mass))
+    E2 = float(_e2_form(grid, a, g, g, st.dg))
     if not (math.isfinite(E1) and math.isfinite(E2)):
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
-        interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, pr.dg)
+        interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, st.dg)
         terms = np.empty(2 * grid.N + 1)
-        terms[0::2] = _nodal_e1(p, grid, a, pr.sin, pr.mass) + nodal_e2
-        terms[1::2] = _interval_e1(p, grid, pr, 0.5) + interval_e2
+        terms[0::2] = _nodal_e1(p, grid, a, st.sin, st.mass) + nodal_e2
+        terms[1::2] = _interval_e1(p, grid, st, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
             k = int(bad[0]) // 2
@@ -258,43 +266,21 @@ def action_breakdown(p: ModelParams, s: FieldProfile, *, products: _Products | N
     return ActionBreakdown(E1=E1, E2=E2, L=E1 - E2, E=E1 + E2)
 
 
-class _Stencil(NamedTuple):
-    """Grid factors, f difference quotients and trigonometric values of f."""
-
-    w: np.ndarray  # dual-cell widths at interior nodes
-    inv_r2: np.ndarray  # 1/r^2 at interior nodes
-    df: np.ndarray  # f difference quotients on all N intervals
-    qbar: np.ndarray  # dual-cell average of f'^2 at interior nodes
-    sin: np.ndarray  # sin(f) at all N+1 nodes
-    cos: np.ndarray  # cos(f) at all N+1 nodes
-
-
-def _stencil(grid: RadialGrid, f, *, products: _Products | None = None) -> _Stencil:
-    """Shared setup of the residuals, the Newton Jacobian and the flow preconditioner.
-
-    products, when given, must be the _products of a state with this f; its
-    f difference quotients and sin(f) are stored as they are.
-    """
-    rj = grid.r[1:-1]
-    df, sin = (np.diff(f) / grid.h, np.sin(f)) if products is None else (products.df, products.sin)
-    return _Stencil(grid.w[1:-1], 1.0 / (rj * rj), df, _qbar(grid, df), sin, np.cos(f))
-
-
 def _qbar(grid: RadialGrid, df, first: int = 0):
     """Dual-cell average of f'^2 at interior nodes first+1..N-1, from the quotients df of intervals first..N-1."""
     hdd = grid.h[first:] * df * df  # h_i df_i^2 on each interval, shared by its two nodes
     return (hdd[:-1] + hdd[1:]) / (2.0 * grid.w[first + 1 : -1])
 
 
-def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
-    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f.
+def _reaction_rates(p: ModelParams, st: _State, s: FieldProfile):
+    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f, for s and its _State st.
 
     The f'^2 average qbar is held fixed; the Jacobian adds its cross terms.
     """
-    aj, gj = a[1:-1], g[1:-1]
+    aj, gj = s.a[1:-1], s.g[1:-1]
     sj, cj = st.sin[1:-1], st.cos[1:-1]
     s2 = sj * sj
-    k, qbar, inv_r2 = p.kappa, st.qbar, st.inv_r2
+    k, qbar, inv_r2 = p.kappa, st.qbar, s.grid.inv_r2
     react_a = (
         (3.0 * aj * aj - 1.0) * inv_r2
         + 0.25 * s2
@@ -306,12 +292,12 @@ def _reaction_rates(p: ModelParams, st: _Stencil, a, g):
     react_f = (
         2.0 * aj * aj * cos2
         + 8.0 * k * aj * aj * cos2 * qbar
-        + 8.0 * k * aj**4 * s2 * (3.0 * cj * cj - s2) * inv_r2
+        + 8.0 * k * st.a4 * s2 * (3.0 * cj * cj - s2) * inv_r2
     )
     return react_a, react_f
 
 
-def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = None, products: _Products | None = None):
+def residuals(p: ModelParams, s: FieldProfile, *, state: _State | None = None):
     """Vectorized (residual_a, residual_f, residual_g) over interior nodes 1..N-1.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
@@ -323,15 +309,13 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
 
     f'^2 factors use the dual-cell average of interval difference quotients
     and D(.) the conservative flux stencil, so each residual is the exact
-    gradient of the discrete action (see module docstring).  stencil, when
-    given, must be _stencil(s.grid, s.f), and products, when given,
-    _products(s.grid, s.a, s.f, s.g); the result is then bitwise the same.
+    gradient of the discrete action (see module docstring).  state, when
+    given, must be _state(s.grid, s.a, s.f, s.g); the result is then
+    bitwise the same.
     """
-    grid, a, f, g = s.grid, s.a, s.f, s.g
-    if products is None:
-        products = _products(grid, a, f, g, sin_f=None if stencil is None else stencil.sin)
-    st = _stencil(grid, f, products=products) if stencil is None else stencil
-    w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
+    grid, a, g = s.grid, s.a, s.g
+    st = _state(grid, a, s.f, g) if state is None else state
+    w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
     k = p.kappa
     aj, gj = a[1:-1], g[1:-1]
     sj, cj = st.sin[1:-1], st.cos[1:-1]
@@ -339,16 +323,16 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
     two_a2 = 2.0 * aj * aj
     # interval fluxes r^2 f', a^2 sin^2(f) f' and r^2 g', each differenced at the nodes
     flux_r2f = grid.p_half * st.df
-    flux_cf = products.c_half * st.df
-    flux_r2g = grid.p_half * products.dg
+    flux_cf = st.c_half * st.df
+    flux_r2g = grid.p_half * st.dg
 
-    da = products.da
+    da = st.da
     app = (da[1:] - da[:-1]) / w
     res_a = app - (
         aj * (aj * aj - 1.0) * inv_r2
         + 0.25 * aj * s2
         + k * aj * s2 * qbar
-        + k * aj**3 * s2 * s2 * inv_r2
+        + k * st.a3 * s2 * s2 * inv_r2
         - 0.5 * aj * gj * gj
     )
 
@@ -360,7 +344,7 @@ def residuals(p: ModelParams, s: FieldProfile, *, stencil: _Stencil | None = Non
         - (
             two_a2 * sj * cj
             + 8.0 * k * aj * aj * sj * cj * qbar
-            + 8.0 * k * aj**4 * s2 * sj * cj * inv_r2
+            + 8.0 * k * st.a4 * s2 * sj * cj * inv_r2
         )
     )
 

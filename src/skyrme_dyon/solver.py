@@ -8,10 +8,10 @@ Two structurally different routes to the same discrete root:
   search on the residual norm.  Each Jacobian is factorized by LAPACK
   gbtrf in place on one band workspace allocated per solve and reused by
   every iteration, and each step is one gbtrs solve on those factors; the
-  stencil that the accepted trial's residual built also serves the next
-  Jacobian.  While Newton contracts fast, a factorization is reused (the
-  chord method; Kelley, Solving Nonlinear Equations with Newton's Method,
-  SIAM 2003, sec. 2.3): a full step that cuts the residual by
+  model._state that the accepted trial's residual read also serves the
+  next Jacobian.  While Newton contracts fast, a factorization is reused
+  (the chord method; Kelley, Solving Nonlinear Equations with Newton's
+  Method, SIAM 2003, sec. 2.3): a full step that cuts the residual by
   1/CHORD_CONTRACTION or more keeps its factors, and the next iteration
   first tries the chord step with them, kept only if it contracts as
   much.  Indefiniteness of the action is irrelevant on this route.
@@ -27,13 +27,13 @@ Two structurally different routes to the same discrete root:
   Jacobian; its initial inverse Hessian is the implicit flow step
   (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
   steps halve from 1 until J falls enough (Armijo).  Each state is
-  evaluated once: the products its action sums (model._products: sin f,
-  the difference quotients, a^2 sin^2 f) also serve its stencil and
-  residuals once it is accepted.  The a- and f-systems of the initial
-  inverse Hessian, each row scaled by its dual-cell width, are one
-  symmetric positive definite tridiagonal system, uncoupled at the seam,
-  factorized once per state as L D L^T by inner._spd_tridiagonal_solver
-  (LAPACK pttrf) and solved once per application (pttrs).
+  evaluated once: the model._state its action sums also serves its
+  residuals, reaction rates and preconditioner once it is accepted.  The
+  a- and f-systems of the initial inverse Hessian, each row scaled by its
+  dual-cell width, are one symmetric positive definite tridiagonal
+  system, uncoupled at the seam, factorized once per state as L D L^T by
+  inner._spd_tridiagonal_solver (LAPACK pttrf) and solved once per
+  application (pttrs).
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -78,11 +78,9 @@ from .model import (
     ActionBreakdown,
     FieldProfile,
     ModelParams,
-    _Products,
-    _products,
     _reaction_rates,
-    _stencil,
-    _Stencil,
+    _State,
+    _state,
     action_breakdown,
     residuals,
     solution_properties_ok,
@@ -218,8 +216,8 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
-def _residual_vector(p: ModelParams, s: FieldProfile, stencil: _Stencil | None = None, products: _Products | None = None) -> tuple[np.ndarray, float]:
-    ra, rf, rg = residuals(p, s, stencil=stencil, products=products)
+def _residual_vector(p: ModelParams, s: FieldProfile, state: _State) -> tuple[np.ndarray, float]:
+    ra, rf, rg = residuals(p, s, state=state)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
     return vec, float(np.abs(vec).max())
@@ -241,21 +239,18 @@ def _band_workspace(grid: RadialGrid) -> np.ndarray:
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
-def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil: _Stencil | None = None) -> np.ndarray:
-    """Analytic Jacobian of the stacked residuals in LAPACK banded form (l = u = 4).
+def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, st: _State) -> np.ndarray:
+    """Analytic Jacobian of the stacked residuals at s, with st = _state of s, in LAPACK banded form (l = u = 4).
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
-    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.  stencil,
-    when given, must be _stencil(s.grid, s.f); the result is then bitwise the
-    same.
+    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.
     """
     grid = s.grid
     a, g = s.a, s.g
-    st = _stencil(grid, s.f) if stencil is None else stencil
     h = grid.h
     hm, hp = h[:-1], h[1:]
-    w, inv_r2, qbar = st.w, st.inv_r2, st.qbar
+    w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
     Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
     stiff = grid.conductance_sum  # Pm/hm + Pp/hp
     k = p.kappa
@@ -272,10 +267,10 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     s2 = sj * sj
     sc = sj * cj
     # interval means of a^2 sin^2 f; the product order differs from the
-    # residual's _products.c_half on purpose, since that order moves solutions by ulps
+    # residual's _State.c_half on purpose, since that order moves solutions by ulps
     Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
-    react_a, react_f = _reaction_rates(p, st, a, g)
+    react_a, react_f = _reaction_rates(p, st, s)
 
     work.fill(0.0)
     ab = work[4:]
@@ -290,7 +285,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
         0.5 * aj * sc
         + 2.0 * k * aj * sc * qbar
         + k * aj * s2 * (Dfm - Dfp) / w
-        + 4.0 * k * aj**3 * s2 * sc * inv_r2
+        + 4.0 * k * st.a3 * s2 * sc * inv_r2
     )
     _scatter(ab, ra_fj, 0, 1, 0, n)
     _scatter(ab, aj * gj, 0, 2, 0, n)
@@ -309,7 +304,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, stencil:
     _scatter(ab, -8.0 * k * am * sm * sm * Dfm / w, 1, 0, -1, n)
     _scatter(ab, 8.0 * k * ap * sp_ * sp_ * Dfp / w, 1, 0, 1, n)
     rf_aj = 8.0 * k * aj * s2 * (Dfp - Dfm) / w - (
-        4.0 * aj * sc + 16.0 * k * aj * sc * qbar + 32.0 * k * aj**3 * s2 * sc * inv_r2
+        4.0 * aj * sc + 16.0 * k * aj * sc * qbar + 32.0 * k * st.a3 * s2 * sc * inv_r2
     )
     _scatter(ab, rf_aj, 1, 0, 0, n)
 
@@ -370,12 +365,11 @@ def _report(
     )
 
 
-def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _Stencil, np.ndarray, float]:
-    """(x, profile, stencil, residual vector, residual norm) at the stacked interior values x."""
+def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _State, np.ndarray, float]:
+    """(x, profile, _state, residual vector, residual norm) at the stacked interior values x."""
     s = _unpack(x, p, grid)
-    pr = _products(grid, s.a, s.f, s.g)
-    st = _stencil(grid, s.f, products=pr)
-    return (x, s, st, *_residual_vector(p, s, st, pr))
+    st = _state(grid, s.a, s.f, s.g)
+    return (x, s, st, *_residual_vector(p, s, st))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -409,14 +403,14 @@ def newton_solve(
     while not message and norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
         trial = None
         if solve is not None:
-            st = None  # freed as before the line search below; after a discarded trial the Jacobian builds its own
+            st = None  # freed as before the line search below; rebuilt only when the trial is discarded
             delta = solve(-rvec)
             trial = _trial_state(p, grid, x + delta)
             if not (trial[-1] <= cfg.tol_residual or trial[-1] <= CHORD_CONTRACTION * norm):
                 trial = None
         if trial is None:
-            _jacobian_banded(p, s, work, stencil=st)
-            del st  # kept beside each trial's own stencil, it would raise the solve's peak memory
+            _jacobian_banded(p, s, work, _state(grid, s.a, s.f, s.g) if st is None else st)
+            del st  # kept beside each trial's own state, it would raise the solve's peak memory
             try:
                 solve = _banded_solver(work)
                 factorizations += 1
@@ -453,9 +447,9 @@ def newton_solve(
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
 
 
-def _flow_reactions(p: ModelParams, st: _Stencil, s: FieldProfile):
-    """Positive parts of the diagonal reaction rates of the a- and f-equations."""
-    react_a, react_f = _reaction_rates(p, st, s.a, s.g)
+def _flow_reactions(p: ModelParams, st: _State, s: FieldProfile):
+    """Positive parts of the diagonal reaction rates of the a- and f-equations at s, with st = _state of s."""
+    react_a, react_f = _reaction_rates(p, st, s)
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
@@ -479,16 +473,16 @@ def _lbfgs_direction(
     return -r
 
 
-def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[FieldProfile, _Products, ActionBreakdown]:
-    """(profile, products, action) of the flow state (a, f), with g solved from a.
+def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[FieldProfile, _State, ActionBreakdown]:
+    """(profile, _state, action) of the flow state (a, f), with g solved from a.
 
-    The products that the action sums also serve the state's stencil and
-    residuals once it is accepted.  Raises NumericError when the electric
-    solve or the action is not finite.
+    The _state that the action sums also serves the state's residuals,
+    reaction rates and preconditioner once it is accepted.  Raises
+    NumericError when the electric solve or the action is not finite.
     """
     s = FieldProfile(grid, a, f, solve_inner_g(p, grid, a))
-    pr = _products(grid, a, f, s.g)
-    return s, pr, action_breakdown(p, s, products=pr)
+    st = _state(grid, a, f, s.g)
+    return s, st, action_breakdown(p, s, state=st)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -527,9 +521,9 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     Below MIN_STEP the flow stops with "flow step size underflow at
     residual R".
 
-    Each state is evaluated once: the _products of a trial serve its action
-    and, once accepted, its stencil and residuals, and the stencil its
-    reaction rates; the report's action is that of the last accepted state.
+    Each state is evaluated once: the _state of a trial serves its action
+    and, once accepted, its residuals, its reaction rates and its
+    preconditioner; the report's action is that of the last accepted state.
     A start whose a or f is not finite, or whose electric solve or action
     is not, ends at once, in a non-converged report with 0 steps that names
     the failure.  The flow runs without numpy warnings.
@@ -542,7 +536,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
             message = f"non-finite {name} at node {bad[0]} of the starting profile"
             return s, _report(p, s, False, 0, float("nan"), None, "flow", message, t0)
     try:
-        s, pr, action = _flow_state(p, grid, s.a, s.f)
+        s, st, action = _flow_state(p, grid, s.a, s.f)
     except NumericError as exc:
         return s, _report(p, s, False, 0, float("nan"), None, "flow", f"{exc} of the starting profile", t0)
     J = action.L
@@ -563,8 +557,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     accepted = 0
     message = ""
     while True:
-        st = _stencil(grid, s.f, products=pr)
-        ra, rf, rg = residuals(p, s, stencil=st, products=pr)
+        ra, rf, rg = residuals(p, s, state=st)
         norm = max(np.abs(ra).max(), np.abs(rf).max(), np.abs(rg).max())
         if norm <= FLOW_TOL:
             break
@@ -581,7 +574,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         x_prev, grad_prev = x, grad
 
         react_a, react_f = _flow_reactions(p, st, s)
-        # (a sin f)^2, not _products' order, for the same reason as in the Jacobian
+        # (a sin f)^2, not _State's order, for the same reason as in the Jacobian
         a_sin = s.a * st.sin
         coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
         diag[:n] = w + c * (k_a + w * react_a)
@@ -609,12 +602,12 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
             a_try[1:-1] += step * d[:n]
             f_try[1:-1] += step * d[n:]
             try:
-                s_try, pr_try, action_try = _flow_state(p, grid, a_try, f_try)
+                s_try, st_try, action_try = _flow_state(p, grid, a_try, f_try)
                 J_try = action_try.L
             except NumericError:  # rejected, as a trial that raises J is
                 J_try = math.inf
             if J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
-                s, pr, action, J = s_try, pr_try, action_try, J_try
+                s, st, action, J = s_try, st_try, action_try, J_try
                 j_trace.append(J)
                 accepted += 1
                 break

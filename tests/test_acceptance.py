@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 import skyrme_dyon as sd
-from skyrme_dyon.model import _e1, _products, e2_energy
-from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _pack, _residual_vector, _unpack
+from skyrme_dyon.model import _e1, _state, e2_energy
+from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _pack, _trial_state
 from skyrme_dyon.verify import seeded_test_functions
 
 from conftest import SWEEP_QS
@@ -153,7 +153,7 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     # analytic Jacobian columns against central differences
     x = _pack(prof)
-    ab = _jacobian_banded(p, prof, _band_workspace(grid))
+    ab = _jacobian_banded(p, prof, _band_workspace(grid), _state(grid, prof.a, prof.f, prof.g))
     n = x.size
     worst_jac = 0.0
     for j in rng.choice(n, 90, replace=False):
@@ -162,8 +162,7 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
         xp[j] += h
         xm = x.copy()
         xm[j] -= h
-        r_plus, _ = _residual_vector(p, _unpack(xp, p, grid))
-        r_minus, _ = _residual_vector(p, _unpack(xm, p, grid))
+        r_plus, r_minus = _trial_state(p, grid, xp)[3], _trial_state(p, grid, xm)[3]
         fd = (r_plus - r_minus) / (2.0 * h)
         col = np.zeros(n)
         for i in range(max(0, j - 4), min(n, j + 5)):
@@ -177,8 +176,8 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     def reduced(a, f):
         gg = sd.solve_inner_g(p, grid, a)
-        pr = _products(grid, a, f, gg)
-        return _e1(p, grid, a, pr, 0.5, pr.mass) - e2_energy(grid, a, gg)
+        st = _state(grid, a, f, gg)
+        return _e1(p, grid, a, st, 0.5, st.mass) - e2_energy(grid, a, gg)
 
     h = 1e-30
     worst_grad = 0.0

@@ -139,13 +139,14 @@ def test_nodes_immutable():
 
 
 def test_grid_conductances_are_read_only_and_their_defining_expressions():
-    # the electric solve and the Newton Jacobian read them instead of dividing per call
+    # the electric solve, the residuals and the Newton Jacobian read them instead of dividing per call
     for g in (sd.build_grid(60.0, 2000), sd.build_grid(30.0, 300), blended_grid(30.0, 300, 0.0), sd.RadialGrid([0.0, 1.0, 3.0])):
         P, h = g.p_half, g.h
         assert g.conductance.tobytes() == (P / h).tobytes()
         assert g.conductance_sum.tobytes() == (P[:-1] / h[:-1] + P[1:] / h[1:]).tobytes()
         assert g.conductance_sum.tobytes() == (P[1:] / h[1:] + P[:-1] / h[:-1]).tobytes()  # the Jacobian's order
-        for name in ("conductance", "conductance_sum"):
+        assert g.inv_r2.tobytes() == (1.0 / (g.r[1:-1] * g.r[1:-1])).tobytes()
+        for name in ("conductance", "conductance_sum", "inv_r2"):
             with pytest.raises(ValueError):
                 getattr(g, name)[0] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -187,9 +187,9 @@ def _banded_reference_g(p, grid, a):
 @pytest.mark.parametrize("nodes", [2, 3, 4, 300])
 @pytest.mark.parametrize("complex_step", [False, True])
 def test_factorized_inner_solve_is_bitwise_the_banded_solve(rng, nodes, complex_step):
-    # the factorized solve gives the same bits as one banded solve, for the
-    # complex a of the gradient checks too; below 3 x 3 the solve takes its
-    # dense route
+    # the electric solve gives the same bits as one banded solve, for the
+    # complex a of the gradient checks too: one gtsv call, and a 1 x 1
+    # system divided directly, as solve_banded divides it
     g = sd.RadialGrid(np.linspace(0.0, 30.0, nodes + 1) ** 1.2)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     a = (1.0 / (1.0 + g.r**2)) * (1.0 + 0.1 * rng.standard_normal(g.N + 1))

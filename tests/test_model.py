@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import skyrme_dyon as sd
 from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _products, _stencil, e2_energy
+from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _state, e2_energy
 
 OMEGA = 0.75 * math.pi
 
@@ -55,14 +55,14 @@ def vacuum_profile(grid):
 
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
-    pr = _products(s.grid, s.a, s.f, s.g)
-    return _interval_e1(p, s.grid, pr, 0.5), _nodal_e1(p, s.grid, s.a, pr.sin, pr.mass)
+    st = _state(s.grid, s.a, s.f, s.g)
+    return _interval_e1(p, s.grid, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin, st.mass)
 
 
 def discrete_action(p, s):
     """L = E1 - E2 through the package's one sum of each; complex inputs give complex L."""
-    pr = _products(s.grid, s.a, s.f, s.g)
-    return _e1(p, s.grid, s.a, pr, 0.5, pr.mass) - e2_energy(s.grid, s.a, s.g)
+    st = _state(s.grid, s.a, s.f, s.g)
+    return _e1(p, s.grid, s.a, st, 0.5, st.mass) - e2_energy(s.grid, s.a, s.g)
 
 
 def test_density_e1_vacuum_zero():
@@ -315,22 +315,11 @@ def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng
     s = sd.initial_guess(p, grid_small)
     s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid_small.N - 1)
     s.f[1:-1] += 0.05 * rng.standard_normal(grid_small.N - 1)
-    sin_f = np.sin(s.f)
-    pr = _products(grid_small, s.a, s.f, s.g, sin_f=sin_f)
-    st = _stencil(grid_small, s.f, products=pr)
-    assert pr.sin is sin_f and st.sin is sin_f and st.df is pr.df
-    fresh = sd.residuals(p, s)
-    for shared in (
-        sd.residuals(p, s, stencil=st),
-        sd.residuals(p, s, products=pr),
-        sd.residuals(p, s, stencil=st, products=pr),
-        sd.residuals(p, s, stencil=_stencil(grid_small, s.f)),
-    ):
-        assert all(u.tobytes() == v.tobytes() for u, v in zip(fresh, shared))
-    for name, value in zip(pr._fields, pr):
-        assert value.tobytes() == getattr(_products(grid_small, s.a, s.f, s.g), name).tobytes()
-    action = sd.action_breakdown(p, s)
-    assert action == sd.action_breakdown(p, s, products=pr)
+    # residuals and action_breakdown handed the state's _state are bitwise the fresh calls
+    st = _state(grid_small, s.a, s.f, s.g)
+    shared = sd.residuals(p, s, state=st)
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), shared))
+    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, state=st)
 
 
 def _per_term_residuals_and_action(p, s):
@@ -338,7 +327,8 @@ def _per_term_residuals_and_action(p, s):
 
     The package forms the difference quotients, a^2 sin^2 f, its interval
     means and the interval fluxes once per state and shares them; every
-    value must still be bitwise this direct evaluation.
+    value must still be bitwise this direct evaluation.  Returns the
+    residuals, (E1, E2) and the record's fields by name.
     """
     grid, a, f, g = s.grid, s.a, s.f, s.g
     h, w, P = grid.h, grid.w[1:-1], grid.p_half
@@ -365,7 +355,8 @@ def _per_term_residuals_and_action(p, s):
     interval = 4.0 * da * da + (0.5 * P + 4.0 * k * C) * df * df
     E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, grid, a, sin_f, a * a * sin_f**2), grid.w))
     E2 = float(np.dot(P * dg * dg, h) + np.dot(2.0 * a * a * g * g, grid.w))
-    return (res_a, res_f, res_g), (E1, E2), qbar
+    fields = dict(sin=sin_f, cos=cos_f, da=da, df=df, dg=dg, mass=c_nodal, c_half=C, qbar=qbar, a3=aj**3, a4=aj**4)
+    return (res_a, res_f, res_g), (E1, E2), fields
 
 
 @pytest.mark.parametrize(
@@ -379,8 +370,11 @@ def test_shared_products_are_bitwise_the_per_term_formulas(rng, omega, q, kappa,
     s = sd.initial_guess(p, grid)
     for field in (s.a, s.f, s.g):
         field[1:-1] *= 1.0 + 0.05 * rng.standard_normal(N - 1)
-    residuals, (E1, E2), qbar = _per_term_residuals_and_action(p, s)
+    residuals, (E1, E2), fields = _per_term_residuals_and_action(p, s)
     assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), residuals))
     action = sd.action_breakdown(p, s)
     assert (action.E1, action.E2) == (E1, E2)
-    assert _stencil(grid, s.f).qbar.tobytes() == qbar.tobytes()
+    st = _state(grid, s.a, s.f, s.g)
+    assert set(st._fields) == set(fields)
+    for name, value in fields.items():
+        assert getattr(st, name).tobytes() == value.tobytes(), name

@@ -8,15 +8,15 @@ from scipy.linalg import solve_banded
 import skyrme_dyon as sd
 from skyrme_dyon import solver
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.inner import _spd_tridiagonal_solver, _tridiagonal_solver
-from skyrme_dyon.model import _stencil
+from skyrme_dyon.inner import _spd_tridiagonal_solver
+from skyrme_dyon.model import _state
 from skyrme_dyon.solver import (
     _band_workspace,
     _banded_solver,
     _jacobian_banded,
     _pack,
     _residual_vector,
-    _unpack,
+    _trial_state,
 )
 
 OMEGA = 0.75 * math.pi
@@ -119,7 +119,7 @@ def test_jacobian_matches_finite_differences(rng):
     prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
     prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
     x = _pack(prof)
-    ab = _jacobian_banded(p, prof, _band_workspace(g))
+    ab = _jacobian_banded(p, prof, _band_workspace(g), _state(g, prof.a, prof.f, prof.g))
     n = x.size
     worst = 0.0
     for j in rng.choice(n, 90, replace=False):
@@ -128,24 +128,13 @@ def test_jacobian_matches_finite_differences(rng):
         xp[j] += h
         xm = x.copy()
         xm[j] -= h
-        rp, _ = _residual_vector(p, _unpack(xp, p, g))
-        rm, _ = _residual_vector(p, _unpack(xm, p, g))
+        rp, rm = _trial_state(p, g, xp)[3], _trial_state(p, g, xm)[3]
         fd = (rp - rm) / (2.0 * h)
         col = np.zeros(n)
         for i in range(max(0, j - 4), min(n, j + 5)):
             col[i] = ab[4 + i - j, j]
         worst = max(worst, np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col))))
     assert worst <= 1e-6
-
-
-def test_jacobian_with_the_residuals_stencil_is_bitwise_the_same(rng):
-    g = sd.build_grid(40.0, 400)
-    p = sd.validate_params(OMEGA, 0.2, 3.0)
-    prof = sd.initial_guess(p, g)
-    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
-    fresh = _jacobian_banded(p, prof, _band_workspace(g))
-    shared = _jacobian_banded(p, prof, _band_workspace(g), stencil=_stencil(g, prof.f))
-    assert fresh.tobytes() == shared.tobytes()
 
 
 def test_jacobian_bandwidth_is_four(rng):
@@ -165,13 +154,12 @@ def test_jacobian_bandwidth_is_four(rng):
         xp[j] += h
         xm = x.copy()
         xm[j] -= h
-        rp, _ = _residual_vector(p, _unpack(xp, p, g))
-        rm, _ = _residual_vector(p, _unpack(xm, p, g))
+        rp, rm = _trial_state(p, g, xp)[3], _trial_state(p, g, xm)[3]
         jac[:, j] = (rp - rm) / (2.0 * h)
     offset = np.subtract.outer(np.arange(n), np.arange(n))
     assert np.all(jac[np.abs(offset) > 4] == 0.0)
     assert np.count_nonzero(jac[offset == 4]) > 0 and np.count_nonzero(jac[offset == -4]) > 0
-    assert _jacobian_banded(p, prof, _band_workspace(g)).shape == (9, n)
+    assert _jacobian_banded(p, prof, _band_workspace(g), _state(g, prof.a, prof.f, prof.g)).shape == (9, n)
 
 
 def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
@@ -181,10 +169,11 @@ def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
     prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
     prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
     prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
-    rvec, _ = _residual_vector(p, prof)
-    fresh = _jacobian_banded(p, prof, _band_workspace(g))
+    st = _state(g, prof.a, prof.f, prof.g)
+    rvec, _ = _residual_vector(p, prof, st)
+    fresh = _jacobian_banded(p, prof, _band_workspace(g), st)
     work = _band_workspace(g)
-    ab = _jacobian_banded(p, prof, work)
+    ab = _jacobian_banded(p, prof, work, st)
     assert np.shares_memory(ab, work)
     assert np.array_equal(ab, fresh)
     solve = _banded_solver(work)
@@ -195,7 +184,7 @@ def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
         assert np.array_equal(b, b_copy)
     # the factorization overwrote the workspace, LU fill-in rows included
     assert np.any(work[:4] != 0.0)
-    ab = _jacobian_banded(p, prof, work)
+    ab = _jacobian_banded(p, prof, work, st)
     assert np.array_equal(ab, fresh)
     assert np.all(work[:4] == 0.0)
 
@@ -778,6 +767,13 @@ def _unsymmetric_h0_blocks(p, st, s, dt):
     return (-c / hmw, 1.0 + c * ((1.0 / hm + 1.0 / hp) / w + react_a), -c / hpw), (off_f / hmw, diag_f, off_f / hpw)
 
 
+def _banded(dl, d, du):
+    """scipy.linalg.solve_banded's (1, 1) storage of the tridiagonal matrix (sub-, main, super-diagonal)."""
+    ab = np.zeros((3, d.size), dtype=d.dtype)
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
+
 def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_small):
     # with an empty memory the L-BFGS direction is -H0 G, the implicit flow
     # step of time FLOW_DT, written out here as the flow took it before L-BFGS
@@ -797,10 +793,10 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
 
     g, dt = grid_small, solver.FLOW_DT
     s.g = sd.solve_inner_g(p, g, s.a)
-    st = _stencil(g, s.f)
-    ra, rf, _ = sd.residuals(p, s, stencil=st)
+    st = _state(g, s.a, s.f, s.g)
+    ra, rf, _ = sd.residuals(p, s, state=st)
     a_block, f_block = _unsymmetric_h0_blocks(p, st, s, dt)
-    step = np.concatenate((_tridiagonal_solver(*a_block)(8.0 * dt * ra), _tridiagonal_solver(*f_block)(dt * rf)))
+    step = np.concatenate((solve_banded((1, 1), _banded(*a_block), 8.0 * dt * ra), solve_banded((1, 1), _banded(*f_block), dt * rf)))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
 
 
@@ -856,7 +852,7 @@ def test_one_system_preconditioner_is_bitwise_the_two_field_solves_on_the_flow(m
             assert d.size == 2 * n
             assert x.tobytes() == _split_solve(d, e, b).tobytes()
             a_block, f_block = _unsymmetric_h0_blocks(*state, solver.FLOW_DT)
-            ref = np.concatenate((_tridiagonal_solver(*a_block)(b[:n] / w), _tridiagonal_solver(*f_block)(b[n:] / w)))
+            ref = np.concatenate((solve_banded((1, 1), _banded(*a_block), b[:n] / w), solve_banded((1, 1), _banded(*f_block), b[n:] / w)))
             worst = max(worst, np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
     assert worst <= UNSYMMETRIC_H0_RTOL
 
@@ -966,57 +962,3 @@ def test_flow_reports_an_exhausted_step_budget(monkeypatch, grid_small):
     # the residual is that of the returned profile, after the last accepted step
     assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
     assert rep.message == f"flow step budget exhausted at residual {rep.final_residual_norm:.3e}"
-
-
-def _tridiagonal_system(rng, n, dtype=float):
-    """Sub-, main and super-diagonal and right-hand side; the matrix is diagonally dominant, so no rows are exchanged."""
-    dl, d, du, b = (rng.standard_normal(m).astype(dtype) for m in (n - 1, n, n - 1, n))
-    if dtype is complex:
-        for x in (dl, d, du, b):
-            x.imag = rng.standard_normal(x.size)
-    d += 12.0
-    return dl, d, du, b
-
-
-def _banded(dl, d, du):
-    ab = np.zeros((3, d.size), dtype=d.dtype)
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    return ab
-
-
-def test_tridiagonal_solve_is_bitwise_solve_banded(rng):
-    # gttrf + gttrs from 3 x 3 up, solve_banded's own route below
-    for n in (1, 2, 3, 300):
-        for dtype in (float, complex):
-            dl, d, du, b = _tridiagonal_system(rng, n, dtype)
-            copies = [x.copy() for x in (dl, d, du, b)]
-            solve = _tridiagonal_solver(dl, d, du)
-            x = solve(b)
-            ref = solve_banded((1, 1), _banded(dl, d, du), b)
-            assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
-            assert solve(b).tobytes() == x.tobytes()  # the factors are reused unchanged
-            assert all(np.array_equal(u, v) for u, v in zip((dl, d, du, b), copies))
-
-
-@pytest.mark.parametrize(
-    "spoil, error, reason",
-    [
-        ("nan", ValueError, "array must not contain infs or NaNs"),
-        ("inf-rhs", ValueError, "array must not contain infs or NaNs"),
-        ("zero", np.linalg.LinAlgError, "singular matrix"),
-    ],
-)
-def test_tridiagonal_solve_raises_as_solve_banded(rng, spoil, error, reason):
-    # a 1 x 1 zero matrix is left out: solve_banded divides by it
-    for n in (1, 2, 3, 300) if spoil != "zero" else (2, 3, 300):
-        dl, d, du, b = _tridiagonal_system(rng, n)
-        if spoil == "nan":
-            d[n // 2] = np.nan
-        elif spoil == "inf-rhs":
-            b[-1] = np.inf
-        else:  # an exactly singular system
-            dl[:], d[:], du[:] = 0.0, 0.0, 0.0
-        with pytest.raises(error, match=reason):
-            solve_banded((1, 1), _banded(dl, d, du), b)
-        with pytest.raises(error, match=reason):
-            _tridiagonal_solver(dl, d, du)(b)

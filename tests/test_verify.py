@@ -295,14 +295,14 @@ def test_run_suite_builds_one_stencil_and_one_constraint_residual(monkeypatch, s
 
         return wrapper
 
-    # verify binds both names at import; residuals reaches model's own _stencil when it is not handed one
-    stencil = model_module._stencil
+    # verify binds _state at import; residuals and action_breakdown reach model's own when they are not handed one
+    state = model_module._state
     for module in (model_module, verify_module):
-        monkeypatch.setattr(module, "_stencil", counted("_stencil", stencil))
+        monkeypatch.setattr(module, "_state", counted("_state", state))
     monkeypatch.setattr(verify_module, "constraint_residual", counted("constraint_residual", verify_module.constraint_residual))
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
     assert sd.run_suite(p, s).overall
-    assert calls == {"_stencil": 1, "constraint_residual": 1}
+    assert calls == {"_state": 1, "constraint_residual": 1}
 
 
 @pytest.mark.parametrize(
