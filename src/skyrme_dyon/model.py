@@ -37,9 +37,10 @@ residuals in exact correspondence.
 
 _state evaluates one state (a, f, g) into the one record that its
 action, its residuals, the Newton Jacobian and the flow preconditioner
-read: sin f and cos f, the difference quotients of a, f and g, the mass
-a^2 sin^2 f and its interval means, the f'^2 average _qbar and the powers
-a^3 and a^4; what depends on the grid alone (w, 1/r^2) the grid holds.
+read: sin f, cos f and sin^2 f, the difference quotients of a, f and g,
+the mass a^2 sin^2 f and its interval means, the f'^2 average _qbar and
+the powers a^3 and a^4; each is formed there once, and what depends on
+the grid alone (w, 1/r^2) the grid holds.
 _e1 sums _interval_e1/_nodal_e1 on it for E1 and for the verify
 battery's coercive bound, and _e2_form sums E2's bilinear form for
 e2_energy (its diagonal), for the action and for the electric constraint
@@ -91,7 +92,6 @@ class ModelParams:
     omega: float
     q: float
     kappa: float
-    q_max: float
 
     @property
     def f_infinity(self) -> float:
@@ -121,7 +121,7 @@ def validate_params(omega: float, q: float, kappa: float) -> ModelParams:
         raise RegionError(f"q must lie in [0, q_max) with q_max={q_max:.6g} at omega={omega}, got q={q}")
     if kappa < 0.0:
         raise ParameterError(f"kappa must be >= 0, got {kappa}")
-    return ModelParams(omega=float(omega), q=float(q), kappa=float(kappa), q_max=float(q_max))
+    return ModelParams(omega=float(omega), q=float(q), kappa=float(kappa))
 
 
 @dataclass
@@ -154,10 +154,11 @@ class ActionBreakdown:
 
 
 class _State(NamedTuple):
-    """What the action, the residuals, the Newton Jacobian and the flow preconditioner read of one state (a, f, g)."""
+    """What the action, the residuals, the Newton Jacobian and the flow preconditioner read of one state (a, f, g), each formed once."""
 
     sin: np.ndarray  # sin(f) at all N+1 nodes
     cos: np.ndarray  # cos(f) at all N+1 nodes
+    sin2: np.ndarray  # sin^2(f) at all N+1 nodes
     da: np.ndarray  # a difference quotients on all N intervals
     df: np.ndarray  # f difference quotients on all N intervals
     dg: np.ndarray  # g difference quotients on all N intervals
@@ -172,12 +173,13 @@ def _state(grid: RadialGrid, a, f, g) -> _State:
     """The _State of (a, f, g)."""
     h = grid.h
     sin = np.sin(f)
-    mass = a * a * sin**2
+    sin2 = sin**2
+    mass = a * a * sin2
     # u[1:] - u[:-1] is np.diff(u) without its call overhead
     df = (f[1:] - f[:-1]) / h
     aj = a[1:-1]
     return _State(
-        sin, np.cos(f), (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
+        sin, np.cos(f), sin2, (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
     )
 
 
@@ -186,9 +188,9 @@ def _interval_e1(p: ModelParams, grid: RadialGrid, st: _State, r2_coeff):
     return 4.0 * st.da * st.da + (r2_coeff * grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
 
 
-def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
-    """Per-node part of e1 (mass = a^2 sin^2 f): 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2."""
-    dtype = np.result_type(a, sin_f, float)
+def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin2, mass):
+    """Per-node part of e1 (sin2 = sin^2 f, mass = a^2 sin2): 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2."""
+    dtype = np.result_type(a, sin2, float)
     r = grid.r
     a2 = a * a
     core = np.empty(grid.N + 1, dtype=dtype)
@@ -196,7 +198,6 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin_f, mass):
     core[0] = 0.0 if a2[0] == 1.0 else np.inf
     out = 2.0 * core + mass
     if p.kappa != 0.0:
-        sin2 = sin_f**2
         sky = np.empty(grid.N + 1, dtype=dtype)
         sky[1:] = (a2[1:] * sin2[1:]) ** 2 / r[1:] ** 2
         sky[0] = 0.0 if sin2[0] == 0.0 else np.inf
@@ -209,7 +210,7 @@ def _e1(p: ModelParams, grid: RadialGrid, a, st: _State, r2_coeff, mass):
 
     Interval terms times h plus node terms times w.
     """
-    return np.dot(_interval_e1(p, grid, st, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, st.sin, mass), grid.w)
+    return np.dot(_interval_e1(p, grid, st, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, st.sin2, mass), grid.w)
 
 
 def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
@@ -256,7 +257,7 @@ def action_breakdown(p: ModelParams, s: FieldProfile, *, state: _State | None = 
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
         interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, st.dg)
         terms = np.empty(2 * grid.N + 1)
-        terms[0::2] = _nodal_e1(p, grid, a, st.sin, st.mass) + nodal_e2
+        terms[0::2] = _nodal_e1(p, grid, a, st.sin2, st.mass) + nodal_e2
         terms[1::2] = _interval_e1(p, grid, st, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
@@ -278,8 +279,7 @@ def _reaction_rates(p: ModelParams, st: _State, s: FieldProfile):
     The f'^2 average qbar is held fixed; the Jacobian adds its cross terms.
     """
     aj, gj = s.a[1:-1], s.g[1:-1]
-    sj, cj = st.sin[1:-1], st.cos[1:-1]
-    s2 = sj * sj
+    cj, s2 = st.cos[1:-1], st.sin2[1:-1]
     k, qbar, inv_r2 = p.kappa, st.qbar, s.grid.inv_r2
     react_a = (
         (3.0 * aj * aj - 1.0) * inv_r2
@@ -288,7 +288,7 @@ def _reaction_rates(p: ModelParams, st: _State, s: FieldProfile):
         + 3.0 * k * aj * aj * s2 * s2 * inv_r2
         - 0.5 * gj * gj
     )
-    cos2 = cj * cj - sj * sj
+    cos2 = cj * cj - s2
     react_f = (
         2.0 * aj * aj * cos2
         + 8.0 * k * aj * aj * cos2 * qbar
@@ -318,8 +318,7 @@ def residuals(p: ModelParams, s: FieldProfile, *, state: _State | None = None):
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
     k = p.kappa
     aj, gj = a[1:-1], g[1:-1]
-    sj, cj = st.sin[1:-1], st.cos[1:-1]
-    s2 = sj * sj
+    sj, cj, s2 = st.sin[1:-1], st.cos[1:-1], st.sin2[1:-1]
     two_a2 = 2.0 * aj * aj
     # interval fluxes r^2 f', a^2 sin^2(f) f' and r^2 g', each differenced at the nodes
     flux_r2f = grid.p_half * st.df

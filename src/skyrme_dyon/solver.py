@@ -264,7 +264,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, st: _Sta
 
     sm, sj, sp_ = st.sin[:-2], st.sin[1:-1], st.sin[2:]
     cm, cj, cp_ = st.cos[:-2], st.cos[1:-1], st.cos[2:]
-    s2 = sj * sj
+    s2 = st.sin2[1:-1]
     sc = sj * cj
     # interval means of a^2 sin^2 f; the product order differs from the
     # residual's _State.c_half on purpose, since that order moves solutions by ulps
@@ -389,6 +389,8 @@ def newton_solve(
     factorizes at x as usual.  With fresh factors a step is bitwise the
     gbsv step.
 
+    The report's action sums the _state that the last iterate's residual
+    read, unless a failed iteration freed it.
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
     non-converged report, never a crash or a numpy warning.
@@ -410,7 +412,7 @@ def newton_solve(
                 trial = None
         if trial is None:
             _jacobian_banded(p, s, work, _state(grid, s.a, s.f, s.g) if st is None else st)
-            del st  # kept beside each trial's own state, it would raise the solve's peak memory
+            st = None  # kept beside each trial's own state, it would raise the solve's peak memory
             try:
                 solve = _banded_solver(work)
                 factorizations += 1
@@ -441,7 +443,7 @@ def newton_solve(
         message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
     action = None
     try:
-        action = action_breakdown(p, s)
+        action = action_breakdown(p, s, state=st)  # st is _state of s, or None after a break that followed its release
     except Exception as exc:  # non-finite transients only
         message = message or f"action not evaluable: {exc}"
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
@@ -501,9 +503,10 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     only when s.y > 0, and the memory is cleared whenever -H G is not a
     descent direction.  The initial inverse Hessian H0 is the implicit flow
     step with time step FLOW_DT at the current state: per field it solves
-    (I - c*(K - diag(reaction))) u = (dt/w) v, with K u = (k_p Du_p -
-    k_m Du_m)/w (c = 8 dt and k = 1 for a; c = dt and k the f flux
-    coefficient for f) and reaction >= 0 the stabilizing part of the local
+    (I - c*(K - diag(reaction))) u = (dt/w) v, with K u = (k_p Du_p - k_m
+    Du_m)/w (c = 8 dt and k = 1 for a; c = dt and k the f flux coefficient
+    r_i r_(i+1) + 8 kappa c_half for f, c_half the state's interval means
+    of a^2 sin^2 f) and reaction >= 0 the stabilizing part of the local
     reaction rate, which removes the stiffness of the zero-order terms
     (notably (3a^2-1)/r^2 near the origin) from the operator.  diag(w)
     times that operator is symmetric positive definite, so H0 is too, and
@@ -511,15 +514,14 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     dt.  With each row multiplied by its w, H0 v is the solve of one SPD
     tridiagonal system for dt*v, the two fields' blocks with zero coupling
     at the seam: a-rows w + c (1/h_m + 1/h_p + w react_a) on the diagonal
-    and -c/h off it, f-rows w + dt (k_m/h_m + k_p/h_p + w react_f) and
-    -dt k/h.  It is factorized once per state as L D L^T, without
-    pivoting; a factorization or solve that fails ends the flow in a
-    non-converged report, "flow preconditioner factorization failed: ...",
-    as a failed Jacobian factorization ends Newton.  The step length halves
-    from 1 until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a trial
-    whose electric solve or action is not finite halves it too.
-    Below MIN_STEP the flow stops with "flow step size underflow at
-    residual R".
+    and -c/h off it, f-rows w + dt (k_m/h_m + k_p/h_p + w react_f) and -dt
+    k/h.  It is factorized once per state as L D L^T, without pivoting; a
+    factorization or solve that fails ends the flow in a non-converged
+    report, "flow preconditioner factorization failed: ...", as a failed
+    Jacobian factorization ends Newton.  The step length halves from 1
+    until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a trial whose
+    electric solve or action is not finite halves it too.  Below MIN_STEP
+    the flow stops with "flow step size underflow at residual R".
 
     Each state is evaluated once: the _state of a trial serves its action
     and, once accepted, its residuals, its reaction rates and its
@@ -574,9 +576,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         x_prev, grad_prev = x, grad
 
         react_a, react_f = _flow_reactions(p, st, s)
-        # (a sin f)^2, not _State's order, for the same reason as in the Jacobian
-        a_sin = s.a * st.sin
-        coeff_f = grid.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
+        coeff_f = grid.p_half + 8.0 * p.kappa * st.c_half
         diag[:n] = w + c * (k_a + w * react_a)
         diag[n:] = w + dt * (coeff_f[:-1] / hm + coeff_f[1:] / hp + w * react_f)
         off[n:] = -dt * coeff_f[1:-1] / grid.h[1:-1]

@@ -253,7 +253,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         below = np.flatnonzero(a < 0.5)
         cut = below[0] if below.size else grid.N + 1
         rr = grid.r[:cut]
-        lhs = st.sin[:cut] ** 2
+        lhs = st.sin2[:cut]
         rhs = 2.0 / math.sqrt(p.kappa) * np.sqrt(rr) * math.sqrt(act_L)
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))

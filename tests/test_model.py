@@ -22,8 +22,8 @@ def params(q=0.3, kappa=1.0, omega=OMEGA):
 
 
 def test_validate_params_examples():
-    p = params(q=0.30)
-    assert p.q_max == pytest.approx(0.35355339059327379, abs=1e-14)
+    assert params(q=0.30).q == 0.30
+    assert sd.admissible_q_max(OMEGA) == pytest.approx(0.35355339059327379, abs=1e-14)
     with pytest.raises(RegionError, match="q_max"):
         params(q=0.36)
     with pytest.raises(RegionError, match="omega"):
@@ -56,7 +56,7 @@ def vacuum_profile(grid):
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
     st = _state(s.grid, s.a, s.f, s.g)
-    return _interval_e1(p, s.grid, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin, st.mass)
+    return _interval_e1(p, s.grid, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin2, st.mass)
 
 
 def discrete_action(p, s):
@@ -119,7 +119,7 @@ def test_densities_nonnegative(seed, kappa):
     )
     s.a[0] = 1.0
     s.f[0] = 0.0
-    p = sd.ModelParams(OMEGA, 0.2, kappa, 0.35)
+    p = sd.ModelParams(OMEGA, 0.2, kappa)
     for terms in e1_terms(p, s) + _e2_terms(g, s.a, s.g, s.g):
         assert np.all(terms >= 0.0)
     assert e2_energy(g, s.a, s.g) >= 0.0
@@ -256,7 +256,7 @@ def _symbolic_residuals(kappa_val):
 def test_residuals_match_symbolic_oracle(kappa_val):
     a_fn, f_fn, g_fn, ra_fn, rf_fn, rg_fn = _symbolic_residuals(kappa_val)
     kappa = kappa_val[0] / kappa_val[1]
-    p = sd.ModelParams(OMEGA, 0.25, kappa, 0.35)
+    p = sd.ModelParams(OMEGA, 0.25, kappa)
     errs = {}
     for N in (800, 1600):
         g = blended_grid(20.0, N, 0.9)
@@ -338,7 +338,8 @@ def _per_term_residuals_and_action(p, s):
     sin_f, cos_f = np.sin(f), np.cos(f)
     da, df, dg = np.diff(a) / h, np.diff(f) / h, np.diff(g) / h
     qbar = (h[:-1] * df[:-1] * df[:-1] + h[1:] * df[1:] * df[1:]) / (2.0 * w)
-    c_nodal = a * a * sin_f**2
+    sin2 = sin_f**2
+    c_nodal = a * a * sin2
     C = 0.5 * (c_nodal[:-1] + c_nodal[1:])
     aj, gj, sj, cj = a[1:-1], g[1:-1], sin_f[1:-1], cos_f[1:-1]
     s2 = sj * sj
@@ -353,9 +354,9 @@ def _per_term_residuals_and_action(p, s):
     )
     res_g = (P[1:] * dg[1:] - P[:-1] * dg[:-1]) / w - 2.0 * aj * aj * gj
     interval = 4.0 * da * da + (0.5 * P + 4.0 * k * C) * df * df
-    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, grid, a, sin_f, a * a * sin_f**2), grid.w))
+    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, grid, a, sin2, c_nodal), grid.w))
     E2 = float(np.dot(P * dg * dg, h) + np.dot(2.0 * a * a * g * g, grid.w))
-    fields = dict(sin=sin_f, cos=cos_f, da=da, df=df, dg=dg, mass=c_nodal, c_half=C, qbar=qbar, a3=aj**3, a4=aj**4)
+    fields = dict(sin=sin_f, cos=cos_f, sin2=sin2, da=da, df=df, dg=dg, mass=c_nodal, c_half=C, qbar=qbar, a3=aj**3, a4=aj**4)
     return (res_a, res_f, res_g), (E1, E2), fields
 
 

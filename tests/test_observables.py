@@ -65,7 +65,7 @@ def test_gamma_theory_values_and_region():
     assert sd.gamma_theory(p0) == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
     p3 = sd.validate_params(OMEGA, 0.3, 1.0)
     assert sd.gamma_theory(p3) == pytest.approx(0.5 * math.sqrt(0.32), abs=1e-15)
-    bad = sd.ModelParams(OMEGA, 0.6, 1.0, 0.35)  # bypasses region validation
+    bad = sd.ModelParams(OMEGA, 0.6, 1.0)  # bypasses region validation
     with pytest.raises(RegionError):
         sd.gamma_theory(bad)
 

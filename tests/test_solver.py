@@ -77,6 +77,25 @@ def test_newton_report_contract(monopole_small):
     assert rep.properties_ok
 
 
+def test_newton_report_action_reads_the_final_iterates_state(monkeypatch, grid_small):
+    # the closing action sums the state that the last accepted trial built, not a second one
+    original = solver.action_breakdown
+    states = []
+
+    def recording(p, s, **kwargs):
+        states.append(kwargs.get("state"))
+        return original(p, s, **kwargs)
+
+    monkeypatch.setattr(solver, "action_breakdown", recording)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert rep.converged and len(states) == 1 and states[0] is not None
+    fresh = _state(grid_small, s.a, s.f, s.g)
+    for name in ("sin2", "df", "dg"):
+        assert getattr(states[0], name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert rep.action == original(p, s)
+
+
 def test_newton_failure_is_reported_not_raised(monkeypatch):
     g = sd.build_grid(30.0, 300)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
