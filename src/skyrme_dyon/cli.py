@@ -7,11 +7,13 @@ Commands:
   table   write the analytic tables (no solving)
 
 Each command's handler takes the parsed argparse.Namespace and calls the
-library directly; every default is written once, in the parser.  solve
-and every sweep point run continuation_solve with the default ladder,
-which it walks only when Newton at the target fails.  Angles accept raw
-radians or a literal pi suffix, e.g. `--omega 0.75pi`; --tol must be a
-finite number > 0 and --seed an integer >= 0.
+library directly; every default is written once, in the parser.  Each
+setting is checked once, by the library type that holds it: a handler
+builds its SolveConfig (--tol) and Tolerances (--tol, --seed) before it
+creates --out or reads a profile, so a rejected value writes nothing.
+solve and every sweep point run continuation_solve with the default
+ladder, which it walks only when Newton at the target fails.  Angles
+accept raw radians or a literal pi suffix, e.g. `--omega 0.75pi`.
 Exit codes: 0 success, 1 invalid configuration, 2 non-convergence,
 3 verification failure.
 """
@@ -50,22 +52,6 @@ def parse_angle(token: str) -> float:
     return float(token)
 
 
-def positive_float(token: str) -> float:
-    """Parse a finite number > 0, such as a residual target."""
-    value = float(token)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {token}")
-    return value
-
-
-def nonnegative_int(token: str) -> int:
-    """Parse an integer >= 0, such as a random seed."""
-    value = int(token)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {token}")
-    return value
-
-
 def angle_list(token: str) -> list[float]:
     """Parse a comma list of parse_angle tokens, e.g. '0.55pi,0.75pi' or '0.1,0.2'."""
     return [parse_angle(t) for t in token.split(",") if t.strip()]
@@ -81,20 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kappa", type=float, default=1.0, help="quartic coupling (0 = sigma-model limit)")
         sp.add_argument("--rmax", type=float, default=60.0, help="outer truncation radius")
         sp.add_argument("--nodes", type=int, default=2000, help="number of mesh intervals")
-        sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
+        sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target, finite and > 0")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
-    sp.add_argument("--seed", type=nonnegative_int, default=42, help="seed for verification test functions, >= 0")
+    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions, >= 0")
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
     sp.add_argument("--sweep-param", choices=["q", "omega", "kappa"], default="q")
     sp.add_argument("--sweep-values", type=angle_list, required=True, help="comma list; a pi suffix is allowed, e.g. 0.75pi")
     sp = sub.add_parser("verify", help="verify a stored profile CSV")
     sp.add_argument("profile", type=Path)
-    sp.add_argument("--tol", type=positive_float, default=1e-10, help="residual infinity-norm target, finite and > 0")
-    sp.add_argument("--seed", type=nonnegative_int, default=42, help="seed for verification test functions, >= 0")
+    sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target, finite and > 0")
+    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions, >= 0")
     sp.add_argument("--out", type=Path, default=None, help="optional path for the report (default: stdout only)")
     sp = sub.add_parser("table", help="write analytic tables over an omega grid")
     sp.add_argument("--omegas", type=angle_list, default=list(np.linspace(0.5 * math.pi, math.pi, 51)), help="nonempty comma list of omega tokens; default 51 points on [0.5pi, pi]")
@@ -103,11 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_solve(args: argparse.Namespace) -> int:
+    solve_cfg, tolerances = SolveConfig(tol_residual=args.tol), Tolerances(residual=args.tol, seed=args.seed)
     p = validate_params(args.omega, args.q, args.kappa)
     grid = build_grid(args.rmax, args.nodes)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    profile, report = continuation_solve(p, grid, SolveConfig(tol_residual=args.tol))
+    profile, report = continuation_solve(p, grid, solve_cfg)
     # an aborted continuation returns the failed leg's profile, with that leg's q
     p_out = p if report.converged else validate_params(p.omega, report.q, p.kappa)
     write_profile_csv(out / "profile.csv", p_out, profile)
@@ -116,7 +103,7 @@ def run_solve(args: argparse.Namespace) -> int:
         (out / "solve.txt").write_text(f"{status}{report.message}\n", encoding="utf-8")
         print(f"solve failed: {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    suite = run_suite(p, profile, Tolerances(residual=args.tol, seed=args.seed))
+    suite = run_suite(p, profile, tolerances)
     (out / "observables.txt").write_text(suite.observables.as_text(), encoding="utf-8")
     (out / "verify.txt").write_text(suite.format(), encoding="utf-8")
     print(suite.format(), end="")
@@ -174,8 +161,9 @@ def run_table(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
+    tolerances = Tolerances(residual=args.tol, seed=args.seed)
     p, profile = read_profile_csv(args.profile)
-    suite = run_suite(p, profile, Tolerances(residual=args.tol, seed=args.seed))
+    suite = run_suite(p, profile, tolerances)
     text = suite.format()
     print(text, end="")
     if args.out is not None:

@@ -60,7 +60,6 @@ continuation trace is the list of its Newton solves' own reports.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from collections import deque
@@ -96,9 +95,6 @@ __all__ = [
     "flow_solve",
     "continuation_solve",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 # Newton and flow settings; production values for desk-scale runs
 MAX_NEWTON_ITERS = 40  # Newton iteration budget
@@ -390,7 +386,9 @@ def newton_solve(
     gbsv step.
 
     The report's action sums the _state that the last iterate's residual
-    read, unless a failed iteration freed it.
+    read, unless a failed iteration freed it; when a term of it is not
+    finite (NumericError), the action is None and the message, unless a
+    stop already set one, is "action not evaluable: ...".
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
     non-converged report, never a crash or a numpy warning.
@@ -444,7 +442,7 @@ def newton_solve(
     action = None
     try:
         action = action_breakdown(p, s, state=st)  # st is _state of s, or None after a break that followed its release
-    except Exception as exc:  # non-finite transients only
+    except NumericError as exc:  # a non-finite term of the last iterate
         message = message or f"action not evaluable: {exc}"
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
 
@@ -718,8 +716,6 @@ def continuation_solve(
     if len(ladder) > 1:
         profile, report = newton_solve(p_target, coarse, initial_guess(p_target, coarse), cfg)
         trace.append(replace(report, path="direct"))
-        if not report.converged:
-            logger.info("direct newton at q=%.6g failed (%s); walking the continuation ladder", p_target.q, report.message)
     if not (trace and trace[-1].converged):
         p_prev: ModelParams | None = None
         for p_k in ladder:

@@ -458,11 +458,14 @@ def test_bad_solve_settings_create_no_out_directory(tmp_path, capsys, option):
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
-def test_verify_tol_must_be_finite_and_positive(tmp_path, grid_small, tol):
+def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, grid_small, tol):
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
     path = tmp_path / "p.csv"
     write_profile_csv(path, p, sd.initial_guess(p, grid_small))
-    assert main(["verify", str(path), "--tol", tol]) == 1
+    report = tmp_path / "report.txt"
+    assert main(["verify", str(path), "--tol", tol, "--out", str(report)]) == 1
+    assert "residual tolerance must be a finite number > 0" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_verify_seed_must_be_nonnegative(tmp_path, capsys, grid_small):
@@ -471,7 +474,7 @@ def test_verify_seed_must_be_nonnegative(tmp_path, capsys, grid_small):
     write_profile_csv(path, p, sd.initial_guess(p, grid_small))
     report = tmp_path / "report.txt"
     assert main(["verify", str(path), "--seed", "-1", "--out", str(report)]) == 1
-    assert "--seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert "test-function seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,41 @@ def test_newton_factorization_failure_is_reported_not_raised(monkeypatch, grid_s
     assert rep.converged is False
     assert rep.iterations == 0
     assert rep.message == f"jacobian factorization failed: {reason}"
+
+
+def test_newton_non_finite_step_is_reported_without_warnings(monkeypatch, grid_small):
+    def nan_solver(work):
+        return lambda b: np.full_like(b, np.nan)
+
+    monkeypatch.setattr(solver, "_banded_solver", nan_solver)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
+    assert not rep.converged
+    assert rep.iterations == 0 and rep.factorizations == 1
+    assert rep.message == "jacobian solve produced non-finite step"
+
+
+def test_newton_reports_a_non_finite_closing_action_and_raises_other_errors(monkeypatch, grid_small):
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, grid_small)
+
+    def non_finite(p, s, **kwargs):
+        raise NumericError("non-finite action term at node 3")
+
+    monkeypatch.setattr(solver, "action_breakdown", non_finite)
+    _, rep = sd.newton_solve(p, grid_small, guess)
+    assert rep.action is None
+    assert rep.message == "action not evaluable: non-finite action term at node 3"
+
+    def broken(p, s, **kwargs):
+        raise TypeError("a programming error")
+
+    # only a non-finite term is a report; any other error is a bug and propagates
+    monkeypatch.setattr(solver, "action_breakdown", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        sd.newton_solve(p, grid_small, guess)
 
 
 def test_chord_trial_that_does_not_contract_is_discarded(monkeypatch, grid_small):
@@ -471,14 +507,14 @@ def test_fine_leg_takes_one_iteration_at_8000_intervals(omega, q):
     assert fine.path == "fine" and fine.iterations == 1
 
 
-def test_continuation_six_legs(monkeypatch, caplog, grid_small):
+def test_continuation_six_legs(monkeypatch, grid_small):
     _reject_direct_attempt(monkeypatch, grid_small)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
-    with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
-        s, rep = sd.continuation_solve(p, grid_small)
-    assert "direct newton at q=0.3 failed (rejected by the test)" in caplog.text
+    s, rep = sd.continuation_solve(p, grid_small)
     direct, legs = rep.continuation_trace[0], rep.continuation_trace[1:]
+    # the trace is the one account of the route: the failed direct attempt keeps its reason
     assert direct.path == "direct" and not direct.converged and direct.q == 0.3
+    assert direct.message == "rejected by the test"
     assert rep.converged
     assert len(legs) == 6
     qs = [leg.q for leg in legs]
@@ -615,7 +651,7 @@ def test_initial_guess_core_scale():
         assert s.a[1:-1].tobytes() == (1.0 / (1.0 + (r / rc) ** 2))[1:-1].tobytes()
 
 
-def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch, caplog):
+def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch):
     # direct Newton converges here to a critical point whose f leaves
     # (0, pi - omega); the all-Newton q ladder reaches the right one
     omega = 0.505 * math.pi
@@ -633,11 +669,9 @@ def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch, caplog)
         g = sd.build_grid(60.0, N)
         grids.clear()
         warm_grids.clear()
-        caplog.clear()
-        with caplog.at_level("INFO", logger="skyrme_dyon.solver"):
-            s, rep = sd.continuation_solve(p, g, sd.SolveConfig(tol_residual=tol))
-        assert "bound-f-interval fails" in caplog.text
+        s, rep = sd.continuation_solve(p, g, sd.SolveConfig(tol_residual=tol))
         trace = rep.continuation_trace
+        assert "bound-f-interval fails" in trace[0].message
         assert [(leg.path, leg.converged) for leg in trace] == [("direct", False)] + [("newton", True)] * 6 + [("fine", True)]
         assert trace[0].final_residual_norm <= tol
         assert rep.converged and rep.properties_ok
@@ -817,6 +851,33 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
     a_block, f_block = _unsymmetric_h0_blocks(p, st, s, dt)
     step = np.concatenate((solve_banded((1, 1), _banded(*a_block), 8.0 * dt * ra), solve_banded((1, 1), _banded(*f_block), dt * rf)))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
+
+
+def test_flow_clears_its_memory_when_the_direction_is_not_descent(monkeypatch):
+    # -H G is a descent direction whenever every kept pair has s.y > 0, so
+    # an ascent direction is injected once, on a call with two or more pairs
+    memory_sizes, injected = [], []
+    real_direction = solver._lbfgs_direction
+
+    def ascent_once(grad, memory, precond):
+        memory_sizes.append(len(memory))
+        d = real_direction(grad, memory, precond)
+        if len(memory) < 2 or injected:
+            return d
+        injected.append(len(memory_sizes) - 1)
+        return -d
+
+    g = sd.build_grid(30.0, 300)
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    guess = sd.initial_guess(p, g)
+    sn, rn = sd.newton_solve(p, g, guess)
+    monkeypatch.setattr(solver, "_lbfgs_direction", ascent_once)
+    sf, rf = sd.flow_solve(p, g, guess)
+    # the reset step takes -H0 G; the next call sees at most the one pair that step made
+    assert injected and memory_sizes[injected[0] + 1] <= 1
+    assert rn.converged and rf.converged
+    diff = max(np.max(np.abs(sn.a - sf.a)), np.max(np.abs(sn.f - sf.f)), np.max(np.abs(sn.g - sf.g)))
+    assert diff <= 1e-7
 
 
 def _block_solve(d, e, b):
