@@ -35,23 +35,19 @@ flow solver, the inner electric solve and the gradient checks all rely on
 this identity, so any change here must keep the action terms and the
 residuals in exact correspondence.
 
-_state evaluates one state (a, f, g) into the one record that its
-action, its residuals, the Newton Jacobian and the flow preconditioner
-read: sin f, cos f and sin^2 f, the difference quotients of a, f and g,
-the mass a^2 sin^2 f and its interval means, the f'^2 average _qbar and
-the powers a^3 and a^4; each is formed there once, and what depends on
-the grid alone (w, 1/r^2) the grid holds.
-_e1 sums _interval_e1/_nodal_e1 on it for E1 and for the verify
+_state evaluates a profile into one _State: its grid, a, f and g, then
+sin f, cos f and sin^2 f, the difference quotients of a, f and g, the
+mass a^2 sin^2 f and its interval means, the f'^2 average _qbar and the
+powers a^3 and a^4, each formed there once (what depends on the grid
+alone, w and 1/r^2, the grid holds).  Every reader of a state takes the
+_State alone; residuals and action_breakdown take a profile or its
+_State, and _state returns a _State unchanged, so Newton, the flow, the
+verify battery and the observables evaluate each profile once.
+_e1 sums _interval_e1/_nodal_e1 on a state for E1 and for the verify
 battery's coercive bound, and _e2_form sums E2's bilinear form for
 e2_energy (its diagonal), for the action and for the electric constraint
-residual.  _reaction_rates serves the Newton Jacobian and the flow
-preconditioner; _qbar also serves the decay fit and the source of the f
-tail.  residuals and action_breakdown take an optional state, so a caller
-that already has it (Newton, whose trial's state also serves its
-Jacobian, the flow, whose trial's state serves the accepted state, and
-the verify battery) evaluates a state once; the results are bitwise the
-same.  _e2_form and e2_energy also take a stack of arrays, one value per
-row, so the battery sums its test functions in one pass.
+residual, one value per row for a stack of arrays.  _reaction_rates
+serves the Newton Jacobian and the flow preconditioner.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -154,8 +150,12 @@ class ActionBreakdown:
 
 
 class _State(NamedTuple):
-    """What the action, the residuals, the Newton Jacobian and the flow preconditioner read of one state (a, f, g), each formed once."""
+    """A profile (grid, a, f, g) and every product of it that the model's readers share, each formed once."""
 
+    grid: RadialGrid
+    a: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
     sin: np.ndarray  # sin(f) at all N+1 nodes
     cos: np.ndarray  # cos(f) at all N+1 nodes
     sin2: np.ndarray  # sin^2(f) at all N+1 nodes
@@ -169,8 +169,11 @@ class _State(NamedTuple):
     a4: np.ndarray  # a^4 at interior nodes
 
 
-def _state(grid: RadialGrid, a, f, g) -> _State:
-    """The _State of (a, f, g)."""
+def _state(s: FieldProfile | _State) -> _State:
+    """The _State of the profile s; s itself when it is one."""
+    if isinstance(s, _State):
+        return s
+    grid, a, f, g = s.grid, s.a, s.f, s.g
     h = grid.h
     sin = np.sin(f)
     sin2 = sin**2
@@ -179,13 +182,13 @@ def _state(grid: RadialGrid, a, f, g) -> _State:
     df = (f[1:] - f[:-1]) / h
     aj = a[1:-1]
     return _State(
-        sin, np.cos(f), sin2, (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
+        grid, a, f, g, sin, np.cos(f), sin2, (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
     )
 
 
-def _interval_e1(p: ModelParams, grid: RadialGrid, st: _State, r2_coeff):
+def _interval_e1(p: ModelParams, st: _State, r2_coeff):
     """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
-    return 4.0 * st.da * st.da + (r2_coeff * grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
+    return 4.0 * st.da * st.da + (r2_coeff * st.grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
 
 
 def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin2, mass):
@@ -205,12 +208,12 @@ def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin2, mass):
     return out
 
 
-def _e1(p: ModelParams, grid: RadialGrid, a, st: _State, r2_coeff, mass):
+def _e1(p: ModelParams, st: _State, r2_coeff, mass):
     """Discrete E1 of the state st, for r^2 f'^2 coefficient r2_coeff and mass term mass.
 
     Interval terms times h plus node terms times w.
     """
-    return np.dot(_interval_e1(p, grid, st, r2_coeff), grid.h) + np.dot(_nodal_e1(p, grid, a, st.sin2, mass), grid.w)
+    return np.dot(_interval_e1(p, st, r2_coeff), st.grid.h) + np.dot(_nodal_e1(p, st.grid, st.a, st.sin2, mass), st.grid.w)
 
 
 def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
@@ -242,23 +245,21 @@ def e2_energy(grid: RadialGrid, a, g):
     return _e2_form(grid, a, g, g)
 
 
-def action_breakdown(p: ModelParams, s: FieldProfile, *, state: _State | None = None) -> ActionBreakdown:
-    """E1 and E2 of the discrete action, L = E1 - E2, E = E1 + E2.
+def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdown:
+    """E1 and E2 of the discrete action of the profile s, or of its _State, L = E1 - E2, E = E1 + E2.
 
-    state, when given, must be _state(s.grid, s.a, s.f, s.g); the result
-    is then bitwise the same.
     Raises NumericError naming the first node or interval whose term is not finite.
     """
-    grid, a, g = s.grid, s.a, s.g
-    st = _state(grid, a, s.f, g) if state is None else state
-    E1 = float(_e1(p, grid, a, st, 0.5, st.mass))
+    st = _state(s)
+    grid, a, g = st.grid, st.a, st.g
+    E1 = float(_e1(p, st, 0.5, st.mass))
     E2 = float(_e2_form(grid, a, g, g, st.dg))
     if not (math.isfinite(E1) and math.isfinite(E2)):
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
         interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, st.dg)
         terms = np.empty(2 * grid.N + 1)
         terms[0::2] = _nodal_e1(p, grid, a, st.sin2, st.mass) + nodal_e2
-        terms[1::2] = _interval_e1(p, grid, st, 0.5) + interval_e2
+        terms[1::2] = _interval_e1(p, st, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
             k = int(bad[0]) // 2
@@ -267,20 +268,20 @@ def action_breakdown(p: ModelParams, s: FieldProfile, *, state: _State | None = 
     return ActionBreakdown(E1=E1, E2=E2, L=E1 - E2, E=E1 + E2)
 
 
-def _qbar(grid: RadialGrid, df, first: int = 0):
-    """Dual-cell average of f'^2 at interior nodes first+1..N-1, from the quotients df of intervals first..N-1."""
-    hdd = grid.h[first:] * df * df  # h_i df_i^2 on each interval, shared by its two nodes
-    return (hdd[:-1] + hdd[1:]) / (2.0 * grid.w[first + 1 : -1])
+def _qbar(grid: RadialGrid, df):
+    """Dual-cell average of f'^2 at interior nodes 1..N-1, from the quotients df of all N intervals."""
+    hdd = grid.h * df * df  # h_i df_i^2 on each interval, shared by its two nodes
+    return (hdd[:-1] + hdd[1:]) / (2.0 * grid.w[1:-1])
 
 
-def _reaction_rates(p: ModelParams, st: _State, s: FieldProfile):
-    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f, for s and its _State st.
+def _reaction_rates(p: ModelParams, st: _State):
+    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f at the state st.
 
     The f'^2 average qbar is held fixed; the Jacobian adds its cross terms.
     """
-    aj, gj = s.a[1:-1], s.g[1:-1]
+    aj, gj = st.a[1:-1], st.g[1:-1]
     cj, s2 = st.cos[1:-1], st.sin2[1:-1]
-    k, qbar, inv_r2 = p.kappa, st.qbar, s.grid.inv_r2
+    k, qbar, inv_r2 = p.kappa, st.qbar, st.grid.inv_r2
     react_a = (
         (3.0 * aj * aj - 1.0) * inv_r2
         + 0.25 * s2
@@ -297,8 +298,8 @@ def _reaction_rates(p: ModelParams, st: _State, s: FieldProfile):
     return react_a, react_f
 
 
-def residuals(p: ModelParams, s: FieldProfile, *, state: _State | None = None):
-    """Vectorized (residual_a, residual_f, residual_g) over interior nodes 1..N-1.
+def residuals(p: ModelParams, s: FieldProfile | _State):
+    """Vectorized (residual_a, residual_f, residual_g) of the profile s, or of its _State, over interior nodes 1..N-1.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
                         + kappa a^3 sin^4(f)/r^2 - a g^2/2]
@@ -309,12 +310,10 @@ def residuals(p: ModelParams, s: FieldProfile, *, state: _State | None = None):
 
     f'^2 factors use the dual-cell average of interval difference quotients
     and D(.) the conservative flux stencil, so each residual is the exact
-    gradient of the discrete action (see module docstring).  state, when
-    given, must be _state(s.grid, s.a, s.f, s.g); the result is then
-    bitwise the same.
+    gradient of the discrete action (see module docstring).
     """
-    grid, a, g = s.grid, s.a, s.g
-    st = _state(grid, a, s.f, g) if state is None else state
+    st = _state(s)
+    grid, a, g = st.grid, st.a, st.g
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
     k = p.kappa
     aj, gj = a[1:-1], g[1:-1]

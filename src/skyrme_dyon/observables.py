@@ -29,6 +29,9 @@ Dirichlet data pins them to the limit exactly at r = R, so the truncated
 tail is const*(1/r - 1/R).  tail_constants divides by that factor instead
 of multiplying by r; the estimate converges to the untruncated constant
 as R grows.
+
+Each function takes a profile or its model._state, from which the decay
+fit and the f tail read sin f, cos f, sin^2 f and qbar.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecayWindowError, NumericError, ParameterError, RegionError
-from .model import FieldProfile, ModelParams, _qbar
+from .model import FieldProfile, ModelParams, _State, _state
 
 __all__ = [
     "ObservableReport",
@@ -68,7 +71,7 @@ def skyrme_charge_closed(omega: float) -> float:
     return 1.0 + (0.5 * math.sin(2.0 * omega) - omega) / math.pi
 
 
-def skyrme_charge_numeric(s: FieldProfile) -> float:
+def skyrme_charge_numeric(s: FieldProfile | _State) -> float:
     """Quadrature of (2/pi) sin(f)^2 f' dr via the substitution u = f.
 
     The integrand is an exact differential, so midpoint quadrature in u is
@@ -79,7 +82,7 @@ def skyrme_charge_numeric(s: FieldProfile) -> float:
     return float((2.0 / math.pi) * np.sum(np.sin(fm) ** 2 * np.diff(f)))
 
 
-def electric_charge(s: FieldProfile) -> float:
+def electric_charge(s: FieldProfile | _State) -> float:
     """Q_e = 2 integral a^2 g dr by trapezoid quadrature."""
     return s.grid.integrate(2.0 * s.a**2 * s.g)
 
@@ -113,12 +116,12 @@ def _local_two_mode_rates(h: np.ndarray, u: np.ndarray, idx: np.ndarray) -> np.n
     H = hm + hp
     um, uj, up = u[idx - 1], u[idx], u[idx + 1]
 
-    def fval(lam):
-        return um * np.sinh(lam * hp) + up * np.sinh(lam * hm) - uj * np.sinh(lam * H)
+    def residual(lam, u_m, u_j, u_p, h_m, h_p, h_mp):
+        return u_m * np.sinh(lam * h_p) + u_p * np.sinh(lam * h_m) - u_j * np.sinh(lam * h_mp)
 
     lo = np.full(idx.shape, RATE_LO)
     hi = np.full(idx.shape, RATE_HI)
-    ok = (fval(lo) > 0.0) & (fval(hi) < 0.0)
+    ok = (residual(lo, um, uj, up, hm, hp, H) > 0.0) & (residual(hi, um, uj, up, hm, hp, H) < 0.0)
     c1 = um * hp + up * hm - uj * H
     c3 = um * hp**3 + up * hm**3 - uj * H**3
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,7 +133,7 @@ def _local_two_mode_rates(h: np.ndarray, u: np.ndarray, idx: np.ndarray) -> np.n
         if act.size == 0:
             break
         x, a_m, a_j, a_p, b_m, b_p, b_H = lam[act], um[act], uj[act], up[act], hm[act], hp[act], H[act]
-        F = a_m * np.sinh(x * b_p) + a_p * np.sinh(x * b_m) - a_j * np.sinh(x * b_H)
+        F = residual(x, a_m, a_j, a_p, b_m, b_p, b_H)
         dF = a_m * b_p * np.cosh(x * b_p) + a_p * b_m * np.cosh(x * b_m) - a_j * b_H * np.cosh(x * b_H)
         below = F > 0.0  # F is positive below the root and negative above it
         x_lo = np.where(below, x, lo[act])
@@ -154,7 +157,7 @@ def _fit_window_nodes(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return interior[sel]
 
 
-def fit_decay_rate(s: FieldProfile, p: ModelParams):
+def fit_decay_rate(s: FieldProfile | _State, p: ModelParams):
     """Estimate the exponential decay rate of a over the window a in [FIT_WINDOW_LO, FIT_WINDOW_HI].
 
     Per node the exact two-mode rate lambda_i is extracted, then the known
@@ -173,21 +176,20 @@ def fit_decay_rate(s: FieldProfile, p: ModelParams):
     the window holds fewer than MIN_FIT_NODES usable nodes (domain too
     small) or the least-squares intercept is not positive.
     """
-    grid = s.grid
-    idx = _fit_window_nodes(s.a, FIT_WINDOW_LO, FIT_WINDOW_HI)
+    st = _state(s)
+    idx = _fit_window_nodes(st.a, FIT_WINDOW_LO, FIT_WINDOW_HI)
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError(
             f"decay-fit window a in [{FIT_WINDOW_LO:g}, {FIT_WINDOW_HI:g}] holds {idx.size} nodes (< {MIN_FIT_NODES}); increase the domain radius"
         )
-    lam = _local_two_mode_rates(grid.h, s.a, idx)
+    lam = _local_two_mode_rates(st.grid.h, st.a, idx)
     good = np.isfinite(lam)
     idx, lam = idx[good], lam[good]
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError("too few locally exponential nodes in the decay-fit window; increase the domain radius")
-    r_used = grid.r[idx]
-    sin2 = np.sin(s.f[idx]) ** 2
-    qbar = _qbar(grid, np.diff(s.f) / grid.h)[idx - 1]
-    potential_shift = 0.25 * (sin2 - np.sin(s.f[-1]) ** 2) - 0.5 * (s.g[idx] ** 2 - s.g[-1] ** 2) + p.kappa * sin2 * qbar
+    r_used = st.grid.r[idx]
+    sin2 = st.sin2[idx]
+    potential_shift = 0.25 * (sin2 - st.sin2[-1]) - 0.5 * (st.g[idx] ** 2 - st.g[-1] ** 2) + p.kappa * sin2 * st.qbar[idx - 1]
     lam_sq = lam * lam - potential_shift
     design = np.column_stack([np.ones_like(r_used), 1.0 / r_used, 1.0 / r_used**2])
     coef, *_ = np.linalg.lstsq(design, lam_sq, rcond=None)
@@ -212,7 +214,7 @@ class TailConstants:
     window: tuple[float, float]
 
 
-def _f_source_double_integral(s: FieldProfile, p: ModelParams, first: int) -> np.ndarray:
+def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndarray:
     """Values of integral_r^R rho^-2 * (integral_rho^R F) d rho at nodes first..N-1 (first >= 1).
 
     F is the zero-order side of the f-equation (2 a^2 sin f cos f plus its
@@ -222,15 +224,14 @@ def _f_source_double_integral(s: FieldProfile, p: ModelParams, first: int) -> np
     beyond first enter, and both cumulative sums run inward from R, so the
     values are bitwise those of a pass over every node.
     """
-    grid = s.grid
+    grid = st.grid
     beyond = slice(first + 1, None)  # nodes first+1..N, whose cells carry the mass beyond node first
-    a, r, w = s.a[beyond], grid.r[beyond], grid.w[beyond]
-    sf, cf_ = np.sin(s.f[beyond]), np.cos(s.f[beyond])
+    a, r, w = st.a[beyond], grid.r[beyond], grid.w[beyond]
+    sf, cf_ = st.sin[beyond], st.cos[beyond]
     source = 2.0 * a * a * sf * cf_
     if p.kappa != 0.0:
         quart = a**4 * sf**3 * cf_ / r**2
-        fp2 = np.zeros(a.size)  # f'^2 at interior nodes; the source vanishes at R
-        fp2[:-1] = _qbar(grid, np.diff(s.f[first:]) / grid.h[first:], first)
+        fp2 = np.append(st.qbar[first:], 0.0)  # f'^2 at interior nodes; the source vanishes at R
         source = source + 8.0 * p.kappa * (a * a * sf * cf_ * fp2 + quart)
     # T at half node i+1/2 = sum of cell masses strictly beyond node i, i = first..N-1
     T_half = np.cumsum((source * w)[::-1])[::-1]
@@ -238,23 +239,23 @@ def _f_source_double_integral(s: FieldProfile, p: ModelParams, first: int) -> np
     return np.cumsum(seg[::-1])[::-1]
 
 
-def tail_constants(s: FieldProfile, p: ModelParams) -> TailConstants:
+def tail_constants(s: FieldProfile | _State, p: ModelParams) -> TailConstants:
     """Median tail constants of g and f over radii in [R/10, R).
 
     The window is the nodes from the first with r >= R/10 (node 1 at the
     least) to N-1; the f source integral is evaluated on them alone.
     Raises DecayWindowError when that window holds no interior node.
     """
-    grid = s.grid
-    r = grid.r
-    R = grid.R
+    st = _state(s)
+    grid = st.grid
+    r, R = grid.r, grid.R
     first = max(int(np.searchsorted(r, R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
     if first >= grid.N:
         raise DecayWindowError(f"tail window r in [{R / 10.0:g}, {R:g}) holds no interior node; refine the mesh there")
     window = slice(first, -1)
     denom = 1.0 / r[window] - 1.0 / R
-    cg_vals = (p.q - s.g[window]) / denom
-    cf_vals = (p.f_infinity - s.f[window] + _f_source_double_integral(s, p, first)) / denom
+    cg_vals = (p.q - st.g[window]) / denom
+    cf_vals = (p.f_infinity - st.f[window] + _f_source_double_integral(st, p, first)) / denom
     weights = grid.w[window]  # median in the radius measure, not per node
 
     def med_var(vals):
@@ -308,38 +309,39 @@ class ObservableReport:
         return "\n".join(lines) + "\n"
 
 
-def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> ObservableReport:
-    """Assemble the full observable report for a converged profile.
+def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -> ObservableReport:
+    """Assemble the full observable report for a converged profile or its _State.
 
     With strict=False a failed decay fit, an empty tail window or a
     non-finite charge integrand is recorded as NaN with a note instead of
     raising, so partial reports can still be written.
     """
+    st = _state(s)
     nan = float("nan")
     notes = []
     try:
-        gamma_fit, fit_window = fit_decay_rate(s, p)
+        gamma_fit, fit_window = fit_decay_rate(st, p)
     except DecayWindowError as exc:
         if strict:
             raise
         gamma_fit, fit_window = nan, (nan, nan)
         notes.append(str(exc))
     try:
-        tails = tail_constants(s, p)
+        tails = tail_constants(st, p)
     except DecayWindowError as exc:
         if strict:
             raise
         tails = TailConstants(nan, nan, nan, nan, (nan, nan))
         notes.append(str(exc))
     try:
-        Qe = electric_charge(s)
+        Qe = electric_charge(st)
     except NumericError as exc:
         if strict:
             raise
         Qe = nan
         notes.append(str(exc))
     return ObservableReport(
-        QS_numeric=skyrme_charge_numeric(s),
+        QS_numeric=skyrme_charge_numeric(st),
         QS_closed=skyrme_charge_closed(p.omega),
         Qe=Qe,
         Qm=1.0,  # unit magnetic charge, an analytic identity

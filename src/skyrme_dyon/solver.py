@@ -54,8 +54,8 @@ Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
 
 Every solve ends in a SolveReport whose converged means a solution: the
-residual met its target and solution_properties_ok holds.  The
-continuation trace is the list of its Newton solves' own reports.
+residual met its target, the action is finite and solution_properties_ok
+holds.  A continuation trace lists its Newton solves' own reports.
 """
 
 from __future__ import annotations
@@ -145,14 +145,15 @@ class SolveConfig:
 class SolveReport:
     """How a solve at q went, from its stop message to its wall time.
 
-    converged means a solution: the residual met its target and the profile
-    has every bound and monotonicity property (properties_ok).  path is the
-    route that produced it: "newton" or "flow", and in a continuation trace
-    "direct" for the Newton attempt at the target and "fine" for the one
-    solve on the full mesh.  continuation_trace holds the reports of a
-    continuation's Newton solves, in order.  factorizations counts a
-    Newton solve's Jacobian factorizations; it falls below iterations by
-    the chord steps taken, and a flow report keeps 0.
+    converged means a solution: the residual met its target, the action is
+    finite (not None) and the profile has every bound and monotonicity
+    property (properties_ok).  path is the route that produced it:
+    "newton" or "flow", and in a continuation trace "direct" for the Newton
+    attempt at the target and "fine" for the one solve on the full mesh.
+    continuation_trace holds the reports of a continuation's Newton
+    solves, in order.  factorizations counts a Newton solve's Jacobian
+    factorizations; it falls below iterations by the chord steps taken,
+    and a flow report keeps 0.
     """
 
     converged: bool
@@ -212,8 +213,8 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     return _with_boundary_data(p, FieldProfile(grid, a, f, g))
 
 
-def _residual_vector(p: ModelParams, s: FieldProfile, state: _State) -> tuple[np.ndarray, float]:
-    ra, rf, rg = residuals(p, s, state=state)
+def _residual_vector(p: ModelParams, st: _State) -> tuple[np.ndarray, float]:
+    ra, rf, rg = residuals(p, st)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
     return vec, float(np.abs(vec).max())
@@ -235,15 +236,15 @@ def _band_workspace(grid: RadialGrid) -> np.ndarray:
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
-def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, st: _State) -> np.ndarray:
-    """Analytic Jacobian of the stacked residuals at s, with st = _state of s, in LAPACK banded form (l = u = 4).
+def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the stacked residuals at the state st, in LAPACK banded form (l = u = 4).
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
     couplings, a_j with f_(j+-1), sit 4 places off the diagonal.
     """
-    grid = s.grid
-    a, g = s.a, s.g
+    grid = st.grid
+    a, g = st.a, st.g
     h = grid.h
     hm, hp = h[:-1], h[1:]
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
@@ -266,7 +267,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray, st: _Sta
     # residual's _State.c_half on purpose, since that order moves solutions by ulps
     Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
-    react_a, react_f = _reaction_rates(p, st, s)
+    react_a, react_f = _reaction_rates(p, st)
 
     work.fill(0.0)
     ab = work[4:]
@@ -347,11 +348,12 @@ def _report(
 ) -> SolveReport:
     """The report of a solve that stopped at s, started at perf_counter() t0.
 
-    converged is whether the residual met its target; a profile that met
-    it but breaks a solution property is reported not converged, with a
-    message that names the first failing property.
+    converged is whether the residual met its target.  The report is not
+    converged when action is None (the caller's message stays) or when a
+    solution property fails (the message names the first that fails).
     """
     props_ok, prop_msg = solution_properties_ok(p, s)
+    converged = converged and action is not None
     if converged and not props_ok:
         converged = False
         message = f"converged residuals but solution properties violated: {prop_msg}"
@@ -364,8 +366,8 @@ def _report(
 def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _State, np.ndarray, float]:
     """(x, profile, _state, residual vector, residual norm) at the stacked interior values x."""
     s = _unpack(x, p, grid)
-    st = _state(grid, s.a, s.f, s.g)
-    return (x, s, st, *_residual_vector(p, s, st))
+    st = _state(s)
+    return (x, s, st, *_residual_vector(p, st))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -387,8 +389,8 @@ def newton_solve(
 
     The report's action sums the _state that the last iterate's residual
     read, unless a failed iteration freed it; when a term of it is not
-    finite (NumericError), the action is None and the message, unless a
-    stop already set one, is "action not evaluable: ...".
+    finite (NumericError), the report is not converged, its action is None
+    and its message, unless a stop set one, is "action not evaluable: ...".
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
     non-converged report, never a crash or a numpy warning.
@@ -409,7 +411,7 @@ def newton_solve(
             if not (trial[-1] <= cfg.tol_residual or trial[-1] <= CHORD_CONTRACTION * norm):
                 trial = None
         if trial is None:
-            _jacobian_banded(p, s, work, _state(grid, s.a, s.f, s.g) if st is None else st)
+            _jacobian_banded(p, _state(s) if st is None else st, work)
             st = None  # kept beside each trial's own state, it would raise the solve's peak memory
             try:
                 solve = _banded_solver(work)
@@ -441,15 +443,15 @@ def newton_solve(
         message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
     action = None
     try:
-        action = action_breakdown(p, s, state=st)  # st is _state of s, or None after a break that followed its release
+        action = action_breakdown(p, s if st is None else st)  # st is None only after a break that followed its release
     except NumericError as exc:  # a non-finite term of the last iterate
         message = message or f"action not evaluable: {exc}"
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
 
 
-def _flow_reactions(p: ModelParams, st: _State, s: FieldProfile):
-    """Positive parts of the diagonal reaction rates of the a- and f-equations at s, with st = _state of s."""
-    react_a, react_f = _reaction_rates(p, st, s)
+def _flow_reactions(p: ModelParams, st: _State):
+    """Positive parts of the diagonal reaction rates of the a- and f-equations at the state st."""
+    react_a, react_f = _reaction_rates(p, st)
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
@@ -481,8 +483,8 @@ def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) 
     NumericError when the electric solve or the action is not finite.
     """
     s = FieldProfile(grid, a, f, solve_inner_g(p, grid, a))
-    st = _state(grid, a, f, s.g)
-    return s, st, action_breakdown(p, s, state=st)
+    st = _state(s)
+    return s, st, action_breakdown(p, st)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -557,7 +559,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     accepted = 0
     message = ""
     while True:
-        ra, rf, rg = residuals(p, s, state=st)
+        ra, rf, rg = residuals(p, st)
         norm = max(np.abs(ra).max(), np.abs(rf).max(), np.abs(rg).max())
         if norm <= FLOW_TOL:
             break
@@ -573,7 +575,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
                 memory.append((dx, dgrad, 1.0 / sy))
         x_prev, grad_prev = x, grad
 
-        react_a, react_f = _flow_reactions(p, st, s)
+        react_a, react_f = _flow_reactions(p, st)
         coeff_f = grid.p_half + 8.0 * p.kappa * st.c_half
         diag[:n] = w + c * (k_a + w * react_a)
         diag[n:] = w + dt * (coeff_f[:-1] / hm + coeff_f[1:] / hp + w * react_f)

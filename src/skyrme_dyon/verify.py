@@ -6,14 +6,13 @@ threshold, and an anchor naming the property family it belongs to.
 Failures are report entries, never exceptions.  With a fixed seed the
 report is byte-identical across runs.
 
-run_suite is also the one place that evaluates a profile's observables:
-the charge, decay and tail checks read the ObservableReport it attaches
-to the VerifyReport, so a caller that writes both reports runs the decay
-fit and the tail constants once.  Likewise the residual rows, the
-action, the coercive bound and the small-r bounds all read one
-model._state of the profile.  The thresholds are module constants; only
-the residual target and the test-function seed vary per run
-(Tolerances).
+run_suite evaluates the profile once, into one model._state that the
+observables, the residual rows, the action, the coercive bound and the
+small-r bounds all read.  The charge, decay and tail checks read the
+ObservableReport it attaches to the VerifyReport, so a caller that
+writes both reports runs the decay fit and the tail constants once.  The
+thresholds are module constants; only the residual target and the
+test-function seed vary per run (Tolerances).
 """
 
 from __future__ import annotations
@@ -133,21 +132,19 @@ def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
     return G
 
 
-def _coercive_gap(p: ModelParams, s: FieldProfile, L: float, st: _State) -> tuple[float, float]:
-    """The action L of s minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
+def _coercive_gap(p: ModelParams, st: _State, L: float) -> tuple[float, float]:
+    """The action L of the state st minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
 
     The bound is E1 with the r^2 f'^2 coefficient 1/2 lowered to c1 and the
     mass term a^2 sin^2 f replaced by c2 a^2 f^2.  Returns (gap, scale).
     The discrete inequality is exact whenever g is the inner minimizer and
-    0 <= f <= pi/2 nodewise, so gap >= -round-off.  st is the _state of s.
+    0 <= f <= pi/2 nodewise, so gap >= -round-off.
     """
-    grid = s.grid
     om_gap = p.f_infinity
     q_om = math.sqrt(2.0) / math.pi * om_gap
     c1 = 0.5 - (p.q / om_gap) ** 2
     c2 = 2.0 / om_gap**2 * (q_om**2 - p.q**2)
-    a, f = s.a, s.f
-    bound = float(_e1(p, grid, a, st, c1, c2 * a * a * f * f))
+    bound = float(_e1(p, st, c1, c2 * st.a * st.a * st.f * st.f))
     return L - bound, abs(L) + abs(bound) + 1.0
 
 
@@ -177,16 +174,15 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     The returned report carries the profile's ObservableReport (evaluated
     with strict=False) in its observables field.  A non-finite value fails
     the rows it reaches, so the battery runs without numpy's invalid-value
-    and overflow warnings.  One _state of the profile serves the residual
-    rows, the action, the coercive bound and both small-r bounds.
+    and overflow warnings.
     """
     tol = tol or Tolerances()
     grid, a = s.grid, s.a
-    obs = observables(p, s, strict=False)
+    st = _state(s)
+    obs = observables(p, st, strict=False)
     rep = VerifyReport(observables=obs)
 
-    st = _state(grid, a, s.f, s.g)
-    ra, rf, rg = residuals(p, s, state=st)
+    ra, rf, rg = residuals(p, st)
     rep.add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
     rep.add("residual-f", "euler-lagrange", float(np.max(np.abs(rf))), tol.residual)
     rep.add("residual-g", "euler-lagrange", float(np.max(np.abs(rg))), tol.residual)
@@ -204,7 +200,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     rep.checks.extend(property_checks(p, s))
 
     try:
-        act = action_breakdown(p, s, state=st)
+        act = action_breakdown(p, st)
     except NumericError:
         act = None  # non-finite energy density: every check built on the action fails
     if act is None:
@@ -213,7 +209,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     else:
         energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
         rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
-        gap, scale = _coercive_gap(p, s, act.L, st)
+        gap, scale = _coercive_gap(p, st, act.L)
         rep.add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the

@@ -153,7 +153,7 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     # analytic Jacobian columns against central differences
     x = _pack(prof)
-    ab = _jacobian_banded(p, prof, _band_workspace(grid), _state(grid, prof.a, prof.f, prof.g))
+    ab = _jacobian_banded(p, _state(prof), _band_workspace(grid))
     n = x.size
     worst_jac = 0.0
     for j in rng.choice(n, 90, replace=False):
@@ -176,8 +176,8 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
 
     def reduced(a, f):
         gg = sd.solve_inner_g(p, grid, a)
-        st = _state(grid, a, f, gg)
-        return _e1(p, grid, a, st, 0.5, st.mass) - e2_energy(grid, a, gg)
+        st = _state(sd.FieldProfile(grid, a, f, gg))
+        return _e1(p, st, 0.5, st.mass) - e2_energy(grid, a, gg)
 
     h = 1e-30
     worst_grad = 0.0

@@ -55,14 +55,14 @@ def vacuum_profile(grid):
 
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
-    st = _state(s.grid, s.a, s.f, s.g)
-    return _interval_e1(p, s.grid, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin2, st.mass)
+    st = _state(s)
+    return _interval_e1(p, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin2, st.mass)
 
 
 def discrete_action(p, s):
     """L = E1 - E2 through the package's one sum of each; complex inputs give complex L."""
-    st = _state(s.grid, s.a, s.f, s.g)
-    return _e1(p, s.grid, s.a, st, 0.5, st.mass) - e2_energy(s.grid, s.a, s.g)
+    st = _state(s)
+    return _e1(p, st, 0.5, st.mass) - e2_energy(s.grid, s.a, s.g)
 
 
 def test_density_e1_vacuum_zero():
@@ -315,11 +315,12 @@ def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng
     s = sd.initial_guess(p, grid_small)
     s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid_small.N - 1)
     s.f[1:-1] += 0.05 * rng.standard_normal(grid_small.N - 1)
-    # residuals and action_breakdown handed the state's _state are bitwise the fresh calls
-    st = _state(grid_small, s.a, s.f, s.g)
-    shared = sd.residuals(p, s, state=st)
+    # residuals and action_breakdown of the profile's _state are bitwise those of the profile
+    st = _state(s)
+    assert _state(st) is st
+    shared = sd.residuals(p, st)
     assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), shared))
-    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, s, state=st)
+    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, st)
 
 
 def _per_term_residuals_and_action(p, s):
@@ -375,7 +376,8 @@ def test_shared_products_are_bitwise_the_per_term_formulas(rng, omega, q, kappa,
     assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), residuals))
     action = sd.action_breakdown(p, s)
     assert (action.E1, action.E2) == (E1, E2)
-    st = _state(grid, s.a, s.f, s.g)
-    assert set(st._fields) == set(fields)
+    st = _state(s)
+    assert st.grid is grid and st.a is s.a and st.f is s.f and st.g is s.g
+    assert set(st._fields) == {"grid", "a", "f", "g", *fields}
     for name, value in fields.items():
         assert getattr(st, name).tobytes() == value.tobytes(), name

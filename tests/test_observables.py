@@ -7,6 +7,7 @@ import pytest
 import skyrme_dyon as sd
 from conftest import ACCEPT_POINTS, blended_grid
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
+from skyrme_dyon.model import _state
 
 observables_module = importlib.import_module("skyrme_dyon.observables")
 
@@ -245,7 +246,7 @@ def test_tail_integral_on_the_window_is_bitwise_the_pass_over_every_node(monkeyp
         first = int(np.searchsorted(s.grid.r, tails.window[0]))
         assert s.grid.r[first] == tails.window[0] and s.grid.r[first - 1] < s.grid.R / 10.0
         everywhere = _f_source_double_integral_everywhere(s, p)
-        assert np.array_equal(observables_module._f_source_double_integral(s, p, first), everywhere[first:-1])
+        assert np.array_equal(observables_module._f_source_double_integral(_state(s), p, first), everywhere[first:-1])
         with monkeypatch.context() as m:
             m.setattr(observables_module, "_f_source_double_integral", lambda s, p, first: _f_source_double_integral_everywhere(s, p)[first:-1])
             assert sd.tail_constants(s, p) == tails
@@ -276,6 +277,15 @@ def test_observable_report_assembly(solved_points):
     # regression record for this production point (oracle: flow route + refinement study)
     assert obs.Qe == pytest.approx(0.9352007881556, rel=1e-6)
     assert obs.QS_numeric == pytest.approx(0.0908450493297, rel=1e-6)
+
+
+def test_observables_of_a_state_are_those_of_its_profile(solved_points, grid60):
+    # the battery hands observables its _state; the report must be the one a profile gives
+    p10 = sd.validate_params(0.52 * math.pi, 0.0, 10.0)  # the golden case solve --omega 0.52pi --kappa 10
+    s10, rep = sd.continuation_solve(p10, grid60)
+    assert rep.converged, rep.message
+    for p, s in [*((p, s) for p, s, _ in solved_points.values()), (p10, s10)]:
+        assert sd.observables(p, _state(s)).as_text() == sd.observables(p, s).as_text()
 
 
 def test_converged_action_split_regression(solved_points):

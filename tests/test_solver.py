@@ -10,7 +10,7 @@ import skyrme_dyon as sd
 from skyrme_dyon import solver
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
 from skyrme_dyon.inner import _spd_tridiagonal_solver
-from skyrme_dyon.model import _state
+from skyrme_dyon.model import _State, _state
 from skyrme_dyon.solver import (
     _band_workspace,
     _banded_solver,
@@ -83,15 +83,16 @@ def test_newton_report_action_reads_the_final_iterates_state(monkeypatch, grid_s
     original = solver.action_breakdown
     states = []
 
-    def recording(p, s, **kwargs):
-        states.append(kwargs.get("state"))
-        return original(p, s, **kwargs)
+    def recording(p, s):
+        states.append(s)
+        return original(p, s)
 
     monkeypatch.setattr(solver, "action_breakdown", recording)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
-    assert rep.converged and len(states) == 1 and states[0] is not None
-    fresh = _state(grid_small, s.a, s.f, s.g)
+    assert rep.converged and len(states) == 1 and isinstance(states[0], _State)
+    assert states[0].a is s.a and states[0].f is s.f and states[0].g is s.g
+    fresh = _state(s)
     for name in ("sin2", "df", "dg"):
         assert getattr(states[0], name).tobytes() == getattr(fresh, name).tobytes(), name
     assert rep.action == original(p, s)
@@ -139,7 +140,7 @@ def test_jacobian_matches_finite_differences(rng):
     prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
     prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
     x = _pack(prof)
-    ab = _jacobian_banded(p, prof, _band_workspace(g), _state(g, prof.a, prof.f, prof.g))
+    ab = _jacobian_banded(p, _state(prof), _band_workspace(g))
     n = x.size
     worst = 0.0
     for j in rng.choice(n, 90, replace=False):
@@ -179,7 +180,7 @@ def test_jacobian_bandwidth_is_four(rng):
     offset = np.subtract.outer(np.arange(n), np.arange(n))
     assert np.all(jac[np.abs(offset) > 4] == 0.0)
     assert np.count_nonzero(jac[offset == 4]) > 0 and np.count_nonzero(jac[offset == -4]) > 0
-    assert _jacobian_banded(p, prof, _band_workspace(g), _state(g, prof.a, prof.f, prof.g)).shape == (9, n)
+    assert _jacobian_banded(p, _state(prof), _band_workspace(g)).shape == (9, n)
 
 
 def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
@@ -189,11 +190,11 @@ def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
     prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
     prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
     prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
-    st = _state(g, prof.a, prof.f, prof.g)
-    rvec, _ = _residual_vector(p, prof, st)
-    fresh = _jacobian_banded(p, prof, _band_workspace(g), st)
+    st = _state(prof)
+    rvec, _ = _residual_vector(p, st)
+    fresh = _jacobian_banded(p, st, _band_workspace(g))
     work = _band_workspace(g)
-    ab = _jacobian_banded(p, prof, work, st)
+    ab = _jacobian_banded(p, st, work)
     assert np.shares_memory(ab, work)
     assert np.array_equal(ab, fresh)
     solve = _banded_solver(work)
@@ -204,7 +205,7 @@ def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
         assert np.array_equal(b, b_copy)
     # the factorization overwrote the workspace, LU fill-in rows included
     assert np.any(work[:4] != 0.0)
-    ab = _jacobian_banded(p, prof, work, st)
+    ab = _jacobian_banded(p, st, work)
     assert np.array_equal(ab, fresh)
     assert np.all(work[:4] == 0.0)
 
@@ -246,15 +247,16 @@ def test_newton_reports_a_non_finite_closing_action_and_raises_other_errors(monk
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     guess = sd.initial_guess(p, grid_small)
 
-    def non_finite(p, s, **kwargs):
+    def non_finite(p, s):
         raise NumericError("non-finite action term at node 3")
 
     monkeypatch.setattr(solver, "action_breakdown", non_finite)
     _, rep = sd.newton_solve(p, grid_small, guess)
     assert rep.action is None
+    assert not rep.converged
     assert rep.message == "action not evaluable: non-finite action term at node 3"
 
-    def broken(p, s, **kwargs):
+    def broken(p, s):
         raise TypeError("a programming error")
 
     # only a non-finite term is a report; any other error is a bug and propagates
@@ -806,14 +808,14 @@ def test_flow_reused_values_match_fresh_evaluation(monkeypatch, grid_small, omeg
         assert trials > rep.iterations
 
 
-def _unsymmetric_h0_blocks(p, st, s, dt):
-    """H0's a- and f-systems at the state s as the flow once assembled them: unsymmetric (sub, main, super) diagonals for the right-hand side dt*v/w."""
-    g = s.grid
-    react_a, react_f = solver._flow_reactions(p, st, s)
+def _unsymmetric_h0_blocks(p, st, dt):
+    """H0's a- and f-systems at the state st as the flow once assembled them: unsymmetric (sub, main, super) diagonals for the right-hand side dt*v/w."""
+    g = st.grid
+    react_a, react_f = solver._flow_reactions(p, st)
     hm, hp, w = g.h[:-1], g.h[1:], g.w[1:-1]
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     c = 8.0 * dt
-    a_sin = s.a * st.sin
+    a_sin = st.a * st.sin
     coeff_f = g.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
     off_f = -dt * coeff_f[1:-1]
     diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
@@ -846,9 +848,9 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
 
     g, dt = grid_small, solver.FLOW_DT
     s.g = sd.solve_inner_g(p, g, s.a)
-    st = _state(g, s.a, s.f, s.g)
-    ra, rf, _ = sd.residuals(p, s, state=st)
-    a_block, f_block = _unsymmetric_h0_blocks(p, st, s, dt)
+    st = _state(s)
+    ra, rf, _ = sd.residuals(p, st)
+    a_block, f_block = _unsymmetric_h0_blocks(p, st, dt)
     step = np.concatenate((solve_banded((1, 1), _banded(*a_block), 8.0 * dt * ra), solve_banded((1, 1), _banded(*f_block), dt * rf)))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
 
@@ -904,9 +906,9 @@ def test_one_system_preconditioner_is_bitwise_the_two_field_solves_on_the_flow(m
     applied, states = [], []
     real_solver, real_reactions = solver._spd_tridiagonal_solver, solver._flow_reactions
 
-    def reactions(p, st, s):
-        states.append((p, st, s))  # the state whose H0 is factorized next
-        return real_reactions(p, st, s)
+    def reactions(p, st):
+        states.append((p, st))  # the state whose H0 is factorized next
+        return real_reactions(p, st)
 
     def recording(d, e):
         system = (d.copy(), e.copy(), states[-1])  # the flow refills its arrays at the next state

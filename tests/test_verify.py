@@ -16,6 +16,7 @@ OMEGA = 0.75 * math.pi
 
 model_module = importlib.import_module("skyrme_dyon.model")
 verify_module = importlib.import_module("skyrme_dyon.verify")
+observables_module = importlib.import_module("skyrme_dyon.observables")
 
 # The 2- and 3-interval profiles of the CI step "Verify runs the smallest electric systems".
 TINY_HEADER = "# omega=2.356194490192345\n# q=0.1\n# kappa=1\n"
@@ -295,14 +296,38 @@ def test_run_suite_builds_one_stencil_and_one_constraint_residual(monkeypatch, s
 
         return wrapper
 
-    # verify binds _state at import; residuals and action_breakdown reach model's own when they are not handed one
+    # each module binds _state at import; it hands a _State back unchanged, so only a call on a profile evaluates one
     state = model_module._state
-    for module in (model_module, verify_module):
-        monkeypatch.setattr(module, "_state", counted("_state", state))
+
+    def evaluations(s):
+        if not isinstance(s, model_module._State):
+            calls["evaluations"] += 1
+        return state(s)
+
+    for module in (model_module, verify_module, observables_module):
+        monkeypatch.setattr(module, "_state", evaluations)
     monkeypatch.setattr(verify_module, "constraint_residual", counted("constraint_residual", verify_module.constraint_residual))
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
     assert sd.run_suite(p, s).overall
-    assert calls == {"_state": 1, "constraint_residual": 1}
+    assert calls == {"evaluations": 1, "constraint_residual": 1}
+
+
+def test_run_suite_forms_the_f_prime_average_once_per_profile(monkeypatch, solved_points):
+    # the decay fit and the f tail read qbar from the battery's state; an
+    # observables module that formed it again would call its own _qbar
+    calls = []
+    qbar = model_module._qbar
+
+    def counted(*args):
+        calls.append(1)
+        return qbar(*args)
+
+    monkeypatch.setattr(model_module, "_qbar", counted)
+    monkeypatch.setattr(observables_module, "_qbar", counted, raising=False)
+    for p, s, _ in solved_points.values():
+        calls.clear()
+        assert sd.run_suite(p, s).overall
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
