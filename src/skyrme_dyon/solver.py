@@ -33,7 +33,11 @@ Two structurally different routes to the same discrete root:
   dual-cell width, are one symmetric positive definite tridiagonal
   system, uncoupled at the seam, factorized once per state as L D L^T by
   inner._spd_tridiagonal_solver (LAPACK pttrf) and solved once per
-  application (pttrs).
+  application (pttrs).  The flow starts by nested iteration (Briggs,
+  Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000, ch. 3):
+  the same descent first runs on continuation's coarse subgrid, only down
+  to COARSE_FLOW_TOL, and its iterate, prolonged by _prolong, starts the
+  descent on the full mesh, which then needs about half the steps.
 
 * continuation_solve is Newton only, in two stages.  It chooses and walks
   its route on a subgrid of every k-th node (about COARSE_NODES
@@ -103,8 +107,9 @@ CHORD_CONTRACTION = 0.01  # a full Newton step keeps its factors for chord steps
 MIN_STEP = 1e-8  # smallest line-search step before a stall is reported
 FLOW_DT = 100.0  # time step of the implicit flow step that serves as the initial inverse Hessian
 LBFGS_MEMORY = 8  # (s, y) pairs kept by the flow's L-BFGS recursion
-FLOW_MAX_STEPS = 1_000  # flow step budget; the 210-point region scan takes at most 25 steps
+FLOW_MAX_STEPS = 1_000  # step budget of each flow stage; the 210-point region scan takes at most 17 coarse and 15 fine steps
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
+COARSE_FLOW_TOL = 1e-5  # the flow's coarse stage stops at this residual, below what prolongation carries to the full mesh
 COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
 
 
@@ -151,7 +156,9 @@ class SolveReport:
     "newton" or "flow", and in a continuation trace "direct" for the Newton
     attempt at the target and "fine" for the one solve on the full mesh.
     continuation_trace holds the reports of a continuation's Newton
-    solves, in order.  factorizations counts a Newton solve's Jacobian
+    solves, in order; a flow's holds its coarse stage ("coarse") and its
+    descent on the full mesh ("fine"), or nothing when the mesh has no
+    coarse subgrid.  factorizations counts a Newton solve's Jacobian
     factorizations; it falls below iterations by the chord steps taken,
     and a flow report keeps 0.
     """
@@ -489,12 +496,56 @@ def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[FieldProfile, SolveReport]:
-    """Descent on the reduced functional J(a, f) = E1(a, f) - E2(a, g(a)).
+    """Descent on the reduced functional J(a, f) = E1(a, f) - E2(a, g(a)), started on the coarse subgrid.
 
     g is re-solved from a at every trial (so the g-equation holds exactly
     along the whole path), and J is driven down along limited-memory BFGS
-    directions in the interior (a, f) values.  Terminates when the full
-    residual norm drops below FLOW_TOL or FLOW_MAX_STEPS is exhausted.
+    directions in the interior (a, f) values (_flow_descent).  When
+    _coarse_grid(grid) is a proper subgrid, the descent first runs there
+    from the guess's coarse nodes (every k-th node) until its residual
+    reaches COARSE_FLOW_TOL, about the accuracy that cubic interpolation
+    in the node index (_prolong) carries to grid (nested iteration;
+    Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000,
+    ch. 3).  The descent on grid then starts from the prolonged coarse
+    iterate when the coarse residual reached COARSE_FLOW_TOL, whatever its
+    property checks say, and from the guess otherwise; without a coarse
+    subgrid (N < 2 * COARSE_NODES or N odd) it is the only stage.  Each
+    stage ends when its residual infinity-norm reaches its target or
+    after FLOW_MAX_STEPS accepted steps.
+
+    The returned report is the descent on grid's: its steps, J trace,
+    residual, message and properties, path "flow".  Its wall time covers
+    both stages, and its continuation_trace holds the two stages' own
+    reports in order (paths "coarse" and "fine"), or nothing without a
+    coarse stage.  A start whose a or f is not finite ends at once, in a
+    non-converged report with 0 steps that names the node, and so does a
+    start on grid whose electric solve or action is not finite.  The flow
+    runs without numpy warnings and never assembles the Newton Jacobian.
+    """
+    t0 = time.perf_counter()
+    s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
+    for name in ("a", "f"):  # g is re-solved from a
+        bad = np.flatnonzero(~np.isfinite(getattr(s, name)))
+        if bad.size:
+            message = f"non-finite {name} at node {bad[0]} of the starting profile"
+            return s, _report(p, s, False, 0, float("nan"), None, "flow", message, t0)
+    coarse = _coarse_grid(grid)
+    trace: list[SolveReport] = []
+    if coarse is not grid:
+        k = grid.N // coarse.N
+        s_coarse, report = _flow_descent(p, FieldProfile(coarse, s.a[::k].copy(), s.f[::k].copy(), s.g[::k].copy()), COARSE_FLOW_TOL)
+        trace.append(replace(report, path="coarse"))
+        if report.final_residual_norm <= COARSE_FLOW_TOL:
+            a, f = _prolong(np.stack((s_coarse.a, s_coarse.f)), k)
+            s = FieldProfile(grid, a, f, s.g)
+    s, report = _flow_descent(p, s, FLOW_TOL)
+    if trace:
+        trace.append(replace(report, path="fine"))
+    return s, replace(report, continuation_trace=trace, wall_time=time.perf_counter() - t0)
+
+
+def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldProfile, SolveReport]:
+    """The flow's L-BFGS descent on s.grid from the a and f of s, until the residual infinity-norm reaches tol.
 
     The J-gradient is G = (-8 w res_a, -w res_f), exact by the model
     identity, since the inner solve makes the g-gradient vanish.  The
@@ -516,27 +567,24 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     at the seam: a-rows w + c (1/h_m + 1/h_p + w react_a) on the diagonal
     and -c/h off it, f-rows w + dt (k_m/h_m + k_p/h_p + w react_f) and -dt
     k/h.  It is factorized once per state as L D L^T, without pivoting; a
-    factorization or solve that fails ends the flow in a non-converged
+    factorization or solve that fails ends the descent in a non-converged
     report, "flow preconditioner factorization failed: ...", as a failed
     Jacobian factorization ends Newton.  The step length halves from 1
     until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a trial whose
     electric solve or action is not finite halves it too.  Below MIN_STEP
-    the flow stops with "flow step size underflow at residual R".
+    the descent stops with "flow step size underflow at residual R", and
+    after FLOW_MAX_STEPS accepted steps with "flow step budget exhausted
+    at residual R".
 
     Each state is evaluated once: the _state of a trial serves its action
     and, once accepted, its residuals, its reaction rates and its
-    preconditioner; the report's action is that of the last accepted state.
-    A start whose a or f is not finite, or whose electric solve or action
-    is not, ends at once, in a non-converged report with 0 steps that names
-    the failure.  The flow runs without numpy warnings.
+    preconditioner; the report's action is that of the last accepted state,
+    and it is converged when the residual met tol.  A start whose electric
+    solve or action is not finite ends at once, with s and a non-converged
+    report with 0 steps that names the failure.
     """
     t0 = time.perf_counter()
-    s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
-    for name in ("a", "f"):  # g is re-solved from a
-        bad = np.flatnonzero(~np.isfinite(getattr(s, name)))
-        if bad.size:
-            message = f"non-finite {name} at node {bad[0]} of the starting profile"
-            return s, _report(p, s, False, 0, float("nan"), None, "flow", message, t0)
+    grid = s.grid
     try:
         s, st, action = _flow_state(p, grid, s.a, s.f)
     except NumericError as exc:
@@ -561,7 +609,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     while True:
         ra, rf, rg = residuals(p, st)
         norm = max(np.abs(ra).max(), np.abs(rf).max(), np.abs(rg).max())
-        if norm <= FLOW_TOL:
+        if norm <= tol:
             break
         if accepted == FLOW_MAX_STEPS:
             message = f"flow step budget exhausted at residual {norm:.3e}"
@@ -615,7 +663,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
         else:
             message = f"flow step size underflow at residual {norm:.3e}"
             break
-    report = _report(p, s, bool(norm <= FLOW_TOL), accepted, norm, action, "flow", message, t0)
+    report = _report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0)
     report.j_trace = j_trace
     return s, report
 

@@ -1025,11 +1025,15 @@ def test_flow_converges_at_large_kappa():
 
 
 def test_flow_converges_in_few_steps_at_the_benchmark_points(solved_points, solved_kappa0):
-    # the flow-oracle benchmark points, N = 2000, R = 60: 13, 12, 12 and 11 steps when measured
+    # the flow-oracle benchmark points, N = 2000, R = 60: 9 steps on the
+    # N = 250 subgrid, then 7, 7, 6 and 6 on the full mesh when measured
     for p, ref, _ in [*solved_points.values(), solved_kappa0]:
         s, rep = sd.flow_solve(p, ref.grid, sd.initial_guess(p, ref.grid))
         assert rep.converged and rep.properties_ok, rep.message
-        assert rep.iterations <= 20
+        assert rep.iterations <= 10
+        coarse, fine = rep.continuation_trace
+        assert (coarse.path, fine.path) == ("coarse", "fine") and fine.iterations == rep.iterations
+        assert coarse.final_residual_norm <= solver.COARSE_FLOW_TOL and coarse.iterations <= 20
         diff = max(np.max(np.abs(ref.a - s.a)), np.max(np.abs(ref.f - s.f)), np.max(np.abs(ref.g - s.g)))
         assert diff <= 1e-7
         jt = np.asarray(rep.j_trace)
@@ -1044,3 +1048,68 @@ def test_flow_reports_an_exhausted_step_budget(monkeypatch, grid_small):
     # the residual is that of the returned profile, after the last accepted step
     assert rep.final_residual_norm == max(float(np.max(np.abs(r))) for r in sd.residuals(p, s))
     assert rep.message == f"flow step budget exhausted at residual {rep.final_residual_norm:.3e}"
+
+
+# Points of the region scan where a descent from the initial guess on the
+# full mesh alone reached FLOW_TOL with a < 0 at a node near R, failing
+# bound-a-positive; started on the coarse subgrid, the flow takes 6-15
+# full-mesh steps there, ends at most 9.1e-10 from Newton and keeps
+# a >= 9.8e-16 on nodes 0..N-1, when measured.
+FLOW_SCAN_POINTS = [(0.505, 0.0, 0.0), (0.505, 0.0, 30.0), (0.505, 0.0, 100.0), (0.505, 0.5, 100.0), (0.52, 0.0, 3.0), (0.52, 0.0, 30.0), (0.6, 0.0, 0.0)]
+
+
+def test_flow_keeps_the_bounds_at_the_region_scan_points_near_the_bound(region_scan, grid60):
+    solves = {point: (p, s) for point, p, s, _ in region_scan[0]}
+    for point in FLOW_SCAN_POINTS:
+        p, ref = solves[point]
+        s, rep = sd.flow_solve(p, grid60, sd.initial_guess(p, grid60))
+        assert rep.converged and rep.properties_ok, (point, rep.message)
+        diff = max(np.max(np.abs(ref.a - s.a)), np.max(np.abs(ref.f - s.f)), np.max(np.abs(ref.g - s.g)))
+        assert diff <= 1e-7, point
+
+
+@pytest.mark.parametrize("N", [300, 501])
+def test_flow_without_a_coarse_subgrid_runs_one_stage(N):
+    g = sd.build_grid(30.0, N)
+    assert solver._coarse_grid(g) is g
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    s, rep = sd.flow_solve(p, g, sd.initial_guess(p, g))
+    assert rep.converged and rep.path == "flow"
+    assert rep.continuation_trace == []
+
+
+@pytest.mark.parametrize("miss", ["step budget", "electric solve"])
+def test_flow_whose_coarse_stage_misses_its_target_starts_from_the_guess(monkeypatch, grid60, miss):
+    # the coarse stage takes 9 steps here when measured, so a budget of 4 stops it short of COARSE_FLOW_TOL
+    real_inner = solver.solve_inner_g
+
+    def inner(p, grid, a):
+        if grid.N == 250:
+            raise NumericError("non-finite electric-sector diagonal at node 1")
+        return real_inner(p, grid, a)
+
+    if miss == "step budget":
+        monkeypatch.setattr(solver, "FLOW_MAX_STEPS", 4)
+    else:
+        monkeypatch.setattr(solver, "solve_inner_g", inner)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, grid60)
+    s, rep = sd.flow_solve(p, grid60, guess)
+    coarse, fine = rep.continuation_trace
+    assert not coarse.final_residual_norm <= solver.COARSE_FLOW_TOL
+    monkeypatch.setattr(solver, "_coarse_grid", lambda grid: grid)
+    s1, rep1 = sd.flow_solve(p, grid60, guess)
+    assert rep1.continuation_trace == []
+    for name in ("a", "f", "g"):
+        assert getattr(s, name).tobytes() == getattr(s1, name).tobytes()
+    assert (rep.iterations, rep.final_residual_norm, rep.message, rep.j_trace) == (rep1.iterations, rep1.final_residual_norm, rep1.message, rep1.j_trace)
+    assert rep.converged == rep1.converged == (miss == "electric solve")
+
+
+def test_flow_from_the_newton_solution_converges_again(solved_points):
+    p, ref, _ = solved_points[(0.75 * math.pi, 0.30, 1.0)]
+    s, rep = sd.flow_solve(p, ref.grid, ref)
+    assert rep.converged and rep.properties_ok, rep.message
+    assert len(rep.continuation_trace) == 2
+    diff = max(np.max(np.abs(ref.a - s.a)), np.max(np.abs(ref.f - s.f)), np.max(np.abs(ref.g - s.g)))
+    assert diff <= 1e-7
