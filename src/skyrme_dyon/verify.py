@@ -7,12 +7,12 @@ Failures are report entries, never exceptions.  With a fixed seed the
 report is byte-identical across runs.
 
 run_suite evaluates the profile once, into one model._state that the
-observables, the residual rows, the action, the coercive bound and the
-small-r bounds all read.  The charge, decay and tail checks read the
-ObservableReport it attaches to the VerifyReport, so a caller that
-writes both reports runs the decay fit and the tail constants once.  The
-thresholds are module constants; only the residual target and the
-test-function seed vary per run (Tolerances).
+observables, the residual rows, the action, the coercive bound, the
+small-r bounds and the flux identity all read.  The charge, decay and
+tail checks read the ObservableReport it attaches to the VerifyReport,
+so a caller that writes both reports runs the decay fit and the tail
+constants once.  The thresholds are module constants; only the residual
+target and the test-function seed vary per run (Tolerances).
 """
 
 from __future__ import annotations
@@ -148,16 +148,17 @@ def _coercive_gap(p: ModelParams, st: _State, L: float) -> tuple[float, float]:
     return L - bound, abs(L) + abs(bound) + 1.0
 
 
-def _flux_identity_gap(s: FieldProfile, rg: np.ndarray) -> tuple[float, float]:
-    """Max defect of r^2 g'(half node) = cumulative dual-cell sum of 2 a^2 g.
+def _flux_identity_gap(st: _State, rg: np.ndarray) -> tuple[float, float]:
+    """Max defect of r^2 g'(half node) = cumulative dual-cell sum of 2 a^2 g at the state st.
 
     The identity telescopes the conservative stencil exactly, so the defect
-    is bounded by the accumulated mass of the g-residuals rg of s plus
+    is bounded by the accumulated mass of the g-residuals rg of st plus
     round-off; the excess over that budget is returned together with its
-    scale.
+    scale.  The flux is formed as p_half * diff(g) / h, not from the
+    state's dg, which rounds in another order and would move the row's
+    value by ulps.
     """
-    grid = s.grid
-    a, g = s.a, s.g
+    grid, a, g = st.grid, st.a, st.g
     flux = grid.p_half * np.diff(g) / grid.h
     w = grid.w[1:-1]
     cum = np.cumsum(2.0 * a[1:-1] ** 2 * g[1:-1] * w)
@@ -254,7 +255,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
 
-    flux_gap, flux_scale = _flux_identity_gap(s, rg)
+    flux_gap, flux_scale = _flux_identity_gap(st, rg)
     rep.add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
     return rep
 

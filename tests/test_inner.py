@@ -141,6 +141,11 @@ def test_constraint_residual_names_the_bad_row_of_a_stack():
         sd.constraint_residual(g, a, gs, bad)
     with pytest.raises(NumericError, match="non-finite energy"):
         sd.constraint_residual(g, a, gs, stack, e2_G=np.array([1.0, 1.0, np.inf, 1.0, 1.0]))
+    # a finite row whose E2 overflows raises the same error, not numpy's overflow warning
+    huge = stack.copy()
+    huge[2] *= 1e300
+    with pytest.raises(NumericError, match=r"test function has non-finite energy E2\(a, G\)"):
+        sd.constraint_residual(g, a, gs, huge)
     for shape in ((5, g.N), (2, 5, g.N + 1)):
         with pytest.raises(ParameterError, match="G must have"):
             sd.constraint_residual(g, a, gs, np.zeros(shape))

@@ -56,7 +56,7 @@ def vacuum_profile(grid):
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
     st = _state(s)
-    return _interval_e1(p, st, 0.5), _nodal_e1(p, s.grid, s.a, st.sin2, st.mass)
+    return _interval_e1(p, st, 0.5), _nodal_e1(p, st, st.mass)
 
 
 def discrete_action(p, s):
@@ -355,7 +355,7 @@ def _per_term_residuals_and_action(p, s):
     )
     res_g = (P[1:] * dg[1:] - P[:-1] * dg[:-1]) / w - 2.0 * aj * aj * gj
     interval = 4.0 * da * da + (0.5 * P + 4.0 * k * C) * df * df
-    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, grid, a, sin2, c_nodal), grid.w))
+    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, _state(s), c_nodal), grid.w))
     E2 = float(np.dot(P * dg * dg, h) + np.dot(2.0 * a * a * g * g, grid.w))
     fields = dict(sin=sin_f, cos=cos_f, sin2=sin2, da=da, df=df, dg=dg, mass=c_nodal, c_half=C, qbar=qbar, a3=aj**3, a4=aj**4)
     return (res_a, res_f, res_g), (E1, E2), fields

@@ -10,6 +10,7 @@ import skyrme_dyon as sd
 from skyrme_dyon import solver
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
 from skyrme_dyon.inner import _spd_tridiagonal_solver
+from skyrme_dyon.io import read_profile_csv, write_profile_csv
 from skyrme_dyon.model import _State, _state
 from skyrme_dyon.solver import (
     _band_workspace,
@@ -305,6 +306,32 @@ def test_flow_names_a_non_finite_start(grid_small):
         _, rep = sd.flow_solve(p, grid_small, guess)
         assert not rep.converged and rep.iterations == 0
         assert rep.message == f"non-finite {field} at node 150 of the starting profile"
+
+
+@pytest.mark.parametrize("solve", [sd.newton_solve, sd.flow_solve], ids=["newton", "flow"])
+@pytest.mark.parametrize("R, N", [(30.0, 1000), (60.0, 500)], ids=["same-N-other-R", "other-N"])
+def test_solve_rejects_a_guess_on_another_grid(solve, R, N):
+    # a guess brings its own grid: with the same N it would solve at the wrong radii, with another N fail to broadcast
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, sd.build_grid(60.0, 1000))
+    with pytest.raises(ParameterError, match="guess lies on another grid"):
+        solve(p, sd.build_grid(R, N), guess)
+
+
+@pytest.mark.parametrize("solve", [sd.newton_solve, sd.flow_solve], ids=["newton", "flow"])
+def test_solve_accepts_a_guess_on_an_equal_grid(tmp_path, grid_small, solve):
+    # read_profile_csv builds its own RadialGrid on the file's nodes, which equal grid_small's
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, grid_small)
+    write_profile_csv(tmp_path / "guess.csv", p, guess)
+    _, read = read_profile_csv(tmp_path / "guess.csv")
+    assert read.grid is not grid_small
+    s, rep = solve(p, grid_small, read)
+    ref, ref_rep = solve(p, grid_small, guess)
+    assert rep.converged and rep.iterations == ref_rep.iterations
+    assert s.grid is grid_small
+    for name in ("a", "f", "g"):
+        assert getattr(s, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
