@@ -14,7 +14,6 @@ from .errors import (
     ParameterError,
     RegionError,
     SkyrmeDyonError,
-    TestFunctionError,
 )
 from .grid import RadialGrid, build_grid
 from .inner import constraint_residual, solve_inner_g
@@ -67,7 +66,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "TailConstants",
-    "TestFunctionError",
     "Tolerances",
     "VerifyReport",
     "action_breakdown",

@@ -14,11 +14,7 @@ class RegionError(ParameterError):
 
 
 class NumericError(SkyrmeDyonError, ValueError):
-    """Non-finite data was encountered; the message names the offending node."""
-
-
-class TestFunctionError(SkyrmeDyonError, ValueError):
-    """A constraint test function violates its boundary requirement."""
+    """Non-finite data was encountered, or a linear system cannot be solved; the message names the node or pivot where it can."""
 
 
 class DecayWindowError(SkyrmeDyonError, RuntimeError):

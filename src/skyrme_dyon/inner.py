@@ -27,9 +27,14 @@ The electric solve reads its stiffness, the grid's conductances and
 their sums, from the grid, checks its diagonal once and solves with one
 call of LAPACK gtsv of the arrays' dtype, so the complex-step input that
 differentiates it works too; a 1 x 1 system, which scipy's gtsv wrapper
-rejects, is divided directly.  gtsv is the routine that
+rejects, is divided directly, unless its one entry is 0.  gtsv is the routine that
 scipy.linalg.solve_banded((1, 1), ...) calls, so the results are bitwise
-its.  _spd_tridiagonal_solver factorizes a real symmetric positive
+its.  The matrix is nonsingular in exact arithmetic, but on a mesh so
+small that the products r_i*r_(i+1) underflow to 0 (R = 3e-200, say) the
+conductances vanish, and where a = 0 too the rounded matrix is singular;
+gtsv reports that, and the solve raises NumericError("singular matrix"),
+as every LAPACK failure here raises a NumericError.
+_spd_tridiagonal_solver factorizes a real symmetric positive
 definite tridiagonal matrix as L D L^T with LAPACK pttrf, with no
 pivoting (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3), and
 returns a pttrs solve: it serves, once per flow state, the flow's initial
@@ -45,7 +50,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import NumericError, ParameterError, TestFunctionError
+from .errors import NumericError, ParameterError
 from .grid import RadialGrid
 from .model import ModelParams, _e2_form, e2_energy
 
@@ -53,17 +58,21 @@ __all__ = ["solve_inner_g", "constraint_residual"]
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
-    """Raise ValueError, as scipy.linalg.solve_banded does, unless every entry is finite."""
+    """Raise NumericError unless every entry is finite."""
     if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NumericError("array must not contain infs or NaNs")
 
 
 def _raise_for_info(info: int, routine: str) -> None:
-    """Map a LAPACK info code to scipy.linalg.solve_banded's exceptions; pttrf's names its pivot."""
+    """Map a LAPACK info code to an exception: NumericError for a factor that fails, naming pttrf's pivot.
+
+    info < 0 means the call itself was malformed, a bug in this package,
+    so it raises a plain ValueError that no solver catches.
+    """
     if info > 0 and routine == "pttrf":
-        raise np.linalg.LinAlgError(f"matrix not positive definite: pivot {info} of pttrf is not positive")
+        raise NumericError(f"matrix not positive definite: pivot {info} of pttrf is not positive")
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise NumericError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
 
@@ -73,9 +82,9 @@ def _spd_tridiagonal_solver(d: np.ndarray, e: np.ndarray) -> Callable[[np.ndarra
 
     LAPACK dpttrf/dpttrs, from 2 x 2 up: scipy's pttrf wrapper rejects a
     1 x 1 system, and the flow's system has two blocks of at least one
-    unknown each.  The arrays are not modified.  Raises ValueError on
-    non-finite input (the matrix here, b in solve), LinAlgError naming
-    the first pivot that is not positive.
+    unknown each.  The arrays are not modified.  Raises NumericError on
+    non-finite input (the matrix here, b in solve) and on a pivot that is
+    not positive, which it names.
     """
     _require_finite(d, e)
     *ldl, info = dpttrf(d, e)
@@ -115,6 +124,8 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     g = np.empty(grid.N + 1, dtype=dtype)
     g[0] = 0.0
     if main.size == 1:
+        if main[0] == 0.0:
+            raise NumericError("singular matrix")  # the zero pivot that gtsv reports for a larger system
         g[1:-1] = rhs / main
     else:
         (gtsv,) = get_lapack_funcs(("gtsv",), (off, main, rhs))
@@ -153,7 +164,7 @@ def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.nd
     if np.any(outer):
         k = int(np.flatnonzero(outer)[0])
         where, value = ("G[-1]", G[-1]) if G.ndim == 1 else (f"G[{k}, -1]", G[k, -1])
-        raise TestFunctionError(f"test function must vanish at r = R, got {where}={value!r}")
+        raise ParameterError(f"test function must vanish at r = R, got {where}={value!r}")
     if not np.all(np.isfinite(e2_energy(grid, a, G) if e2_G is None else e2_G)):
         raise NumericError("test function has non-finite energy E2(a, G)")
     form = _e2_form(grid, a, g, G)

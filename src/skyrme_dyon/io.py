@@ -253,8 +253,12 @@ def _parse_rows(path: str | Path, text: list[str], start: int) -> np.ndarray:
 
 
 def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, not the OSError that a reader's callers handle
+        raise ParameterError(f"profile file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     # only the end is stripped: the list index of a line is its file line number - 1
-    text = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    text = text.rstrip().splitlines()
     header: dict = {}
     header_line: dict[str, int] = {}
     # header lines, blank lines and the column header lead the file; the

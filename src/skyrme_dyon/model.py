@@ -125,16 +125,24 @@ def validate_params(omega: float, q: float, kappa: float) -> ModelParams:
 class FieldProfile:
     """Nodal arrays (a, f, g) on a shared grid.
 
-    Construction does not enforce the boundary data (unit tests probe
-    synthetic configurations freely); the solvers set it through
-    solver._with_boundary_data, and run_suite's boundary-values row
-    measures it.
+    Construction checks only that each array holds one value per node
+    (shape (N+1,); any dtype, so complex-step profiles build too) and
+    raises ParameterError otherwise.  It does not enforce the boundary
+    data (unit tests probe synthetic configurations freely); the solvers
+    set it through solver._with_boundary_data, and run_suite's
+    boundary-values row measures it.
     """
 
     grid: RadialGrid
     a: np.ndarray
     f: np.ndarray
     g: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("a", "f", "g"):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.grid.N + 1,):
+                raise ParameterError(f"{name} must have {self.grid.N + 1} nodal values, got {shape}")
 
     def copy(self) -> "FieldProfile":
         return FieldProfile(self.grid, self.a.copy(), self.f.copy(), self.g.copy())

@@ -335,8 +335,8 @@ def _banded_solver(work: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     Each solve is a gbtrs on the same factors, so gbtrf + one solve is
     bitwise the gbsv step, and scipy.linalg.solve_banded((4, 4), J, b).
-    Raises as solve_banded does: ValueError on non-finite input (the
-    matrix here, b in solve), LinAlgError on an exactly singular factor.
+    Raises NumericError on non-finite input (the matrix here, b in solve)
+    and on an exactly singular factor.
     """
     _require_finite(work)
     lu, ipiv, info = dgbtrf(work, 4, 4, overwrite_ab=1)
@@ -439,7 +439,7 @@ def newton_solve(
                 solve = _banded_solver(work)
                 factorizations += 1
                 delta = solve(-rvec)
-            except (np.linalg.LinAlgError, ValueError) as exc:
+            except NumericError as exc:
                 message = f"jacobian factorization failed: {exc}"
                 break
             if not np.all(np.isfinite(delta)):
@@ -502,7 +502,7 @@ def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) 
 
     The _state that the action sums also serves the state's residuals,
     reaction rates and preconditioner once it is accepted.  Raises
-    NumericError when the electric solve or the action is not finite.
+    NumericError when the electric solve fails or the action is not finite.
     """
     st = _state(FieldProfile(grid, a, f, solve_inner_g(p, grid, a)))
     return st, action_breakdown(p, st)
@@ -587,19 +587,19 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
     report, "flow preconditioner factorization failed: ...", as a failed
     Jacobian factorization ends Newton.  The step length halves from 1
     until J_try <= J + 1e-4 step (d.G) + 1e-12 (1 + |J|); a trial whose
-    electric solve or action is not finite halves it too.  Below MIN_STEP
-    the descent stops with "flow step size underflow at residual R", and
-    after FLOW_MAX_STEPS accepted steps with "flow step budget exhausted
-    at residual R".
+    electric solve fails or whose action is not finite halves it too.
+    Below MIN_STEP the descent stops with "flow step size underflow at
+    residual R", and after FLOW_MAX_STEPS accepted steps with "flow step
+    budget exhausted at residual R".
 
     Each state is evaluated once: the _state of a trial serves its action
     and, once accepted, its residuals, its reaction rates and its
     preconditioner.  The descent carries each iterate and each trial as
     its _state alone, and returns the profile of the last accepted state;
     the report's action is that state's, and it is converged when the
-    residual met tol.  A start whose electric solve or action is not
-    finite ends at once, with s and a non-converged report with 0 steps
-    that names the failure.
+    residual met tol.  A start whose electric solve fails or whose action
+    is not finite ends at once, with s and a non-converged report with 0
+    steps that names the failure.
     """
     t0 = time.perf_counter()
     grid = s.grid
@@ -658,7 +658,7 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
                 memory.clear()
                 d = -precond(grad)
                 slope = d @ grad
-        except (np.linalg.LinAlgError, ValueError) as exc:
+        except NumericError as exc:
             message = f"flow preconditioner factorization failed: {exc}"
             break
         step = 1.0

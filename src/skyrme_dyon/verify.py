@@ -168,14 +168,14 @@ def _flux_identity_gap(st: _State, rg: np.ndarray) -> tuple[float, float]:
     return gap, scale
 
 
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) -> VerifyReport:
     """Execute the full property battery on a profile claiming convergence.
 
     The returned report carries the profile's ObservableReport (evaluated
     with strict=False) in its observables field.  A non-finite value fails
-    the rows it reaches, so the battery runs without numpy's invalid-value
-    and overflow warnings.
+    the rows it reaches, so the battery runs without numpy's divide-by-zero,
+    invalid-value and overflow warnings.
     """
     tol = tol or Tolerances()
     grid, a = s.grid, s.a
@@ -218,7 +218,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     try:
         g_inner = solve_inner_g(p, grid, a)
     except (ParameterError, NumericError):
-        worst = float("nan")  # a with a[0] != 1 or a non-finite value has no inner minimizer
+        worst = float("nan")  # a with a[0] != 1, a non-finite value or a singular electric system has no inner minimizer
     else:
         scale_inner = 1.0 + float(e2_energy(grid, a, g_inner).real)
         tests = seeded_test_functions(grid, tol.seed)

@@ -100,6 +100,12 @@ def test_integrate_rejects_non_finite_with_node_index():
         g.integrate(w)
 
 
+def test_integrate_rejects_an_integrand_of_another_length():
+    g = sd.build_grid(10.0, 100)
+    with pytest.raises(ParameterError, match=r"^integrand must have 101 nodal values, got \(100,\)$"):
+        g.integrate(np.ones(100))
+
+
 def test_quadrature_second_order_under_refinement():
     errors = []
     for k in range(3):
@@ -160,6 +166,7 @@ BAD_NODES = [
     ([[0.0, 1.0, 2.0]], "1-D"),
     ([0.0, 1.0, np.inf], "last node must be finite, got inf$"),
     ([1.0, 2.0, 3.0], "first node must be 0, got 1.0$"),
+    ([0.0, 2.0, 1.0], "^nodes must be strictly increasing$"),
 ]
 
 

@@ -9,7 +9,6 @@ from scipy.linalg import solve_banded
 import skyrme_dyon as sd
 from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError
-from skyrme_dyon.errors import TestFunctionError as BadTestFunction
 from skyrme_dyon.model import e2_energy
 from skyrme_dyon.verify import seeded_test_functions
 
@@ -36,6 +35,13 @@ def test_requires_unit_gauge_at_origin():
     a = np.full(g.N + 1, 0.5)
     with pytest.raises(ParameterError, match="a\\[0\\]"):
         sd.solve_inner_g(p, g, a)
+
+
+def test_requires_one_gauge_value_per_node():
+    g = sd.build_grid(30.0, 300)
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    with pytest.raises(ParameterError, match=r"^a must have 301 nodal values, got \(300,\)$"):
+        sd.solve_inner_g(p, g, np.ones(g.N))
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,7 +111,7 @@ def test_constraint_rejects_bad_test_function():
     a = np.ones(g.N + 1)
     gs = 0.1 * g.r / g.R
     G = np.ones(g.N + 1)
-    with pytest.raises(BadTestFunction):
+    with pytest.raises(ParameterError, match=r"test function must vanish at r = R, got G\[-1\]="):
         sd.constraint_residual(g, a, gs, G)
     bad = np.zeros(g.N + 1)
     bad[3] = np.inf
@@ -133,7 +139,7 @@ def test_constraint_residual_names_the_bad_row_of_a_stack():
     stack = seeded_test_functions(g, 42)
     outer = stack.copy()
     outer[2, -1] = 1.0
-    with pytest.raises(BadTestFunction, match=r"G\[2, -1\]"):
+    with pytest.raises(ParameterError, match=r"G\[2, -1\]"):
         sd.constraint_residual(g, a, gs, outer)
     bad = stack.copy()
     bad[1, 3] = np.nan
@@ -220,6 +226,14 @@ def test_inner_solve_on_grid_held_stiffness_is_bitwise_the_per_call_assembly(rng
             a = rng.uniform(0.0, 2.0, g.N + 1)
             a[0], a[-1] = 1.0, 0.0
             assert sd.solve_inner_g(p, g, a).tobytes() == _banded_reference_g(p, g, a).tobytes()
+
+
+def test_singular_one_by_one_system_raises_as_gtsv_does():
+    # r_i*r_(i+1) underflows to 0 and a = 0 inside: the 1 x 1 system is 0 * g_1 = 0
+    g = sd.RadialGrid(np.array([0.0, 1e-200, 2e-200]))
+    p = sd.validate_params(OMEGA, 0.1, 1.0)
+    with pytest.raises(NumericError, match="^singular matrix$"):
+        sd.solve_inner_g(p, g, np.array([1.0, 0.0, 0.0]))
 
 
 def test_non_finite_diagonal_is_reported_with_its_node():

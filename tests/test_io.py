@@ -1,13 +1,15 @@
-"""The profile writer's vectorized '%.17g' kernel against Python's formatter."""
+"""The profile writer's vectorized '%.17g' kernel against Python's formatter, and the reader's errors."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyrme_dyon as sd
 from skyrme_dyon import io
+from skyrme_dyon.cli import main
 from skyrme_dyon.io import write_profile_csv
 
 
@@ -61,3 +63,19 @@ def test_fine_mesh_profile_bytes_match_per_row_format(tmp_path):
     write_profile_csv(path, p, s)
     rows = [f"{r:.17g},{a:.17g},{f:.17g},{g:.17g}" for r, a, f, g in zip(grid.r.tolist(), s.a.tolist(), s.f.tolist(), s.g.tolist())]
     assert path.read_bytes().split(b"r,a,f,g\n", 1)[1] == ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe# omega=2.356194490192345\n", "is not UTF-8 text: invalid start byte at byte 0"),
+        (b"# q=0.1\n# kappa=1\n# R=2\n# N=2\nr,a,f,g\n0,1,0,0\n1,0.5,0.4,0.05\n2,0,0.78539816339744828,0.1\n", "is missing header line '# omega='"),
+    ],
+    ids=["not-utf-8", "no-omega-line"],
+)
+def test_verify_names_the_profile_file_it_cannot_read(tmp_path, capsys, content, message):
+    path = tmp_path / "p.csv"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: profile file {path} {message}\n" and not out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,27 @@ def test_validate_params_examples():
     with pytest.raises(ParameterError, match="kappa"):
         sd.validate_params(OMEGA, 0.1, -1.0)
     assert sd.validate_params(OMEGA, 0.0, 0.0).kappa == 0.0
+
+
+@pytest.mark.parametrize("name, args", [("omega", (math.nan, 0.1, 1.0)), ("q", (OMEGA, math.inf, 1.0)), ("kappa", (OMEGA, 0.1, -math.inf))])
+def test_validate_params_rejects_non_finite_values(name, args):
+    # a ParameterError, not the RegionError that a finite value outside the region raises
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite, got") as info:
+        sd.validate_params(*args)
+    assert type(info.value) is ParameterError
+
+
+@pytest.mark.parametrize("field", ["a", "f", "g"])
+@pytest.mark.parametrize("shape", [(100,), (2, 101), ()], ids=["one-node-short", "2-D", "scalar"])
+def test_profile_needs_one_value_per_node(field, shape):
+    grid = sd.build_grid(30.0, 100)
+    arrays = {name: np.zeros(grid.N + 1) for name in "afg"}
+    arrays[field] = np.zeros(shape)
+    with pytest.raises(ParameterError, match=rf"^{field} must have 101 nodal values, got {re.escape(str(shape))}$"):
+        sd.FieldProfile(grid, **arrays)
+    # complex-step profiles build: only the shape is checked
+    arrays[field] = np.zeros(grid.N + 1, dtype=complex)
+    assert sd.FieldProfile(grid, **arrays).a.shape == (grid.N + 1,)
 
 
 @settings(max_examples=50, deadline=None)

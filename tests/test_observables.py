@@ -197,6 +197,16 @@ def test_fit_decay_rate_window_error_for_small_domain():
         sd.fit_decay_rate(s, P_FLAT)
 
 
+def test_fit_decay_rate_window_error_when_no_node_decays_exponentially():
+    # a concave a lies in the window, but no concave triple is a combination of exp(-lr) and exp(lr)
+    g = blended_grid(60.0, 1000, 0.0)
+    f, gg = _flat_background(g)
+    a = 1e-3 * (2.0 - (g.r / g.R) ** 2)
+    a[0], a[-1] = 1.0, 0.0
+    with pytest.raises(DecayWindowError, match="^too few locally exponential nodes in the decay-fit window"):
+        sd.fit_decay_rate(sd.FieldProfile(g, a, f, gg), P_FLAT)
+
+
 def test_tail_constants_exact_on_truncated_tail_family():
     g = sd.build_grid(60.0, 800)
     p = sd.validate_params(OMEGA, 0.25, 1.0)

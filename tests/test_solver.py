@@ -993,15 +993,15 @@ def test_one_system_ldlt_solve_is_bitwise_the_two_block_solves(rng, n):
 def test_spd_tridiagonal_solver_names_a_pivot_that_is_not_positive(rng, n):
     d, e = _spd_block(rng, n)
     for spoiled, error, reason in [
-        (-1.0, np.linalg.LinAlgError, f"pivot {n} of pttrf is not positive"),
-        (0.0, np.linalg.LinAlgError, f"pivot {n} of pttrf is not positive"),
-        (np.nan, ValueError, "array must not contain infs or NaNs"),
+        (-1.0, NumericError, f"pivot {n} of pttrf is not positive"),
+        (0.0, NumericError, f"pivot {n} of pttrf is not positive"),
+        (np.nan, NumericError, "array must not contain infs or NaNs"),
     ]:
         bad = d.copy()
         bad[-1] = spoiled  # the last pivot is bad[-1] less a positive amount
         with pytest.raises(error, match=reason):
             _spd_tridiagonal_solver(bad, e)
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+    with pytest.raises(NumericError, match="array must not contain infs or NaNs"):
         _spd_tridiagonal_solver(d, e)(np.full(n, np.inf))
 
 
@@ -1012,7 +1012,7 @@ def test_flow_preconditioner_failure_is_reported_not_raised(monkeypatch, grid_sm
     def failing_once(d, e):
         calls.append(1)
         if len(calls) == 3:  # the third state's H0
-            raise np.linalg.LinAlgError("matrix not positive definite: pivot 7 of pttrf is not positive")
+            raise NumericError("matrix not positive definite: pivot 7 of pttrf is not positive")
         return real_solver(d, e)
 
     monkeypatch.setattr(solver, "_spd_tridiagonal_solver", failing_once)

@@ -7,7 +7,7 @@ import pytest
 
 import skyrme_dyon as sd
 from skyrme_dyon.cli import main
-from skyrme_dyon.errors import ParameterError
+from skyrme_dyon.errors import NumericError, ParameterError
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
 from skyrme_dyon.model import e2_energy
 from skyrme_dyon.verify import N_TEST_FUNCTIONS, seeded_test_functions
@@ -25,6 +25,8 @@ TINY_PROFILES = {
     3: TINY_HEADER
     + "# R=3\n# N=3\n# grading=none\nr,a,f,g\n0,1,0,0\n1,0.6,0.3,0.03\n2,0.3,0.6,0.07\n3,0,0.78539816339744828,0.1\n",
 }
+# The CI step's profile whose half-node products r_i*r_(i+1) underflow to 0: with a = 0 inside, its electric system is singular.
+UNDERFLOW_PROFILE = TINY_HEADER + "# R=3e-200\n# N=3\nr,a,f,g\n0,1,0,0\n1e-200,0,0.3,0.03\n2e-200,0,0.6,0.07\n3e-200,0,0.78539816339744828,0.1\n"
 
 
 def test_suite_passes_on_converged_dyon(solved_points):
@@ -339,3 +341,20 @@ def test_tolerances_reject_invalid_fields(field, value):
     # and a NaN or negative residual failed the three residual rows as if the profile were bad
     with pytest.raises(ParameterError, match=field):
         sd.Tolerances(**{field: value})
+
+
+def test_a_singular_electric_system_fails_the_battery_and_verify(tmp_path, capsys):
+    # r^2 underflows to 0 too, so the battery's energy rows divide by zero, without a warning
+    path = tmp_path / "underflow.csv"
+    path.write_text(UNDERFLOW_PROFILE, encoding="utf-8")
+    p, s = read_profile_csv(path)
+    with pytest.raises(NumericError, match="^singular matrix$"):
+        sd.solve_inner_g(p, s.grid, s.a)
+    _, flow = sd.flow_solve(p, s.grid, s)
+    assert not flow.converged and flow.message == "singular matrix of the starting profile"
+    report = sd.run_suite(p, s)
+    assert math.isnan(report["constraint-orthogonality"].measured) and not report["constraint-orthogonality"].passed
+    assert not report.overall
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == report.format() and not err
