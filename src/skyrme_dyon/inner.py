@@ -25,36 +25,77 @@ rather than imposed in the continuum.
 
 The electric solve reads its stiffness, the grid's conductances and
 their sums, from the grid, checks its diagonal once and solves with one
-call of LAPACK gtsv of the arrays' dtype, so the complex-step input that
-differentiates it works too; a 1 x 1 system, which scipy's gtsv wrapper
-rejects, is divided directly, unless its one entry is 0.  gtsv is the routine that
-scipy.linalg.solve_banded((1, 1), ...) calls, so the results are bitwise
-its.  The matrix is nonsingular in exact arithmetic, but on a mesh so
-small that the products r_i*r_(i+1) underflow to 0 (R = 3e-200, say) the
-conductances vanish, and where a = 0 too the rounded matrix is singular;
-gtsv reports that, and the solve raises NumericError("singular matrix"),
-as every LAPACK failure here raises a NumericError.
+call of LAPACK gtsv of the arrays' dtype (zgtsv for the complex-step input
+that differentiates it, dgtsv otherwise); a 1 x 1 system, which scipy's
+gtsv wrapper rejects, is divided directly, unless its one entry is 0.
+gtsv is the routine that scipy.linalg.solve_banded((1, 1), ...) calls, so
+the results are bitwise its.  The matrix is nonsingular in exact
+arithmetic, but on a mesh so small that the products r_i*r_(i+1)
+underflow to 0 (R = 3e-200, say) the conductances vanish, and where
+a = 0 too the rounded matrix is singular; gtsv reports that, and the
+solve raises NumericError("singular matrix"), as every LAPACK failure
+here raises a NumericError.
 _spd_tridiagonal_solver factorizes a real symmetric positive
 definite tridiagonal matrix as L D L^T with LAPACK pttrf, with no
 pivoting (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.3), and
 returns a pttrs solve: it serves, once per flow state, the flow's initial
 inverse Hessian, whose a- and f-systems it factorizes as one system with
 zero coupling between the two blocks.
+
+Every LAPACK routine of the package (dgbtrf and dgbtrs for Newton, dpttrf
+and dpttrs here, dgtsv and zgtsv) is bound here, from scipy's f2py
+extension scipy/linalg/_flapack, which scipy.linalg.lapack re-exports: the
+same compiled wrappers, so the same results bit for bit.  _load_flapack
+finds scipy's directory without running its package code and executes the
+extension alone, since importing scipy.linalg costs about 0.2 s, mostly
+numpy.f2py pulled in by scipy's array-API layer, against about 4 ms for
+the extension.  A process that has already imported scipy.linalg shares
+its module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericError, ParameterError
 from .grid import RadialGrid
 from .model import ModelParams, _e2_form, e2_energy
 
 __all__ = ["solve_inner_g", "constraint_residual"]
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's LAPACK extension scipy.linalg._flapack, without running scipy's or scipy.linalg's package code.
+
+    Returns the module already in sys.modules when scipy.linalg has been
+    imported, so the process holds one copy; otherwise executes the
+    extension found in scipy's linalg directory as a private module.
+    Raises ImportError naming the directories searched when it is not there.
+    """
+    loaded = sys.modules.get("scipy.linalg._flapack")
+    if loaded is not None:
+        return loaded
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where or 'any scipy installation'}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs  # Newton's banded LU
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs  # the flow's SPD tridiagonal L D L^T
+dgtsv, zgtsv = _flapack.dgtsv, _flapack.zgtsv  # the electric solve, real and complex step
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -107,7 +148,7 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     if not np.all(np.isfinite(a.real)):
         raise NumericError(f"non-finite a at node {int(np.flatnonzero(~np.isfinite(a.real))[0])}")
     if abs(a[0] - 1.0) > 1e-12:
-        raise ParameterError(f"a[0] must equal 1, got {a[0]!r}")
+        raise ParameterError(f"a[0] must equal 1, got {a[0].item()!r}")
 
     dtype = np.result_type(a, float)
     cond = grid.conductance
@@ -128,7 +169,7 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
             raise NumericError("singular matrix")  # the zero pivot that gtsv reports for a larger system
         g[1:-1] = rhs / main
     else:
-        (gtsv,) = get_lapack_funcs(("gtsv",), (off, main, rhs))
+        gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
         *_, g[1:-1], info = gtsv(off, main, off, rhs)
         _raise_for_info(info, "gtsv")
     g[-1] = p.q
@@ -164,7 +205,7 @@ def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.nd
     if np.any(outer):
         k = int(np.flatnonzero(outer)[0])
         where, value = ("G[-1]", G[-1]) if G.ndim == 1 else (f"G[{k}, -1]", G[k, -1])
-        raise ParameterError(f"test function must vanish at r = R, got {where}={value!r}")
+        raise ParameterError(f"test function must vanish at r = R, got {where}={value.item()!r}")
     if not np.all(np.isfinite(e2_energy(grid, a, G) if e2_G is None else e2_G)):
         raise NumericError("test function has non-finite energy E2(a, G)")
     form = _e2_form(grid, a, g, G)

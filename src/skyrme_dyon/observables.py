@@ -309,49 +309,57 @@ class ObservableReport:
         return "\n".join(lines) + "\n"
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -> ObservableReport:
     """Assemble the full observable report for a converged profile or its _State.
 
-    With strict=False a failed decay fit, an empty tail window or a
-    non-finite charge integrand is recorded as NaN with a note instead of
-    raising, so partial reports can still be written.
+    With strict=False a failed decay fit, an empty tail window, a
+    non-finite charge integrand or any other non-finite value is recorded
+    as NaN with a note instead of raising, so partial reports can still be
+    written; with strict=True a non-finite value raises NumericError.  It
+    runs under np.errstate, as run_suite does, so a profile whose values
+    overflow (on a mesh whose r^2 underflows, say) gives no numpy warning.
     """
     st = _state(s)
     nan = float("nan")
     notes = []
+    values = {}  # the values computed; one whose function failed is NaN in the report
+    fit_window = tail_window = (nan, nan)
     try:
-        gamma_fit, fit_window = fit_decay_rate(st, p)
+        values["gamma_fit"], fit_window = fit_decay_rate(st, p)
     except DecayWindowError as exc:
         if strict:
             raise
-        gamma_fit, fit_window = nan, (nan, nan)
         notes.append(str(exc))
     try:
         tails = tail_constants(st, p)
     except DecayWindowError as exc:
         if strict:
             raise
-        tails = TailConstants(nan, nan, nan, nan, (nan, nan))
         notes.append(str(exc))
+    else:
+        values.update(cg_tail=tails.cg, cf_tail=tails.cf, cg_variation=tails.cg_variation, cf_variation=tails.cf_variation)
+        tail_window = tails.window
     try:
-        Qe = electric_charge(st)
+        values["Qe"] = electric_charge(st)
     except NumericError as exc:
         if strict:
             raise
-        Qe = nan
         notes.append(str(exc))
+    values["QS_numeric"] = skyrme_charge_numeric(st)
+    bad = [name for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        message = f"non-finite {', '.join(bad)}"
+        if strict:
+            raise NumericError(message)
+        notes.append(message)
+        values.update(dict.fromkeys(bad, nan))
     return ObservableReport(
-        QS_numeric=skyrme_charge_numeric(st),
+        **(dict.fromkeys(("gamma_fit", "cg_tail", "cf_tail", "cg_variation", "cf_variation", "Qe"), nan) | values),
         QS_closed=skyrme_charge_closed(p.omega),
-        Qe=Qe,
         Qm=1.0,  # unit magnetic charge, an analytic identity
-        gamma_fit=gamma_fit,
         gamma_theory=gamma_theory(p),
-        cg_tail=tails.cg,
-        cf_tail=tails.cf,
-        cg_variation=tails.cg_variation,
-        cf_variation=tails.cf_variation,
         fit_window=fit_window,
-        tail_window=tails.window,
+        tail_window=tail_window,
         note="; ".join(notes),
     )

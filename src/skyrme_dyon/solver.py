@@ -63,6 +63,10 @@ RadialGrid or one with equal nodes) and raise ParameterError otherwise.
 Every solve ends in a SolveReport whose converged means a solution: the
 residual met its target, the action is finite and solution_properties_ok
 holds.  A continuation trace lists its Newton solves' own reports.
+
+gbtrf and gbtrs are inner's, bound from scipy's compiled LAPACK wrapper
+without importing scipy.linalg; only the tracer's solver.solve_banded
+(the module __getattr__) imports it.
 """
 
 from __future__ import annotations
@@ -74,12 +78,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401 - perfbench/tracing.py wraps solver.solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NumericError, ParameterError
 from .grid import RadialGrid
-from .inner import _raise_for_info, _require_finite, _spd_tridiagonal_solver, solve_inner_g
+from .inner import _raise_for_info, _require_finite, _spd_tridiagonal_solver, dgbtrf, dgbtrs, solve_inner_g
 from .model import (
     ActionBreakdown,
     FieldProfile,
@@ -114,6 +116,15 @@ FLOW_MAX_STEPS = 1_000  # step budget of each flow stage; the 210-point region s
 FLOW_TOL = 1e-8  # flow stops at this residual infinity-norm
 COARSE_FLOW_TOL = 1e-5  # the flow's coarse stage stops at this residual, below what prolongation carries to the full mesh
 COARSE_NODES = 250  # fewest intervals of the coarse grid on which continuation walks its route
+
+
+def __getattr__(name: str):
+    """solver.solve_banded, imported on first access: perfbench/tracing.py wraps it by name, and no solve calls it."""
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from scipy.linalg import solve_banded
 
 import skyrme_dyon as sd
 from conftest import blended_grid
+from skyrme_dyon import inner
 from skyrme_dyon.errors import NumericError, ParameterError
 from skyrme_dyon.model import e2_energy
 from skyrme_dyon.verify import seeded_test_functions
@@ -33,7 +39,7 @@ def test_requires_unit_gauge_at_origin():
     g = sd.build_grid(30.0, 300)
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     a = np.full(g.N + 1, 0.5)
-    with pytest.raises(ParameterError, match="a\\[0\\]"):
+    with pytest.raises(ParameterError, match=r"^a\[0\] must equal 1, got 0\.5$"):
         sd.solve_inner_g(p, g, a)
 
 
@@ -111,7 +117,7 @@ def test_constraint_rejects_bad_test_function():
     a = np.ones(g.N + 1)
     gs = 0.1 * g.r / g.R
     G = np.ones(g.N + 1)
-    with pytest.raises(ParameterError, match=r"test function must vanish at r = R, got G\[-1\]="):
+    with pytest.raises(ParameterError, match=r"test function must vanish at r = R, got G\[-1\]=1\.0$"):
         sd.constraint_residual(g, a, gs, G)
     bad = np.zeros(g.N + 1)
     bad[3] = np.inf
@@ -139,7 +145,7 @@ def test_constraint_residual_names_the_bad_row_of_a_stack():
     stack = seeded_test_functions(g, 42)
     outer = stack.copy()
     outer[2, -1] = 1.0
-    with pytest.raises(ParameterError, match=r"G\[2, -1\]"):
+    with pytest.raises(ParameterError, match=r"G\[2, -1\]=1\.0$"):
         sd.constraint_residual(g, a, gs, outer)
     bad = stack.copy()
     bad[1, 3] = np.nan
@@ -243,3 +249,56 @@ def test_non_finite_diagonal_is_reported_with_its_node():
     a[7] = 1e200  # finite, but a^2 overflows
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="diagonal at node 7"):
         sd.solve_inner_g(p, g, a)
+
+
+# A fresh process: importing the CLI loads no scipy.linalg, and each LAPACK
+# routine the package binds, from its private copy of scipy's _flapack,
+# gives scipy.linalg's bits on small systems.
+LAPACK_CHILD = """
+import sys
+import skyrme_dyon.cli
+from skyrme_dyon import inner
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import numpy as np
+import scipy.linalg.lapack as lapack
+from scipy.linalg import solve_banded
+
+assert inner._flapack is not sys.modules["scipy.linalg._flapack"]
+rng = np.random.default_rng(0)
+ab = rng.random((13, 4))  # a (4, 4) band of 4 unknowns, in gbtrf's storage with 4 rows of fill
+ab[8] += 8.0
+b = rng.random(4)
+lu, piv, info = inner.dgbtrf(ab, 4, 4)
+assert info == 0 and all(np.array_equal(x, y) for x, y in zip((lu, piv), lapack.dgbtrf(ab, 4, 4)))
+x, info = inner.dgbtrs(lu, 4, 4, b, piv)
+assert info == 0 and x.tobytes() == lapack.dgbtrs(lu, 4, 4, b, piv)[0].tobytes() == solve_banded((4, 4), ab[4:], b).tobytes()
+d, e = 4.0 + rng.random(5), rng.random(4)
+ldl = inner.dpttrf(d, e)
+assert all(np.array_equal(x, y) for x, y in zip(ldl, lapack.dpttrf(d, e))) and ldl[-1] == 0
+b5 = rng.random(5)
+assert inner.dpttrs(*ldl[:2], b5)[0].tobytes() == lapack.dpttrs(*ldl[:2], b5)[0].tobytes()
+off, main = -rng.random(4), 4.0 + rng.random(5)
+band = np.array([np.r_[0.0, off], main, np.r_[off, 0.0]])
+for rhs, gtsv in ((rng.random(5), inner.dgtsv), (rng.random(5) + 1e-30j * rng.random(5), inner.zgtsv)):
+    x = gtsv(off, main, off, rhs)[3]
+    assert x.dtype == rhs.dtype
+    assert x.tobytes() == solve_banded((1, 1), band.astype(rhs.dtype), rhs).tobytes()
+print("ok")
+"""
+
+
+def test_cli_imports_no_scipy_linalg_and_its_lapack_is_scipys():
+    # a child interpreter, about 0.4 s with its scipy.linalg import: this process has scipy.linalg loaded already
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", LAPACK_CHILD], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+
+def test_lapack_loader_shares_a_loaded_scipy_linalg_and_names_where_it_looked(monkeypatch):
+    # this module imported scipy.linalg, so a second load returns scipy's own module
+    assert inner._load_flapack() is sys.modules["scipy.linalg._flapack"]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=r"_flapack not found in \[.*linalg'\]$"):
+        inner._load_flapack()

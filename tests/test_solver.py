@@ -159,6 +159,53 @@ def test_jacobian_matches_finite_differences(rng):
     assert worst <= 1e-6
 
 
+def _complex_step_band(p, prof, h=1e-30):
+    """Every band entry of the stacked residuals' Jacobian (l = u = 4) from nine complex-step evaluations.
+
+    Columns nine apart share no row, so evaluation c perturbs the unknowns
+    c, c + 9, ... at once and each row's imaginary part is the one entry of
+    its perturbed column: ab[4 + d, j] = Im(res(x + ih e_j)[j + d]) / h.
+    """
+    n = 3 * (prof.grid.N - 1)
+    ab = np.zeros((9, n))
+    for c in range(9):
+        step = np.zeros(n, dtype=complex)
+        step[c::9] = 1j * h
+        a, f, g = (field.astype(complex) for field in (prof.a, prof.f, prof.g))
+        a[1:-1] += step[0::3]
+        f[1:-1] += step[1::3]
+        g[1:-1] += step[2::3]
+        ra, rf, rg = sd.residuals(p, sd.FieldProfile(prof.grid, a, f, g))
+        res = np.empty(n)
+        res[0::3], res[1::3], res[2::3] = ra.imag / h, rf.imag / h, rg.imag / h
+        perturbed = np.arange(c, n, 9)
+        for d in range(-4, 5):
+            cols = perturbed[(perturbed + d >= 0) & (perturbed + d < n)]
+            ab[4 + d, cols] = res[cols + d]
+    return ab
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 100.0])
+def test_jacobian_is_the_complex_step_jacobian_at_round_off(rng, kappa):
+    # the complex step has no cancellation, so it checks every band entry far below the finite-difference tests' 1e-6
+    g = sd.build_grid(40.0, 400)
+    p = sd.validate_params(OMEGA, 0.2, kappa)
+    perturbed = sd.initial_guess(p, g)
+    perturbed.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
+    perturbed.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
+    perturbed.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
+    # a near 0 over the outer half, and sin f near 0 over the inner quarter (f near 0) and around node 250 (f near pi)
+    degenerate = perturbed.copy()
+    degenerate.a[g.N // 2 : -1] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 2)
+    degenerate.f[1 : g.N // 4] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 4 - 1)
+    degenerate.f[240:260] = math.pi - 1e-9 * rng.uniform(0.5, 1.5, 20)
+    for prof in (perturbed, degenerate):
+        ab = _jacobian_banded(p, _state(prof), _band_workspace(g))
+        oracle = _complex_step_band(p, prof)
+        worst = np.max(np.abs(ab - oracle), axis=0) / np.max(np.abs(oracle), axis=0)
+        assert np.max(worst) <= 1e-13
+
+
 def test_jacobian_bandwidth_is_four(rng):
     # the dense finite-difference Jacobian: the a_j <-> f_(j+-1) couplings
     # sit at offsets +-4, and nothing lies beyond them

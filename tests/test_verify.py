@@ -358,3 +358,23 @@ def test_a_singular_electric_system_fails_the_battery_and_verify(tmp_path, capsy
     assert main(["verify", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == report.format() and not err
+
+
+def test_observables_of_a_mesh_whose_r_squared_underflows_note_their_non_finite_values(tmp_path):
+    # f'^2 overflows in the state's qbar: NaN with a note, and no numpy warning for tier-1's error::RuntimeWarning filter
+    path = tmp_path / "underflow.csv"
+    path.write_text(UNDERFLOW_PROFILE, encoding="utf-8")
+    p, s = read_profile_csv(path)
+    obs = sd.observables(p, s, strict=False)
+    assert math.isnan(obs.cf_tail) and math.isnan(obs.cf_variation)
+    assert math.isfinite(obs.cg_tail) and math.isfinite(obs.QS_numeric)
+    assert obs.note.endswith("; non-finite cf_tail, cf_variation")
+
+
+def test_strict_observables_raise_on_a_non_finite_value(solved_points, monkeypatch):
+    p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
+    monkeypatch.setattr(observables_module, "skyrme_charge_numeric", lambda st: math.inf)
+    with pytest.raises(NumericError, match="^non-finite QS_numeric$"):
+        sd.observables(p, s)
+    obs = sd.observables(p, s, strict=False)
+    assert math.isnan(obs.QS_numeric) and obs.note == "non-finite QS_numeric"
