@@ -23,6 +23,16 @@ of (r^2 u')', and the interval conductances r_i*r_{i+1}/h_i with their
 sums at the interior nodes, the stiffness of (r^2 u')' that the electric
 solve and the Newton Jacobian read instead of rebuilding it per call, and
 1/r^2 at the interior nodes, which the residuals and the Jacobian read.
+What else depends on the nodes alone it computes on first use and then
+holds, read-only, each by the expression its reader wrote inline, so
+every value is bitwise the inline one: 2 w at the interior nodes (the
+f'^2 average of every model._state), r^2 at nodes 1..N (the nodal E1
+terms), the six stencil weights of the Newton Jacobian, and the tail
+window of observables.tail_constants with its two factors.  A grid's
+coarse subgrid (solver._coarse_grid) and its battery test functions
+(verify.seeded_test_functions, for the last seed, once it comes again)
+depend on a module constant or a seed as well; each module memoizes
+them per grid in a weak-keyed table, so an entry dies with its grid.
 model.py writes out the stencils; its conservative flux form
 of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth
 mode of the continuous operator), so u = c*r satisfies the discrete
@@ -32,6 +42,7 @@ equation (r^2 u')' = 2*c*r exactly on any admissible mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +73,21 @@ class RadialGrid:
     conductance_sum  its sum over the two intervals at interior node j:
                      conductance_{j-1} + conductance_j, j = 1..N-1
     inv_r2   1/r_j^2 at the interior nodes j = 1..N-1
+
+    Held from first use (read-only; j = 1..N-1 unless said otherwise):
+    two_w    2 w_j, the denominator of the dual-cell f'^2 average
+    r2       r_i^2 at nodes i = 1..N
+    lap_m, lap_p, lap_0
+             1/(h_(j-1) w_j), 1/(h_j w_j) and -(lap_m + lap_p): the
+             weights of u'' = (Du_j - Du_(j-1))/w_j at u_(j-1), u_(j+1), u_j
+    stiff_m, stiff_p, stiff_0
+             p_half_(j-1) lap_m, p_half_j lap_p and conductance_sum_j / w_j:
+             the weights of (r^2 u')'/w at u_(j-1) and u_(j+1), and minus
+             the weight at u_j
+    tail_first  first node of the tail window, the first with r >= R/10
+             (node 1 at the least); the window runs to node N-1
+    tail_denom  1/r_i - 1/R at the window's nodes i = tail_first..N-1
+    tail_seg    1/r_i - 1/r_(i+1) at the same nodes
     """
 
     r: np.ndarray
@@ -106,8 +132,51 @@ class RadialGrid:
         arrays = (("r", r), ("h", h), ("w", w), ("p_half", p_half), ("conductance", conductance))
         arrays += (("conductance_sum", conductance[:-1] + conductance[1:]), ("inv_r2", inv_r2))
         for name, arr in arrays:
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _held(arr))
+
+    @cached_property
+    def two_w(self) -> np.ndarray:
+        return _held(2.0 * self.w[1:-1])
+
+    @cached_property
+    def r2(self) -> np.ndarray:
+        return _held(self.r[1:] ** 2)
+
+    @cached_property
+    def lap_m(self) -> np.ndarray:
+        return _held(1.0 / (self.h[:-1] * self.w[1:-1]))
+
+    @cached_property
+    def lap_p(self) -> np.ndarray:
+        return _held(1.0 / (self.h[1:] * self.w[1:-1]))
+
+    @cached_property
+    def lap_0(self) -> np.ndarray:
+        return _held(-(self.lap_m + self.lap_p))
+
+    @cached_property
+    def stiff_m(self) -> np.ndarray:
+        return _held(self.p_half[:-1] * self.lap_m)
+
+    @cached_property
+    def stiff_p(self) -> np.ndarray:
+        return _held(self.p_half[1:] * self.lap_p)
+
+    @cached_property
+    def stiff_0(self) -> np.ndarray:
+        return _held(self.conductance_sum / self.w[1:-1])
+
+    @cached_property
+    def tail_first(self) -> int:
+        return max(int(np.searchsorted(self.r, self.R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
+
+    @cached_property
+    def tail_denom(self) -> np.ndarray:
+        return _held(1.0 / self.r[self.tail_first : -1] - 1.0 / self.R)
+
+    @cached_property
+    def tail_seg(self) -> np.ndarray:
+        return _held(1.0 / self.r[self.tail_first : -1] - 1.0 / self.r[self.tail_first + 1 :])
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal quadrature of nodal values (exact on piecewise linears)."""
@@ -118,6 +187,12 @@ class RadialGrid:
         if np.any(bad):
             raise NumericError(f"non-finite integrand at node {int(np.flatnonzero(bad)[0])}")
         return float(np.dot(values, self.w))
+
+
+def _held(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: a grid hands the same array to every reader."""
+    arr.setflags(write=False)
+    return arr
 
 
 def build_grid(R: float, N: int) -> RadialGrid:

@@ -287,7 +287,7 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
     if data.shape[0] != n_expected:
         raise ParameterError(f"profile file {path} has {data.shape[0]} rows, header says {n_expected}")
     try:
-        grid = RadialGrid(data[:, 0])
+        grid = RadialGrid(data[:, 0].copy())  # a copy, as a, f and g are: the parsed table is freed with the read
     except ParameterError as exc:
         raise ParameterError(f"profile file {path}: {exc}") from None
     if header["R"] != grid.R:

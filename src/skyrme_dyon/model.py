@@ -39,10 +39,11 @@ _state evaluates a profile into one _State: its grid, a, f and g, then
 sin f, cos f and sin^2 f, the difference quotients of a, f and g, the
 mass a^2 sin^2 f and its interval means, the f'^2 average _qbar and the
 powers a^3 and a^4, each formed there once (what depends on the grid
-alone, w and 1/r^2, the grid holds).  Every reader of a state takes the
-_State alone; residuals and action_breakdown take a profile or its
-_State, and _state returns a _State unchanged, so Newton, the flow, the
-verify battery and the observables evaluate each profile once.
+alone, w, 2 w, r^2 and 1/r^2 among it, the grid holds).  Every reader
+of a state takes the _State alone; residuals and action_breakdown take
+a profile or its _State, and _state returns a _State unchanged, so
+Newton, the flow, the verify battery and the observables evaluate each
+profile once.
 _e1 sums _interval_e1/_nodal_e1 on a state for E1 and for the verify
 battery's coercive bound (each part takes the _State, and _nodal_e1 also
 the mass term, which the bound replaces), and _e2_form sums E2's
@@ -127,10 +128,11 @@ class FieldProfile:
 
     Construction checks only that each array holds one value per node
     (shape (N+1,); any dtype, so complex-step profiles build too) and
-    raises ParameterError otherwise.  It does not enforce the boundary
-    data (unit tests probe synthetic configurations freely); the solvers
-    set it through solver._with_boundary_data, and run_suite's
-    boundary-values row measures it.
+    raises ParameterError otherwise; the solvers, run_suite and
+    observables reject a complex one (_require_real).  It does not
+    enforce the boundary data (unit tests probe synthetic configurations
+    freely); the solvers set it through solver._with_boundary_data, and
+    run_suite's boundary-values row measures it.
     """
 
     grid: RadialGrid
@@ -146,6 +148,19 @@ class FieldProfile:
 
     def copy(self) -> "FieldProfile":
         return FieldProfile(self.grid, self.a.copy(), self.f.copy(), self.g.copy())
+
+
+def _require_real(s: FieldProfile | _State) -> None:
+    """Raise ParameterError naming the first of a, f and g whose dtype is complex.
+
+    newton_solve, flow_solve, run_suite and observables call it: numpy would
+    drop the imaginary part there with a ComplexWarning.  The complex-step
+    paths (residuals, solve_inner_g) take complex arrays and do not call it.
+    """
+    for name in ("a", "f", "g"):
+        values = getattr(s, name)
+        if np.iscomplexobj(values):
+            raise ParameterError(f"{name} must be real, got dtype {np.asarray(values).dtype}")
 
 
 @dataclass(frozen=True)
@@ -207,15 +222,14 @@ def _nodal_e1(p: ModelParams, st: _State, mass):
     """
     grid, a, sin2 = st.grid, st.a, st.sin2
     dtype = np.result_type(a, sin2, float)
-    r = grid.r
     a2 = a * a
     core = np.empty(grid.N + 1, dtype=dtype)
-    core[1:] = (a2[1:] - 1.0) ** 2 / r[1:] ** 2
+    core[1:] = (a2[1:] - 1.0) ** 2 / grid.r2
     core[0] = 0.0 if a2[0] == 1.0 else np.inf
     out = 2.0 * core + mass
     if p.kappa != 0.0:
         sky = np.empty(grid.N + 1, dtype=dtype)
-        sky[1:] = (a2[1:] * sin2[1:]) ** 2 / r[1:] ** 2
+        sky[1:] = (a2[1:] * sin2[1:]) ** 2 / grid.r2
         sky[0] = 0.0 if sin2[0] == 0.0 else np.inf
         out = out + 2.0 * p.kappa * sky
     return out
@@ -286,7 +300,7 @@ def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdow
 def _qbar(grid: RadialGrid, df):
     """Dual-cell average of f'^2 at interior nodes 1..N-1, from the quotients df of all N intervals."""
     hdd = grid.h * df * df  # h_i df_i^2 on each interval, shared by its two nodes
-    return (hdd[:-1] + hdd[1:]) / (2.0 * grid.w[1:-1])
+    return (hdd[:-1] + hdd[1:]) / grid.two_w
 
 
 def _reaction_rates(p: ModelParams, st: _State):

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -87,6 +88,7 @@ from .model import (
     FieldProfile,
     ModelParams,
     _reaction_rates,
+    _require_real,
     _State,
     _state,
     action_breakdown,
@@ -269,23 +271,20 @@ def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
-    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.
+    couplings, a_j with f_(j+-1), sit 4 places off the diagonal.  The
+    stencil weights of a'' and of (r^2 u')' are the grid's (lap_*, stiff_*).
     """
     grid = st.grid
     a, g = st.a, st.g
     h = grid.h
     hm, hp = h[:-1], h[1:]
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
-    Pm, Pp = grid.p_half[:-1], grid.p_half[1:]
-    stiff = grid.conductance_sum  # Pm/hm + Pp/hp
     k = p.kappa
     n = grid.N - 1
 
     am, aj, ap = a[:-2], a[1:-1], a[2:]
     gj = g[1:-1]
     Dfm, Dfp = st.df[:-1], st.df[1:]
-    iw_hm = 1.0 / (hm * w)
-    iw_hp = 1.0 / (hp * w)
 
     sm, sj, sp_ = st.sin[:-2], st.sin[1:-1], st.sin[2:]
     cm, cj, cp_ = st.cos[:-2], st.cos[1:-1], st.cos[2:]
@@ -301,9 +300,9 @@ def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray
     ab = work[4:]
 
     # residual_a partials
-    _scatter(ab, iw_hm, 0, 0, -1, n)
-    _scatter(ab, iw_hp, 0, 0, 1, n)
-    _scatter(ab, -(iw_hm + iw_hp) - react_a, 0, 0, 0, n)
+    _scatter(ab, grid.lap_m, 0, 0, -1, n)
+    _scatter(ab, grid.lap_p, 0, 0, 1, n)
+    _scatter(ab, grid.lap_0 - react_a, 0, 0, 0, n)
     _scatter(ab, k * aj * s2 * Dfm / w, 0, 1, -1, n)
     _scatter(ab, -k * aj * s2 * Dfp / w, 0, 1, 1, n)
     ra_fj = -(
@@ -316,11 +315,11 @@ def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray
     _scatter(ab, aj * gj, 0, 2, 0, n)
 
     # residual_f partials
-    rf_fm = 8.0 * k * (Cm / hm - am * am * sm * cm * Dfm) / w + Pm * iw_hm + 8.0 * k * aj * aj * sc * Dfm / w
-    rf_fp = 8.0 * k * (Cp / hp + ap * ap * sp_ * cp_ * Dfp) / w + Pp * iw_hp - 8.0 * k * aj * aj * sc * Dfp / w
+    rf_fm = 8.0 * k * (Cm / hm - am * am * sm * cm * Dfm) / w + grid.stiff_m + 8.0 * k * aj * aj * sc * Dfm / w
+    rf_fp = 8.0 * k * (Cp / hp + ap * ap * sp_ * cp_ * Dfp) / w + grid.stiff_p - 8.0 * k * aj * aj * sc * Dfp / w
     rf_fj = (
         8.0 * k * (aj * aj * sc * (Dfp - Dfm) - Cp / hp - Cm / hm) / w
-        - stiff / w
+        - grid.stiff_0
         - (react_f + 8.0 * k * aj * aj * sc * (Dfm - Dfp) / w)
     )
     _scatter(ab, rf_fm, 1, 1, -1, n)
@@ -334,9 +333,9 @@ def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray
     _scatter(ab, rf_aj, 1, 0, 0, n)
 
     # residual_g partials
-    _scatter(ab, Pm * iw_hm, 2, 2, -1, n)
-    _scatter(ab, Pp * iw_hp, 2, 2, 1, n)
-    _scatter(ab, -stiff / w - 2.0 * aj * aj, 2, 2, 0, n)
+    _scatter(ab, grid.stiff_m, 2, 2, -1, n)
+    _scatter(ab, grid.stiff_p, 2, 2, 1, n)
+    _scatter(ab, -grid.stiff_0 - 2.0 * aj * aj, 2, 2, 0, n)
     _scatter(ab, -4.0 * aj * gj, 2, 0, 0, n)
     return ab
 
@@ -422,9 +421,11 @@ def newton_solve(
     Returns the last iterate and a report; a non-finite starting residual,
     line-search stalls and Jacobian factorization failures produce a
     non-converged report, never a crash or a numpy warning.  Raises
-    ParameterError when guess lies on another grid (_require_guess_on).
+    ParameterError when guess lies on another grid (_require_guess_on) or
+    a, f or g is complex (model._require_real).
     """
     _require_guess_on(grid, guess)
+    _require_real(guess)
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
     x, s, st, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
@@ -546,9 +547,11 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     non-converged report with 0 steps that names the node, and so does a
     start on grid whose electric solve or action is not finite.  The flow
     runs without numpy warnings and never assembles the Newton Jacobian.
-    Raises ParameterError when guess lies on another grid (_require_guess_on).
+    Raises ParameterError when guess lies on another grid (_require_guess_on)
+    or a, f or g is complex (model._require_real).
     """
     _require_guess_on(grid, guess)
+    _require_real(guess)
     t0 = time.perf_counter()
     s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     for name in ("a", "f"):  # g is re-solved from a
@@ -722,15 +725,26 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     return _with_boundary_data(p_next, s)
 
 
+# each grid's coarse subgrid, built once and freed with the grid
+_COARSE_GRIDS: weakref.WeakKeyDictionary[RadialGrid, RadialGrid] = weakref.WeakKeyDictionary()
+
+
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     """Every k-th node of grid, for the largest power of two k dividing N with N/k >= COARSE_NODES.
 
     Returns grid itself when no such k > 1 exists (N < 2 * COARSE_NODES or N odd).
+    The subgrid is built on the first call for a grid and held in a
+    weak-keyed table, so every later solve on that grid gets the same one.
     """
-    k = 1
-    while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
-        k *= 2
-    return grid if k == 1 else RadialGrid(grid.r[::k])
+    coarse = _COARSE_GRIDS.get(grid)
+    if coarse is None:
+        k = 1
+        while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
+            k *= 2
+        if k == 1:
+            return grid  # not held: the entry would keep its own key alive
+        coarse = _COARSE_GRIDS[grid] = RadialGrid(grid.r[::k])
+    return coarse
 
 
 def _prolong(v: np.ndarray, k: int) -> np.ndarray:

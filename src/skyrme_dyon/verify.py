@@ -18,6 +18,7 @@ target and the test-function seed vary per run (Tolerances).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -31,6 +32,7 @@ from .model import (
     FieldProfile,
     ModelParams,
     _e1,
+    _require_real,
     _State,
     _state,
     action_breakdown,
@@ -114,21 +116,38 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
+# each grid's last seed and, once asked for twice in a row, its test functions; freed with the grid
+_TEST_FUNCTIONS: weakref.WeakKeyDictionary[RadialGrid, tuple[int, np.ndarray | None]] = weakref.WeakKeyDictionary()
+
+
 def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
     """N_TEST_FUNCTIONS smooth bump combinations vanishing at r_N, reproducible by seed.
 
-    Returns one (N_TEST_FUNCTIONS, N+1) array, a test function per row:
-    (1 - r/R) times three Gaussian bumps c exp(-((r - mu)/sigma)^2), summed
-    in bump order.  Each row takes nine draws of one rng, in order three
-    coefficients, three centres and three widths.
+    Returns one read-only (N_TEST_FUNCTIONS, N+1) array, a test function
+    per row: (1 - r/R) times three Gaussian bumps c exp(-((r - mu)/sigma)^2),
+    summed in bump order.  Each row takes nine draws of one rng, in order
+    three coefficients, three centres and three widths.  A weak-keyed
+    table keeps each grid's last seed, and the array once that seed comes
+    again: later batteries on the grid and seed read it instead of drawing
+    it, and a grid verified once, such as one read from a file, holds none.
     """
+    held = _TEST_FUNCTIONS.get(grid)
+    again = held is not None and held[0] == seed
+    if again and held[1] is not None:
+        return held[1]
     rng = np.random.default_rng(seed)
     r, R = grid.r, grid.R
     draws = rng.uniform(BUMP_LOW, BUMP_HIGH, size=(N_TEST_FUNCTIONS, 3, 3))[..., None]
     coeffs, centers, widths = draws[:, 0], draws[:, 1] * R, draws[:, 2] * R
-    bumps = coeffs * np.exp(-(((r - centers) / widths) ** 2))  # (function, bump, node)
-    G = (1.0 - r / R) * ((bumps[:, 0] + bumps[:, 1]) + bumps[:, 2])
+    taper = 1.0 - r / R
+    G = np.empty((N_TEST_FUNCTIONS, grid.N + 1))
+    # one function at a time: the values of one broadcast over all, with (bump, node) temporaries a fifth the size
+    for i in range(N_TEST_FUNCTIONS):
+        bumps = coeffs[i] * np.exp(-(((r - centers[i]) / widths[i]) ** 2))  # (bump, node)
+        G[i] = taper * ((bumps[0] + bumps[1]) + bumps[2])
     G[:, -1] = 0.0
+    G.setflags(write=False)
+    _TEST_FUNCTIONS[grid] = (seed, G if again else None)
     return G
 
 
@@ -175,8 +194,10 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     The returned report carries the profile's ObservableReport (evaluated
     with strict=False) in its observables field.  A non-finite value fails
     the rows it reaches, so the battery runs without numpy's divide-by-zero,
-    invalid-value and overflow warnings.
+    invalid-value and overflow warnings.  Raises ParameterError when a, f
+    or g is complex (model._require_real).
     """
+    _require_real(s)
     tol = tol or Tolerances()
     grid, a = s.grid, s.a
     st = _state(s)

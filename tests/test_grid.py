@@ -9,6 +9,7 @@ import skyrme_dyon as sd
 from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError
 from skyrme_dyon.grid import MAX_NODES, MAX_SPACING_RATIO
+from skyrme_dyon.io import read_profile_csv, write_profile_csv
 
 
 @pytest.mark.parametrize("R, N", [(60.0, 2000), (60.0, 8000), (30.0, 300), (60.0, 250), (1000.0, 100)])
@@ -174,3 +175,47 @@ BAD_NODES = [
 def test_grid_needs_an_interior_node(nodes, match):
     with pytest.raises(ParameterError, match=match):
         sd.RadialGrid(np.array(nodes))
+
+
+HELD = ("two_w", "r2", "lap_m", "lap_p", "lap_0", "stiff_m", "stiff_p", "stiff_0", "tail_denom", "tail_seg")
+
+
+def _held_by_inline_expressions(g):
+    """Each array a grid holds from first use, by the expression its reader wrote inline before the grid held it."""
+    r, R, h, w = g.r, g.R, g.h, g.w[1:-1]
+    lap_m, lap_p = 1.0 / (h[:-1] * w), 1.0 / (h[1:] * w)
+    first = max(int(np.searchsorted(r, R / 10.0)), 1)
+    return first, {
+        "two_w": 2.0 * w,
+        "r2": r[1:] ** 2,
+        "lap_m": lap_m,
+        "lap_p": lap_p,
+        "lap_0": -(lap_m + lap_p),
+        "stiff_m": g.p_half[:-1] * lap_m,
+        "stiff_p": g.p_half[1:] * lap_p,
+        "stiff_0": g.conductance_sum / w,
+        "tail_denom": 1.0 / r[first:-1] - 1.0 / R,
+        "tail_seg": 1.0 / r[first:-1] - 1.0 / r[first + 1 :],
+    }
+
+
+def test_grid_held_arrays_are_read_only_and_bitwise_their_inline_expressions(tmp_path):
+    p = sd.validate_params(0.75 * math.pi, 0.3, 1.0)
+    built = sd.build_grid(60.0, 2000)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, p, sd.initial_guess(p, built))
+    read_back = read_profile_csv(path)[1].grid
+    for g in (built, read_back, sd.build_grid(30.0, 300), blended_grid(30.0, 300, 0.0), sd.RadialGrid([0.0, 1.0, 3.0])):
+        first, inline = _held_by_inline_expressions(g)
+        assert g.tail_first == first
+        for name in HELD:
+            held = getattr(g, name)
+            assert held.tobytes() == inline[name].tobytes(), name
+            assert getattr(g, name) is held  # computed once
+            with pytest.raises(ValueError):
+                held[..., :1] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, np.ones(3))
+        # the Jacobian's -stiff/w, the f tail's r^2 over the window
+        assert (-g.conductance_sum / g.w[1:-1]).tobytes() == (-g.stiff_0).tobytes()
+        assert (g.r[first + 1 :] ** 2).tobytes() == g.r2[first:].tobytes()
