@@ -27,12 +27,7 @@ What else depends on the nodes alone it computes on first use and then
 holds, read-only, each by the expression its reader wrote inline, so
 every value is bitwise the inline one: 2 w at the interior nodes (the
 f'^2 average of every model._state), r^2 at nodes 1..N (the nodal E1
-terms), the six stencil weights of the Newton Jacobian, and the tail
-window of observables.tail_constants with its two factors.  A grid's
-coarse subgrid (solver._coarse_grid) and its battery test functions
-(verify.seeded_test_functions, for the last seed, once it comes again)
-depend on a module constant or a seed as well; each module memoizes
-them per grid in a weak-keyed table, so an entry dies with its grid.
+terms) and the six stencil weights of the Newton Jacobian.
 model.py writes out the stencils; its conservative flux form
 of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth
 mode of the continuous operator), so u = c*r satisfies the discrete
@@ -84,10 +79,6 @@ class RadialGrid:
              p_half_(j-1) lap_m, p_half_j lap_p and conductance_sum_j / w_j:
              the weights of (r^2 u')'/w at u_(j-1) and u_(j+1), and minus
              the weight at u_j
-    tail_first  first node of the tail window, the first with r >= R/10
-             (node 1 at the least); the window runs to node N-1
-    tail_denom  1/r_i - 1/R at the window's nodes i = tail_first..N-1
-    tail_seg    1/r_i - 1/r_(i+1) at the same nodes
     """
 
     r: np.ndarray
@@ -165,18 +156,6 @@ class RadialGrid:
     @cached_property
     def stiff_0(self) -> np.ndarray:
         return _held(self.conductance_sum / self.w[1:-1])
-
-    @cached_property
-    def tail_first(self) -> int:
-        return max(int(np.searchsorted(self.r, self.R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
-
-    @cached_property
-    def tail_denom(self) -> np.ndarray:
-        return _held(1.0 / self.r[self.tail_first : -1] - 1.0 / self.R)
-
-    @cached_property
-    def tail_seg(self) -> np.ndarray:
-        return _held(1.0 / self.r[self.tail_first : -1] - 1.0 / self.r[self.tail_first + 1 :])
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal quadrature of nodal values (exact on piecewise linears)."""

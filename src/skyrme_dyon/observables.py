@@ -214,51 +214,48 @@ class TailConstants:
     window: tuple[float, float]
 
 
-def _f_source_double_integral(st: _State, p: ModelParams) -> np.ndarray:
-    """Values of integral_r^R rho^-2 * (integral_rho^R F) d rho at the tail window's nodes first..N-1.
+def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndarray:
+    """Values of integral_r^R rho^-2 * (integral_rho^R F) d rho at nodes first..N-1 (first >= 1).
 
     F is the zero-order side of the f-equation (2 a^2 sin f cos f plus its
     quartic-coupling companions); subtracting this double integral from
     pi - omega - f isolates the homogeneous 1/r tail even where the
-    exponentially decaying source is not yet negligible.  first is the
-    grid's tail_first (>= 1).  Only the nodes beyond first enter, and both
-    cumulative sums run inward from R, so the values are bitwise those of
-    a pass over every node.
+    exponentially decaying source is not yet negligible.  Only the nodes
+    beyond first enter, and both cumulative sums run inward from R, so the
+    values are bitwise those of a pass over every node.
     """
     grid = st.grid
-    first = grid.tail_first
     beyond = slice(first + 1, None)  # nodes first+1..N, whose cells carry the mass beyond node first
-    a, w = st.a[beyond], grid.w[beyond]
+    a, r, w = st.a[beyond], grid.r[beyond], grid.w[beyond]
     sf, cf_ = st.sin[beyond], st.cos[beyond]
     source = 2.0 * a * a * sf * cf_
     if p.kappa != 0.0:
-        quart = a**4 * sf**3 * cf_ / grid.r2[first:]
+        quart = a**4 * sf**3 * cf_ / r**2
         fp2 = np.append(st.qbar[first:], 0.0)  # f'^2 at interior nodes; the source vanishes at R
         source = source + 8.0 * p.kappa * (a * a * sf * cf_ * fp2 + quart)
     # T at half node i+1/2 = sum of cell masses strictly beyond node i, i = first..N-1
     T_half = np.cumsum((source * w)[::-1])[::-1]
-    seg = T_half * grid.tail_seg  # integral of rho^-2 T over [r_i, r_{i+1}]
+    seg = T_half * (1.0 / grid.r[first:-1] - 1.0 / r)  # integral of rho^-2 T over [r_i, r_{i+1}]
     return np.cumsum(seg[::-1])[::-1]
 
 
 def tail_constants(s: FieldProfile | _State, p: ModelParams) -> TailConstants:
     """Median tail constants of g and f over radii in [R/10, R).
 
-    The window is the grid's: the nodes from the first with r >= R/10
-    (node 1 at the least) to N-1, with its factors 1/r - 1/R; the f source
-    integral is evaluated on them alone.  Raises DecayWindowError when
-    that window holds no interior node.
+    The window is the nodes from the first with r >= R/10 (node 1 at the
+    least) to N-1; the f source integral is evaluated on them alone.
+    Raises DecayWindowError when that window holds no interior node.
     """
     st = _state(s)
     grid = st.grid
     r, R = grid.r, grid.R
-    first = grid.tail_first
+    first = max(int(np.searchsorted(r, R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
     if first >= grid.N:
         raise DecayWindowError(f"tail window r in [{R / 10.0:g}, {R:g}) holds no interior node; refine the mesh there")
     window = slice(first, -1)
-    denom = grid.tail_denom
+    denom = 1.0 / r[window] - 1.0 / R
     cg_vals = (p.q - st.g[window]) / denom
-    cf_vals = (p.f_infinity - st.f[window] + _f_source_double_integral(st, p)) / denom
+    cf_vals = (p.f_infinity - st.f[window] + _f_source_double_integral(st, p, first)) / denom
     weights = grid.w[window]  # median in the radius measure, not per node
 
     def med_var(vals):

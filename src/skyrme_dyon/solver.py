@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -725,26 +724,15 @@ def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> 
     return _with_boundary_data(p_next, s)
 
 
-# each grid's coarse subgrid, built once and freed with the grid
-_COARSE_GRIDS: weakref.WeakKeyDictionary[RadialGrid, RadialGrid] = weakref.WeakKeyDictionary()
-
-
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     """Every k-th node of grid, for the largest power of two k dividing N with N/k >= COARSE_NODES.
 
     Returns grid itself when no such k > 1 exists (N < 2 * COARSE_NODES or N odd).
-    The subgrid is built on the first call for a grid and held in a
-    weak-keyed table, so every later solve on that grid gets the same one.
     """
-    coarse = _COARSE_GRIDS.get(grid)
-    if coarse is None:
-        k = 1
-        while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
-            k *= 2
-        if k == 1:
-            return grid  # not held: the entry would keep its own key alive
-        coarse = _COARSE_GRIDS[grid] = RadialGrid(grid.r[::k])
-    return coarse
+    k = 1
+    while grid.N % (2 * k) == 0 and grid.N // (2 * k) >= COARSE_NODES:
+        k *= 2
+    return grid if k == 1 else RadialGrid(grid.r[::k])
 
 
 def _prolong(v: np.ndarray, k: int) -> np.ndarray:

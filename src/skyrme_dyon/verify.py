@@ -18,7 +18,6 @@ target and the test-function seed vary per run (Tolerances).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -116,25 +115,14 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-# each grid's last seed and, once asked for twice in a row, its test functions; freed with the grid
-_TEST_FUNCTIONS: weakref.WeakKeyDictionary[RadialGrid, tuple[int, np.ndarray | None]] = weakref.WeakKeyDictionary()
-
-
 def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
     """N_TEST_FUNCTIONS smooth bump combinations vanishing at r_N, reproducible by seed.
 
-    Returns one read-only (N_TEST_FUNCTIONS, N+1) array, a test function
-    per row: (1 - r/R) times three Gaussian bumps c exp(-((r - mu)/sigma)^2),
-    summed in bump order.  Each row takes nine draws of one rng, in order
-    three coefficients, three centres and three widths.  A weak-keyed
-    table keeps each grid's last seed, and the array once that seed comes
-    again: later batteries on the grid and seed read it instead of drawing
-    it, and a grid verified once, such as one read from a file, holds none.
+    Returns one (N_TEST_FUNCTIONS, N+1) array, a test function per row:
+    (1 - r/R) times three Gaussian bumps c exp(-((r - mu)/sigma)^2), summed
+    in bump order.  Each row takes nine draws of one rng, in order three
+    coefficients, three centres and three widths.
     """
-    held = _TEST_FUNCTIONS.get(grid)
-    again = held is not None and held[0] == seed
-    if again and held[1] is not None:
-        return held[1]
     rng = np.random.default_rng(seed)
     r, R = grid.r, grid.R
     draws = rng.uniform(BUMP_LOW, BUMP_HIGH, size=(N_TEST_FUNCTIONS, 3, 3))[..., None]
@@ -146,8 +134,6 @@ def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
         bumps = coeffs[i] * np.exp(-(((r - centers[i]) / widths[i]) ** 2))  # (bump, node)
         G[i] = taper * ((bumps[0] + bumps[1]) + bumps[2])
     G[:, -1] = 0.0
-    G.setflags(write=False)
-    _TEST_FUNCTIONS[grid] = (seed, G if again else None)
     return G
 
 

@@ -177,15 +177,14 @@ def test_grid_needs_an_interior_node(nodes, match):
         sd.RadialGrid(np.array(nodes))
 
 
-HELD = ("two_w", "r2", "lap_m", "lap_p", "lap_0", "stiff_m", "stiff_p", "stiff_0", "tail_denom", "tail_seg")
+HELD = ("two_w", "r2", "lap_m", "lap_p", "lap_0", "stiff_m", "stiff_p", "stiff_0")
 
 
 def _held_by_inline_expressions(g):
     """Each array a grid holds from first use, by the expression its reader wrote inline before the grid held it."""
-    r, R, h, w = g.r, g.R, g.h, g.w[1:-1]
+    r, h, w = g.r, g.h, g.w[1:-1]
     lap_m, lap_p = 1.0 / (h[:-1] * w), 1.0 / (h[1:] * w)
-    first = max(int(np.searchsorted(r, R / 10.0)), 1)
-    return first, {
+    return {
         "two_w": 2.0 * w,
         "r2": r[1:] ** 2,
         "lap_m": lap_m,
@@ -194,8 +193,6 @@ def _held_by_inline_expressions(g):
         "stiff_m": g.p_half[:-1] * lap_m,
         "stiff_p": g.p_half[1:] * lap_p,
         "stiff_0": g.conductance_sum / w,
-        "tail_denom": 1.0 / r[first:-1] - 1.0 / R,
-        "tail_seg": 1.0 / r[first:-1] - 1.0 / r[first + 1 :],
     }
 
 
@@ -206,8 +203,7 @@ def test_grid_held_arrays_are_read_only_and_bitwise_their_inline_expressions(tmp
     write_profile_csv(path, p, sd.initial_guess(p, built))
     read_back = read_profile_csv(path)[1].grid
     for g in (built, read_back, sd.build_grid(30.0, 300), blended_grid(30.0, 300, 0.0), sd.RadialGrid([0.0, 1.0, 3.0])):
-        first, inline = _held_by_inline_expressions(g)
-        assert g.tail_first == first
+        inline = _held_by_inline_expressions(g)
         for name in HELD:
             held = getattr(g, name)
             assert held.tobytes() == inline[name].tobytes(), name
@@ -216,6 +212,5 @@ def test_grid_held_arrays_are_read_only_and_bitwise_their_inline_expressions(tmp
                 held[..., :1] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g, name, np.ones(3))
-        # the Jacobian's -stiff/w, the f tail's r^2 over the window
+        # the Jacobian's -stiff/w
         assert (-g.conductance_sum / g.w[1:-1]).tobytes() == (-g.stiff_0).tobytes()
-        assert (g.r[first + 1 :] ** 2).tobytes() == g.r2[first:].tobytes()

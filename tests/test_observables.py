@@ -255,11 +255,10 @@ def test_tail_integral_on_the_window_is_bitwise_the_pass_over_every_node(monkeyp
         tails = sd.tail_constants(s, p)
         first = int(np.searchsorted(s.grid.r, tails.window[0]))
         assert s.grid.r[first] == tails.window[0] and s.grid.r[first - 1] < s.grid.R / 10.0
-        assert s.grid.tail_first == first
         everywhere = _f_source_double_integral_everywhere(s, p)
-        assert np.array_equal(observables_module._f_source_double_integral(_state(s), p), everywhere[first:-1])
+        assert np.array_equal(observables_module._f_source_double_integral(_state(s), p, first), everywhere[first:-1])
         with monkeypatch.context() as m:
-            m.setattr(observables_module, "_f_source_double_integral", lambda st, p: _f_source_double_integral_everywhere(st, p)[first:-1])
+            m.setattr(observables_module, "_f_source_double_integral", lambda s, p, first: _f_source_double_integral_everywhere(s, p)[first:-1])
             assert sd.tail_constants(s, p) == tails
 
 

@@ -1,7 +1,5 @@
-import gc
 import importlib
 import math
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -383,29 +381,6 @@ def test_strict_observables_raise_on_a_non_finite_value(solved_points, monkeypat
     assert math.isnan(obs.QS_numeric) and obs.note == "non-finite QS_numeric"
 
 
-def test_memo_entries_are_held_per_grid_and_die_with_it():
-    solver_module = importlib.import_module("skyrme_dyon.solver")
-    coarse_table, tests_table = solver_module._COARSE_GRIDS, verify_module._TEST_FUNCTIONS
-    coarse_before, tests_before = len(coarse_table), len(tests_table)
-    grid = sd.build_grid(60.0, 1000)
-    coarse = solver_module._coarse_grid(grid)
-    assert coarse is not grid and solver_module._coarse_grid(grid) is coarse
-    # held from the second call with a seed on, so a grid verified once holds no test functions
-    first = seeded_test_functions(grid, 7)
-    tests = seeded_test_functions(grid, 7)
-    assert tests is not first and np.array_equal(tests, first) and not first.flags.writeable
-    assert seeded_test_functions(grid, 7) is tests and not tests.flags.writeable
-    # one seed per grid, the last one asked for; each draw is bitwise a fresh grid's
-    for seed in (42, 7):
-        assert np.array_equal(seeded_test_functions(grid, seed), seeded_test_functions(sd.RadialGrid(grid.r.copy()), seed))
-    assert len(coarse_table) == coarse_before + 1 and len(tests_table) == tests_before + 1
-    refs = [weakref.ref(x) for x in (grid, coarse, tests, seeded_test_functions(grid, 7))]
-    del grid, coarse, tests
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * 4
-    assert len(coarse_table) == coarse_before and len(tests_table) == tests_before
-
-
 def _solve_and_verify_bytes(p, grid, tmp_path):
     """The bytes of profile.csv, observables.txt and verify.txt of `skyrme-dyon solve` at p on grid."""
     profile, report = sd.continuation_solve(p, grid)
@@ -417,7 +392,7 @@ def _solve_and_verify_bytes(p, grid, tmp_path):
 
 
 def test_acceptance_points_solved_twice_on_one_grid_give_a_fresh_grid_bytes(tmp_path):
-    # a held array or memo entry that carried state from one solve or battery to the next would show here
+    # a held grid array that carried state from one solve or battery to the next would show here
     points = [sd.validate_params(*point) for point in ACCEPT_POINTS]
     fresh = [_solve_and_verify_bytes(p, sd.build_grid(60.0, 1000), tmp_path) for p in points]
     shared = sd.build_grid(60.0, 1000)
