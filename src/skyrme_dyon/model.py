@@ -128,8 +128,8 @@ class FieldProfile:
 
     Construction checks only that each array holds one value per node
     (shape (N+1,); any dtype, so complex-step profiles build too) and
-    raises ParameterError otherwise; the solvers, run_suite and
-    observables reject a complex one (_require_real).  It does not
+    raises ParameterError otherwise; the solvers, run_suite, observables
+    and action_breakdown reject a complex one (_require_real).  It does not
     enforce the boundary data (unit tests probe synthetic configurations
     freely); the solvers set it through solver._with_boundary_data, and
     run_suite's boundary-values row measures it.
@@ -153,9 +153,10 @@ class FieldProfile:
 def _require_real(s: FieldProfile | _State) -> None:
     """Raise ParameterError naming the first of a, f and g whose dtype is complex.
 
-    newton_solve, flow_solve, run_suite and observables call it: numpy would
-    drop the imaginary part there with a ComplexWarning.  The complex-step
-    paths (residuals, solve_inner_g) take complex arrays and do not call it.
+    newton_solve, flow_solve, run_suite, observables and action_breakdown
+    call it: numpy would drop the imaginary part there with a
+    ComplexWarning.  The complex-step paths (residuals, solve_inner_g) take
+    complex arrays and do not call it.
     """
     for name in ("a", "f", "g"):
         values = getattr(s, name)
@@ -277,8 +278,10 @@ def e2_energy(grid: RadialGrid, a, g):
 def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdown:
     """E1 and E2 of the discrete action of the profile s, or of its _State, L = E1 - E2, E = E1 + E2.
 
-    Raises NumericError naming the first node or interval whose term is not finite.
+    Raises NumericError naming the first node or interval whose term is not
+    finite, and ParameterError when a, f or g is complex (_require_real).
     """
+    _require_real(s)
     st = _state(s)
     grid, a, g = st.grid, st.a, st.g
     E1 = float(_e1(p, st, 0.5, st.mass))

@@ -37,7 +37,7 @@ fit and the f tail read sin f, cos f, sin^2 f and qbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -290,22 +290,14 @@ class ObservableReport:
     note: str = ""
 
     def as_text(self) -> str:
-        lines = [
-            f"QS_numeric {self.QS_numeric:.17g}",
-            f"QS_closed {self.QS_closed:.17g}",
-            f"Qe {self.Qe:.17g}",
-            f"Qm {self.Qm:.17g}",
-            f"gamma_fit {self.gamma_fit:.17g}",
-            f"gamma_theory {self.gamma_theory:.17g}",
-            f"cg_tail {self.cg_tail:.17g}",
-            f"cf_tail {self.cf_tail:.17g}",
-            f"cg_variation {self.cg_variation:.17g}",
-            f"cf_variation {self.cf_variation:.17g}",
-            f"fit_window {self.fit_window[0]:.17g} {self.fit_window[1]:.17g}",
-            f"tail_window {self.tail_window[0]:.17g} {self.tail_window[1]:.17g}",
-        ]
-        if self.note:
-            lines.append(f"note {self.note}")
+        """observables.txt: a line per field in field order, a window as two numbers, the note only if non-empty."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "note":
+                value = " ".join(f"{v:.17g}" for v in (value if isinstance(value, tuple) else (value,)))
+            if value:
+                lines.append(f"{f.name} {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -313,49 +305,44 @@ class ObservableReport:
 def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -> ObservableReport:
     """Assemble the full observable report for a converged profile or its _State.
 
-    With strict=False a failed decay fit, an empty tail window, a
-    non-finite charge integrand or any other non-finite value is recorded
-    as NaN with a note instead of raising, so partial reports can still be
-    written; with strict=True a non-finite value raises NumericError.  It
-    runs under np.errstate, as run_suite does, so a profile whose values
+    The decay fit, the tail constants and the two charges run once each.
+    Their failures are recorded in step order (the fit's and the tail
+    window's DecayWindowError, the charge's NumericError, then
+    NumericError "non-finite <names>") and each failed value is NaN.  With
+    strict=False the note joins the failures' messages, so partial reports
+    can still be written; strict=True raises the first failure.  It runs
+    under np.errstate, as run_suite does, so a profile whose values
     overflow (on a mesh whose r^2 underflows, say) gives no numpy warning.
     Raises ParameterError when a, f or g is complex (model._require_real).
     """
     _require_real(s)
     st = _state(s)
     nan = float("nan")
-    notes = []
+    failures = []
     values = {}  # the values computed; one whose function failed is NaN in the report
     fit_window = tail_window = (nan, nan)
     try:
         values["gamma_fit"], fit_window = fit_decay_rate(st, p)
     except DecayWindowError as exc:
-        if strict:
-            raise
-        notes.append(str(exc))
+        failures.append(exc)
     try:
         tails = tail_constants(st, p)
     except DecayWindowError as exc:
-        if strict:
-            raise
-        notes.append(str(exc))
+        failures.append(exc)
     else:
         values.update(cg_tail=tails.cg, cf_tail=tails.cf, cg_variation=tails.cg_variation, cf_variation=tails.cf_variation)
         tail_window = tails.window
     try:
         values["Qe"] = electric_charge(st)
     except NumericError as exc:
-        if strict:
-            raise
-        notes.append(str(exc))
+        failures.append(exc)
     values["QS_numeric"] = skyrme_charge_numeric(st)
     bad = [name for name, value in values.items() if not math.isfinite(value)]
     if bad:
-        message = f"non-finite {', '.join(bad)}"
-        if strict:
-            raise NumericError(message)
-        notes.append(message)
+        failures.append(NumericError(f"non-finite {', '.join(bad)}"))
         values.update(dict.fromkeys(bad, nan))
+    if strict and failures:
+        raise failures[0]
     return ObservableReport(
         **(dict.fromkeys(("gamma_fit", "cg_tail", "cf_tail", "cg_variation", "cf_variation", "Qe"), nan) | values),
         QS_closed=skyrme_charge_closed(p.omega),
@@ -363,5 +350,5 @@ def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -
         gamma_theory=gamma_theory(p),
         fit_window=fit_window,
         tail_window=tail_window,
-        note="; ".join(notes),
+        note="; ".join(map(str, failures)),
     )

@@ -81,7 +81,10 @@ class Tolerances:
 
 @dataclass
 class VerifyReport:
-    """The checks of one run_suite pass, in order, and the observables they read."""
+    """The checks of one run_suite pass, in order, and the observables they read.
+
+    format() gives verify.txt: one line per check, then the overall verdict.
+    """
 
     checks: list[CheckResult] = field(default_factory=list)
     observables: ObservableReport | None = None
@@ -90,24 +93,11 @@ class VerifyReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(
-        self,
-        check_id: str,
-        anchor: str,
-        measured: float,
-        threshold: float,
-        passed: bool | None = None,
-        node: int | None = None,
-    ) -> None:
+    def add(self, check_id: str, anchor: str, measured: float, threshold: float, passed: bool | None = None) -> None:
+        """Append a check row; passed defaults to measured being finite and <= threshold."""
         if passed is None:
             passed = bool(np.isfinite(measured)) and measured <= threshold
-        self.checks.append(CheckResult(check_id, anchor, float(measured), float(threshold), bool(passed), node))
-
-    def __getitem__(self, check_id: str) -> CheckResult:
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise KeyError(check_id)
+        self.checks.append(CheckResult(check_id, anchor, float(measured), float(threshold), bool(passed)))
 
     def format(self) -> str:
         lines = [f"{c.check_id} {'PASS' if c.passed else 'FAIL'} {c.measured:.17g} {c.threshold:.17g} {c.anchor}" for c in self.checks]
@@ -227,10 +217,10 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     except (ParameterError, NumericError):
         worst = float("nan")  # a with a[0] != 1, a non-finite value or a singular electric system has no inner minimizer
     else:
-        scale_inner = 1.0 + float(e2_energy(grid, a, g_inner).real)
+        scale_inner = 1.0 + float(e2_energy(grid, a, g_inner))
         tests = seeded_test_functions(grid, tol.seed)
         e2_tests = e2_energy(grid, a, tests)
-        ratios = np.abs(constraint_residual(grid, a, g_inner, tests, e2_G=e2_tests)) / (scale_inner + e2_tests.real)
+        ratios = np.abs(constraint_residual(grid, a, g_inner, tests, e2_G=e2_tests)) / (scale_inner + e2_tests)
         worst = max(0.0, *ratios)  # as a running max from 0.0, which a NaN ratio never replaces
     rep.add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)
 

@@ -83,6 +83,8 @@ def test_malformed_profiles_return_or_raise_a_package_error(starts, kind, start,
             except SkyrmeDyonError:
                 pass
     if kind == "complex":
-        # the complex-step paths still take it
+        # action_breakdown rejects it too, where float() would drop the imaginary part; the complex-step paths take it
+        with pytest.raises(ParameterError, match=rf"^{field} must be real, got dtype complex128$"):
+            sd.action_breakdown(p, s)
         sd.residuals(p, s)
         sd.solve_inner_g(p, s.grid, s.a)

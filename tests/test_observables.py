@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -289,6 +290,23 @@ def test_observable_report_assembly(solved_points):
     assert obs.QS_numeric == pytest.approx(0.0908450493297, rel=1e-6)
 
 
+def test_observables_text_is_a_line_per_field_in_field_order(solved_points):
+    # a report without a note, and one whose decay fit and tail window fail
+    p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
+    q = sd.validate_params(OMEGA, 0.1, 1.0)
+    tail_less = sd.RadialGrid(np.concatenate([np.linspace(0.0, 2.9, 100), [30.0]]))
+    for obs in (sd.observables(p, s), sd.observables(q, sd.initial_guess(q, tail_less), strict=False)):
+        lines = [line.split(" ", 1) for line in obs.as_text().splitlines()]
+        names = [f.name for f in dataclasses.fields(obs)]
+        assert [name for name, _ in lines] == (names if obs.note else names[:-1])
+        for name, text in lines:
+            if name == "note":
+                assert text == obs.note
+            else:
+                np.testing.assert_array_equal([float(t) for t in text.split()], np.atleast_1d(getattr(obs, name)))
+    assert obs.note and math.isnan(obs.gamma_fit) and math.isnan(obs.tail_window[0])
+
+
 def test_observables_of_a_state_are_those_of_its_profile(solved_points, grid60):
     # the battery hands observables its _state; the report must be the one a profile gives
     p10 = sd.validate_params(0.52 * math.pi, 0.0, 10.0)  # the golden case solve --omega 0.52pi --kappa 10
@@ -327,7 +345,7 @@ def test_empty_tail_window_is_a_window_error():
     s = sd.initial_guess(p, g)
     with pytest.raises(DecayWindowError, match="tail window"):
         sd.tail_constants(s, p)
-    with pytest.raises(DecayWindowError):
+    with pytest.raises(DecayWindowError, match="decay-fit window"):  # the first failure in step order
         sd.observables(p, s, strict=True)
     obs = sd.observables(p, s, strict=False)
     assert all(math.isnan(v) for v in (obs.cg_tail, obs.cf_tail, obs.cg_variation, obs.cf_variation, *obs.tail_window))

@@ -8,7 +8,7 @@ import pytest
 import skyrme_dyon as sd
 from conftest import ACCEPT_POINTS
 from skyrme_dyon.cli import main
-from skyrme_dyon.errors import NumericError, ParameterError
+from skyrme_dyon.errors import DecayWindowError, NumericError, ParameterError
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
 from skyrme_dyon.model import e2_energy
 from skyrme_dyon.verify import N_TEST_FUNCTIONS, seeded_test_functions
@@ -28,6 +28,10 @@ TINY_PROFILES = {
 }
 # The CI step's profile whose half-node products r_i*r_(i+1) underflow to 0: with a = 0 inside, its electric system is singular.
 UNDERFLOW_PROFILE = TINY_HEADER + "# R=3e-200\n# N=3\nr,a,f,g\n0,1,0,0\n1e-200,0,0.3,0.03\n2e-200,0,0.6,0.07\n3e-200,0,0.78539816339744828,0.1\n"
+
+
+def row_of(report, check_id):
+    return next(c for c in report.checks if c.check_id == check_id)
 
 
 def test_suite_passes_on_converged_dyon(solved_points):
@@ -58,10 +62,10 @@ def test_suite_passes_at_large_kappa(grid60, q):
 def test_suite_on_initial_guess_fails_residuals_passes_bounds(grid_small):
     p = sd.validate_params(OMEGA, 0.2, 1.0)
     report = sd.run_suite(p, sd.initial_guess(p, grid_small))
-    assert not report["residual-g"].passed
-    assert report["bound-a-positive"].passed
-    assert report["bound-f-interval"].passed
-    assert report["bound-g-interval"].passed
+    assert not row_of(report, "residual-g").passed
+    assert row_of(report, "bound-a-positive").passed
+    assert row_of(report, "bound-f-interval").passed
+    assert row_of(report, "bound-g-interval").passed
     assert not report.overall
 
 
@@ -71,7 +75,7 @@ def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path
     s = sd.initial_guess(p, grid_small)
     s.a[1:] = 0.0
     assert sd.electric_charge(s) == 0.0
-    check = sd.run_suite(p, s)["tail-electric-charge"]
+    check = row_of(sd.run_suite(p, s), "tail-electric-charge")
     assert not check.passed and not np.isfinite(check.measured)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, p, s)
@@ -86,7 +90,7 @@ def test_suite_reports_non_finite_action_without_raising(grid_small, tmp_path, n
     s.f[node] = value
     report = sd.run_suite(p, s)
     for check_id in ("energy-finite", "coercive-bound", "small-r-skyrme-bound"):
-        assert not report[check_id].passed and np.isnan(report[check_id].measured), check_id
+        assert not row_of(report, check_id).passed and np.isnan(row_of(report, check_id).measured), check_id
     path = tmp_path / "profile.csv"
     write_profile_csv(path, p, s)
     assert main(["verify", str(path)]) == 3
@@ -109,11 +113,11 @@ def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, f
     report = sd.run_suite(p, s)
     assert not report.overall
     if field == "a":
-        assert np.isnan(report["constraint-orthogonality"].measured)
+        assert np.isnan(row_of(report, "constraint-orthogonality").measured)
     if value == 0.5:
-        assert not report["boundary-values"].passed and report["boundary-values"].measured == 0.5
+        assert not row_of(report, "boundary-values").passed and row_of(report, "boundary-values").measured == 0.5
     elif node != 150:
-        assert not report["boundary-values"].passed and report["boundary-values"].measured == math.inf
+        assert not row_of(report, "boundary-values").passed and row_of(report, "boundary-values").measured == math.inf
     if field != "f" and value != 0.5:
         assert np.isnan(report.observables.Qe)
     path = tmp_path / "profile.csv"
@@ -151,7 +155,7 @@ def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
     ok, msg = sd.solution_properties_ok(p, bad)
     assert not ok
     assert msg == f"{check_id} fails at node {node}"
-    check = sd.run_suite(p, bad)[check_id]
+    check = row_of(sd.run_suite(p, bad), check_id)
     assert not check.passed and check.node == node
 
 
@@ -160,7 +164,7 @@ def test_property_table_flags_monopole_g(monopole_small):
     bad = s.copy()
     bad.g[40] = 1e-3
     assert sd.solution_properties_ok(p, bad) == (False, "bound-g-monopole fails at node 40")
-    check = sd.run_suite(p, bad)["bound-g-monopole"]
+    check = row_of(sd.run_suite(p, bad), "bound-g-monopole")
     assert not check.passed and check.node == 40
 
 
@@ -170,17 +174,17 @@ def test_suite_flags_injected_fault_with_node(solved_points):
     node = 731
     bad.g[node] = -bad.g[node]
     report = sd.run_suite(p, bad)
-    assert not report["bound-g-interval"].passed
-    assert report["bound-g-interval"].node == node
-    assert not report["monotone-g-increasing"].passed
-    assert report["monotone-g-increasing"].node in (node - 1, node)
+    assert not row_of(report, "bound-g-interval").passed
+    assert row_of(report, "bound-g-interval").node == node
+    assert not row_of(report, "monotone-g-increasing").passed
+    assert row_of(report, "monotone-g-increasing").node in (node - 1, node)
     assert not report.overall
 
 
 def test_suite_monopole_checks_g_identically_zero(monopole_small):
     p, s, _ = monopole_small
     report = sd.run_suite(p, s)
-    assert report["bound-g-monopole"].passed
+    assert row_of(report, "bound-g-monopole").passed
     assert report.overall, [c.check_id for c in report.checks if not c.passed]
 
 
@@ -285,7 +289,7 @@ def test_constraint_orthogonality_is_bitwise_the_per_function_loop(solved_points
         profiles.append(read_profile_csv(path))
     for p, s in profiles:
         assert np.array_equal(seeded_test_functions(s.grid, seed), _seeded_test_functions_by_loop(s.grid, seed))
-        row = sd.run_suite(p, s, sd.Tolerances(seed=seed))["constraint-orthogonality"]
+        row = row_of(sd.run_suite(p, s, sd.Tolerances(seed=seed)), "constraint-orthogonality")
         assert row.measured == _orthogonality_by_loop(p, s, seed)
 
 
@@ -354,7 +358,8 @@ def test_a_singular_electric_system_fails_the_battery_and_verify(tmp_path, capsy
     _, flow = sd.flow_solve(p, s.grid, s)
     assert not flow.converged and flow.message == "singular matrix of the starting profile"
     report = sd.run_suite(p, s)
-    assert math.isnan(report["constraint-orthogonality"].measured) and not report["constraint-orthogonality"].passed
+    row = row_of(report, "constraint-orthogonality")
+    assert math.isnan(row.measured) and not row.passed
     assert not report.overall
     assert main(["verify", str(path)]) == 3
     out, err = capsys.readouterr()
@@ -370,6 +375,9 @@ def test_observables_of_a_mesh_whose_r_squared_underflows_note_their_non_finite_
     assert math.isnan(obs.cf_tail) and math.isnan(obs.cf_variation)
     assert math.isfinite(obs.cg_tail) and math.isfinite(obs.QS_numeric)
     assert obs.note.endswith("; non-finite cf_tail, cf_variation")
+    # strict raises the first failure in step order: the decay fit's, not the later non-finite values
+    with pytest.raises(DecayWindowError, match="^decay-fit window"):
+        sd.observables(p, s, strict=True)
 
 
 def test_strict_observables_raise_on_a_non_finite_value(solved_points, monkeypatch):
