@@ -6,7 +6,7 @@ with core scale s = R/sinh(beta): a spacing floor near the origin, then
 near-geometric growth, so r/h stays bounded by ~N/beta everywhere.
 Adjacent interval lengths differ by at most e^(beta/N) <= e^0.05 for
 N >= MIN_NODES (the most the map's slope grows over one interval), inside
-the MAX_SPACING_RATIO that the tests assert.  The bounded r/h is what
+the bound 1.2 that the tests assert.  The bounded r/h is what
 keeps the float-quantization floor of the residual evaluation
 (~ (r/h)^2 * ulp per node) a safe factor below the 1e-10 solver target at
 N ~ 2000; both much finer cores and much finer tails were measured to push
@@ -45,7 +45,6 @@ from .errors import NumericError, ParameterError
 
 MIN_NODES = 100
 MAX_NODES = 1_000_000  # the Newton band alone takes 312 bytes per interval
-MAX_SPACING_RATIO = 1.2
 GEOMETRIC_RATE = 5.0
 
 

@@ -122,16 +122,18 @@ def validate_params(omega: float, q: float, kappa: float) -> ModelParams:
     return ModelParams(omega=float(omega), q=float(q), kappa=float(kappa))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
-    """Nodal arrays (a, f, g) on a shared grid.
+    """Nodal arrays (a, f, g) on a shared grid: frozen, compared and hashed by identity, as grids are.
 
-    Construction checks only that each array holds one value per node
-    (shape (N+1,); any dtype, so complex-step profiles build too) and
-    raises ParameterError otherwise; the solvers, run_suite, observables
-    and action_breakdown reject a complex one (_require_real).  It does not
-    enforce the boundary data (unit tests probe synthetic configurations
-    freely); the solvers set it through solver._with_boundary_data, and
+    A _State holds its profile's arrays, and no package code writes into a
+    built profile.  Construction stores np.asarray of each field (so lists
+    work) and checks only that it holds one value per node (shape (N+1,);
+    any dtype, so complex-step profiles build too), raising ParameterError
+    otherwise; the solvers, run_suite, observables and action_breakdown
+    reject a complex one (_require_real).  It does not enforce the boundary
+    data (unit tests probe synthetic configurations freely); the solvers
+    build their profiles through solver._with_boundary_data, and
     run_suite's boundary-values row measures it.
     """
 
@@ -142,12 +144,10 @@ class FieldProfile:
 
     def __post_init__(self) -> None:
         for name in ("a", "f", "g"):
-            shape = np.shape(getattr(self, name))
-            if shape != (self.grid.N + 1,):
-                raise ParameterError(f"{name} must have {self.grid.N + 1} nodal values, got {shape}")
-
-    def copy(self) -> "FieldProfile":
-        return FieldProfile(self.grid, self.a.copy(), self.f.copy(), self.g.copy())
+            values = np.asarray(getattr(self, name))
+            if values.shape != (self.grid.N + 1,):
+                raise ParameterError(f"{name} must have {self.grid.N + 1} nodal values, got {values.shape}")
+            object.__setattr__(self, name, values)
 
 
 def _require_real(s: FieldProfile | _State) -> None:
@@ -275,6 +275,7 @@ def e2_energy(grid: RadialGrid, a, g):
     return _e2_form(grid, a, g, g)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdown:
     """E1 and E2 of the discrete action of the profile s, or of its _State, L = E1 - E2, E = E1 + E2.
 

@@ -192,11 +192,11 @@ class SolveReport:
     factorizations: int = 0
 
 
-def _with_boundary_data(p: ModelParams, s: FieldProfile) -> FieldProfile:
-    """Set (a, f, g) = (1, 0, 0) at r = 0 and (0, pi - omega, q) at R in place; returns s."""
-    s.a[0], s.f[0], s.g[0] = 1.0, 0.0, 0.0
-    s.a[-1], s.f[-1], s.g[-1] = 0.0, p.f_infinity, p.q
-    return s
+def _with_boundary_data(p: ModelParams, grid: RadialGrid, a, f, g) -> FieldProfile:
+    """The profile of the caller's fresh arrays a, f and g on grid, with (1, 0, 0) at r = 0 and (0, pi - omega, q) at R set in them first."""
+    a[0], f[0], g[0] = 1.0, 0.0, 0.0
+    a[-1], f[-1], g[-1] = 0.0, p.f_infinity, p.q
+    return FieldProfile(grid, a, f, g)
 
 
 def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
@@ -212,7 +212,7 @@ def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
     a = 1.0 / (1.0 + (r / rc) ** 2)
     f = p.f_infinity * (1.0 - np.exp(-r / rc))
     g = p.q * r / (r + rc)
-    return _with_boundary_data(p, FieldProfile(grid, a, f, g))
+    return _with_boundary_data(p, grid, a, f, g)
 
 
 # -- stacked-vector helpers ---------------------------------------------------------
@@ -232,7 +232,7 @@ def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
     f = np.empty(n)
     g = np.empty(n)
     a[1:-1], f[1:-1], g[1:-1] = x[0::3], x[1::3], x[2::3]
-    return _with_boundary_data(p, FieldProfile(grid, a, f, g))
+    return _with_boundary_data(p, grid, a, f, g)
 
 
 def _require_guess_on(grid: RadialGrid, guess: FieldProfile) -> None:
@@ -710,18 +710,14 @@ def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
 
 
 def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> FieldProfile:
-    """Copy of a profile solved at p_prev, with g rescaled to the g(R) = q of p_next.
+    """A new profile from one solved at p_prev, with g rescaled to the g(R) = q of p_next.
 
-    The q ladder, the only caller, holds omega fixed, so a and f are kept.
-    From q = 0, g takes the initial-guess shape.  Boundary values are then
-    set exactly.
+    The q ladder, the only caller, holds omega fixed, so a and f are copied.
+    From q = 0, g is a copy of the initial-guess g.  Boundary values are
+    then set exactly; prev is left as it was.
     """
-    s = prev.copy()
-    if p_prev.q > 0.0:
-        s.g *= p_next.q / p_prev.q
-    else:
-        s.g = initial_guess(p_next, s.grid).g
-    return _with_boundary_data(p_next, s)
+    g = prev.g * (p_next.q / p_prev.q) if p_prev.q > 0.0 else initial_guess(p_next, prev.grid).g.copy()
+    return _with_boundary_data(p_next, prev.grid, prev.a.copy(), prev.f.copy(), g)
 
 
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:

@@ -170,7 +170,7 @@ def test_criterion_09_jacobian_and_gradient_checks(rng):
         worst_jac = max(worst_jac, float(np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col)))))
 
     # reduced-functional gradient against the residuals with g at the inner solution
-    prof.g = sd.solve_inner_g(p, grid, prof.a)
+    prof = sd.FieldProfile(grid, prof.a, prof.f, sd.solve_inner_g(p, grid, prof.a))
     ra, rf, _ = sd.residuals(p, prof)
     w = grid.w[1:-1]
 

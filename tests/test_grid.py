@@ -8,8 +8,10 @@ import pytest
 import skyrme_dyon as sd
 from conftest import blended_grid
 from skyrme_dyon.errors import NumericError, ParameterError
-from skyrme_dyon.grid import MAX_NODES, MAX_SPACING_RATIO
+from skyrme_dyon.grid import MAX_NODES
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
+
+MAX_SPACING_RATIO = 1.2  # the bound on adjacent interval lengths that the grid module's docstring names
 
 
 @pytest.mark.parametrize("R, N", [(60.0, 2000), (60.0, 8000), (30.0, 300), (60.0, 250), (1000.0, 100)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -53,6 +54,15 @@ def test_profile_needs_one_value_per_node(field, shape):
     # complex-step profiles build: only the shape is checked
     arrays[field] = np.zeros(grid.N + 1, dtype=complex)
     assert sd.FieldProfile(grid, **arrays).a.shape == (grid.N + 1,)
+
+
+def test_profiles_compare_and_hash_by_identity_and_are_frozen():
+    grid = sd.build_grid(30.0, 100)
+    s, twin = sd.initial_guess(params(), grid), sd.initial_guess(params(), grid)
+    assert s == s and s != twin
+    assert len({s, twin}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.g = twin.g
 
 
 @settings(max_examples=50, deadline=None)

@@ -42,7 +42,7 @@ def test_warm_start_rescales_to_new_boundary_data(grid_small):
     p0 = sd.validate_params(OMEGA, 0.0, 1.0)
     prev = sd.initial_guess(p0, grid_small)
     prev.a[-1] = prev.f[-1] = 0.5  # off-boundary data must be reset
-    snapshot = prev.copy()
+    snapshot = sd.FieldProfile(grid_small, prev.a.copy(), prev.f.copy(), prev.g.copy())
     p1 = sd.validate_params(OMEGA, 0.2, 1.0)
     s = sd.warm_start(prev, p0, p1)
     for name in ("a", "f", "g"):
@@ -56,6 +56,32 @@ def test_warm_start_rescales_to_new_boundary_data(grid_small):
     s2 = sd.warm_start(s, p1, p2)
     assert np.allclose(s2.g[1:-1], 0.5 * s.g[1:-1], rtol=1e-15, atol=0.0)
     assert np.array_equal(s2.f, s.f)
+
+
+def test_the_package_writes_into_no_built_profile(monkeypatch, tmp_path):
+    # every profile holds read-only views of its arrays, so a write into a built profile raises ValueError
+    checked = sd.FieldProfile.__post_init__
+
+    def read_only(self):
+        checked(self)
+        for name in "afg":
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    monkeypatch.setattr(sd.FieldProfile, "__post_init__", read_only)
+    omega = 0.505 * math.pi
+    p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
+    grid = sd.build_grid(60.0, 500)
+    s, rep = sd.continuation_solve(p, grid)
+    # the direct attempt lands on the wrong branch, so the route walks the q ladder: five warm starts
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"] + ["newton"] * 6 + ["fine"]
+    assert not s.a.flags.writeable
+    sd.flow_solve(p, grid, sd.initial_guess(p, grid))
+    sd.run_suite(p, s)
+    sd.observables(p, s)
+    write_profile_csv(tmp_path / "profile.csv", p, s)
+    sd.run_suite(*read_profile_csv(tmp_path / "profile.csv"))
 
 
 def test_newton_restart_from_solution_converges_immediately(monopole_small):
@@ -195,7 +221,7 @@ def test_jacobian_is_the_complex_step_jacobian_at_round_off(rng, kappa):
     perturbed.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
     perturbed.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
     # a near 0 over the outer half, and sin f near 0 over the inner quarter (f near 0) and around node 250 (f near pi)
-    degenerate = perturbed.copy()
+    degenerate = sd.FieldProfile(g, perturbed.a.copy(), perturbed.f.copy(), perturbed.g.copy())
     degenerate.a[g.N // 2 : -1] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 2)
     degenerate.f[1 : g.N // 4] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 4 - 1)
     degenerate.f[240:260] = math.pi - 1e-9 * rng.uniform(0.5, 1.5, 20)
@@ -921,8 +947,7 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
     assert memory_size == 0
 
     g, dt = grid_small, solver.FLOW_DT
-    s.g = sd.solve_inner_g(p, g, s.a)
-    st = _state(s)
+    st = _state(sd.FieldProfile(g, s.a, s.f, sd.solve_inner_g(p, g, s.a)))
     ra, rf, _ = sd.residuals(p, st)
     a_block, f_block = _unsymmetric_h0_blocks(p, st, dt)
     step = np.concatenate((solve_banded((1, 1), _banded(*a_block), 8.0 * dt * ra), solve_banded((1, 1), _banded(*f_block), dt * rf)))

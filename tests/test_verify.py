@@ -149,7 +149,7 @@ def _perturb(p, s, field, kind, node):
 def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
     assert sd.solution_properties_ok(p, s) == (True, "")
-    bad = s.copy()
+    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
     node = 731
     _perturb(p, bad, field, kind, node)
     ok, msg = sd.solution_properties_ok(p, bad)
@@ -161,7 +161,7 @@ def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
 
 def test_property_table_flags_monopole_g(monopole_small):
     p, s, _ = monopole_small
-    bad = s.copy()
+    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
     bad.g[40] = 1e-3
     assert sd.solution_properties_ok(p, bad) == (False, "bound-g-monopole fails at node 40")
     check = row_of(sd.run_suite(p, bad), "bound-g-monopole")
@@ -170,7 +170,7 @@ def test_property_table_flags_monopole_g(monopole_small):
 
 def test_suite_flags_injected_fault_with_node(solved_points):
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
-    bad = s.copy()
+    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
     node = 731
     bad.g[node] = -bad.g[node]
     report = sd.run_suite(p, bad)
