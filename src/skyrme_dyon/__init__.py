@@ -5,7 +5,8 @@ boundary-value problem on [0, R], by damped Newton with continuation in
 the electric boundary value q and by a constrained gradient flow, and
 computes/verifies the analytic properties of the solutions: topological
 and electric charges, pointwise bounds, monotonicity, decay rates, tail
-laws, and energy inequalities.
+laws, and energy inequalities.  __all__ is the public API, as README's
+library section lists it; internals are imported from their modules.
 """
 
 from .errors import (
@@ -30,14 +31,9 @@ from .model import (
 )
 from .observables import (
     ObservableReport,
-    TailConstants,
-    electric_charge,
-    fit_decay_rate,
     gamma_theory,
     observables,
     skyrme_charge_closed,
-    skyrme_charge_numeric,
-    tail_constants,
 )
 from .solver import (
     SolveConfig,
@@ -46,7 +42,6 @@ from .solver import (
     flow_solve,
     initial_guess,
     newton_solve,
-    warm_start,
 )
 from .verify import Tolerances, VerifyReport, run_suite
 
@@ -65,7 +60,6 @@ __all__ = [
     "SkyrmeDyonError",
     "SolveConfig",
     "SolveReport",
-    "TailConstants",
     "Tolerances",
     "VerifyReport",
     "action_breakdown",
@@ -74,8 +68,6 @@ __all__ = [
     "constraint_residual",
     "continuation_solve",
     "e2_energy",
-    "electric_charge",
-    "fit_decay_rate",
     "flow_solve",
     "gamma_theory",
     "initial_guess",
@@ -84,10 +76,7 @@ __all__ = [
     "residuals",
     "run_suite",
     "skyrme_charge_closed",
-    "skyrme_charge_numeric",
     "solution_properties_ok",
     "solve_inner_g",
-    "tail_constants",
     "validate_params",
-    "warm_start",
 ]

@@ -2,7 +2,7 @@
 
 Commands:
   solve   solve one parameter point, write profile/observables/verify files
-  sweep   solve a list of parameter points, write a summary CSV
+  sweep   solve and verify a list of parameter points, write a summary CSV
   verify  re-run the property battery on a stored profile CSV
   table   write the analytic tables (no solving)
 
@@ -31,7 +31,7 @@ from .errors import SkyrmeDyonError
 from .grid import build_grid
 from .io import SUMMARY_COLUMNS, read_profile_csv, write_profile_csv, write_summary_csv
 from .model import admissible_q_max, validate_params
-from .observables import observables, skyrme_charge_closed
+from .observables import skyrme_charge_closed
 from .solver import SolveConfig, continuation_solve
 from .verify import Tolerances, run_suite
 
@@ -114,32 +114,41 @@ def run_solve(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    """Solve each point as run_solve does, from a cold start; one summary row per point.
+    """Solve and verify each point as run_solve does, from a cold start; one summary row per point.
 
-    Each failed point also prints one stderr line with its value and the solver's stopping reason.
+    A converged point runs the battery with solve's default seed; its row
+    takes the observables that the battery evaluated, verified 1 or 0 and
+    the first failing check's id.  Each point that does not converge, or
+    fails the battery, also prints one stderr line with its value and the
+    reason.  Exit 2 when a point did not converge, else 3 when one failed
+    the battery.
     """
     if not args.sweep_values:
         raise SkyrmeDyonError("sweep value list is empty")
+    solve_cfg, tolerances = SolveConfig(tol_residual=args.tol), Tolerances(residual=args.tol)
     base = {"omega": args.omega, "q": args.q, "kappa": args.kappa}
     points = [validate_params(**{**base, args.sweep_param: val}) for val in args.sweep_values]
     grid = build_grid(args.rmax, args.nodes)
-    solve_cfg = SolveConfig(tol_residual=args.tol)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for p in points:
         profile, report = continuation_solve(p, grid, solve_cfg)
         row = dict.fromkeys(SUMMARY_COLUMNS, float("nan"))
-        row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=report.converged)
-        if not report.converged:
-            value = getattr(p, args.sweep_param)
-            print(f"sweep point {args.sweep_param}={value:.17g} failed: {report.message}", file=sys.stderr)
-        else:
-            obs = observables(p, profile, strict=False)
+        row.update(omega=p.omega, q=p.q, kappa=p.kappa, QS_closed=skyrme_charge_closed(p.omega), converged=report.converged, verified=False, failed_check="")
+        if report.converged:
+            suite = run_suite(p, profile, tolerances)
+            obs = suite.observables
             row.update(Qe=obs.Qe, QS_numeric=obs.QS_numeric, gamma_fit=obs.gamma_fit, gamma_theory=obs.gamma_theory)
-            row.update(E=report.action.E, L=report.action.L)
+            failed = next((c.check_id for c in suite.checks if not c.passed), "")
+            row.update(E=report.action.E, L=report.action.L, verified=suite.overall, failed_check=failed)
+        if not row["verified"]:
+            reason = f"verification failed at {row['failed_check']}" if report.converged else report.message
+            print(f"sweep point {args.sweep_param}={getattr(p, args.sweep_param):.17g} failed: {reason}", file=sys.stderr)
         rows.append(row)
     write_summary_csv(args.out / "summary.csv", rows)
-    return EXIT_OK if all(row["converged"] for row in rows) else EXIT_NO_CONVERGENCE
+    if not all(row["converged"] for row in rows):
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK if all(row["verified"] for row in rows) else EXIT_VERIFY_FAILED
 
 
 def run_table(args: argparse.Namespace) -> int:

@@ -140,6 +140,7 @@ def _spd_tridiagonal_solver(d: np.ndarray, e: np.ndarray) -> Callable[[np.ndarra
     return solve
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray:
     """Solve the discrete electric-sector system for g given the gauge profile a."""
     a = np.asarray(a)
@@ -176,7 +177,7 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
     return g
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.ndarray, *, e2_G=None):
     """Discrete weak form integral(r^2 g' G' + 2 a^2 g G) for a test array G, or per row of a stack of them.
 
@@ -193,9 +194,8 @@ def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.nd
     those energies for its row's scale, and summing them twice would cost
     about 1 % of a battery at N = 2000 to 8000.
     """
-    G = np.asarray(G)
+    a, g, G = np.asarray(a), np.asarray(g), np.asarray(G)
     for name, arr, ndims in (("a", a, (1,)), ("g", g, (1,)), ("G", G, (1, 2))):
-        arr = np.asarray(arr)
         if arr.ndim not in ndims or arr.shape[-1] != grid.N + 1:
             raise ParameterError(f"{name} must have {grid.N + 1} nodal values, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -208,5 +208,4 @@ def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.nd
         raise ParameterError(f"test function must vanish at r = R, got {where}={value.item()!r}")
     if not np.all(np.isfinite(e2_energy(grid, a, G) if e2_G is None else e2_G)):
         raise NumericError("test function has non-finite energy E2(a, G)")
-    form = _e2_form(grid, a, g, G)
-    return float(form) if G.ndim == 1 else form
+    return _e2_form(grid, a, g, G)

@@ -34,7 +34,7 @@ __all__ = ["write_profile_csv", "read_profile_csv", "write_summary_csv", "SUMMAR
 # header keys read as numbers; any other header value stays a string
 _HEADER_TYPES = {"omega": float, "q": float, "kappa": float, "R": float, "N": int}
 
-SUMMARY_COLUMNS = ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged"]
+SUMMARY_COLUMNS = ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged", "verified", "failed_check"]
 
 
 def write_profile_csv(path: str | Path, p: ModelParams, s: FieldProfile) -> None:
@@ -298,11 +298,12 @@ def read_profile_csv(path: str | Path) -> tuple[ModelParams, FieldProfile]:
 
 
 def write_summary_csv(path: str | Path, rows: list[dict]) -> None:
+    """One line per row: a flag (bool) as 0 or 1, a check id (str) as written, a number as '%.17g'."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in rows:
         cells = []
         for col in SUMMARY_COLUMNS:
             val = row[col]
-            cells.append(str(int(val)) if col == "converged" else f"{val:.17g}")
+            cells.append(str(int(val)) if isinstance(val, (bool, np.bool_)) else val if isinstance(val, str) else f"{val:.17g}")
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -130,11 +130,12 @@ class FieldProfile:
     built profile.  Construction stores np.asarray of each field (so lists
     work) and checks only that it holds one value per node (shape (N+1,);
     any dtype, so complex-step profiles build too), raising ParameterError
-    otherwise; the solvers, run_suite, observables and action_breakdown
-    reject a complex one (_require_real).  It does not enforce the boundary
-    data (unit tests probe synthetic configurations freely); the solvers
-    build their profiles through solver._with_boundary_data, and
-    run_suite's boundary-values row measures it.
+    otherwise; the solvers, run_suite, observables, action_breakdown and
+    solution_properties_ok reject a complex one (_require_real).  It does
+    not enforce the boundary data (unit tests probe synthetic
+    configurations freely); the solvers build their profiles through
+    solver._with_boundary_data, and run_suite's boundary-values row
+    measures it.
     """
 
     grid: RadialGrid
@@ -153,10 +154,11 @@ class FieldProfile:
 def _require_real(s: FieldProfile | _State) -> None:
     """Raise ParameterError naming the first of a, f and g whose dtype is complex.
 
-    newton_solve, flow_solve, run_suite, observables and action_breakdown
-    call it: numpy would drop the imaginary part there with a
-    ComplexWarning.  The complex-step paths (residuals, solve_inner_g) take
-    complex arrays and do not call it.
+    newton_solve, flow_solve, run_suite, observables, action_breakdown and
+    solution_properties_ok call it: numpy would drop the imaginary part
+    there with a ComplexWarning.  The complex-step paths (residuals,
+    e2_energy, solve_inner_g, constraint_residual) take complex arrays,
+    give complex results and do not call it.
     """
     for name in ("a", "f", "g"):
         values = getattr(s, name)
@@ -270,9 +272,11 @@ def _e2_form(grid: RadialGrid, a, g, G, dG=None):
     return np.array([np.dot(i, grid.h) + np.dot(n, grid.w) for i, n in zip(interval, nodal)])
 
 
-def e2_energy(grid: RadialGrid, a, g):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def e2_energy(grid: RadialGrid, a: np.ndarray, g: np.ndarray):
     """Discrete E2(a, g), the diagonal of _e2_form, per row for a stack of g; kappa-independent."""
-    return _e2_form(grid, a, g, g)
+    g = np.asarray(g)
+    return _e2_form(grid, np.asarray(a), g, g)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -331,6 +335,7 @@ def _reaction_rates(p: ModelParams, st: _State):
     return react_a, react_f
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def residuals(p: ModelParams, s: FieldProfile | _State):
     """Vectorized (residual_a, residual_f, residual_g) of the profile s, or of its _State, over interior nodes 1..N-1.
 
@@ -343,7 +348,8 @@ def residuals(p: ModelParams, s: FieldProfile | _State):
 
     f'^2 factors use the dual-cell average of interval difference quotients
     and D(.) the conservative flux stencil, so each residual is the exact
-    gradient of the discrete action (see module docstring).
+    gradient of the discrete action (see module docstring).  A profile
+    whose values overflow gives non-finite residuals, not a numpy warning.
     """
     st = _state(s)
     grid, a, g = st.grid, st.a, st.g
@@ -432,8 +438,13 @@ def property_checks(p: ModelParams, s: FieldProfile) -> list[CheckResult]:
     return rows
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solution_properties_ok(p: ModelParams, s: FieldProfile) -> tuple[bool, str]:
-    """(True, "") if every property_checks row passes, else False and the first failing row."""
+    """(True, "") if every property_checks row passes, else False and the first failing row.
+
+    Raises ParameterError when a, f or g is complex (_require_real).
+    """
+    _require_real(s)
     for row in property_checks(p, s):
         if not row.passed:
             return False, f"{row.check_id} fails at node {row.node}"

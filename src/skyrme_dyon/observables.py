@@ -30,8 +30,11 @@ tail is const*(1/r - 1/R).  tail_constants divides by that factor instead
 of multiplying by r; the estimate converges to the untruncated constant
 as R grows.
 
-Each function takes a profile or its model._state, from which the decay
-fit and the f tail read sin f, cos f, sin^2 f and qbar.
+Each function takes the parameters, if it needs them, before a profile
+or its model._state, (p, s), from which the decay fit and the f tail
+read sin f, cos f, sin^2 f and qbar.  observables() is the public entry
+point; the charge, fit and tail functions it calls are internals,
+imported from this module.
 """
 
 from __future__ import annotations
@@ -44,17 +47,7 @@ import numpy as np
 from .errors import DecayWindowError, NumericError, ParameterError, RegionError
 from .model import FieldProfile, ModelParams, _require_real, _State, _state
 
-__all__ = [
-    "ObservableReport",
-    "TailConstants",
-    "skyrme_charge_numeric",
-    "skyrme_charge_closed",
-    "electric_charge",
-    "gamma_theory",
-    "fit_decay_rate",
-    "tail_constants",
-    "observables",
-]
+__all__ = ["ObservableReport", "skyrme_charge_closed", "gamma_theory", "observables"]
 
 FIT_WINDOW_LO = 1e-8
 FIT_WINDOW_HI = 1e-2
@@ -157,7 +150,7 @@ def _fit_window_nodes(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return interior[sel]
 
 
-def fit_decay_rate(s: FieldProfile | _State, p: ModelParams):
+def fit_decay_rate(p: ModelParams, s: FieldProfile | _State):
     """Estimate the exponential decay rate of a over the window a in [FIT_WINDOW_LO, FIT_WINDOW_HI].
 
     Per node the exact two-mode rate lambda_i is extracted, then the known
@@ -239,7 +232,7 @@ def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndar
     return np.cumsum(seg[::-1])[::-1]
 
 
-def tail_constants(s: FieldProfile | _State, p: ModelParams) -> TailConstants:
+def tail_constants(p: ModelParams, s: FieldProfile | _State) -> TailConstants:
     """Median tail constants of g and f over radii in [R/10, R).
 
     The window is the nodes from the first with r >= R/10 (node 1 at the
@@ -305,10 +298,12 @@ class ObservableReport:
 def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -> ObservableReport:
     """Assemble the full observable report for a converged profile or its _State.
 
-    The decay fit, the tail constants and the two charges run once each.
-    Their failures are recorded in step order (the fit's and the tail
-    window's DecayWindowError, the charge's NumericError, then
-    NumericError "non-finite <names>") and each failed value is NaN.  With
+    It evaluates s into one _State, then runs this module's internals once
+    each, in order: fit_decay_rate(p, st), tail_constants(p, st),
+    electric_charge(st) and skyrme_charge_numeric(st).  Their failures
+    are recorded in step order (the fit's and the tail window's
+    DecayWindowError, the charge's NumericError, then NumericError
+    "non-finite <names>") and each failed value is NaN.  With
     strict=False the note joins the failures' messages, so partial reports
     can still be written; strict=True raises the first failure.  It runs
     under np.errstate, as run_suite does, so a profile whose values
@@ -322,11 +317,11 @@ def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -
     values = {}  # the values computed; one whose function failed is NaN in the report
     fit_window = tail_window = (nan, nan)
     try:
-        values["gamma_fit"], fit_window = fit_decay_rate(st, p)
+        values["gamma_fit"], fit_window = fit_decay_rate(p, st)
     except DecayWindowError as exc:
         failures.append(exc)
     try:
-        tails = tail_constants(st, p)
+        tails = tail_constants(p, st)
     except DecayWindowError as exc:
         failures.append(exc)
     else:

@@ -100,7 +100,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "initial_guess",
-    "warm_start",
     "newton_solve",
     "flow_solve",
     "continuation_solve",

@@ -11,6 +11,7 @@ import numpy as np
 
 import skyrme_dyon as sd
 from skyrme_dyon.model import _e1, _state, e2_energy
+from skyrme_dyon.observables import electric_charge, fit_decay_rate, skyrme_charge_numeric, tail_constants
 from skyrme_dyon.solver import _band_workspace, _jacobian_banded, _pack, _trial_state
 from skyrme_dyon.verify import seeded_test_functions
 
@@ -28,7 +29,7 @@ def test_criterion_01_skyrme_charge_consistency(solved_points):
     worst = 0.0
     slowest = 0.0
     for key, (p, s, rep) in solved_points.items():
-        delta = abs(sd.skyrme_charge_numeric(s) - sd.skyrme_charge_closed(p.omega))
+        delta = abs(skyrme_charge_numeric(s) - sd.skyrme_charge_closed(p.omega))
         worst = max(worst, delta)
         slowest = max(slowest, rep.wall_time)
     passed = worst <= 1e-3 and slowest <= 60.0
@@ -38,7 +39,7 @@ def test_criterion_01_skyrme_charge_consistency(solved_points):
 def test_criterion_02_decay_exponent(solved_points):
     worst = 0.0
     for key, (p, s, _) in solved_points.items():
-        gamma_fit, _ = sd.fit_decay_rate(s, p)
+        gamma_fit, _ = fit_decay_rate(p, s)
         worst = max(worst, abs(gamma_fit - sd.gamma_theory(p)) / sd.gamma_theory(p))
     _report("02 decay-exponent", worst <= 0.03, f"max rel gamma error = {worst:.3e} (tol 0.03)")
 
@@ -47,8 +48,8 @@ def test_criterion_03_tail_laws(solved_points):
     worst_cg = 0.0
     worst_var = 0.0
     for key, (p, s, _) in solved_points.items():
-        tails = sd.tail_constants(s, p)
-        qe = sd.electric_charge(s)
+        tails = tail_constants(p, s)
+        qe = electric_charge(s)
         worst_cg = max(worst_cg, abs(tails.cg - qe) / abs(qe))
         worst_var = max(worst_var, tails.cf_variation)
     passed = worst_cg <= 0.02 and worst_var <= 0.05
@@ -76,7 +77,7 @@ def test_criterion_04_property_battery(solved_points, solved_kappa0, sweep_runs)
 
 
 def test_criterion_05_electric_charge_vanishes_with_q(sweep_runs):
-    qes = [sd.electric_charge(s) for _, s, _ in sweep_runs]
+    qes = [electric_charge(s) for _, s, _ in sweep_runs]
     decreasing = all(b < a for a, b in zip(qes, qes[1:]))
     ratio_ok = qes[-1] <= qes[0] / 5.0
     _report(
@@ -131,7 +132,7 @@ def test_criterion_08_refinement_convergence():
     runs = [sd.continuation_solve(p, sd.build_grid(60.0, N)) for N in Ns]
     _, probe = sd.continuation_solve(p, sd.build_grid(90.0, Ns[-1]))
     complete = probe.converged and all(rep.converged for _, rep in runs)
-    qe = [sd.electric_charge(s) for s, _ in runs]
+    qe = [electric_charge(s) for s, _ in runs]
     e = [rep.action.E if rep.action else math.nan for _, rep in runs]  # a level without an action fails as NaN
     dqe = abs(qe[2] - qe[1]) / abs(qe[2])
     order = math.log2(abs(e[0] - e[1]) / abs(e[1] - e[2]))
@@ -205,11 +206,11 @@ def test_criterion_10_sigma_model_limit(solved_kappa0):
     assert p.kappa == 0.0
     checks = []
     checks.append(("converged", rep.converged))
-    checks.append(("QS", abs(sd.skyrme_charge_numeric(s) - sd.skyrme_charge_closed(p.omega)) <= 1e-3))
-    gamma_fit, _ = sd.fit_decay_rate(s, p)
+    checks.append(("QS", abs(skyrme_charge_numeric(s) - sd.skyrme_charge_closed(p.omega)) <= 1e-3))
+    gamma_fit, _ = fit_decay_rate(p, s)
     checks.append(("gamma", abs(gamma_fit - sd.gamma_theory(p)) / sd.gamma_theory(p) <= 0.03))
-    tails = sd.tail_constants(s, p)
-    qe = sd.electric_charge(s)
+    tails = tail_constants(p, s)
+    qe = electric_charge(s)
     checks.append(("cg", abs(tails.cg - qe) <= 0.02 * abs(qe)))
     checks.append(("cf-var", tails.cf_variation <= 0.05))
     ra, rf, rg = sd.residuals(p, s)

@@ -11,6 +11,7 @@ import skyrme_dyon as sd
 from skyrme_dyon import cli
 from skyrme_dyon.cli import main, parse_angle
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
+from skyrme_dyon.observables import electric_charge
 
 
 def test_parse_angle():
@@ -45,7 +46,7 @@ def test_solve_end_to_end(tmp_path):
         parts = line.split()
         if len(parts) == 2:
             recorded[parts[0]] = float(parts[1])
-    qe = sd.electric_charge(s)
+    qe = electric_charge(s)
     energy = sd.action_breakdown(p, s).E
     assert abs(qe - recorded["Qe"]) <= 1e-12 * abs(recorded["Qe"])
     obs = sd.observables(p, s)
@@ -99,14 +100,32 @@ def test_sweep_end_to_end(tmp_path):
         ]
     )
     assert code == 0
-    lines = (out / "summary.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header == ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged"]
-    rows = [line.split(",") for line in lines[1:]]
+    header = (out / "summary.csv").read_text().splitlines()[0].split(",")
+    assert header == ["omega", "q", "kappa", "Qe", "QS_numeric", "QS_closed", "gamma_fit", "gamma_theory", "E", "L", "converged", "verified", "failed_check"]
+    rows = _summary(out)
     assert len(rows) == 5
-    qe = [float(row[header.index("Qe")]) for row in rows]
+    qe = [float(row["Qe"]) for row in rows]
     assert all(b < a for a, b in zip(qe, qe[1:]))
-    assert all(row[-1] == "1" for row in rows)
+    assert all((row["converged"], row["verified"], row["failed_check"]) == ("1", "1", "") for row in rows)
+
+
+def _summary(out):
+    """The rows of out/summary.csv, each a {column: cell} dict."""
+    header, *rows = (line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    return [dict(zip(header, row, strict=True)) for row in rows]
+
+
+def test_sweep_reports_points_that_fail_the_battery(tmp_path, capsys):
+    # both points converge, and solve at either exits 3 on decay-rate; the
+    # sweep reports each as unverified and exits 3 too
+    argv = ["sweep", "--omega", "0.95pi", "--sweep-values", "0,0.01", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    rows = _summary(tmp_path)
+    assert [(row["converged"], row["verified"], row["failed_check"]) for row in rows] == [("1", "0", "decay-rate")] * 2
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep point q=0 failed: verification failed at decay-rate",
+        "sweep point q=0.01 failed: verification failed at decay-rate",
+    ]
 
 
 def test_sweep_omega_checks_closed_form(tmp_path):
@@ -153,9 +172,8 @@ def test_sweep_records_per_point_failures(tmp_path):
         ]
     )
     assert code == 2
-    lines = (out / "summary.csv").read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].split(",")[-1] == "0"
+    [row] = _summary(out)
+    assert (row["converged"], row["verified"], row["failed_check"]) == ("0", "0", "")
 
 
 def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch, tmp_path):
@@ -178,14 +196,14 @@ def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch,
             "--sweep-param", "q", "--sweep-values", "0.1,0.05", "--out", str(out),
         ]
     )
-    converged = [line.split(",")[-1] for line in (out / "summary.csv").read_text().strip().splitlines()[1:]]
-    assert converged == ["1", "0"]
+    assert [row["converged"] for row in _summary(out)] == ["1", "0"]
     assert code == 2
 
 
 def test_sweep_solves_each_point_once_as_solve_does(monkeypatch, tmp_path):
     # one continuation_solve per point, and each row is exactly that solve's
-    # profile summarized by observables, with nothing carried between points
+    # profile summarized by observables and verified by the battery, with
+    # nothing carried between points
     real_continuation = cli.continuation_solve
     solved = []
 
@@ -199,19 +217,18 @@ def test_sweep_solves_each_point_once_as_solve_does(monkeypatch, tmp_path):
     argv = ["sweep", "--omega", "0.75pi", "--nodes", "300", "--rmax", "30", "--sweep-values", "0.1,0.05,0.02", "--out", str(out)]
     assert main(argv) == 0
     assert solved == qs
-    lines = (out / "summary.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
     grid = sd.build_grid(30.0, 300)
-    for q, line in zip(qs, lines[1:], strict=True):
+    for q, row in zip(qs, _summary(out), strict=True):
         p = sd.validate_params(0.75 * math.pi, q, 1.0)
         profile, report = real_continuation(p, grid)
         obs = sd.observables(p, profile, strict=False)
         expected = {
             "omega": p.omega, "q": p.q, "kappa": p.kappa, "Qe": obs.Qe, "QS_numeric": obs.QS_numeric,
             "QS_closed": obs.QS_closed, "gamma_fit": obs.gamma_fit, "gamma_theory": obs.gamma_theory,
-            "E": report.action.E, "L": report.action.L, "converged": 1.0,
+            "E": report.action.E, "L": report.action.L, "converged": 1.0, "verified": 1.0,
         }
-        assert {name: float(cell) for name, cell in zip(header, line.split(","))} == expected
+        assert row.pop("failed_check") == ""
+        assert {name: float(cell) for name, cell in row.items()} == expected
 
 
 def test_failed_solve_writes_profile_of_the_failed_leg(tmp_path):

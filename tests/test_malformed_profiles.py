@@ -1,6 +1,25 @@
-"""Malformed profiles at the library's entry points: each call returns or raises a SkyrmeDyonError, with no numpy warning."""
+"""Malformed profiles at every exported function that takes a profile or its arrays: each call returns or raises a SkyrmeDyonError, with no numpy warning.
 
+The entry points are enumerated from skyrme_dyon.__all__, so a new export
+is fuzzed with no edit here: every exported function with a parameter
+annotated FieldProfile or np.ndarray.  Each takes its parameters first,
+(p, s), (p, grid, guess) or (p, grid, a), or the grid first,
+(grid, a, g, G).  Its required parameters are filled by name from one
+malformed profile s (_arguments): p the parameters, grid s.grid, s and
+guess s itself, a and g its arrays (Python lists for the list draw), and
+G its a, a test function that vanishes at R.  A parameter with a default keeps it; a required parameter
+of any other name fails test_every_exported_profile_function_can_be_called,
+which names the function.
+
+A complex field is either rejected with the ParameterError that names it,
+or carried into a complex result, as the complex-step paths (residuals,
+e2_energy, solve_inner_g, constraint_residual) do; numpy's ComplexWarning
+on a dropped imaginary part fails the call like any other warning.
+"""
+
+import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,13 +32,48 @@ from skyrme_dyon.errors import ParameterError, SkyrmeDyonError
 
 N = 100  # the smallest mesh build_grid makes: even a Newton solve that runs its whole iteration budget takes milliseconds
 
-ENTRY_POINTS = {
-    "newton_solve": lambda p, s: sd.newton_solve(p, s.grid, s),
-    "flow_solve": lambda p, s: sd.flow_solve(p, s.grid, s),
-    "run_suite": lambda p, s: sd.run_suite(p, s),
-    "observables": lambda p, s: sd.observables(p, s, strict=False),
-    "action_breakdown": lambda p, s: sd.action_breakdown(p, s),
-}
+FILLED = ("p", "grid", "s", "guess", "a", "g", "G")
+
+
+def _takes_a_profile(param: inspect.Parameter) -> bool:
+    return re.search(r"\b(FieldProfile|ndarray)\b", str(param.annotation)) is not None
+
+
+def _entry_points() -> dict:
+    """{name: (function, required parameter names)} for each exported function that takes a profile or its arrays."""
+    out = {}
+    for name in sd.__all__:
+        fn = getattr(sd, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = inspect.signature(fn).parameters.values()
+        if any(map(_takes_a_profile, params)):
+            out[name] = (fn, [q.name for q in params if q.default is q.empty])
+    return out
+
+
+ENTRY_POINTS = _entry_points()
+
+
+def _arguments(p, s, as_lists: bool) -> dict:
+    """Each fillable parameter name's value for the parameters p and the profile s, its arrays as Python lists when as_lists."""
+    a, g = (s.a.tolist(), s.g.tolist()) if as_lists else (s.a, s.g)
+    return {"p": p, "grid": s.grid, "s": s, "guess": s, "a": a, "g": g, "G": a}
+
+
+def _is_complex(value) -> bool:
+    """Whether value, a profile or a tuple of values holds a complex array or number."""
+    if isinstance(value, sd.FieldProfile):
+        value = (value.a, value.f, value.g)
+    if isinstance(value, tuple):
+        return any(map(_is_complex, value))
+    return np.iscomplexobj(value)
+
+
+def test_every_exported_profile_function_can_be_called():
+    unfillable = {name: [q for q in required if q not in FILLED] for name, (_, required) in ENTRY_POINTS.items()}
+    assert not {name: qs for name, qs in unfillable.items() if qs}
+    assert ENTRY_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -64,29 +118,33 @@ def _malformed(s, kind, field, node, bad):
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 @example(kind="complex", start="solution", field="g", node=50, bad=math.nan)
+@example(kind="complex", start="guess", field="a", node=50, bad=math.nan)
 @example(kind="non-finite", start="solution", field="a", node=50, bad=math.nan)
 @example(kind="non-finite", start="guess", field="f", node=50, bad=math.inf)
 @example(kind="negated-a", start="guess", field="a", node=50, bad=math.nan)
 @example(kind="g-times-1e200", start="solution", field="g", node=50, bad=math.nan)
+@example(kind="g-times-1e200", start="guess", field="g", node=50, bad=math.nan)
 @example(kind="f-plus-1e6", start="solution", field="f", node=50, bad=math.nan)
 @example(kind="float32", start="guess", field="a", node=50, bad=math.nan)
 @example(kind="list", start="solution", field="a", node=50, bad=math.nan)
 def test_malformed_profiles_return_or_raise_a_package_error(starts, kind, start, field, node, bad):
     p, profiles = starts
     s = _malformed(profiles[start], kind, field, node, bad)
-    for name, call in ENTRY_POINTS.items():
+    filled = _arguments(p, s, kind == "list")
+    for name, (fn, required) in ENTRY_POINTS.items():
+        args = [filled[q] for q in required]
+        complex_in = _is_complex(tuple(args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if kind == "complex":
-                # rejected before numpy would drop the imaginary part with a ComplexWarning
-                with pytest.raises(ParameterError, match=rf"^{field} must be real, got dtype complex128$"):
-                    call(p, s)
-                continue
             try:
-                call(p, s)
+                result = fn(*args)
+            except ParameterError as exc:
+                if complex_in:
+                    # rejected before numpy would drop the imaginary part with a ComplexWarning
+                    assert re.fullmatch(rf"{field} must be real, got dtype complex128", str(exc)), (name, str(exc))
             except SkyrmeDyonError:
-                pass
-    if kind == "complex":
-        # the complex-step paths take it
-        sd.residuals(p, s)
-        sd.solve_inner_g(p, s.grid, s.a)
+                assert not complex_in, name
+            except Exception as exc:  # a numpy warning turned error, or an exception of numpy's own
+                pytest.fail(f"{name} raised {exc!r}")
+            else:
+                assert _is_complex(result) == complex_in, name

@@ -9,6 +9,7 @@ import skyrme_dyon as sd
 from conftest import ACCEPT_POINTS, blended_grid
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
 from skyrme_dyon.model import _state
+from skyrme_dyon.observables import electric_charge, fit_decay_rate, skyrme_charge_numeric, tail_constants
 
 observables_module = importlib.import_module("skyrme_dyon.observables")
 
@@ -35,7 +36,7 @@ def test_skyrme_charge_closed_strictly_decreasing():
 def test_skyrme_charge_numeric_zero_for_constant_f():
     g = sd.build_grid(20.0, 200)
     s = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), np.zeros(g.N + 1))
-    assert sd.skyrme_charge_numeric(s) == 0.0
+    assert skyrme_charge_numeric(s) == 0.0
 
 
 @pytest.mark.parametrize("shape", ["exp", "rational"])
@@ -50,16 +51,16 @@ def test_skyrme_charge_ramp_independent_of_shape(shape):
     f[-1] = f_inf
     s = sd.FieldProfile(g, np.ones(g.N + 1), f, np.zeros(g.N + 1))
     want = 1.0 - OMEGA / math.pi + math.sin(2.0 * OMEGA) / (2.0 * math.pi)
-    assert sd.skyrme_charge_numeric(s) == pytest.approx(want, abs=5e-8)
+    assert skyrme_charge_numeric(s) == pytest.approx(want, abs=5e-8)
 
 
 def test_electric_charge_examples():
     g = blended_grid(10.0, 500, 0.0)
     zero = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), np.zeros(g.N + 1))
-    assert sd.electric_charge(zero) == 0.0
+    assert electric_charge(zero) == 0.0
     q = 0.2
     lin = sd.FieldProfile(g, np.ones(g.N + 1), np.zeros(g.N + 1), q * g.r / g.R)
-    assert sd.electric_charge(lin) == pytest.approx(q * g.R, rel=1e-13)
+    assert electric_charge(lin) == pytest.approx(q * g.R, rel=1e-13)
 
 
 def test_gamma_theory_values_and_region():
@@ -84,7 +85,7 @@ def test_fit_decay_rate_exact_exponential():
     g = blended_grid(60.0, 1000, 0.0)
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
-    gamma, window = sd.fit_decay_rate(s, P_FLAT)
+    gamma, window = fit_decay_rate(P_FLAT, s)
     assert abs(gamma - 0.3) <= 1e-6
     assert window[0] < window[1]
 
@@ -95,7 +96,7 @@ def test_fit_decay_rate_subexponential_prefactor():
     a = (1.0 + g.r) * np.exp(-0.3 * g.r)
     a /= a.max()
     s = sd.FieldProfile(g, a, f, gg)
-    gamma, _ = sd.fit_decay_rate(s, P_FLAT)
+    gamma, _ = fit_decay_rate(P_FLAT, s)
     assert abs(gamma - 0.3) / 0.3 <= 0.02
 
 
@@ -106,7 +107,7 @@ def test_fit_decay_rate_truncated_two_mode():
     gamma0 = 0.22
     a = np.exp(-gamma0 * g.r) - np.exp(-gamma0 * (2.0 * g.R - g.r))
     s = sd.FieldProfile(g, a, f, gg)
-    gamma, _ = sd.fit_decay_rate(s, P_FLAT)
+    gamma, _ = fit_decay_rate(P_FLAT, s)
     assert abs(gamma - gamma0) <= 1e-6
 
 
@@ -195,7 +196,7 @@ def test_fit_decay_rate_window_error_for_small_domain():
     f, gg = _flat_background(g)
     s = sd.FieldProfile(g, np.exp(-0.3 * g.r), f, gg)
     with pytest.raises(DecayWindowError, match="radius"):
-        sd.fit_decay_rate(s, P_FLAT)
+        fit_decay_rate(P_FLAT, s)
 
 
 def test_fit_decay_rate_window_error_when_no_node_decays_exponentially():
@@ -205,7 +206,7 @@ def test_fit_decay_rate_window_error_when_no_node_decays_exponentially():
     a = 1e-3 * (2.0 - (g.r / g.R) ** 2)
     a[0], a[-1] = 1.0, 0.0
     with pytest.raises(DecayWindowError, match="^too few locally exponential nodes in the decay-fit window"):
-        sd.fit_decay_rate(sd.FieldProfile(g, a, f, gg), P_FLAT)
+        fit_decay_rate(P_FLAT, sd.FieldProfile(g, a, f, gg))
 
 
 def test_tail_constants_exact_on_truncated_tail_family():
@@ -222,7 +223,7 @@ def test_tail_constants_exact_on_truncated_tail_family():
     a = np.zeros(g.N + 1)  # no source: the f-correction vanishes identically
     a[0] = 1.0
     s = sd.FieldProfile(g, a, f, gg)
-    tails = sd.tail_constants(s, p)
+    tails = tail_constants(p, s)
     assert tails.cg == pytest.approx(c_g, rel=1e-12)
     assert tails.cf == pytest.approx(c_f, rel=1e-12)
     assert tails.cg_variation <= 1e-10
@@ -253,27 +254,27 @@ def _f_source_double_integral_everywhere(s, p):
 
 def test_tail_integral_on_the_window_is_bitwise_the_pass_over_every_node(monkeypatch, solved_points, solved_kappa0, monopole_small):
     for p, s, _ in [*solved_points.values(), solved_kappa0, monopole_small]:
-        tails = sd.tail_constants(s, p)
+        tails = tail_constants(p, s)
         first = int(np.searchsorted(s.grid.r, tails.window[0]))
         assert s.grid.r[first] == tails.window[0] and s.grid.r[first - 1] < s.grid.R / 10.0
         everywhere = _f_source_double_integral_everywhere(s, p)
         assert np.array_equal(observables_module._f_source_double_integral(_state(s), p, first), everywhere[first:-1])
         with monkeypatch.context() as m:
             m.setattr(observables_module, "_f_source_double_integral", lambda s, p, first: _f_source_double_integral_everywhere(s, p)[first:-1])
-            assert sd.tail_constants(s, p) == tails
+            assert tail_constants(p, s) == tails
 
 
 def test_tail_constants_monopole_limit_is_zero(monopole_small):
     p, s, _ = monopole_small
-    tails = sd.tail_constants(s, p)
+    tails = tail_constants(p, s)
     assert tails.cg == 0.0
     assert tails.cg_variation == 0.0
 
 
 def test_tail_constant_matches_electric_charge(solved_points):
     for (omega, q, kappa), (p, s, _) in solved_points.items():
-        tails = sd.tail_constants(s, p)
-        qe = sd.electric_charge(s)
+        tails = tail_constants(p, s)
+        qe = electric_charge(s)
         assert abs(tails.cg - qe) <= 0.02 * abs(qe)
 
 
@@ -344,7 +345,7 @@ def test_empty_tail_window_is_a_window_error():
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     s = sd.initial_guess(p, g)
     with pytest.raises(DecayWindowError, match="tail window"):
-        sd.tail_constants(s, p)
+        tail_constants(p, s)
     with pytest.raises(DecayWindowError, match="decay-fit window"):  # the first failure in step order
         sd.observables(p, s, strict=True)
     obs = sd.observables(p, s, strict=False)

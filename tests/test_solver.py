@@ -44,7 +44,7 @@ def test_warm_start_rescales_to_new_boundary_data(grid_small):
     prev.a[-1] = prev.f[-1] = 0.5  # off-boundary data must be reset
     snapshot = sd.FieldProfile(grid_small, prev.a.copy(), prev.f.copy(), prev.g.copy())
     p1 = sd.validate_params(OMEGA, 0.2, 1.0)
-    s = sd.warm_start(prev, p0, p1)
+    s = solver.warm_start(prev, p0, p1)
     for name in ("a", "f", "g"):
         assert np.array_equal(getattr(prev, name), getattr(snapshot, name))
     r = grid_small.r
@@ -53,7 +53,7 @@ def test_warm_start_rescales_to_new_boundary_data(grid_small):
     assert (s.a[0], s.f[0], s.g[0]) == (1.0, 0.0, 0.0)
     assert (s.a[-1], s.f[-1], s.g[-1]) == (0.0, p1.f_infinity, p1.q)
     p2 = sd.validate_params(OMEGA, 0.1, 1.0)
-    s2 = sd.warm_start(s, p1, p2)
+    s2 = solver.warm_start(s, p1, p2)
     assert np.allclose(s2.g[1:-1], 0.5 * s.g[1:-1], rtol=1e-15, atol=0.0)
     assert np.array_equal(s2.f, s.f)
 
@@ -1137,6 +1137,42 @@ def test_flow_converges_in_few_steps_at_the_benchmark_points(solved_points, solv
         assert diff <= 1e-7
         jt = np.asarray(rep.j_trace)
         assert np.all(np.diff(jt) <= 1e-12 * (1.0 + np.abs(jt[:-1])))
+
+
+# The flow's path from initial_guess, measured: the accepted steps of each
+# stage (coarse, fine; one stage without a coarse subgrid) and the trial
+# evaluations, both stages' starting states included.  The flow-oracle
+# points never reject a trial; REJECTING_FLOW_CASE rejects one on each
+# mesh.  The accepted steps meet the Armijo test far from its boundary:
+# its constant 1e-4 made 1e-2 moves no count here, 0.2 moves the
+# (0.9 pi, 0.05) counts, and BACKTRACK_FACTOR 0.25 moves the rejecting
+# case's on the (30, 300) mesh.
+FLOW_PATH_POINTS = [(0.55 * math.pi, 0.05, 1.0), (0.75 * math.pi, 0.30, 1.0), (0.90 * math.pi, 0.05, 1.0), (0.75 * math.pi, 0.10, 0.0), REJECTING_FLOW_CASE]
+FLOW_PATHS = {
+    (60.0, 500): [((9, 7), 18), ((9, 7), 18), ((9, 6), 17), ((9, 6), 17), ((9, 6), 18)],
+    (30.0, 300): [((12,), 13), ((12,), 13), ((12,), 13), ((11,), 12), ((12,), 14)],
+}
+
+
+@pytest.mark.parametrize("mesh", FLOW_PATHS)
+def test_flow_takes_its_recorded_path(monkeypatch, mesh):
+    trials = []
+    real_state = solver._flow_state
+
+    def counted(*args):
+        trials.append(1)
+        return real_state(*args)
+
+    monkeypatch.setattr(solver, "_flow_state", counted)
+    grid = sd.build_grid(*mesh)
+    paths = []
+    for point in FLOW_PATH_POINTS:
+        p = sd.validate_params(*point)
+        trials.clear()
+        _, rep = sd.flow_solve(p, grid, sd.initial_guess(p, grid))
+        assert rep.converged, rep.message
+        paths.append((tuple(r.iterations for r in rep.continuation_trace) or (rep.iterations,), len(trials)))
+    assert paths == FLOW_PATHS[mesh]
 
 
 def test_flow_reports_an_exhausted_step_budget(monkeypatch, grid_small):

@@ -11,6 +11,7 @@ from skyrme_dyon.cli import main
 from skyrme_dyon.errors import DecayWindowError, NumericError, ParameterError
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
 from skyrme_dyon.model import e2_energy
+from skyrme_dyon.observables import electric_charge
 from skyrme_dyon.verify import N_TEST_FUNCTIONS, seeded_test_functions
 
 OMEGA = 0.75 * math.pi
@@ -74,7 +75,7 @@ def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path
     p = sd.validate_params(OMEGA, 0.2, 1.0)
     s = sd.initial_guess(p, grid_small)
     s.a[1:] = 0.0
-    assert sd.electric_charge(s) == 0.0
+    assert electric_charge(s) == 0.0
     check = row_of(sd.run_suite(p, s), "tail-electric-charge")
     assert not check.passed and not np.isfinite(check.measured)
     path = tmp_path / "profile.csv"
