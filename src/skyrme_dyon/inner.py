@@ -181,9 +181,10 @@ def solve_inner_g(p: ModelParams, grid: RadialGrid, a: np.ndarray) -> np.ndarray
 def constraint_residual(grid: RadialGrid, a: np.ndarray, g: np.ndarray, G: np.ndarray, *, e2_G=None):
     """Discrete weak form integral(r^2 g' G' + 2 a^2 g G) for a test array G, or per row of a stack of them.
 
-    G is one array of N+1 nodal values, which gives a float, or a
+    G is one array of N+1 nodal values, which gives a numpy scalar, or a
     (k, N+1) stack, which gives an array of k values, each bitwise the
-    value of its row alone.  Every test function must vanish at the outer
+    value of its row alone; the values are complex when a, g or G is (the
+    complex-step path).  Every test function must vanish at the outer
     node and have finite energy E2(a, G): a finite G whose E2 overflows
     raises that NumericError, not numpy's overflow warning.  The value is
     zero to round-off whenever g came out of solve_inner_g with the same

@@ -273,7 +273,7 @@ def _e2_form(grid: RadialGrid, a, g, G, dG=None):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def e2_energy(grid: RadialGrid, a: np.ndarray, g: np.ndarray):
+def e2_energy(grid: RadialGrid, a, g):
     """Discrete E2(a, g), the diagonal of _e2_form, per row for a stack of g; kappa-independent."""
     g = np.asarray(g)
     return _e2_form(grid, np.asarray(a), g, g)

@@ -6,13 +6,22 @@ every verify.txt line exactly, the numbers of observables.txt (or of the
 sweep's summary.csv) to 1e-12 relative, and the note of observables.txt
 and the sweep's failed_check ids exactly.
 
-It compares each verify.txt row's value and bound to 1e-12 relative with
-an absolute floor of 1e-12: a row's value is a difference of O(1)
-quantities (energy-finite, coercive-bound, skyrme-charge-consistency,
-decay-rate, tail-*, the bound, monotonicity, boundary-values and small-r
-rows), so 1e-12 is relative to the scale of what it compares.  Rows whose
-value is round-off stay verdict-only (VERDICT_ONLY), because no scale
-bounds how their value moves between hosts until their float floor is
+It compares each verify.txt row's bound to 1e-12 relative: a bound is a
+fixed constant, or one times an O(1) scale of the solution.  It compares
+the row's value to 1e-12 relative with an absolute floor of 1e-12: the
+value is a difference of O(1) quantities (energy-finite, coercive-bound,
+skyrme-charge-consistency, decay-rate, tail-*, the bound, monotonicity,
+boundary-values and small-r rows), so 1e-12 is relative to the scale of
+what it compares.  The floor leaves verdict-only in effect the values
+recorded as 0 (boundary-values, the small-r rows, and a few bound and
+tail rows) and those near or below 1e-12: bound-a-positive and
+monotone-a-decreasing on the cases whose a ends at round-off (-3e-14 to
+-1e-13), tail-electric-charge at q = 0.05 and q = 0.35 (below 1e-14),
+small-r-gauge-bound (1e-22) and tail-f-variation on the wrong-branch case
+(1.5e-12); skyrme-charge-consistency on the N = 8000 cases (5e-11 to
+9e-10) is held to 2e-2 to 1e-3 relative.  Rows whose value is round-off
+at every case stay verdict-only (VERDICT_ONLY), because no scale bounds
+how their value moves between hosts until their float floor is
 modelled:
   residual-a, residual-f, residual-g  the Euler-Lagrange residuals at the
                                       solution, which sit at the float
@@ -36,6 +45,7 @@ golden_cli.json shows what moved:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -110,7 +120,7 @@ def run_case(argv: list[str], out: Path) -> dict:
     }
 
 
-def _close(stored: str, got: str, abs_tol: float = 0.0) -> bool:
+def _close(stored: str, got: str, abs_tol: float) -> bool:
     a, b = float(stored), float(got)
     return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=1e-12, abs_tol=abs_tol)
 
@@ -128,10 +138,10 @@ def test_cli_outputs_match_the_golden_values(tmp_path):
         assert got["values"].keys() == want["values"].keys(), case
         for name, table in want["values"].items():
             assert table.keys() == got["values"][name].keys(), (case, name)
-            abs_tol = 1e-12 if name == "verify.txt" else 0.0
+            floors = (1e-12, 0.0) if name == "verify.txt" else itertools.repeat(0.0)  # a verify.txt row is (value, bound)
             for key, tokens in table.items():
                 new = got["values"][name][key]
-                same = new == tokens if key in TEXT else len(new) == len(tokens) and all(_close(a, b, abs_tol) for a, b in zip(tokens, new))
+                same = new == tokens if key in TEXT else len(new) == len(tokens) and all(map(_close, tokens, new, floors))
                 assert same, (case, name, key, tokens, new)
         assert got["sha256"].keys() == want["sha256"].keys(), case
         digests += len(want["sha256"])
