@@ -26,7 +26,7 @@ solve and the Newton Jacobian read instead of rebuilding it per call, and
 What else depends on the nodes alone it computes on first use and then
 holds, read-only, each by the expression its reader wrote inline, so
 every value is bitwise the inline one: 2 w at the interior nodes (the
-f'^2 average of every model._state), r^2 at nodes 1..N (the nodal E1
+f'^2 average of every profile's state), r^2 at nodes 1..N (the nodal E1
 terms) and the six stencil weights of the Newton Jacobian.
 model.py writes out the stencils; its conservative flux form
 of (r^2 u')' is exact on 1, r and 1/r (the kernel and the linear growth

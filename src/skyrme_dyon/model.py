@@ -35,21 +35,22 @@ flow solver, the inner electric solve and the gradient checks all rely on
 this identity, so any change here must keep the action terms and the
 residuals in exact correspondence.
 
-_state evaluates a profile into one _State: its grid, a, f and g, then
-sin f, cos f and sin^2 f, the difference quotients of a, f and g, the
-mass a^2 sin^2 f and its interval means, the f'^2 average _qbar and the
-powers a^3 and a^4, each formed there once (what depends on the grid
-alone, w, 2 w, r^2 and 1/r^2 among it, the grid holds).  Every reader
-of a state takes the _State alone; residuals and action_breakdown take
-a profile or its _State, and _state returns a _State unchanged, so
-Newton, the flow, the verify battery and the observables evaluate each
-profile once.
-_e1 sums _interval_e1/_nodal_e1 on a state for E1 and for the verify
-battery's coercive bound (each part takes the _State, and _nodal_e1 also
-the mass term, which the bound replaces), and _e2_form sums E2's
-bilinear form for e2_energy (its diagonal), for the action and for the
-electric constraint residual, one value per row for a stack of arrays.  _reaction_rates
-serves the Newton Jacobian and the flow preconditioner.
+A profile is its own state: FieldProfile._state, formed on first read and
+held, is one _State of the products its readers share: sin f, cos f and
+sin^2 f, the difference quotients of a, f and g, the mass a^2 sin^2 f and
+its interval means, the f'^2 average _qbar and the powers a^3 and a^4,
+each formed there once (what depends on the grid alone, w, 2 w, r^2 and
+1/r^2 among it, the grid holds).  Every reader takes the profile alone
+and reads its grid, a, f and g from it and their products from
+s._state, so Newton, the flow, the verify battery and the observables
+evaluate each profile once, and no reader can be handed a profile beside
+the state of another.
+_e1 sums _interval_e1/_nodal_e1 of a profile for E1 and for the verify
+battery's coercive bound (_nodal_e1 also takes the mass term, which the
+bound replaces), and _e2_form sums E2's bilinear form for e2_energy (its
+diagonal), for the action and for the electric constraint residual, one
+value per row for a stack of arrays.  _reaction_rates serves the Newton
+Jacobian and the flow preconditioner.
 
 At r = 0 the nodal 1/r^2 terms take their regular-limit value 0, which
 requires the origin data a_0 = +-1, sin(f_0) = 0; other origin values make
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -124,18 +126,20 @@ def validate_params(omega: float, q: float, kappa: float) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class FieldProfile:
-    """Nodal arrays (a, f, g) on a shared grid: frozen, compared and hashed by identity, as grids are.
+    """Nodal arrays (a, f, g) on a shared grid, and their state: frozen, compared and hashed by identity, as grids are.
 
-    A _State holds its profile's arrays, and no package code writes into a
-    built profile.  Construction stores np.asarray of each field (so lists
-    work) and checks only that it holds one value per node (shape (N+1,);
-    any dtype, so complex-step profiles build too), raising ParameterError
-    otherwise; the solvers, run_suite, observables, action_breakdown and
+    Construction stores a read-only view of np.asarray of each field (so
+    lists work, and a write into a built profile raises ValueError) and
+    checks only that it holds one value per node (shape (N+1,); any dtype,
+    so complex-step profiles build too), raising ParameterError otherwise;
+    the solvers, run_suite, observables, action_breakdown and
     solution_properties_ok reject a complex one (_require_real).  It does
     not enforce the boundary data (unit tests probe synthetic
     configurations freely); the solvers build their profiles through
     solver._with_boundary_data, and run_suite's boundary-values row
-    measures it.
+    measures it.  _state, formed on first read and held as a grid holds
+    its lazy arrays, is the profile's _State; every model reader takes the
+    profile and reads it.
     """
 
     grid: RadialGrid
@@ -148,10 +152,27 @@ class FieldProfile:
             values = np.asarray(getattr(self, name))
             if values.shape != (self.grid.N + 1,):
                 raise ParameterError(f"{name} must have {self.grid.N + 1} nodal values, got {values.shape}")
-            object.__setattr__(self, name, values)
+            view = values.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @cached_property
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # any reader may be the first, and a profile may overflow
+    def _state(self) -> _State:
+        grid, a, f, g = self.grid, self.a, self.f, self.g
+        h = grid.h
+        sin = np.sin(f)
+        sin2 = sin**2
+        mass = a * a * sin2
+        # u[1:] - u[:-1] is np.diff(u) without its call overhead
+        df = (f[1:] - f[:-1]) / h
+        aj = a[1:-1]
+        return _State(
+            sin, np.cos(f), sin2, (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
+        )
 
 
-def _require_real(s: FieldProfile | _State) -> None:
+def _require_real(s: FieldProfile) -> None:
     """Raise ParameterError naming the first of a, f and g whose dtype is complex.
 
     newton_solve, flow_solve, run_suite, observables, action_breakdown and
@@ -177,12 +198,8 @@ class ActionBreakdown:
 
 
 class _State(NamedTuple):
-    """A profile (grid, a, f, g) and every product of it that the model's readers share, each formed once."""
+    """The products of a profile's a, f and g that the model's readers share, each formed once by FieldProfile._state."""
 
-    grid: RadialGrid
-    a: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
     sin: np.ndarray  # sin(f) at all N+1 nodes
     cos: np.ndarray  # cos(f) at all N+1 nodes
     sin2: np.ndarray  # sin^2(f) at all N+1 nodes
@@ -196,34 +213,18 @@ class _State(NamedTuple):
     a4: np.ndarray  # a^4 at interior nodes
 
 
-def _state(s: FieldProfile | _State) -> _State:
-    """The _State of the profile s; s itself when it is one."""
-    if isinstance(s, _State):
-        return s
-    grid, a, f, g = s.grid, s.a, s.f, s.g
-    h = grid.h
-    sin = np.sin(f)
-    sin2 = sin**2
-    mass = a * a * sin2
-    # u[1:] - u[:-1] is np.diff(u) without its call overhead
-    df = (f[1:] - f[:-1]) / h
-    aj = a[1:-1]
-    return _State(
-        grid, a, f, g, sin, np.cos(f), sin2, (a[1:] - a[:-1]) / h, df, (g[1:] - g[:-1]) / h, mass, 0.5 * (mass[:-1] + mass[1:]), _qbar(grid, df), aj**3, aj**4
-    )
-
-
-def _interval_e1(p: ModelParams, st: _State, r2_coeff):
+def _interval_e1(p: ModelParams, s: FieldProfile, r2_coeff):
     """Per-interval part of e1 (r2_coeff = 1/2): 4*a'^2 + r2_coeff*r^2*f'^2 + 4*kappa*(a^2 sin^2 f)*f'^2."""
-    return 4.0 * st.da * st.da + (r2_coeff * st.grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
+    st = s._state
+    return 4.0 * st.da * st.da + (r2_coeff * s.grid.p_half + 4.0 * p.kappa * st.c_half) * st.df * st.df
 
 
-def _nodal_e1(p: ModelParams, st: _State, mass):
-    """Per-node part of e1 at the state st: 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2.
+def _nodal_e1(p: ModelParams, s: FieldProfile, mass):
+    """Per-node part of e1 of the profile s: 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2.
 
     mass is the state's a^2 sin^2 f for E1; the coercive bound passes its own.
     """
-    grid, a, sin2 = st.grid, st.a, st.sin2
+    grid, a, sin2 = s.grid, s.a, s._state.sin2
     dtype = np.result_type(a, sin2, float)
     a2 = a * a
     core = np.empty(grid.N + 1, dtype=dtype)
@@ -238,12 +239,12 @@ def _nodal_e1(p: ModelParams, st: _State, mass):
     return out
 
 
-def _e1(p: ModelParams, st: _State, r2_coeff, mass):
-    """Discrete E1 of the state st, for r^2 f'^2 coefficient r2_coeff and mass term mass.
+def _e1(p: ModelParams, s: FieldProfile, r2_coeff, mass):
+    """Discrete E1 of the profile s, for r^2 f'^2 coefficient r2_coeff and mass term mass.
 
     Interval terms times h plus node terms times w.
     """
-    return np.dot(_interval_e1(p, st, r2_coeff), st.grid.h) + np.dot(_nodal_e1(p, st, mass), st.grid.w)
+    return np.dot(_interval_e1(p, s, r2_coeff), s.grid.h) + np.dot(_nodal_e1(p, s, mass), s.grid.w)
 
 
 def _e2_terms(grid: RadialGrid, a, g, G, dG=None):
@@ -280,23 +281,22 @@ def e2_energy(grid: RadialGrid, a, g):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def action_breakdown(p: ModelParams, s: FieldProfile | _State) -> ActionBreakdown:
-    """E1 and E2 of the discrete action of the profile s, or of its _State, L = E1 - E2, E = E1 + E2.
+def action_breakdown(p: ModelParams, s: FieldProfile) -> ActionBreakdown:
+    """E1 and E2 of the discrete action of the profile s, L = E1 - E2, E = E1 + E2, summed on its state.
 
     Raises NumericError naming the first node or interval whose term is not
     finite, and ParameterError when a, f or g is complex (_require_real).
     """
     _require_real(s)
-    st = _state(s)
-    grid, a, g = st.grid, st.a, st.g
-    E1 = float(_e1(p, st, 0.5, st.mass))
+    grid, a, g, st = s.grid, s.a, s.g, s._state
+    E1 = float(_e1(p, s, 0.5, st.mass))
     E2 = float(_e2_form(grid, a, g, g, st.dg))
     if not (math.isfinite(E1) and math.isfinite(E2)):
         # node j sits at position 2j of the mesh and interval i, between nodes i and i+1, at 2i+1
         interval_e2, nodal_e2 = _e2_terms(grid, a, g, g, st.dg)
         terms = np.empty(2 * grid.N + 1)
-        terms[0::2] = _nodal_e1(p, st, st.mass) + nodal_e2
-        terms[1::2] = _interval_e1(p, st, 0.5) + interval_e2
+        terms[0::2] = _nodal_e1(p, s, st.mass) + nodal_e2
+        terms[1::2] = _interval_e1(p, s, 0.5) + interval_e2
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
             k = int(bad[0]) // 2
@@ -311,14 +311,15 @@ def _qbar(grid: RadialGrid, df):
     return (hdd[:-1] + hdd[1:]) / grid.two_w
 
 
-def _reaction_rates(p: ModelParams, st: _State):
-    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f at the state st.
+def _reaction_rates(p: ModelParams, s: FieldProfile):
+    """d/da_j and d/df_j of the bracketed zero-order terms of res_a and res_f of the profile s.
 
     The f'^2 average qbar is held fixed; the Jacobian adds its cross terms.
     """
-    aj, gj = st.a[1:-1], st.g[1:-1]
+    st = s._state
+    aj, gj = s.a[1:-1], s.g[1:-1]
     cj, s2 = st.cos[1:-1], st.sin2[1:-1]
-    k, qbar, inv_r2 = p.kappa, st.qbar, st.grid.inv_r2
+    k, qbar, inv_r2 = p.kappa, st.qbar, s.grid.inv_r2
     react_a = (
         (3.0 * aj * aj - 1.0) * inv_r2
         + 0.25 * s2
@@ -336,8 +337,8 @@ def _reaction_rates(p: ModelParams, st: _State):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def residuals(p: ModelParams, s: FieldProfile | _State):
-    """Vectorized (residual_a, residual_f, residual_g) of the profile s, or of its _State, over interior nodes 1..N-1.
+def residuals(p: ModelParams, s: FieldProfile):
+    """Vectorized (residual_a, residual_f, residual_g) of the profile s over interior nodes 1..N-1, read from its state.
 
     residual_a = a'' - [a(a^2-1)/r^2 + a sin^2(f)/4 + kappa a sin^2(f) f'^2
                         + kappa a^3 sin^4(f)/r^2 - a g^2/2]
@@ -351,8 +352,7 @@ def residuals(p: ModelParams, s: FieldProfile | _State):
     gradient of the discrete action (see module docstring).  A profile
     whose values overflow gives non-finite residuals, not a numpy warning.
     """
-    st = _state(s)
-    grid, a, g = st.grid, st.a, st.g
+    grid, a, g, st = s.grid, s.a, s.g, s._state
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
     k = p.kappa
     aj, gj = a[1:-1], g[1:-1]

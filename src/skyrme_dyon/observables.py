@@ -30,11 +30,14 @@ tail is const*(1/r - 1/R).  tail_constants divides by that factor instead
 of multiplying by r; the estimate converges to the untruncated constant
 as R grows.
 
-Each function takes the parameters, if it needs them, before a profile
-or its model._state, (p, s), from which the decay fit and the f tail
-read sin f, cos f, sin^2 f and qbar.  observables() is the public entry
-point; the charge, fit and tail functions it calls are internals,
-imported from this module.
+Each function takes the parameters, if it needs them, before a profile,
+(p, s); the decay fit and the f tail read sin f, cos f, sin^2 f and qbar
+from the profile's own state (model.FieldProfile._state), which Newton's
+last residual has already formed for a solved profile.
+observables() is the public entry point; the charge, fit and tail
+functions it calls are internals, imported from this module, and each
+runs under np.errstate, so a direct call on a profile that overflows
+gives non-finite values, not numpy warnings.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DecayWindowError, NumericError, ParameterError, RegionError
-from .model import FieldProfile, ModelParams, _require_real, _State, _state
+from .model import FieldProfile, ModelParams, _require_real
 
 __all__ = ["ObservableReport", "skyrme_charge_closed", "gamma_theory", "observables"]
 
@@ -64,7 +67,8 @@ def skyrme_charge_closed(omega: float) -> float:
     return 1.0 + (0.5 * math.sin(2.0 * omega) - omega) / math.pi
 
 
-def skyrme_charge_numeric(s: FieldProfile | _State) -> float:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def skyrme_charge_numeric(s: FieldProfile) -> float:
     """Quadrature of (2/pi) sin(f)^2 f' dr via the substitution u = f.
 
     The integrand is an exact differential, so midpoint quadrature in u is
@@ -75,7 +79,8 @@ def skyrme_charge_numeric(s: FieldProfile | _State) -> float:
     return float((2.0 / math.pi) * np.sum(np.sin(fm) ** 2 * np.diff(f)))
 
 
-def electric_charge(s: FieldProfile | _State) -> float:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def electric_charge(s: FieldProfile) -> float:
     """Q_e = 2 integral a^2 g dr by trapezoid quadrature."""
     return s.grid.integrate(2.0 * s.a**2 * s.g)
 
@@ -150,7 +155,8 @@ def _fit_window_nodes(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return interior[sel]
 
 
-def fit_decay_rate(p: ModelParams, s: FieldProfile | _State):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def fit_decay_rate(p: ModelParams, s: FieldProfile):
     """Estimate the exponential decay rate of a over the window a in [FIT_WINDOW_LO, FIT_WINDOW_HI].
 
     Per node the exact two-mode rate lambda_i is extracted, then the known
@@ -169,20 +175,20 @@ def fit_decay_rate(p: ModelParams, s: FieldProfile | _State):
     the window holds fewer than MIN_FIT_NODES usable nodes (domain too
     small) or the least-squares intercept is not positive.
     """
-    st = _state(s)
-    idx = _fit_window_nodes(st.a, FIT_WINDOW_LO, FIT_WINDOW_HI)
+    st = s._state
+    idx = _fit_window_nodes(s.a, FIT_WINDOW_LO, FIT_WINDOW_HI)
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError(
             f"decay-fit window a in [{FIT_WINDOW_LO:g}, {FIT_WINDOW_HI:g}] holds {idx.size} nodes (< {MIN_FIT_NODES}); increase the domain radius"
         )
-    lam = _local_two_mode_rates(st.grid.h, st.a, idx)
+    lam = _local_two_mode_rates(s.grid.h, s.a, idx)
     good = np.isfinite(lam)
     idx, lam = idx[good], lam[good]
     if idx.size < MIN_FIT_NODES:
         raise DecayWindowError("too few locally exponential nodes in the decay-fit window; increase the domain radius")
-    r_used = st.grid.r[idx]
+    r_used = s.grid.r[idx]
     sin2 = st.sin2[idx]
-    potential_shift = 0.25 * (sin2 - st.sin2[-1]) - 0.5 * (st.g[idx] ** 2 - st.g[-1] ** 2) + p.kappa * sin2 * st.qbar[idx - 1]
+    potential_shift = 0.25 * (sin2 - st.sin2[-1]) - 0.5 * (s.g[idx] ** 2 - s.g[-1] ** 2) + p.kappa * sin2 * st.qbar[idx - 1]
     lam_sq = lam * lam - potential_shift
     design = np.column_stack([np.ones_like(r_used), 1.0 / r_used, 1.0 / r_used**2])
     coef, *_ = np.linalg.lstsq(design, lam_sq, rcond=None)
@@ -207,7 +213,7 @@ class TailConstants:
     window: tuple[float, float]
 
 
-def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndarray:
+def _f_source_double_integral(p: ModelParams, s: FieldProfile, first: int) -> np.ndarray:
     """Values of integral_r^R rho^-2 * (integral_rho^R F) d rho at nodes first..N-1 (first >= 1).
 
     F is the zero-order side of the f-equation (2 a^2 sin f cos f plus its
@@ -217,9 +223,9 @@ def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndar
     beyond first enter, and both cumulative sums run inward from R, so the
     values are bitwise those of a pass over every node.
     """
-    grid = st.grid
+    grid, st = s.grid, s._state
     beyond = slice(first + 1, None)  # nodes first+1..N, whose cells carry the mass beyond node first
-    a, r, w = st.a[beyond], grid.r[beyond], grid.w[beyond]
+    a, r, w = s.a[beyond], grid.r[beyond], grid.w[beyond]
     sf, cf_ = st.sin[beyond], st.cos[beyond]
     source = 2.0 * a * a * sf * cf_
     if p.kappa != 0.0:
@@ -232,23 +238,23 @@ def _f_source_double_integral(st: _State, p: ModelParams, first: int) -> np.ndar
     return np.cumsum(seg[::-1])[::-1]
 
 
-def tail_constants(p: ModelParams, s: FieldProfile | _State) -> TailConstants:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def tail_constants(p: ModelParams, s: FieldProfile) -> TailConstants:
     """Median tail constants of g and f over radii in [R/10, R).
 
     The window is the nodes from the first with r >= R/10 (node 1 at the
     least) to N-1; the f source integral is evaluated on them alone.
     Raises DecayWindowError when that window holds no interior node.
     """
-    st = _state(s)
-    grid = st.grid
+    grid = s.grid
     r, R = grid.r, grid.R
     first = max(int(np.searchsorted(r, R / 10.0)), 1)  # the nodes increase strictly, so the window is a run of them
     if first >= grid.N:
         raise DecayWindowError(f"tail window r in [{R / 10.0:g}, {R:g}) holds no interior node; refine the mesh there")
     window = slice(first, -1)
     denom = 1.0 / r[window] - 1.0 / R
-    cg_vals = (p.q - st.g[window]) / denom
-    cf_vals = (p.f_infinity - st.f[window] + _f_source_double_integral(st, p, first)) / denom
+    cg_vals = (p.q - s.g[window]) / denom
+    cf_vals = (p.f_infinity - s.f[window] + _f_source_double_integral(p, s, first)) / denom
     weights = grid.w[window]  # median in the radius measure, not per node
 
     def med_var(vals):
@@ -295,12 +301,12 @@ class ObservableReport:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -> ObservableReport:
-    """Assemble the full observable report for a converged profile or its _State.
+def observables(p: ModelParams, s: FieldProfile, strict: bool = True) -> ObservableReport:
+    """Assemble the full observable report for a converged profile.
 
-    It evaluates s into one _State, then runs this module's internals once
-    each, in order: fit_decay_rate(p, st), tail_constants(p, st),
-    electric_charge(st) and skyrme_charge_numeric(st).  Their failures
+    It runs this module's internals once each, in order, all on the one
+    state of s: fit_decay_rate(p, s), tail_constants(p, s),
+    electric_charge(s) and skyrme_charge_numeric(s).  Their failures
     are recorded in step order (the fit's and the tail window's
     DecayWindowError, the charge's NumericError, then NumericError
     "non-finite <names>") and each failed value is NaN.  With
@@ -311,27 +317,26 @@ def observables(p: ModelParams, s: FieldProfile | _State, strict: bool = True) -
     Raises ParameterError when a, f or g is complex (model._require_real).
     """
     _require_real(s)
-    st = _state(s)
     nan = float("nan")
     failures = []
     values = {}  # the values computed; one whose function failed is NaN in the report
     fit_window = tail_window = (nan, nan)
     try:
-        values["gamma_fit"], fit_window = fit_decay_rate(p, st)
+        values["gamma_fit"], fit_window = fit_decay_rate(p, s)
     except DecayWindowError as exc:
         failures.append(exc)
     try:
-        tails = tail_constants(p, st)
+        tails = tail_constants(p, s)
     except DecayWindowError as exc:
         failures.append(exc)
     else:
         values.update(cg_tail=tails.cg, cf_tail=tails.cf, cg_variation=tails.cg_variation, cf_variation=tails.cf_variation)
         tail_window = tails.window
     try:
-        values["Qe"] = electric_charge(st)
+        values["Qe"] = electric_charge(s)
     except NumericError as exc:
         failures.append(exc)
-    values["QS_numeric"] = skyrme_charge_numeric(st)
+    values["QS_numeric"] = skyrme_charge_numeric(s)
     bad = [name for name, value in values.items() if not math.isfinite(value)]
     if bad:
         failures.append(NumericError(f"non-finite {', '.join(bad)}"))

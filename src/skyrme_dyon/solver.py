@@ -8,8 +8,8 @@ Two structurally different routes to the same discrete root:
   search on the residual norm.  Each Jacobian is factorized by LAPACK
   gbtrf in place on one band workspace allocated per solve and reused by
   every iteration, and each step is one gbtrs solve on those factors; the
-  model._state that the accepted trial's residual read also serves the
-  next Jacobian.  While Newton contracts fast, a factorization is reused
+  state of the accepted trial's profile, which its residual read, also
+  serves the next Jacobian.  While Newton contracts fast, a factorization is reused
   (the chord method; Kelley, Solving Nonlinear Equations with Newton's
   Method, SIAM 2003, sec. 2.3): a full step that cuts the residual by
   1/CHORD_CONTRACTION or more keeps its factors, and the next iteration
@@ -26,10 +26,9 @@ Two structurally different routes to the same discrete root:
   Comp. 35, 1980), which needs only J and that gradient, never the
   Jacobian; its initial inverse Hessian is the implicit flow step
   (I - dt*A)^(-1) of a fixed time step FLOW_DT, an SPD operator, and
-  steps halve from 1 until J falls enough (Armijo).  Each state is
-  evaluated once, and the descent carries it as that model._state alone:
-  the state its action sums also serves its residuals, reaction rates and
-  preconditioner once it is accepted.  The a- and f-systems of the
+  steps halve from 1 until J falls enough (Armijo).  Each trial profile is
+  evaluated once: the state its action sums also serves its residuals,
+  reaction rates and preconditioner once it is accepted.  The a- and f-systems of the
   initial inverse Hessian, each row scaled by its dual-cell width, are
   one symmetric positive definite tridiagonal system, uncoupled at the
   seam, factorized once per state as L D L^T by
@@ -88,8 +87,6 @@ from .model import (
     ModelParams,
     _reaction_rates,
     _require_real,
-    _State,
-    _state,
     action_breakdown,
     residuals,
     solution_properties_ok,
@@ -241,8 +238,8 @@ def _require_guess_on(grid: RadialGrid, guess: FieldProfile) -> None:
         raise ParameterError(f"guess lies on another grid (R={theirs.R:.17g}, N={theirs.N}) than the solve's (R={grid.R:.17g}, N={grid.N})")
 
 
-def _residual_vector(p: ModelParams, st: _State) -> tuple[np.ndarray, float]:
-    ra, rf, rg = residuals(p, st)
+def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float]:
+    ra, rf, rg = residuals(p, s)
     vec = np.empty(3 * ra.size)
     vec[0::3], vec[1::3], vec[2::3] = ra, rf, rg
     return vec, float(np.abs(vec).max())
@@ -264,16 +261,16 @@ def _band_workspace(grid: RadialGrid) -> np.ndarray:
     return np.zeros((13, 3 * (grid.N - 1)), order="F")
 
 
-def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the stacked residuals at the state st, in LAPACK banded form (l = u = 4).
+def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the stacked residuals at the profile s, in LAPACK banded form (l = u = 4).
 
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
     couplings, a_j with f_(j+-1), sit 4 places off the diagonal.  The
     stencil weights of a'' and of (r^2 u')' are the grid's (lap_*, stiff_*).
     """
-    grid = st.grid
-    a, g = st.a, st.g
+    grid, st = s.grid, s._state
+    a, g = s.a, s.g
     h = grid.h
     hm, hp = h[:-1], h[1:]
     w, inv_r2, qbar = grid.w[1:-1], grid.inv_r2, st.qbar
@@ -289,10 +286,10 @@ def _jacobian_banded(p: ModelParams, st: _State, work: np.ndarray) -> np.ndarray
     s2 = st.sin2[1:-1]
     sc = sj * cj
     # interval means of a^2 sin^2 f; the product order differs from the
-    # residual's _State.c_half on purpose, since that order moves solutions by ulps
+    # state's c_half, which the residual reads, on purpose, since that order moves solutions by ulps
     Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
     Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
-    react_a, react_f = _reaction_rates(p, st)
+    react_a, react_f = _reaction_rates(p, s)
 
     work.fill(0.0)
     ab = work[4:]
@@ -388,11 +385,10 @@ def _report(
     )
 
 
-def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, _State, np.ndarray, float]:
-    """(x, profile, _state, residual vector, residual norm) at the stacked interior values x."""
+def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, np.ndarray, float]:
+    """(x, profile, residual vector, residual norm) at the stacked interior values x; the residual forms the profile's state."""
     s = _unpack(x, p, grid)
-    st = _state(s)
-    return (x, s, st, *_residual_vector(p, st))
+    return (x, s, *_residual_vector(p, s))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -412,8 +408,8 @@ def newton_solve(
     factorizes at x as usual.  With fresh factors a step is bitwise the
     gbsv step.
 
-    The report's action sums the _state that the last iterate's residual
-    read, unless a failed iteration freed it; when a term of it is not
+    The report's action sums the state that the last iterate's residual
+    read, unless a failed iteration freed that iterate; when a term of it is not
     finite (NumericError), the report is not converged, its action is None
     and its message, unless a stop set one, is "action not evaluable: ...".
     Returns the last iterate and a report; a non-finite starting residual,
@@ -426,7 +422,7 @@ def newton_solve(
     _require_real(guess)
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
-    x, s, st, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
+    x, s, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
     work = _band_workspace(grid)
     solve = None  # the factors a chord trial reuses, while Newton contracts fast
     iters = factorizations = 0
@@ -434,17 +430,17 @@ def newton_solve(
     while not message and norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
         trial = None
         if solve is not None:
-            st = None  # freed as before the line search below; rebuilt only when the trial is discarded
+            s = None  # the iterate and its state, freed as before the line search below; rebuilt only when the trial is discarded
             delta = solve(-rvec)
             trial = _trial_state(p, grid, x + delta)
             if not (trial[-1] <= cfg.tol_residual or trial[-1] <= CHORD_CONTRACTION * norm):
                 trial = None
         if trial is None:
-            _jacobian_banded(p, _state(s) if st is None else st, work)
-            # released before the trials: kept beside each trial's own state, it
-            # raised the traced peak of an N = 8000 continuation_solve from 5.44 to
-            # 6.14 MB and the fine-mesh benchmark's median p50 from 24.04 to 24.78 ms
-            st = None
+            _jacobian_banded(p, _unpack(x, p, grid) if s is None else s, work)
+            # the iterate is released before the trials with its state: kept beside each
+            # trial's own, that state raised the traced peak of an N = 8000 continuation_solve
+            # from 5.44 to 6.14 MB and the fine-mesh benchmark's median p50 from 24.04 to 24.78 ms
+            s = None
             try:
                 solve = _banded_solver(work)
                 factorizations += 1
@@ -467,23 +463,25 @@ def newton_solve(
                 break
             if not (step == 1.0 and norm_try <= CHORD_CONTRACTION * norm):
                 solve = None
-        x, s, st, rvec, norm = trial
-        del trial  # it holds st too, which the next iteration frees
+        x, s, rvec, norm = trial
+        del trial  # it holds s too, which the next iteration frees
         iters += 1
     converged = norm <= cfg.tol_residual
     if not (converged or message):
         message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
+    if s is None:  # only after a break that followed its release
+        s = _unpack(x, p, grid)
     action = None
     try:
-        action = action_breakdown(p, s if st is None else st)  # st is None only after a break that followed its release
+        action = action_breakdown(p, s)
     except NumericError as exc:  # a non-finite term of the last iterate
         message = message or f"action not evaluable: {exc}"
     return s, _report(p, s, converged, iters, norm, action, "newton", message, t0, factorizations)
 
 
-def _flow_reactions(p: ModelParams, st: _State):
-    """Positive parts of the diagonal reaction rates of the a- and f-equations at the state st."""
-    react_a, react_f = _reaction_rates(p, st)
+def _flow_reactions(p: ModelParams, s: FieldProfile):
+    """Positive parts of the diagonal reaction rates of the a- and f-equations at the profile s."""
+    react_a, react_f = _reaction_rates(p, s)
     return np.maximum(react_a, 0.0), np.maximum(react_f, 0.0)
 
 
@@ -507,15 +505,15 @@ def _lbfgs_direction(
     return -r
 
 
-def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[_State, ActionBreakdown]:
-    """(_state, action) of the flow state (a, f), with g solved from a.
+def _flow_state(p: ModelParams, grid: RadialGrid, a: np.ndarray, f: np.ndarray) -> tuple[FieldProfile, ActionBreakdown]:
+    """(profile, action) of the flow state (a, f), with g solved from a.
 
-    The _state that the action sums also serves the state's residuals,
+    The profile's state, which the action sums, also serves its residuals,
     reaction rates and preconditioner once it is accepted.  Raises
     NumericError when the electric solve fails or the action is not finite.
     """
-    st = _state(FieldProfile(grid, a, f, solve_inner_g(p, grid, a)))
-    return st, action_breakdown(p, st)
+    s = FieldProfile(grid, a, f, solve_inner_g(p, grid, a))
+    return s, action_breakdown(p, s)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -604,19 +602,18 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
     residual R", and after FLOW_MAX_STEPS accepted steps with "flow step
     budget exhausted at residual R".
 
-    Each state is evaluated once: the _state of a trial serves its action
-    and, once accepted, its residuals, its reaction rates and its
-    preconditioner.  The descent carries each iterate and each trial as
-    its _state alone, and returns the profile of the last accepted state;
-    the report's action is that state's, and it is converged when the
-    residual met tol.  A start whose electric solve fails or whose action
+    Each trial profile is evaluated once: its state serves its action and,
+    once accepted, its residuals, its reaction rates and its
+    preconditioner.  The descent returns the last accepted profile as it
+    is; the report's action is that profile's, and it is converged when
+    the residual met tol.  A start whose electric solve fails or whose action
     is not finite ends at once, with s and a non-converged report with 0
     steps that names the failure.
     """
     t0 = time.perf_counter()
     grid = s.grid
     try:
-        st, action = _flow_state(p, grid, s.a, s.f)
+        s, action = _flow_state(p, grid, s.a, s.f)
     except NumericError as exc:
         return s, _report(p, s, False, 0, float("nan"), None, "flow", f"{exc} of the starting profile", t0)
     J = action.L
@@ -637,14 +634,14 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
     accepted = 0
     message = ""
     while True:
-        ra, rf, rg = residuals(p, st)
+        ra, rf, rg = residuals(p, s)
         norm = max(np.abs(ra).max(), np.abs(rf).max(), np.abs(rg).max())
         if norm <= tol:
             break
         if accepted == FLOW_MAX_STEPS:
             message = f"flow step budget exhausted at residual {norm:.3e}"
             break
-        x = np.concatenate((st.a[1:-1], st.f[1:-1]))
+        x = np.concatenate((s.a[1:-1], s.f[1:-1]))
         grad = np.concatenate((-8.0 * w * ra, -w * rf))
         if x_prev is not None:
             dx, dgrad = x - x_prev, grad - grad_prev
@@ -653,8 +650,8 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
                 memory.append((dx, dgrad, 1.0 / sy))
         x_prev, grad_prev = x, grad
 
-        react_a, react_f = _flow_reactions(p, st)
-        coeff_f = grid.p_half + 8.0 * p.kappa * st.c_half
+        react_a, react_f = _flow_reactions(p, s)
+        coeff_f = grid.p_half + 8.0 * p.kappa * s._state.c_half
         diag[:n] = w + c * (k_a + w * react_a)
         diag[n:] = w + dt * (coeff_f[:-1] / hm + coeff_f[1:] / hp + w * react_f)
         off[n:] = -dt * coeff_f[1:-1] / grid.h[1:-1]
@@ -675,17 +672,17 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
             break
         step = 1.0
         while step >= MIN_STEP:
-            a_try = st.a.copy()
-            f_try = st.f.copy()
+            a_try = s.a.copy()
+            f_try = s.f.copy()
             a_try[1:-1] += step * d[:n]
             f_try[1:-1] += step * d[n:]
             try:
-                st_try, action_try = _flow_state(p, grid, a_try, f_try)
+                s_try, action_try = _flow_state(p, grid, a_try, f_try)
                 J_try = action_try.L
             except NumericError:  # rejected, as a trial that raises J is
                 J_try = math.inf
             if J_try <= J + 1e-4 * step * slope + 1e-12 * (1.0 + abs(J)):
-                st, action, J = st_try, action_try, J_try
+                s, action, J = s_try, action_try, J_try
                 j_trace.append(J)
                 accepted += 1
                 break
@@ -693,7 +690,6 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
         else:
             message = f"flow step size underflow at residual {norm:.3e}"
             break
-    s = FieldProfile(grid, st.a, st.f, st.g)
     report = _report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0)
     report.j_trace = j_trace
     return s, report

@@ -6,9 +6,11 @@ threshold, and an anchor naming the property family it belongs to.
 Failures are report entries, never exceptions.  With a fixed seed the
 report is byte-identical across runs.
 
-run_suite evaluates the profile once, into one model._state that the
-observables, the residual rows, the action, the coercive bound, the
-small-r bounds and the flux identity all read.  The charge, decay and
+The observables, the residual rows, the action, the coercive bound, the
+small-r bounds and the flux identity all read the profile's one state
+(model.FieldProfile._state), which Newton's last residual has already
+formed for a solved profile and the first reader forms for a profile
+read from a file.  The charge, decay and
 tail checks read the ObservableReport it attaches to the VerifyReport,
 so a caller that writes both reports runs the decay fit and the tail
 constants once.  The thresholds are module constants; only the residual
@@ -32,8 +34,6 @@ from .model import (
     ModelParams,
     _e1,
     _require_real,
-    _State,
-    _state,
     action_breakdown,
     e2_energy,
     property_checks,
@@ -127,8 +127,8 @@ def seeded_test_functions(grid: RadialGrid, seed: int) -> np.ndarray:
     return G
 
 
-def _coercive_gap(p: ModelParams, st: _State, L: float) -> tuple[float, float]:
-    """The action L of the state st minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
+def _coercive_gap(p: ModelParams, s: FieldProfile, L: float) -> tuple[float, float]:
+    """The action L of the profile s minus its lower bound; the bound uses the comparison potential q*f/(pi-omega).
 
     The bound is E1 with the r^2 f'^2 coefficient 1/2 lowered to c1 and the
     mass term a^2 sin^2 f replaced by c2 a^2 f^2.  Returns (gap, scale).
@@ -139,21 +139,21 @@ def _coercive_gap(p: ModelParams, st: _State, L: float) -> tuple[float, float]:
     q_om = math.sqrt(2.0) / math.pi * om_gap
     c1 = 0.5 - (p.q / om_gap) ** 2
     c2 = 2.0 / om_gap**2 * (q_om**2 - p.q**2)
-    bound = float(_e1(p, st, c1, c2 * st.a * st.a * st.f * st.f))
+    bound = float(_e1(p, s, c1, c2 * s.a * s.a * s.f * s.f))
     return L - bound, abs(L) + abs(bound) + 1.0
 
 
-def _flux_identity_gap(st: _State, rg: np.ndarray) -> tuple[float, float]:
-    """Max defect of r^2 g'(half node) = cumulative dual-cell sum of 2 a^2 g at the state st.
+def _flux_identity_gap(s: FieldProfile, rg: np.ndarray) -> tuple[float, float]:
+    """Max defect of r^2 g'(half node) = cumulative dual-cell sum of 2 a^2 g of the profile s.
 
     The identity telescopes the conservative stencil exactly, so the defect
-    is bounded by the accumulated mass of the g-residuals rg of st plus
+    is bounded by the accumulated mass of the g-residuals rg of s plus
     round-off; the excess over that budget is returned together with its
     scale.  The flux is formed as p_half * diff(g) / h, not from the
     state's dg, which rounds in another order and would move the row's
     value by ulps.
     """
-    grid, a, g = st.grid, st.a, st.g
+    grid, a, g = s.grid, s.a, s.g
     flux = grid.p_half * np.diff(g) / grid.h
     w = grid.w[1:-1]
     cum = np.cumsum(2.0 * a[1:-1] ** 2 * g[1:-1] * w)
@@ -175,12 +175,11 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     """
     _require_real(s)
     tol = tol or Tolerances()
-    grid, a = s.grid, s.a
-    st = _state(s)
-    obs = observables(p, st, strict=False)
+    grid, a, st = s.grid, s.a, s._state
+    obs = observables(p, s, strict=False)
     rep = VerifyReport(observables=obs)
 
-    ra, rf, rg = residuals(p, st)
+    ra, rf, rg = residuals(p, s)
     rep.add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
     rep.add("residual-f", "euler-lagrange", float(np.max(np.abs(rf))), tol.residual)
     rep.add("residual-g", "euler-lagrange", float(np.max(np.abs(rg))), tol.residual)
@@ -198,7 +197,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     rep.checks.extend(property_checks(p, s))
 
     try:
-        act = action_breakdown(p, st)
+        act = action_breakdown(p, s)
     except NumericError:
         act = None  # non-finite energy density: every check built on the action fails
     if act is None:
@@ -207,20 +206,22 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     else:
         energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
         rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
-        gap, scale = _coercive_gap(p, st, act.L)
+        gap, scale = _coercive_gap(p, s, act.L)
         rep.add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the
     # profile's own g is tied to it through the residual-g check above
     try:
         g_inner = solve_inner_g(p, grid, a)
-    except (ParameterError, NumericError):
-        worst = float("nan")  # a with a[0] != 1, a non-finite value or a singular electric system has no inner minimizer
-    else:
         scale_inner = 1.0 + float(e2_energy(grid, a, g_inner))
         tests = seeded_test_functions(grid, tol.seed)
         e2_tests = e2_energy(grid, a, tests)
         ratios = np.abs(constraint_residual(grid, a, g_inner, tests, e2_G=e2_tests)) / (scale_inner + e2_tests)
+    except (ParameterError, NumericError):
+        # a with a[0] != 1, a non-finite value or a singular electric system has no inner minimizer,
+        # and an a so large that a test function's E2(a, G) overflows has no finite weak form
+        worst = float("nan")
+    else:
         worst = max(0.0, *ratios)  # as a running max from 0.0, which a NaN ratio never replaces
     rep.add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)
 
@@ -252,7 +253,7 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
 
-    flux_gap, flux_scale = _flux_identity_gap(st, rg)
+    flux_gap, flux_scale = _flux_identity_gap(s, rg)
     rep.add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
     return rep
 

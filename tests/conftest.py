@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -25,6 +26,44 @@ def blended_grid(R, N, c):
     r[0] = 0.0
     r[-1] = R
     return sd.RadialGrid(r)
+
+
+def perturbed_guess(p, grid, rng, g_noise=0.01):
+    """initial_guess(p, grid) with noise at the interior nodes, as a new profile (a built one is read-only).
+
+    a is scaled by 1 + 0.05 n, then f is shifted by 0.05 n and, unless
+    g_noise is 0, g by g_noise n, each n a fresh standard-normal draw of
+    rng in that order.
+    """
+    guess = sd.initial_guess(p, grid)
+    a, f, g = guess.a.copy(), guess.f.copy(), guess.g.copy()
+    a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid.N - 1)
+    f[1:-1] += 0.05 * rng.standard_normal(grid.N - 1)
+    if g_noise:
+        g[1:-1] += g_noise * rng.standard_normal(grid.N - 1)
+    return sd.FieldProfile(grid, a, f, g)
+
+
+def with_value(s, field, node, value):
+    """A new profile of copies of the arrays of s, with field[node] = value (a built profile is read-only)."""
+    arrays = {name: getattr(s, name).copy() for name in "afg"}
+    arrays[field][node] = value
+    return sd.FieldProfile(s.grid, **arrays)
+
+
+def count_state_evaluations(monkeypatch):
+    """Make FieldProfile._state record each profile it evaluates; returns that list, in evaluation order."""
+    evaluated = []
+    form = sd.FieldProfile._state.func
+
+    def recorded(self):
+        evaluated.append(self)
+        return form(self)
+
+    counted = cached_property(recorded)
+    counted.__set_name__(sd.FieldProfile, "_state")
+    monkeypatch.setattr(sd.FieldProfile, "_state", counted)
+    return evaluated
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skyrme_dyon as sd
+from conftest import with_value
 from skyrme_dyon import cli
 from skyrme_dyon.cli import main, parse_angle
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
@@ -327,8 +328,7 @@ def test_verify_command_on_stored_profile(tmp_path):
     path = tmp_path / "profile.csv"
     write_profile_csv(path, p, profile)
     assert main(["verify", str(path)]) == 0
-    profile.g[50] = -profile.g[50]
-    write_profile_csv(path, p, profile)
+    write_profile_csv(path, p, with_value(profile, "g", 50, -profile.g[50]))
     assert main(["verify", str(path)]) == 3
 
 
@@ -364,9 +364,11 @@ def test_profile_csv_bytes_match_per_row_format(tmp_path, rng, rebuilt):
     if rebuilt:  # a grid read back from a file
         grid = sd.RadialGrid(grid.r[::2].copy())
     p = sd.validate_params(0.75 * math.pi, 0.2, 1.0)
-    s = sd.initial_guess(p, grid)
-    s.a[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)  # full-length mantissas
-    s.f[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)
+    guess = sd.initial_guess(p, grid)
+    a, f = guess.a.copy(), guess.f.copy()
+    a[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)  # full-length mantissas
+    f[1:-1] *= 1.0 + 1e-3 * rng.standard_normal(grid.N - 1)
+    s = sd.FieldProfile(grid, a, f, guess.g)
     path = tmp_path / "p.csv"
     write_profile_csv(path, p, s)
     head = [f"# omega={p.omega:.17g}", f"# q={p.q:.17g}", f"# kappa={p.kappa:.17g}", f"# R={grid.R:.17g}", f"# N={grid.N}", "r,a,f,g"]

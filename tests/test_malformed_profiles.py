@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import skyrme_dyon as sd
 from skyrme_dyon.errors import ParameterError, SkyrmeDyonError
+from skyrme_dyon.observables import electric_charge, fit_decay_rate, skyrme_charge_numeric, tail_constants
 
 N = 100  # the smallest mesh build_grid makes: even a Newton solve that runs its whole iteration budget takes milliseconds
 
@@ -147,3 +148,28 @@ def test_malformed_profiles_return_or_raise_a_package_error(starts, kind, start,
                 pytest.fail(f"{name} raised {exc!r}")
             else:
                 assert _is_complex(result) == complex_in, name
+
+
+@pytest.mark.parametrize("kind, field", [("g-times-1e200", "g"), ("non-finite", "f")], ids=["g-times-1e200", "inf-in-f"])
+@pytest.mark.parametrize("start", ["guess", "solution"])
+def test_observables_internals_called_directly_give_no_numpy_warning(starts, kind, field, start):
+    # observables() runs them under its np.errstate, and each holds its own; a fresh profile per call,
+    # so each one is also the first reader of the profile's state, which holds its own too
+    p, profiles = starts
+    calls = {
+        "FieldProfile._state": lambda s: s._state,
+        "fit_decay_rate": lambda s: fit_decay_rate(p, s),
+        "tail_constants": lambda s: tail_constants(p, s),
+        "skyrme_charge_numeric": skyrme_charge_numeric,
+        "electric_charge": electric_charge,
+    }
+    for name, call in calls.items():
+        s = _malformed(profiles[start], kind, field, 50, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(s)
+            except SkyrmeDyonError:
+                pass
+            except Exception as exc:  # a numpy warning turned error
+                pytest.fail(f"{name} raised {exc!r}")

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skyrme_dyon as sd
-from conftest import blended_grid
+from conftest import blended_grid, perturbed_guess, with_value
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
-from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, _state, e2_energy
+from skyrme_dyon.model import _e1, _e2_terms, _interval_e1, _nodal_e1, e2_energy
 
 OMEGA = 0.75 * math.pi
 
@@ -65,6 +65,18 @@ def test_profiles_compare_and_hash_by_identity_and_are_frozen():
         s.g = twin.g
 
 
+def test_a_built_profile_is_read_only_and_leaves_the_callers_arrays_writable():
+    # a profile holds its own state, so a write into one of its arrays would leave that state stale
+    grid = sd.build_grid(30.0, 100)
+    arrays = {name: np.zeros(grid.N + 1) for name in "afg"}
+    s = sd.FieldProfile(grid, **arrays)
+    for field, values in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, field)[1] = 1.0
+        values[1] = 1.0
+        assert getattr(s, field)[1] == 1.0  # a view, not a copy
+
+
 @settings(max_examples=50, deadline=None)
 @given(omega=st.floats(0.1, 3.1), q=st.floats(0.0, 1.0))
 def test_validate_params_region_logic(omega, q):
@@ -87,14 +99,12 @@ def vacuum_profile(grid):
 
 def e1_terms(p, s):
     """(interval, node) terms of e1 as the action sums them."""
-    st = _state(s)
-    return _interval_e1(p, st, 0.5), _nodal_e1(p, st, st.mass)
+    return _interval_e1(p, s, 0.5), _nodal_e1(p, s, s._state.mass)
 
 
 def discrete_action(p, s):
     """L = E1 - E2 through the package's one sum of each; complex inputs give complex L."""
-    st = _state(s)
-    return _e1(p, st, 0.5, st.mass) - e2_energy(s.grid, s.a, s.g)
+    return _e1(p, s, 0.5, s._state.mass) - e2_energy(s.grid, s.a, s.g)
 
 
 def test_density_e1_vacuum_zero():
@@ -143,14 +153,10 @@ def test_density_e2_examples():
 def test_densities_nonnegative(seed, kappa):
     g = blended_grid(8.0, 100, 0.6)
     rng = np.random.default_rng(seed)
-    s = sd.FieldProfile(
-        g,
-        rng.uniform(-1.5, 1.5, g.N + 1),
-        rng.uniform(-2.0, 2.0, g.N + 1),
-        rng.uniform(-1.0, 1.0, g.N + 1),
-    )
-    s.a[0] = 1.0
-    s.f[0] = 0.0
+    a, f = rng.uniform(-1.5, 1.5, g.N + 1), rng.uniform(-2.0, 2.0, g.N + 1)
+    a[0] = 1.0
+    f[0] = 0.0
+    s = sd.FieldProfile(g, a, f, rng.uniform(-1.0, 1.0, g.N + 1))
     p = sd.ModelParams(OMEGA, 0.2, kappa)
     for terms in e1_terms(p, s) + _e2_terms(g, s.a, s.g, s.g):
         assert np.all(terms >= 0.0)
@@ -190,16 +196,14 @@ def test_action_linear_g_closed_form():
 
 def test_action_rejects_non_finite():
     g = sd.build_grid(10.0, 100)
-    s = vacuum_profile(g)
-    s.g[20] = np.inf
+    s = with_value(vacuum_profile(g), "g", 20, np.inf)
     with pytest.raises(NumericError, match="node"):
         sd.action_breakdown(params(), s)
 
 
 def test_action_diverges_for_wrong_origin_data():
     g = sd.build_grid(10.0, 100)
-    s = vacuum_profile(g)
-    s.a[0] = 0.5  # (a^2-1)^2/r^2 now diverges at the origin
+    s = with_value(vacuum_profile(g), "a", 0, 0.5)  # (a^2-1)^2/r^2 now diverges at the origin
     with pytest.raises(NumericError, match="node 0"):
         sd.action_breakdown(params(), s)
 
@@ -312,10 +316,7 @@ def test_residual_gradient_consistency_complex_step():
     g = blended_grid(12.0, 150, 0.8)
     p = params(q=0.2)
     rng = np.random.default_rng(8)
-    s = sd.initial_guess(p, g)
-    s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
-    s.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
-    s.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
+    s = perturbed_guess(p, g, rng)
     ra, rf, rg = sd.residuals(p, s)
     w = g.w[1:-1]
 
@@ -344,15 +345,15 @@ def test_residual_gradient_consistency_complex_step():
 )
 def test_precomputed_stencil_and_sin_f_give_bitwise_same_results(grid_small, rng, omega, q, kappa):
     p = params(q, kappa, omega)
-    s = sd.initial_guess(p, grid_small)
-    s.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(grid_small.N - 1)
-    s.f[1:-1] += 0.05 * rng.standard_normal(grid_small.N - 1)
-    # residuals and action_breakdown of the profile's _state are bitwise those of the profile
-    st = _state(s)
-    assert _state(st) is st
-    shared = sd.residuals(p, st)
-    assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), shared))
-    assert sd.action_breakdown(p, s) == sd.action_breakdown(p, st)
+    s = perturbed_guess(p, grid_small, rng, g_noise=0.0)
+    # a profile forms its state once, whichever reader comes first, and every value is bitwise the same
+    shared = sd.residuals(p, s)
+    state = s._state
+    action = sd.action_breakdown(p, s)
+    assert s._state is state
+    fresh = sd.FieldProfile(grid_small, s.a, s.f, s.g)
+    assert sd.action_breakdown(p, fresh) == action
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, fresh), shared))
 
 
 def _per_term_residuals_and_action(p, s):
@@ -387,7 +388,7 @@ def _per_term_residuals_and_action(p, s):
     )
     res_g = (P[1:] * dg[1:] - P[:-1] * dg[:-1]) / w - 2.0 * aj * aj * gj
     interval = 4.0 * da * da + (0.5 * P + 4.0 * k * C) * df * df
-    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, _state(s), c_nodal), grid.w))
+    E1 = float(np.dot(interval, h) + np.dot(_nodal_e1(p, s, c_nodal), grid.w))
     E2 = float(np.dot(P * dg * dg, h) + np.dot(2.0 * a * a * g * g, grid.w))
     fields = dict(sin=sin_f, cos=cos_f, sin2=sin2, da=da, df=df, dg=dg, mass=c_nodal, c_half=C, qbar=qbar, a3=aj**3, a4=aj**4)
     return (res_a, res_f, res_g), (E1, E2), fields
@@ -401,15 +402,16 @@ def _per_term_residuals_and_action(p, s):
 def test_shared_products_are_bitwise_the_per_term_formulas(rng, omega, q, kappa, R, N):
     grid = sd.build_grid(R, N)
     p = params(q, kappa, omega)
-    s = sd.initial_guess(p, grid)
-    for field in (s.a, s.f, s.g):
+    guess = sd.initial_guess(p, grid)
+    a, f, g = guess.a.copy(), guess.f.copy(), guess.g.copy()
+    for field in (a, f, g):
         field[1:-1] *= 1.0 + 0.05 * rng.standard_normal(N - 1)
+    s = sd.FieldProfile(grid, a, f, g)
     residuals, (E1, E2), fields = _per_term_residuals_and_action(p, s)
     assert all(u.tobytes() == v.tobytes() for u, v in zip(sd.residuals(p, s), residuals))
     action = sd.action_breakdown(p, s)
     assert (action.E1, action.E2) == (E1, E2)
-    st = _state(s)
-    assert st.grid is grid and st.a is s.a and st.f is s.f and st.g is s.g
-    assert set(st._fields) == {"grid", "a", "f", "g", *fields}
+    state = s._state
+    assert set(state._fields) == set(fields)
     for name, value in fields.items():
-        assert getattr(st, name).tobytes() == value.tobytes(), name
+        assert getattr(state, name).tobytes() == value.tobytes(), name

@@ -8,7 +8,6 @@ import pytest
 import skyrme_dyon as sd
 from conftest import ACCEPT_POINTS, blended_grid
 from skyrme_dyon.errors import DecayWindowError, ParameterError, RegionError
-from skyrme_dyon.model import _state
 from skyrme_dyon.observables import electric_charge, fit_decay_rate, skyrme_charge_numeric, tail_constants
 
 observables_module = importlib.import_module("skyrme_dyon.observables")
@@ -258,9 +257,9 @@ def test_tail_integral_on_the_window_is_bitwise_the_pass_over_every_node(monkeyp
         first = int(np.searchsorted(s.grid.r, tails.window[0]))
         assert s.grid.r[first] == tails.window[0] and s.grid.r[first - 1] < s.grid.R / 10.0
         everywhere = _f_source_double_integral_everywhere(s, p)
-        assert np.array_equal(observables_module._f_source_double_integral(_state(s), p, first), everywhere[first:-1])
+        assert np.array_equal(observables_module._f_source_double_integral(p, s, first), everywhere[first:-1])
         with monkeypatch.context() as m:
-            m.setattr(observables_module, "_f_source_double_integral", lambda s, p, first: _f_source_double_integral_everywhere(s, p)[first:-1])
+            m.setattr(observables_module, "_f_source_double_integral", lambda p, s, first: _f_source_double_integral_everywhere(s, p)[first:-1])
             assert tail_constants(p, s) == tails
 
 
@@ -309,12 +308,12 @@ def test_observables_text_is_a_line_per_field_in_field_order(solved_points):
 
 
 def test_observables_of_a_state_are_those_of_its_profile(solved_points, grid60):
-    # the battery hands observables its _state; the report must be the one a profile gives
+    # a solved profile holds the state of Newton's last iterate; the report must be the one a freshly evaluated profile gives
     p10 = sd.validate_params(0.52 * math.pi, 0.0, 10.0)  # the golden case solve --omega 0.52pi --kappa 10
     s10, rep = sd.continuation_solve(p10, grid60)
     assert rep.converged, rep.message
     for p, s in [*((p, s) for p, s, _ in solved_points.values()), (p10, s10)]:
-        assert sd.observables(p, _state(s)).as_text() == sd.observables(p, s).as_text()
+        assert sd.observables(p, s).as_text() == sd.observables(p, sd.FieldProfile(s.grid, s.a, s.f, s.g)).as_text()
 
 
 def test_converged_action_split_regression(solved_points):

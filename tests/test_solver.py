@@ -7,11 +7,11 @@ import pytest
 from scipy.linalg import solve_banded
 
 import skyrme_dyon as sd
+from conftest import count_state_evaluations, perturbed_guess, with_value
 from skyrme_dyon import solver
 from skyrme_dyon.errors import NumericError, ParameterError, RegionError
 from skyrme_dyon.inner import _spd_tridiagonal_solver
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
-from skyrme_dyon.model import _State, _state
 from skyrme_dyon.solver import (
     _band_workspace,
     _banded_solver,
@@ -40,8 +40,10 @@ def test_initial_guess_shapes_and_bounds():
 
 def test_warm_start_rescales_to_new_boundary_data(grid_small):
     p0 = sd.validate_params(OMEGA, 0.0, 1.0)
-    prev = sd.initial_guess(p0, grid_small)
-    prev.a[-1] = prev.f[-1] = 0.5  # off-boundary data must be reset
+    guess = sd.initial_guess(p0, grid_small)
+    a, f = guess.a.copy(), guess.f.copy()
+    a[-1] = f[-1] = 0.5  # off-boundary data must be reset
+    prev = sd.FieldProfile(grid_small, a, f, guess.g)
     snapshot = sd.FieldProfile(grid_small, prev.a.copy(), prev.f.copy(), prev.g.copy())
     p1 = sd.validate_params(OMEGA, 0.2, 1.0)
     s = solver.warm_start(prev, p0, p1)
@@ -58,25 +60,17 @@ def test_warm_start_rescales_to_new_boundary_data(grid_small):
     assert np.array_equal(s2.f, s.f)
 
 
-def test_the_package_writes_into_no_built_profile(monkeypatch, tmp_path):
+def test_the_package_writes_into_no_built_profile(tmp_path):
     # every profile holds read-only views of its arrays, so a write into a built profile raises ValueError
-    checked = sd.FieldProfile.__post_init__
-
-    def read_only(self):
-        checked(self)
-        for name in "afg":
-            view = getattr(self, name).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-
-    monkeypatch.setattr(sd.FieldProfile, "__post_init__", read_only)
     omega = 0.505 * math.pi
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
     grid = sd.build_grid(60.0, 500)
     s, rep = sd.continuation_solve(p, grid)
     # the direct attempt lands on the wrong branch, so the route walks the q ladder: five warm starts
     assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"] + ["newton"] * 6 + ["fine"]
-    assert not s.a.flags.writeable
+    for name in "afg":
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[1] = 0.5
     sd.flow_solve(p, grid, sd.initial_guess(p, grid))
     sd.run_suite(p, s)
     sd.observables(p, s)
@@ -106,22 +100,25 @@ def test_newton_report_contract(monopole_small):
 
 
 def test_newton_report_action_reads_the_final_iterates_state(monkeypatch, grid_small):
-    # the closing action sums the state that the last accepted trial built, not a second one
+    # the closing action sums the state that the last accepted trial's residual formed, not a second one
     original = solver.action_breakdown
-    states = []
+    summed = []
+    evaluated = count_state_evaluations(monkeypatch)
 
     def recording(p, s):
-        states.append(s)
-        return original(p, s)
+        summed.append((s, len(evaluated)))
+        action = original(p, s)
+        assert len(evaluated) == summed[-1][1]  # the action evaluated no state
+        return action
 
     monkeypatch.setattr(solver, "action_breakdown", recording)
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
-    assert rep.converged and len(states) == 1 and isinstance(states[0], _State)
-    assert states[0].a is s.a and states[0].f is s.f and states[0].g is s.g
-    fresh = _state(s)
+    assert rep.converged and [profile for profile, _ in summed] == [s]
+    assert evaluated[-1] is s
+    fresh = sd.FieldProfile(s.grid, s.a, s.f, s.g)._state
     for name in ("sin2", "df", "dg"):
-        assert getattr(states[0], name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert getattr(s._state, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert rep.action == original(p, s)
 
 
@@ -141,8 +138,7 @@ def test_newton_names_a_non_finite_start():
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     # an infinite residual must not enter the iteration, as NaN does not
     for field, value, shown in (("f", np.nan, "nan"), ("g", np.inf, "inf")):
-        guess = sd.initial_guess(p, g)
-        getattr(guess, field)[150] = value
+        guess = with_value(sd.initial_guess(p, g), field, 150, value)
         _, rep = sd.newton_solve(p, g, guess)
         assert not rep.converged
         assert rep.iterations == 0 and rep.factorizations == 0
@@ -162,12 +158,9 @@ def test_newton_on_a_degenerate_grid_is_reported_without_warnings():
 def test_jacobian_matches_finite_differences(rng):
     g = sd.build_grid(40.0, 400)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
-    prof = sd.initial_guess(p, g)
-    prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
-    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
-    prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
+    prof = perturbed_guess(p, g, rng)
     x = _pack(prof)
-    ab = _jacobian_banded(p, _state(prof), _band_workspace(g))
+    ab = _jacobian_banded(p, prof, _band_workspace(g))
     n = x.size
     worst = 0.0
     for j in rng.choice(n, 90, replace=False):
@@ -176,7 +169,7 @@ def test_jacobian_matches_finite_differences(rng):
         xp[j] += h
         xm = x.copy()
         xm[j] -= h
-        rp, rm = _trial_state(p, g, xp)[3], _trial_state(p, g, xm)[3]
+        rp, rm = _trial_state(p, g, xp)[2], _trial_state(p, g, xm)[2]
         fd = (rp - rm) / (2.0 * h)
         col = np.zeros(n)
         for i in range(max(0, j - 4), min(n, j + 5)):
@@ -216,17 +209,15 @@ def test_jacobian_is_the_complex_step_jacobian_at_round_off(rng, kappa):
     # the complex step has no cancellation, so it checks every band entry far below the finite-difference tests' 1e-6
     g = sd.build_grid(40.0, 400)
     p = sd.validate_params(OMEGA, 0.2, kappa)
-    perturbed = sd.initial_guess(p, g)
-    perturbed.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
-    perturbed.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
-    perturbed.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
+    perturbed = perturbed_guess(p, g, rng)
     # a near 0 over the outer half, and sin f near 0 over the inner quarter (f near 0) and around node 250 (f near pi)
-    degenerate = sd.FieldProfile(g, perturbed.a.copy(), perturbed.f.copy(), perturbed.g.copy())
-    degenerate.a[g.N // 2 : -1] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 2)
-    degenerate.f[1 : g.N // 4] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 4 - 1)
-    degenerate.f[240:260] = math.pi - 1e-9 * rng.uniform(0.5, 1.5, 20)
+    a, f = perturbed.a.copy(), perturbed.f.copy()
+    a[g.N // 2 : -1] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 2)
+    f[1 : g.N // 4] = 1e-9 * rng.uniform(0.5, 1.5, g.N // 4 - 1)
+    f[240:260] = math.pi - 1e-9 * rng.uniform(0.5, 1.5, 20)
+    degenerate = sd.FieldProfile(g, a, f, perturbed.g)
     for prof in (perturbed, degenerate):
-        ab = _jacobian_banded(p, _state(prof), _band_workspace(g))
+        ab = _jacobian_banded(p, prof, _band_workspace(g))
         oracle = _complex_step_band(p, prof)
         worst = np.max(np.abs(ab - oracle), axis=0) / np.max(np.abs(oracle), axis=0)
         assert np.max(worst) <= 1e-13
@@ -237,9 +228,7 @@ def test_jacobian_bandwidth_is_four(rng):
     # sit at offsets +-4, and nothing lies beyond them
     g = sd.build_grid(30.0, 100)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
-    prof = sd.initial_guess(p, g)
-    prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
-    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
+    prof = perturbed_guess(p, g, rng, g_noise=0.0)
     x = _pack(prof)
     n = x.size
     jac = np.empty((n, n))
@@ -249,26 +238,22 @@ def test_jacobian_bandwidth_is_four(rng):
         xp[j] += h
         xm = x.copy()
         xm[j] -= h
-        rp, rm = _trial_state(p, g, xp)[3], _trial_state(p, g, xm)[3]
+        rp, rm = _trial_state(p, g, xp)[2], _trial_state(p, g, xm)[2]
         jac[:, j] = (rp - rm) / (2.0 * h)
     offset = np.subtract.outer(np.arange(n), np.arange(n))
     assert np.all(jac[np.abs(offset) > 4] == 0.0)
     assert np.count_nonzero(jac[offset == 4]) > 0 and np.count_nonzero(jac[offset == -4]) > 0
-    assert _jacobian_banded(p, _state(prof), _band_workspace(g)).shape == (9, n)
+    assert _jacobian_banded(p, prof, _band_workspace(g)).shape == (9, n)
 
 
 def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
     g = sd.build_grid(40.0, 400)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
-    prof = sd.initial_guess(p, g)
-    prof.a[1:-1] *= 1.0 + 0.05 * rng.standard_normal(g.N - 1)
-    prof.f[1:-1] += 0.05 * rng.standard_normal(g.N - 1)
-    prof.g[1:-1] += 0.01 * rng.standard_normal(g.N - 1)
-    st = _state(prof)
-    rvec, _ = _residual_vector(p, st)
-    fresh = _jacobian_banded(p, st, _band_workspace(g))
+    prof = perturbed_guess(p, g, rng)
+    rvec, _ = _residual_vector(p, prof)
+    fresh = _jacobian_banded(p, prof, _band_workspace(g))
     work = _band_workspace(g)
-    ab = _jacobian_banded(p, st, work)
+    ab = _jacobian_banded(p, prof, work)
     assert np.shares_memory(ab, work)
     assert np.array_equal(ab, fresh)
     solve = _banded_solver(work)
@@ -279,7 +264,7 @@ def test_banded_solver_is_bitwise_solve_banded_and_workspace_reassembles(rng):
         assert np.array_equal(b, b_copy)
     # the factorization overwrote the workspace, LU fill-in rows included
     assert np.any(work[:4] != 0.0)
-    ab = _jacobian_banded(p, st, work)
+    ab = _jacobian_banded(p, prof, work)
     assert np.array_equal(ab, fresh)
     assert np.all(work[:4] == 0.0)
 
@@ -374,8 +359,7 @@ def test_chord_trial_that_does_not_contract_is_discarded(monkeypatch, grid_small
 def test_flow_names_a_non_finite_start(grid_small):
     p = sd.validate_params(OMEGA, 0.3, 1.0)
     for field, value in (("a", np.nan), ("f", np.nan), ("f", -np.inf)):
-        guess = sd.initial_guess(p, grid_small)
-        getattr(guess, field)[150] = value
+        guess = with_value(sd.initial_guess(p, grid_small), field, 150, value)
         _, rep = sd.flow_solve(p, grid_small, guess)
         assert not rep.converged and rep.iterations == 0
         assert rep.message == f"non-finite {field} at node 150 of the starting profile"
@@ -419,8 +403,7 @@ def test_flow_reports_an_overflowing_start(a_interior, message):
     # finite, but too large for the electric solve or the action: a report, as from Newton, never an exception or a warning
     g = sd.build_grid(60.0, 300)
     p = sd.validate_params(OMEGA, 0.1, 1.0)
-    guess = sd.initial_guess(p, g)
-    guess.a[1:-1] = a_interior
+    guess = with_value(sd.initial_guess(p, g), "a", slice(1, -1), a_interior)
     _, rep = sd.flow_solve(p, g, guess)
     assert not rep.converged and rep.iterations == 0
     assert rep.message == message
@@ -908,14 +891,14 @@ def test_flow_reused_values_match_fresh_evaluation(monkeypatch, grid_small, omeg
         assert trials > rep.iterations
 
 
-def _unsymmetric_h0_blocks(p, st, dt):
-    """H0's a- and f-systems at the state st as the flow once assembled them: unsymmetric (sub, main, super) diagonals for the right-hand side dt*v/w."""
-    g = st.grid
-    react_a, react_f = solver._flow_reactions(p, st)
+def _unsymmetric_h0_blocks(p, s, dt):
+    """H0's a- and f-systems at the profile s as the flow once assembled them: unsymmetric (sub, main, super) diagonals for the right-hand side dt*v/w."""
+    g = s.grid
+    react_a, react_f = solver._flow_reactions(p, s)
     hm, hp, w = g.h[:-1], g.h[1:], g.w[1:-1]
     hmw, hpw = (hm * w)[1:], (hp * w)[:-1]
     c = 8.0 * dt
-    a_sin = st.a * st.sin
+    a_sin = s.a * s._state.sin
     coeff_f = g.p_half + 8.0 * p.kappa * (0.5 * (a_sin[:-1] ** 2 + a_sin[1:] ** 2))
     off_f = -dt * coeff_f[1:-1]
     diag_f = 1.0 + dt * ((coeff_f[:-1] / hm + coeff_f[1:] / hp) / w + react_f)
@@ -947,9 +930,9 @@ def test_flow_first_direction_is_the_preconditioned_flow_step(monkeypatch, grid_
     assert memory_size == 0
 
     g, dt = grid_small, solver.FLOW_DT
-    st = _state(sd.FieldProfile(g, s.a, s.f, sd.solve_inner_g(p, g, s.a)))
-    ra, rf, _ = sd.residuals(p, st)
-    a_block, f_block = _unsymmetric_h0_blocks(p, st, dt)
+    start = sd.FieldProfile(g, s.a, s.f, sd.solve_inner_g(p, g, s.a))
+    ra, rf, _ = sd.residuals(p, start)
+    a_block, f_block = _unsymmetric_h0_blocks(p, start, dt)
     step = np.concatenate((solve_banded((1, 1), _banded(*a_block), 8.0 * dt * ra), solve_banded((1, 1), _banded(*f_block), dt * rf)))
     assert np.max(np.abs(d - step)) <= 1e-12 * np.max(np.abs(step))
 

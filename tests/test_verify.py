@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import skyrme_dyon as sd
-from conftest import ACCEPT_POINTS
+from conftest import ACCEPT_POINTS, count_state_evaluations, with_value
 from skyrme_dyon.cli import main
 from skyrme_dyon.errors import DecayWindowError, NumericError, ParameterError
 from skyrme_dyon.io import read_profile_csv, write_profile_csv
@@ -73,8 +73,7 @@ def test_suite_on_initial_guess_fails_residuals_passes_bounds(grid_small):
 def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path):
     # with a = 0 away from the origin Q_e = 2 int a^2 g vanishes although q > 0
     p = sd.validate_params(OMEGA, 0.2, 1.0)
-    s = sd.initial_guess(p, grid_small)
-    s.a[1:] = 0.0
+    s = with_value(sd.initial_guess(p, grid_small), "a", slice(1, None), 0.0)
     assert electric_charge(s) == 0.0
     check = row_of(sd.run_suite(p, s), "tail-electric-charge")
     assert not check.passed and not np.isfinite(check.measured)
@@ -87,11 +86,24 @@ def test_suite_reports_zero_electric_charge_without_raising(grid_small, tmp_path
 def test_suite_reports_non_finite_action_without_raising(grid_small, tmp_path, node, value):
     # f(0) != 0 makes the origin term of e1 infinite, a NaN node makes it NaN
     p = sd.validate_params(OMEGA, 0.1, 1.0)
-    s = sd.initial_guess(p, grid_small)
-    s.f[node] = value
+    s = with_value(sd.initial_guess(p, grid_small), "f", node, value)
     report = sd.run_suite(p, s)
     for check_id in ("energy-finite", "coercive-bound", "small-r-skyrme-bound"):
         assert not row_of(report, check_id).passed and np.isnan(row_of(report, check_id).measured), check_id
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, p, s)
+    assert main(["verify", str(path)]) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_suite_fails_the_constraint_row_when_a_test_functions_energy_overflows(tmp_path):
+    # a finite a so large that E2(a, G) of a test function overflows while the inner solve still succeeds:
+    # the constraint row fails with NaN, and verify exits 3, not 1 with an error line
+    grid = sd.build_grid(30.0, 100)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    s = with_value(sd.initial_guess(p, grid), "a", slice(1, -1), 6e153)
+    row = row_of(sd.run_suite(p, s), "constraint-orthogonality")
+    assert not row.passed and np.isnan(row.measured)
     path = tmp_path / "profile.csv"
     write_profile_csv(path, p, s)
     assert main(["verify", str(path)]) == 3
@@ -110,7 +122,7 @@ def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, f
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     s, rep = sd.newton_solve(p, grid_small, sd.initial_guess(p, grid_small))
     assert rep.converged and sd.run_suite(p, s).overall
-    getattr(s, field)[node] = value
+    s = with_value(s, field, node, value)
     report = sd.run_suite(p, s)
     assert not report.overall
     if field == "a":
@@ -129,11 +141,10 @@ def test_suite_reports_corrupted_profile_without_raising(grid_small, tmp_path, f
 def _perturb(p, s, field, kind, node):
     arr = getattr(s, field)
     if kind == "negate":
-        arr[node] = -arr[node]
-    elif kind == "repeat":  # a non-strict pair (node, node + 1)
-        arr[node + 1] = arr[node]
-    else:
-        arr[node] = p.f_infinity + 0.1
+        return with_value(s, field, node, -arr[node])
+    if kind == "repeat":  # a non-strict pair (node, node + 1)
+        return with_value(s, field, node + 1, arr[node])
+    return with_value(s, field, node, p.f_infinity + 0.1)
 
 
 @pytest.mark.parametrize(
@@ -150,9 +161,8 @@ def _perturb(p, s, field, kind, node):
 def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
     assert sd.solution_properties_ok(p, s) == (True, "")
-    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
     node = 731
-    _perturb(p, bad, field, kind, node)
+    bad = _perturb(p, s, field, kind, node)
     ok, msg = sd.solution_properties_ok(p, bad)
     assert not ok
     assert msg == f"{check_id} fails at node {node}"
@@ -162,8 +172,7 @@ def test_property_table_and_suite_agree(solved_points, field, kind, check_id):
 
 def test_property_table_flags_monopole_g(monopole_small):
     p, s, _ = monopole_small
-    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
-    bad.g[40] = 1e-3
+    bad = with_value(s, "g", 40, 1e-3)
     assert sd.solution_properties_ok(p, bad) == (False, "bound-g-monopole fails at node 40")
     check = row_of(sd.run_suite(p, bad), "bound-g-monopole")
     assert not check.passed and check.node == 40
@@ -171,9 +180,8 @@ def test_property_table_flags_monopole_g(monopole_small):
 
 def test_suite_flags_injected_fault_with_node(solved_points):
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
-    bad = sd.FieldProfile(s.grid, s.a.copy(), s.f.copy(), s.g.copy())
     node = 731
-    bad.g[node] = -bad.g[node]
+    bad = with_value(s, "g", node, -s.g[node])
     report = sd.run_suite(p, bad)
     assert not row_of(report, "bound-g-interval").passed
     assert row_of(report, "bound-g-interval").node == node
@@ -304,24 +312,29 @@ def test_run_suite_builds_one_stencil_and_one_constraint_residual(monkeypatch, s
 
         return wrapper
 
-    # each module binds _state at import; it hands a _State back unchanged, so only a call on a profile evaluates one
-    state = model_module._state
-
-    def evaluations(s):
-        if not isinstance(s, model_module._State):
-            calls["evaluations"] += 1
-        return state(s)
-
-    for module in (model_module, verify_module, observables_module):
-        monkeypatch.setattr(module, "_state", evaluations)
+    evaluated = count_state_evaluations(monkeypatch)
     monkeypatch.setattr(verify_module, "constraint_residual", counted("constraint_residual", verify_module.constraint_residual))
     p, s, _ = solved_points[(OMEGA, 0.30, 1.0)]
-    assert sd.run_suite(p, s).overall
-    assert calls == {"evaluations": 1, "constraint_residual": 1}
+    fresh = sd.FieldProfile(s.grid, s.a, s.f, s.g)  # the solved profile holds Newton's state already
+    assert sd.run_suite(p, fresh).overall
+    assert evaluated == [fresh] and calls == {"constraint_residual": 1}
+
+
+def test_run_suite_on_a_solved_profile_reads_newtons_state(monkeypatch):
+    # continuation_solve returns the profile whose state its last residual formed; the battery evaluates none,
+    # and its report is byte for byte the one a freshly evaluated profile gives, as verify on profile.csv does
+    evaluated = count_state_evaluations(monkeypatch)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    s, rep = sd.continuation_solve(p, sd.build_grid(60.0, 1000))
+    assert rep.converged and evaluated[-1] is s
+    solved = len(evaluated)
+    report = sd.run_suite(p, s).format()
+    assert len(evaluated) == solved
+    assert report == sd.run_suite(p, sd.FieldProfile(s.grid, s.a, s.f, s.g)).format()
 
 
 def test_run_suite_forms_the_f_prime_average_once_per_profile(monkeypatch, solved_points):
-    # the decay fit and the f tail read qbar from the battery's state; an
+    # the decay fit and the f tail read qbar from the profile's state; an
     # observables module that formed it again would call its own _qbar
     calls = []
     qbar = model_module._qbar
@@ -334,7 +347,7 @@ def test_run_suite_forms_the_f_prime_average_once_per_profile(monkeypatch, solve
     monkeypatch.setattr(observables_module, "_qbar", counted, raising=False)
     for p, s, _ in solved_points.values():
         calls.clear()
-        assert sd.run_suite(p, s).overall
+        assert sd.run_suite(p, sd.FieldProfile(s.grid, s.a, s.f, s.g)).overall  # the solved profile holds Newton's state
         assert len(calls) == 1
 
 
