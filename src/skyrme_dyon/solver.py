@@ -267,7 +267,9 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.nd
     Assembles into rows 4-12 of `work` (a `_band_workspace`, zeroed first) and
     returns that l = u = 4 view: ab[4 + i - j, j] = dres_i/dx_j.  The widest
     couplings, a_j with f_(j+-1), sit 4 places off the diagonal.  The
-    stencil weights of a'' and of (r^2 u')' are the grid's (lap_*, stiff_*).
+    stencil weights of a'' and of (r^2 u')' are the grid's (lap_*, stiff_*);
+    sin f, cos f, sin^2 f and the interval means c_half of a^2 sin^2 f are
+    the profile's state, the values that the residual sums.
     """
     grid, st = s.grid, s._state
     a, g = s.a, s.g
@@ -285,10 +287,7 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.nd
     cm, cj, cp_ = st.cos[:-2], st.cos[1:-1], st.cos[2:]
     s2 = st.sin2[1:-1]
     sc = sj * cj
-    # interval means of a^2 sin^2 f; the product order differs from the
-    # state's c_half, which the residual reads, on purpose, since that order moves solutions by ulps
-    Cm = 0.5 * (am * am * sm * sm + aj * aj * s2)
-    Cp = 0.5 * (aj * aj * s2 + ap * ap * sp_ * sp_)
+    Cm, Cp = st.c_half[:-1], st.c_half[1:]
     react_a, react_f = _reaction_rates(p, s)
 
     work.fill(0.0)
@@ -320,8 +319,8 @@ def _jacobian_banded(p: ModelParams, s: FieldProfile, work: np.ndarray) -> np.nd
     _scatter(ab, rf_fm, 1, 1, -1, n)
     _scatter(ab, rf_fp, 1, 1, 1, n)
     _scatter(ab, rf_fj, 1, 1, 0, n)
-    _scatter(ab, -8.0 * k * am * sm * sm * Dfm / w, 1, 0, -1, n)
-    _scatter(ab, 8.0 * k * ap * sp_ * sp_ * Dfp / w, 1, 0, 1, n)
+    _scatter(ab, -8.0 * k * am * st.sin2[:-2] * Dfm / w, 1, 0, -1, n)
+    _scatter(ab, 8.0 * k * ap * st.sin2[2:] * Dfp / w, 1, 0, 1, n)
     rf_aj = 8.0 * k * aj * s2 * (Dfp - Dfm) / w - (
         4.0 * aj * sc + 16.0 * k * aj * sc * qbar + 32.0 * k * st.a3 * s2 * sc * inv_r2
     )

@@ -7,11 +7,11 @@ Failures are report entries, never exceptions.  With a fixed seed the
 report is byte-identical across runs.
 
 The observables, the residual rows, the action, the coercive bound, the
-small-r bounds and the flux identity all read the profile's one state
-(model.FieldProfile._state), which Newton's last residual has already
-formed for a solved profile and the first reader forms for a profile
-read from a file.  The charge, decay and
-tail checks read the ObservableReport it attaches to the VerifyReport,
+small-r bounds and the flux identity, whose g flux is the residual's, all
+read the profile's one state (model.FieldProfile._state), which Newton's
+last residual has already formed for a solved profile and the first
+reader forms for a profile read from a file.  The charge, decay and tail
+checks read the ObservableReport it attaches to the VerifyReport,
 so a caller that writes both reports runs the decay fit and the tail
 constants once.  The thresholds are module constants; only the residual
 target and the test-function seed vary per run (Tolerances).
@@ -149,12 +149,10 @@ def _flux_identity_gap(s: FieldProfile, rg: np.ndarray) -> tuple[float, float]:
     The identity telescopes the conservative stencil exactly, so the defect
     is bounded by the accumulated mass of the g-residuals rg of s plus
     round-off; the excess over that budget is returned together with its
-    scale.  The flux is formed as p_half * diff(g) / h, not from the
-    state's dg, which rounds in another order and would move the row's
-    value by ulps.
+    scale.  The flux is the residual's, p_half times the state's dg.
     """
     grid, a, g = s.grid, s.a, s.g
-    flux = grid.p_half * np.diff(g) / grid.h
+    flux = grid.p_half * s._state.dg
     w = grid.w[1:-1]
     cum = np.cumsum(2.0 * a[1:-1] ** 2 * g[1:-1] * w)
     budget = np.cumsum(w * np.abs(rg))
@@ -235,22 +233,24 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         rep.add("tail-electric-charge", "tail-laws", rel, CG_REL_TOL)
     rep.add("tail-f-variation", "tail-laws", obs.cf_variation, CF_VARIATION_TOL)
 
-    # Discrete Cauchy-Schwarz bound |a(r) - 1| <= sqrt(r * cumint a'^2); exact identity.
+    # Discrete Cauchy-Schwarz bound |a(r) - 1| <= sqrt(r * cumint a'^2).  It is an equality at nodes 0 and 1,
+    # where a is linear, so the max over the nodes from 2 on (a mesh has at least 3 nodes) is the row's margin.
     cum_a = np.concatenate([[0.0], np.cumsum(st.da * st.da * grid.h)])
-    gap_a = float(np.max(np.abs(a - 1.0) - np.sqrt(grid.r * cum_a)))
+    gap_a = float(np.max((np.abs(a - 1.0) - np.sqrt(grid.r * cum_a))[2:]))
     rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, SMALL_R_REL_TOL * (1.0 + float(cum_a[-1])))
 
     if p.kappa > 0.0 and act is None:
         rep.add("small-r-skyrme-bound", "small-r-bounds", float("nan"), 0.0, False)
     elif p.kappa > 0.0:
-        # sin^2 f <= 2 kappa^(-1/2) sqrt(r) sqrt(L) on the core region where a >= 1/2.
+        # sin^2 f <= 2 kappa^(-1/2) sqrt(r) sqrt(L) on the core region where a >= 1/2.  Both sides vanish at r = 0,
+        # so the max over the core's nodes with r > 0 is the row's margin; an empty set reads 0.
         act_L = max(act.L, 0.0)
         below = np.flatnonzero(a < 0.5)
         cut = below[0] if below.size else grid.N + 1
-        rr = grid.r[:cut]
-        lhs = st.sin2[:cut]
+        rr = grid.r[1:cut]
+        lhs = st.sin2[1:cut]
         rhs = 2.0 / math.sqrt(p.kappa) * np.sqrt(rr) * math.sqrt(act_L)
-        gap_f = float(np.max(lhs - rhs)) if cut > 0 else 0.0
+        gap_f = float(np.max(lhs - rhs)) if cut > 1 else 0.0
         rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
 
     flux_gap, flux_scale = _flux_identity_gap(s, rg)

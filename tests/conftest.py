@@ -98,6 +98,15 @@ def solved_kappa0(grid60):
 
 
 @pytest.fixture(scope="session")
+def solved_kappa10(grid60):
+    """Converged large-kappa run, the golden case solve --omega 0.52pi --kappa 10."""
+    p = sd.validate_params(0.52 * math.pi, 0.0, 10.0)
+    profile, report = sd.continuation_solve(p, grid60)
+    assert report.converged, report.message
+    return p, profile, report
+
+
+@pytest.fixture(scope="session")
 def sweep_runs(grid60):
     """q-sweep at omega = 0.75 pi used by the charge-trend checks, each point solved as `sweep` does."""
     runs = []

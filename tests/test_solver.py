@@ -567,10 +567,10 @@ def test_continuation_tries_target_first(solved_points):
 
 
 def test_fine_solve_factorizes_once_at_the_acceptance_points(solved_points):
-    # the first Newton step contracts more than 1/CHORD_CONTRACTION, so the second is a chord step
-    for _, _, rep in solved_points.values():
-        fine = rep.continuation_trace[-1]
-        assert fine.path == "fine" and fine.iterations == 2 and fine.factorizations == 1
+    # the first fine Newton step contracts more than 1/CHORD_CONTRACTION, so the second is a chord step;
+    # each leg's (iterations, factorizations) is pinned, so a change that moves Newton's iterates shows in the route's cost
+    legs = [[(leg.path, leg.iterations, leg.factorizations) for leg in rep.continuation_trace] for _, _, rep in solved_points.values()]
+    assert legs == [[("direct", 8, 5), ("fine", 2, 1)], [("direct", 7, 5), ("fine", 2, 1)], [("direct", 7, 5), ("fine", 2, 1)]]
 
 
 def test_no_chord_steps_without_contraction(monkeypatch, grid60):
@@ -582,14 +582,19 @@ def test_no_chord_steps_without_contraction(monkeypatch, grid60):
         assert leg.factorizations == leg.iterations > 0
 
 
-@pytest.mark.parametrize("omega, q", [(0.75 * math.pi, 0.3), (0.9 * math.pi, 0.05)], ids=["0.75pi", "0.9pi"])
-def test_fine_leg_takes_one_iteration_at_8000_intervals(omega, q):
-    # the cubic prolongation starts the fine mesh within one Newton step of 1e-8
+@pytest.mark.parametrize(
+    "omega, q, direct, fine",
+    [(0.55 * math.pi, 0.05, (7, 5), (2, 1)), (0.75 * math.pi, 0.3, (6, 5), (1, 1)), (0.9 * math.pi, 0.05, (7, 5), (1, 1))],
+    ids=["0.55pi", "0.75pi", "0.9pi"],
+)
+def test_legs_take_their_recorded_paths_at_8000_intervals(omega, q, direct, fine):
+    # the cubic prolongation starts the fine mesh within one Newton step of 1e-8 at 0.75pi and 0.9pi; at 0.55pi
+    # a chord step follows it; each leg's (iterations, factorizations) is pinned
     p = sd.validate_params(omega, q, 1.0)
     _, rep = sd.continuation_solve(p, sd.build_grid(60.0, 8000), sd.SolveConfig(tol_residual=1e-8))
     assert rep.converged
-    fine = rep.continuation_trace[-1]
-    assert fine.path == "fine" and fine.iterations == 1
+    legs = [(leg.path, leg.iterations, leg.factorizations) for leg in rep.continuation_trace]
+    assert legs == [("direct", *direct), ("fine", *fine)]
 
 
 def test_continuation_six_legs(monkeypatch, grid_small):

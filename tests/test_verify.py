@@ -49,6 +49,16 @@ def test_suite_passes_in_sigma_model_limit(solved_kappa0):
     assert not any(c.check_id == "small-r-skyrme-bound" for c in report.checks)
 
 
+def test_small_r_rows_print_their_margin(solved_points, solved_kappa10):
+    # both bounds are equalities at r = 0, and the gauge bound at node 1 too, where a is linear; a max over
+    # those nodes would print 0 whenever the row passes, so each row takes its max past them
+    for p, s, _ in [*solved_points.values(), solved_kappa10]:
+        report = sd.run_suite(p, s)
+        for check_id in ("small-r-gauge-bound", "small-r-skyrme-bound"):
+            row = row_of(report, check_id)
+            assert row.passed and row.measured < 0.0, (p, check_id, row.measured)
+
+
 @pytest.mark.parametrize("q", [0.35, 0.63])
 def test_suite_passes_at_large_kappa(grid60, q):
     # the decay fit subtracts the kappa sin^2 f f'^2 part of the a-potential;
