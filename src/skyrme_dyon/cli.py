@@ -7,10 +7,11 @@ Commands:
   table   write the analytic tables (no solving)
 
 Each command's handler takes the parsed argparse.Namespace and calls the
-library directly; every default is written once, in the parser.  Each
-setting is checked once, by the library type that holds it: a handler
-builds its SolveConfig (--tol) and Tolerances (--tol, --seed) before it
-creates --out or reads a profile, so a rejected value writes nothing.
+library directly; every default is written once: --tol's and --seed's in
+Tolerances, which the parser and sweep's battery read, the rest in the
+parser.  Each setting is checked once, by the library type that holds it:
+a handler builds its SolveConfig (--tol) and Tolerances (--tol, --seed)
+before it creates --out or reads a profile, so a rejected value writes nothing.
 solve and every sweep point run continuation_solve with the default
 ladder, which it walks only when Newton at the target fails.  Angles
 accept raw radians or a literal pi suffix, e.g. `--omega 0.75pi`.
@@ -61,26 +62,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skyrme-dyon", description="Radial dyon solver for the minimally gauged Skyrme model")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tol = dict(type=float, default=Tolerances.residual, help="residual infinity-norm target, finite and > 0")
+    seed = dict(type=int, default=Tolerances.seed, help="seed for verification test functions, >= 0")
+
     def add_common(sp):
         sp.add_argument("--omega", type=parse_angle, default=0.75 * math.pi, help="vacuum angle, radians or e.g. 0.75pi")
         sp.add_argument("--q", type=float, default=0.0, help="asymptotic electric potential")
         sp.add_argument("--kappa", type=float, default=1.0, help="quartic coupling (0 = sigma-model limit)")
         sp.add_argument("--rmax", type=float, default=60.0, help="outer truncation radius")
         sp.add_argument("--nodes", type=int, default=2000, help="number of mesh intervals")
-        sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target, finite and > 0")
+        sp.add_argument("--tol", **tol)
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     sp = sub.add_parser("solve", help="solve one parameter point")
     add_common(sp)
-    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions, >= 0")
+    sp.add_argument("--seed", **seed)
     sp = sub.add_parser("sweep", help="solve a list of points along one parameter")
     add_common(sp)
     sp.add_argument("--sweep-param", choices=["q", "omega", "kappa"], default="q")
     sp.add_argument("--sweep-values", type=angle_list, required=True, help="comma list; a pi suffix is allowed, e.g. 0.75pi")
     sp = sub.add_parser("verify", help="verify a stored profile CSV")
     sp.add_argument("profile", type=Path)
-    sp.add_argument("--tol", type=float, default=1e-10, help="residual infinity-norm target, finite and > 0")
-    sp.add_argument("--seed", type=int, default=42, help="seed for verification test functions, >= 0")
+    sp.add_argument("--tol", **tol)
+    sp.add_argument("--seed", **seed)
     sp.add_argument("--out", type=Path, default=None, help="optional path for the report (default: stdout only)")
     sp = sub.add_parser("table", help="write analytic tables over an omega grid")
     sp.add_argument("--omegas", type=angle_list, default=list(np.linspace(0.5 * math.pi, math.pi, 51)), help="nonempty comma list of omega tokens; default 51 points on [0.5pi, pi]")

@@ -7,9 +7,10 @@ Two structurally different routes to the same discrete root:
   blocks per node, a bandwidth-4 banded system) and a backtracking line
   search on the residual norm.  Each Jacobian is factorized by LAPACK
   gbtrf in place on one band workspace allocated per solve and reused by
-  every iteration, and each step is one gbtrs solve on those factors; the
-  state of the accepted trial's profile, which its residual read, also
-  serves the next Jacobian.  While Newton contracts fast, a factorization is reused
+  every iteration, and each step is one gbtrs solve on those factors.  As
+  in the flow, the iterate and each trial are profiles; the state of the
+  accepted trial's profile, which its residual read, also serves the next
+  Jacobian.  While Newton contracts fast, a factorization is reused
   (the chord method; Kelley, Solving Nonlinear Equations with Newton's
   Method, SIAM 2003, sec. 2.3): a full step that cuts the residual by
   1/CHORD_CONTRACTION or more keeps its factors, and the next iteration
@@ -57,7 +58,8 @@ Two structurally different routes to the same discrete root:
 Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
 newton_solve and flow_solve take a guess that lies on their grid (the same
-RadialGrid or one with equal nodes) and raise ParameterError otherwise.
+RadialGrid or one with equal nodes) and raise ParameterError otherwise; both
+start from one clamped copy of it on their own grid (_start).
 
 Every solve ends in a SolveReport whose converged means a solution: the
 residual met its target, the action is finite and solution_properties_ok
@@ -211,31 +213,18 @@ def initial_guess(p: ModelParams, grid: RadialGrid) -> FieldProfile:
     return _with_boundary_data(p, grid, a, f, g)
 
 
-# -- stacked-vector helpers ---------------------------------------------------------
-
-
-def _pack(s: FieldProfile) -> np.ndarray:
-    x = np.empty(3 * (s.grid.N - 1))
-    x[0::3] = s.a[1:-1]
-    x[1::3] = s.f[1:-1]
-    x[2::3] = s.g[1:-1]
-    return x
-
-
-def _unpack(x: np.ndarray, p: ModelParams, grid: RadialGrid) -> FieldProfile:
-    n = grid.N + 1
-    a = np.empty(n)
-    f = np.empty(n)
-    g = np.empty(n)
-    a[1:-1], f[1:-1], g[1:-1] = x[0::3], x[1::3], x[2::3]
-    return _with_boundary_data(p, grid, a, f, g)
-
-
 def _require_guess_on(grid: RadialGrid, guess: FieldProfile) -> None:
     """Raise ParameterError unless guess lies on grid: the same RadialGrid or one with equal nodes."""
     theirs = guess.grid
     if not (theirs is grid or np.array_equal(theirs.r, grid.r)):
         raise ParameterError(f"guess lies on another grid (R={theirs.R:.17g}, N={theirs.N}) than the solve's (R={grid.R:.17g}, N={grid.N})")
+
+
+def _start(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> FieldProfile:
+    """Both solvers' start: copies of guess's a, f and g on grid with the boundary data set; raises ParameterError as _require_guess_on and model._require_real do."""
+    _require_guess_on(grid, guess)
+    _require_real(guess)
+    return _with_boundary_data(p, grid, guess.a.copy(), guess.f.copy(), guess.g.copy())
 
 
 def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float]:
@@ -384,10 +373,13 @@ def _report(
     )
 
 
-def _trial_state(p: ModelParams, grid: RadialGrid, x: np.ndarray) -> tuple[np.ndarray, FieldProfile, np.ndarray, float]:
-    """(x, profile, residual vector, residual norm) at the stacked interior values x; the residual forms the profile's state."""
-    s = _unpack(x, p, grid)
-    return (x, s, *_residual_vector(p, s))
+def _trial_state(p: ModelParams, s: FieldProfile, delta: np.ndarray) -> tuple[FieldProfile, np.ndarray, float]:
+    """(profile, residual vector, residual norm) of s plus the interleaved interior step delta, in fresh arrays with the boundary data set; the residual forms the profile's state."""
+    fields = [np.empty(s.grid.N + 1) for _ in range(3)]
+    for c, (new, old) in enumerate(zip(fields, (s.a, s.f, s.g))):
+        np.add(old[1:-1], delta[c::3], out=new[1:-1])
+    trial = _with_boundary_data(p, s.grid, *fields)
+    return (trial, *_residual_vector(p, trial))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -401,14 +393,18 @@ def newton_solve(
     norm falls (Armijo) or meets its target.  A full step that cuts the
     norm to CHORD_CONTRACTION times its old value or less keeps its
     factors, and the next iteration first tries the chord step
-    x - J_old^(-1) F(x) at full length.  That step is kept, and counts as
-    an iteration, only if it meets the target or cuts the norm by the same
-    factor; otherwise it is discarded, and the iteration assembles and
-    factorizes at x as usual.  With fresh factors a step is bitwise the
-    gbsv step.
+    x - J_old^(-1) F(x) at full length from the iterate x.  That step is
+    kept, and counts as an iteration, only if it meets the target or cuts
+    the norm by the same factor; otherwise it is discarded, and the
+    iteration assembles and factorizes at x as usual.  With fresh factors
+    a step is bitwise the gbsv step.
 
+    The iterate is a profile, from _start's clamped copy of guess on, and
+    each trial a new one (_trial_state).  Before the trials the iterate's
+    state is released by wrapping its arrays in a new profile, which copies
+    nothing; after a discarded chord trial the Jacobian forms it again.
     The report's action sums the state that the last iterate's residual
-    read, unless a failed iteration freed that iterate; when a term of it is not
+    read, unless a failed iteration had released it; when a term of it is not
     finite (NumericError), the report is not converged, its action is None
     and its message, unless a stop set one, is "action not evaluable: ...".
     Returns the last iterate and a report; a non-finite starting residual,
@@ -417,11 +413,10 @@ def newton_solve(
     ParameterError when guess lies on another grid (_require_guess_on) or
     a, f or g is complex (model._require_real).
     """
-    _require_guess_on(grid, guess)
-    _require_real(guess)
+    s = _start(p, grid, guess)
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
-    x, s, rvec, norm = _trial_state(p, grid, _pack(guess))  # clamps boundary data exactly
+    rvec, norm = _residual_vector(p, s)
     work = _band_workspace(grid)
     solve = None  # the factors a chord trial reuses, while Newton contracts fast
     iters = factorizations = 0
@@ -429,17 +424,16 @@ def newton_solve(
     while not message and norm > cfg.tol_residual and iters < MAX_NEWTON_ITERS:
         trial = None
         if solve is not None:
-            s = None  # the iterate and its state, freed as before the line search below; rebuilt only when the trial is discarded
+            s = FieldProfile(grid, s.a, s.f, s.g)  # the iterate's state, freed as before the line search below
             delta = solve(-rvec)
-            trial = _trial_state(p, grid, x + delta)
+            trial = _trial_state(p, s, delta)
             if not (trial[-1] <= cfg.tol_residual or trial[-1] <= CHORD_CONTRACTION * norm):
                 trial = None
         if trial is None:
-            _jacobian_banded(p, _unpack(x, p, grid) if s is None else s, work)
-            # the iterate is released before the trials with its state: kept beside each
-            # trial's own, that state raised the traced peak of an N = 8000 continuation_solve
-            # from 5.44 to 6.14 MB and the fine-mesh benchmark's median p50 from 24.04 to 24.78 ms
-            s = None
+            _jacobian_banded(p, s, work)
+            # the iterate's state is released before the trials: kept beside each trial's own, it
+            # raises the traced peak of an N = 8000 continuation_solve from 5.09 to 5.80 MB
+            s = FieldProfile(grid, s.a, s.f, s.g)
             try:
                 solve = _banded_solver(work)
                 factorizations += 1
@@ -452,24 +446,24 @@ def newton_solve(
                 break
             step = 1.0
             while step >= MIN_STEP:
-                trial = _trial_state(p, grid, x + step * delta)
+                trial = _trial_state(p, s, delta)
                 norm_try = trial[-1]
                 if np.isfinite(norm_try) and (norm_try <= (1.0 - 1e-4 * step) * norm or norm_try <= cfg.tol_residual):
                     break
                 step *= BACKTRACK_FACTOR
+                # in place, as a scaled copy beside delta kept that traced peak at 5.28 MB; halving
+                # is exact above the subnormal range, so delta stays bitwise step times the Newton step
+                delta *= BACKTRACK_FACTOR
             else:
                 message = f"line search stalled at step < {MIN_STEP} (residual {norm:.3e})"
                 break
             if not (step == 1.0 and norm_try <= CHORD_CONTRACTION * norm):
                 solve = None
-        x, s, rvec, norm = trial
-        del trial  # it holds s too, which the next iteration frees
+        s, rvec, norm = trial
         iters += 1
     converged = norm <= cfg.tol_residual
     if not (converged or message):
         message = f"iteration budget of {MAX_NEWTON_ITERS} exhausted at residual {norm:.3e}"
-    if s is None:  # only after a break that followed its release
-        s = _unpack(x, p, grid)
     action = None
     try:
         action = action_breakdown(p, s)
@@ -532,7 +526,8 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     property checks say, and from the guess otherwise; without a coarse
     subgrid (N < 2 * COARSE_NODES or N odd) it is the only stage.  Each
     stage ends when its residual infinity-norm reaches its target or
-    after FLOW_MAX_STEPS accepted steps.
+    after FLOW_MAX_STEPS accepted steps.  Like newton_solve, it starts
+    from _start's clamped copy of guess on grid.
 
     The returned report is the descent on grid's: its steps, J trace,
     residual, message and properties, path "flow".  Its wall time covers
@@ -545,10 +540,8 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     Raises ParameterError when guess lies on another grid (_require_guess_on)
     or a, f or g is complex (model._require_real).
     """
-    _require_guess_on(grid, guess)
-    _require_real(guess)
+    s = _start(p, grid, guess)
     t0 = time.perf_counter()
-    s = _unpack(_pack(guess), p, grid)  # clamps boundary data exactly
     for name in ("a", "f"):  # g is re-solved from a
         bad = np.flatnonzero(~np.isfinite(getattr(s, name)))
         if bad.size:

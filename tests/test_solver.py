@@ -16,7 +16,6 @@ from skyrme_dyon.solver import (
     _band_workspace,
     _banded_solver,
     _jacobian_banded,
-    _pack,
     _residual_vector,
     _trial_state,
 )
@@ -155,29 +154,6 @@ def test_newton_on_a_degenerate_grid_is_reported_without_warnings():
     assert rep.message.startswith("non-finite residual")
 
 
-def test_jacobian_matches_finite_differences(rng):
-    g = sd.build_grid(40.0, 400)
-    p = sd.validate_params(OMEGA, 0.2, 1.0)
-    prof = perturbed_guess(p, g, rng)
-    x = _pack(prof)
-    ab = _jacobian_banded(p, prof, _band_workspace(g))
-    n = x.size
-    worst = 0.0
-    for j in rng.choice(n, 90, replace=False):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        rp, rm = _trial_state(p, g, xp)[2], _trial_state(p, g, xm)[2]
-        fd = (rp - rm) / (2.0 * h)
-        col = np.zeros(n)
-        for i in range(max(0, j - 4), min(n, j + 5)):
-            col[i] = ab[4 + i - j, j]
-        worst = max(worst, np.max(np.abs(fd - col)) / (1.0 + np.max(np.abs(col))))
-    assert worst <= 1e-6
-
-
 def _complex_step_band(p, prof, h=1e-30):
     """Every band entry of the stacked residuals' Jacobian (l = u = 4) from nine complex-step evaluations.
 
@@ -229,16 +205,14 @@ def test_jacobian_bandwidth_is_four(rng):
     g = sd.build_grid(30.0, 100)
     p = sd.validate_params(OMEGA, 0.2, 1.0)
     prof = perturbed_guess(p, g, rng, g_noise=0.0)
-    x = _pack(prof)
-    n = x.size
+    n = 3 * (g.N - 1)
     jac = np.empty((n, n))
     for j in range(n):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        rp, rm = _trial_state(p, g, xp)[2], _trial_state(p, g, xm)[2]
+        # the step is h at the stacked interior coordinate j: field j % 3 at node 1 + j // 3
+        h = 1e-6 * (1.0 + abs((prof.a, prof.f, prof.g)[j % 3][1 + j // 3]))
+        step = np.zeros(n)
+        step[j] = h
+        rp, rm = _trial_state(p, prof, step)[1], _trial_state(p, prof, -step)[1]
         jac[:, j] = (rp - rm) / (2.0 * h)
     offset = np.subtract.outer(np.arange(n), np.arange(n))
     assert np.all(jac[np.abs(offset) > 4] == 0.0)
@@ -347,13 +321,33 @@ def test_chord_trial_that_does_not_contract_is_discarded(monkeypatch, grid_small
 
         return solve_or_halve
 
+    jacobian, residuals = solver._jacobian_banded, solver.residuals
+    evaluated = []  # each profile whose residual Newton evaluates: the start, then each trial
+    after_chord = []  # (profile the Jacobian reads, last accepted trial) after each discarded chord trial
+
+    def recording_residuals(p, s):
+        evaluated.append(s)
+        return residuals(p, s)
+
+    def recording_jacobian(p, s, work):
+        if len(after_chord) < len(chord_trials):  # a chord trial was just discarded; it was evaluated last
+            after_chord.append((s, evaluated[-2]))
+        return jacobian(p, s, work)
+
     monkeypatch.setattr(solver, "_banded_solver", halving_chords)
+    monkeypatch.setattr(solver, "residuals", recording_residuals)
+    monkeypatch.setattr(solver, "_jacobian_banded", recording_jacobian)
     s, rep = sd.newton_solve(p, grid_small, guess)
     assert chord_trials and rep.converged
     # a discarded trial leaves no trace: each iteration is then the Newton step at a fresh factorization
     assert rep.iterations == rep.factorizations == newton_rep.iterations == newton_rep.factorizations
     for name in ("a", "f", "g"):
         assert getattr(s, name).tobytes() == getattr(newton, name).tobytes()
+    # after a discarded chord trial the Jacobian reads the last accepted trial's own arrays, in a new profile
+    # without that trial's state, not a copy of them
+    assert len(after_chord) == len(chord_trials)
+    for read, last in after_chord:
+        assert read is not last and np.shares_memory(read.a, last.a)
 
 
 def test_flow_names_a_non_finite_start(grid_small):
