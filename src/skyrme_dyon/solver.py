@@ -59,7 +59,7 @@ Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
 newton_solve and flow_solve take a guess that lies on their grid (the same
 RadialGrid or one with equal nodes) and raise ParameterError otherwise; both
-start from one clamped copy of it on their own grid (_start).
+start from one clamped float64 copy of it on their own grid (_start).
 
 Every solve ends in a SolveReport whose converged means a solution: the
 residual met its target, the action is finite and solution_properties_ok
@@ -221,10 +221,10 @@ def _require_guess_on(grid: RadialGrid, guess: FieldProfile) -> None:
 
 
 def _start(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> FieldProfile:
-    """Both solvers' start: copies of guess's a, f and g on grid with the boundary data set; raises ParameterError as _require_guess_on and model._require_real do."""
+    """Both solvers' start: float64 copies of guess's a, f and g on grid with the boundary data set; raises ParameterError as _require_guess_on and model._require_real do."""
     _require_guess_on(grid, guess)
     _require_real(guess)
-    return _with_boundary_data(p, grid, guess.a.copy(), guess.f.copy(), guess.g.copy())
+    return _with_boundary_data(p, grid, *(np.array(v, dtype=float) for v in (guess.a, guess.f, guess.g)))
 
 
 def _residual_vector(p: ModelParams, s: FieldProfile) -> tuple[np.ndarray, float]:

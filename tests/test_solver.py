@@ -385,6 +385,21 @@ def test_solve_accepts_a_guess_on_an_equal_grid(tmp_path, grid_small, solve):
         assert getattr(s, name).tobytes() == getattr(ref, name).tobytes()
 
 
+@pytest.mark.parametrize("solve", [sd.newton_solve, sd.flow_solve], ids=["newton", "flow"])
+@pytest.mark.parametrize("name", ["a", "f"])
+def test_solve_starts_from_a_float64_copy_of_a_float32_guess(grid_small, solve, name):
+    # the boundary data are set exactly and the iterates run in float64, whatever the guess's dtype
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    guess = sd.initial_guess(p, grid_small)
+    narrow = getattr(guess, name).astype(np.float32)
+    s, rep = solve(p, grid_small, dataclasses.replace(guess, **{name: narrow}))
+    ref, ref_rep = solve(p, grid_small, dataclasses.replace(guess, **{name: narrow.astype(float)}))
+    assert rep.converged and rep.iterations == ref_rep.iterations
+    for field in ("a", "f", "g"):
+        assert getattr(s, field).dtype == np.float64
+        assert getattr(s, field).tobytes() == getattr(ref, field).tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "a_interior, message",
