@@ -157,12 +157,14 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 def run_table(args: argparse.Namespace) -> int:
     omegas = np.asarray(args.omegas)
-    if omegas.size == 0 or not np.all((omegas >= 0.0) & (omegas <= math.pi)):  # NaN fails both comparisons
-        raise SkyrmeDyonError(f"omega grid must be nonempty and inside [0, pi], got {omegas}")
+    if omegas.size == 0:
+        raise SkyrmeDyonError("omega grid must be nonempty")
+    # skyrme_charge_closed rejects an omega outside [0, pi], NaN included, before --out exists and before
+    # admissible_q_max, which would raise math's own ValueError at inf
+    qs = np.array([skyrme_charge_closed(w) for w in omegas])
+    qmax = np.array([admissible_q_max(w) for w in omegas])
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    qmax = np.array([admissible_q_max(w) for w in omegas])
-    qs = np.array([skyrme_charge_closed(w) for w in omegas])
     gamma0 = 0.5 * np.abs(np.sin(omegas))
     lines = ["omega,q_max,QS,gamma_q0"]
     for w, qm, s, gm in zip(omegas, qmax, qs, gamma0):

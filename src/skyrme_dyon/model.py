@@ -222,10 +222,11 @@ def _interval_e1(p: ModelParams, s: FieldProfile, r2_coeff):
 def _nodal_e1(p: ModelParams, s: FieldProfile, mass):
     """Per-node part of e1 of the profile s: 2*(a^2-1)^2/r^2 + mass + 2*kappa*a^4 sin^4 f / r^2.
 
-    mass is the state's a^2 sin^2 f for E1; the coercive bound passes its own.
+    mass is the state's a^2 sin^2 f for E1; the coercive bound passes its
+    own.  The Skyrme term squares the state's a^2 sin^2 f in either case.
     """
-    grid, a, sin2 = s.grid, s.a, s._state.sin2
-    dtype = np.result_type(a, sin2, float)
+    grid, a, st = s.grid, s.a, s._state
+    dtype = np.result_type(a, st.sin2, float)
     a2 = a * a
     core = np.empty(grid.N + 1, dtype=dtype)
     core[1:] = (a2[1:] - 1.0) ** 2 / grid.r2
@@ -233,8 +234,8 @@ def _nodal_e1(p: ModelParams, s: FieldProfile, mass):
     out = 2.0 * core + mass
     if p.kappa != 0.0:
         sky = np.empty(grid.N + 1, dtype=dtype)
-        sky[1:] = (a2[1:] * sin2[1:]) ** 2 / grid.r2
-        sky[0] = 0.0 if sin2[0] == 0.0 else np.inf
+        sky[1:] = st.mass[1:] ** 2 / grid.r2
+        sky[0] = 0.0 if st.sin2[0] == 0.0 else np.inf
         out = out + 2.0 * p.kappa * sky
     return out
 

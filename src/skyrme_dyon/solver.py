@@ -45,10 +45,11 @@ Two structurally different routes to the same discrete root:
   intervals): Newton at the target from the closed-form initial guess, as
   the dyon is a critical point at fixed (omega, q), and only when that
   fails a q ladder of Newton legs from the monopole limit q = 0 to the
-  target, the first from the initial guess and each later one
-  warm-started from the previous; the first failed leg ends it.  The
-  route's last iterate, carried onto the full mesh by cubic interpolation
-  in the node index (_prolong), starts one fine Newton solve.  The Newton
+  target, the first from the initial guess and each later one from the
+  previous leg's a and f, with its g rescaled to the new q (from q = 0,
+  the initial guess's g); the first failed leg ends it.  The route's last
+  iterate, carried onto the full mesh by cubic interpolation in the node
+  index (_prolong), starts one fine Newton solve.  The Newton
   iteration count does not depend on the mesh, and the cubic is one order
   above the discretization, so that solve needs only one or two
   iterations and, at the acceptance points, one factorization.
@@ -59,11 +60,13 @@ Both routes keep g identically zero when q = 0 and the starting g
 vanishes: every coupling of the g-sector to (a, f) carries a factor g.
 newton_solve and flow_solve take a guess that lies on their grid (the same
 RadialGrid or one with equal nodes) and raise ParameterError otherwise; both
-start from one clamped float64 copy of it on their own grid (_start).
+start from one clamped float64 copy of it on their own grid (_start), and
+so does every ladder leg.
 
-Every solve ends in a SolveReport whose converged means a solution: the
-residual met its target, the action is finite and solution_properties_ok
-holds.  A continuation trace lists its Newton solves' own reports.
+Every solve ends in a SolveReport, a frozen value, whose converged means
+a solution: the residual met its target, the action is finite and
+solution_properties_ok holds.  A continuation trace lists its Newton
+solves' own reports.
 
 gbtrf and gbtrs are inner's, bound from scipy's compiled LAPACK wrapper
 without importing scipy.linalg; only the tracer's solver.solve_banded
@@ -159,9 +162,9 @@ class SolveConfig:
         return [validate_params(p_target.omega, q_k, p_target.kappa) for q_k in steps[:-1]] + [p_target]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
-    """How a solve at q went, from its stop message to its wall time.
+    """How a solve at q went, from its stop message to its wall time; frozen, so a changed report is a dataclasses.replace copy.
 
     converged means a solution: the residual met its target, the action is
     finite (not None) and the profile has every bound and monotonicity
@@ -682,9 +685,7 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
         else:
             message = f"flow step size underflow at residual {norm:.3e}"
             break
-    report = _report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0)
-    report.j_trace = j_trace
-    return s, report
+    return s, replace(_report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0), j_trace=j_trace)
 
 
 def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
@@ -694,17 +695,6 @@ def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
     if legs < 2:
         raise ParameterError(f"need at least 2 continuation legs for q > 0, got {legs}")
     return list(np.linspace(0.0, q_target, legs))
-
-
-def warm_start(prev: FieldProfile, p_prev: ModelParams, p_next: ModelParams) -> FieldProfile:
-    """A new profile from one solved at p_prev, with g rescaled to the g(R) = q of p_next.
-
-    The q ladder, the only caller, holds omega fixed, so a and f are copied.
-    From q = 0, g is a copy of the initial-guess g.  Boundary values are
-    then set exactly; prev is left as it was.
-    """
-    g = prev.g * (p_next.q / p_prev.q) if p_prev.q > 0.0 else initial_guess(p_next, prev.grid).g.copy()
-    return _with_boundary_data(p_next, prev.grid, prev.a.copy(), prev.f.copy(), g)
 
 
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:
@@ -754,13 +744,14 @@ def continuation_solve(
     The route runs on _coarse_grid(grid): Newton at the target from
     initial_guess, kept when it converges; otherwise the q ladder
     cfg.ladder(p_target), its first leg from initial_guess and each later
-    one from warm_start of the previous leg, up to the first leg that
-    fails.  A one-entry ladder is itself the direct solve.  The route's
-    last iterate, carried onto grid by cubic interpolation in the node
-    index (_prolong), starts one newton_solve on grid at the q of the
-    route's last leg, whether or not the route succeeded; without a coarse
-    subgrid (N < 2 * COARSE_NODES) the route ran on grid and there is no
-    fine solve.
+    one from the previous leg's a and f and its g times q_k / q_prev (the
+    initial guess's g after a leg at q = 0), clamped by newton_solve's
+    _start as any guess is, up to the first leg that fails.  A one-entry
+    ladder is itself the direct solve.  The route's last iterate, carried
+    onto grid by cubic interpolation in the node index (_prolong), starts
+    one newton_solve on grid at the q of the route's last leg, whether or
+    not the route succeeded; without a coarse subgrid (N < 2 *
+    COARSE_NODES) the route ran on grid and there is no fine solve.
 
     continuation_trace holds each newton_solve's own report, in order: the
     direct attempt (path "direct"), the ladder legs ("newton"), then the
@@ -784,7 +775,11 @@ def continuation_solve(
     if not (trace and trace[-1].converged):
         p_prev: ModelParams | None = None
         for p_k in ladder:
-            guess = initial_guess(p_k, coarse) if p_prev is None else warm_start(profile, p_prev, p_k)
+            if p_prev is None:
+                guess = initial_guess(p_k, coarse)
+            else:  # omega is fixed along the ladder, so only g is rescaled
+                g = profile.g * (p_k.q / p_prev.q) if p_prev.q > 0.0 else initial_guess(p_k, coarse).g
+                guess = FieldProfile(coarse, profile.a, profile.f, g)
             profile, report = newton_solve(p_k, coarse, guess, cfg)
             trace.append(report)
             if not report.converged:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 from collections import Counter
@@ -186,7 +187,7 @@ def test_sweep_accepts_only_solutions_that_pass_the_property_checks(monkeypatch,
     def breaking_second_point(p, *args, **kwargs):
         profile, report = real_continuation(p, *args, **kwargs)
         if p.q == 0.05:
-            report.converged = report.properties_ok = False
+            report = dataclasses.replace(report, converged=False, properties_ok=False)
         return profile, report
 
     monkeypatch.setattr(cli, "continuation_solve", breaking_second_point)
@@ -313,7 +314,7 @@ def test_table_reference_values(tmp_path):
         assert len(dat) == 3 and all(len(line.split()) == 2 for line in dat)
 
 
-@pytest.mark.parametrize("omega", ["1.5pi", "-0.1", "nan"])
+@pytest.mark.parametrize("omega", ["1.5pi", "-0.1", "nan", "inf"])
 def test_table_invalid_range(tmp_path, omega):
     out = tmp_path / "table"
     assert main(["table", "--omegas", omega, "--out", str(out)]) == 1

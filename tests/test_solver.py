@@ -37,26 +37,25 @@ def test_initial_guess_shapes_and_bounds():
     assert np.all(sd.initial_guess(p0, g).g == 0.0)
 
 
-def test_warm_start_rescales_to_new_boundary_data(grid_small):
-    p0 = sd.validate_params(OMEGA, 0.0, 1.0)
-    guess = sd.initial_guess(p0, grid_small)
-    a, f = guess.a.copy(), guess.f.copy()
-    a[-1] = f[-1] = 0.5  # off-boundary data must be reset
-    prev = sd.FieldProfile(grid_small, a, f, guess.g)
-    snapshot = sd.FieldProfile(grid_small, prev.a.copy(), prev.f.copy(), prev.g.copy())
-    p1 = sd.validate_params(OMEGA, 0.2, 1.0)
-    s = solver.warm_start(prev, p0, p1)
-    for name in ("a", "f", "g"):
-        assert np.array_equal(getattr(prev, name), getattr(snapshot, name))
-    r = grid_small.r
-    assert np.array_equal(s.a[1:-1], prev.a[1:-1]) and np.array_equal(s.f[1:-1], prev.f[1:-1])
-    assert np.allclose(s.g[1:-1], p1.q * r[1:-1] / (r[1:-1] + 1.0), rtol=1e-15, atol=0.0)
-    assert (s.a[0], s.f[0], s.g[0]) == (1.0, 0.0, 0.0)
-    assert (s.a[-1], s.f[-1], s.g[-1]) == (0.0, p1.f_infinity, p1.q)
-    p2 = sd.validate_params(OMEGA, 0.1, 1.0)
-    s2 = solver.warm_start(s, p1, p2)
-    assert np.allclose(s2.g[1:-1], 0.5 * s.g[1:-1], rtol=1e-15, atol=0.0)
-    assert np.array_equal(s2.f, s.f)
+@pytest.mark.parametrize("steps", [None, [0.0, 0.0, 0.3]], ids=["default-ladder", "two-legs-at-q-0"])
+def test_ladder_legs_start_from_the_previous_legs_arrays(monkeypatch, grid_small, steps):
+    # a later leg hands the previous leg's a and f to newton_solve as they are, and _start makes the one copy;
+    # its g is the previous g rescaled to the new q, or the initial guess's after a leg at q = 0
+    _reject_direct_attempt(monkeypatch, grid_small)
+    calls = _record_newton_calls(monkeypatch)
+    p = sd.validate_params(OMEGA, 0.3, 1.0)
+    _, rep = sd.continuation_solve(p, grid_small, sd.SolveConfig(continuation_steps=steps))
+    legs = calls[1:]
+    assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"] + ["newton"] * len(legs)
+    p0, _, first, _ = legs[0]
+    assert p0.q == 0.0 and all(getattr(first, n).tobytes() == getattr(sd.initial_guess(p0, grid_small), n).tobytes() for n in "afg")
+    for (p_prev, _, _, prev), (p_k, _, guess, _) in zip(legs, legs[1:]):
+        assert np.shares_memory(guess.a, prev.a) and np.shares_memory(guess.f, prev.f)
+        g = sd.initial_guess(p_k, grid_small).g if p_prev.q == 0.0 else prev.g * (p_k.q / p_prev.q)
+        assert guess.g[1:-1].tobytes() == g[1:-1].tobytes()
+    for p_k, _, _, s in legs:
+        assert (s.a[0], s.f[0], s.g[0]) == (1.0, 0.0, 0.0)
+        assert (s.a[-1], s.f[-1], s.g[-1]) == (0.0, p_k.f_infinity, p_k.q)
 
 
 def test_the_package_writes_into_no_built_profile(tmp_path):
@@ -65,7 +64,7 @@ def test_the_package_writes_into_no_built_profile(tmp_path):
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
     grid = sd.build_grid(60.0, 500)
     s, rep = sd.continuation_solve(p, grid)
-    # the direct attempt lands on the wrong branch, so the route walks the q ladder: five warm starts
+    # the direct attempt lands on the wrong branch, so the route walks the q ladder: five legs start from the one before
     assert rep.converged and [leg.path for leg in rep.continuation_trace] == ["direct"] + ["newton"] * 6 + ["fine"]
     for name in "afg":
         with pytest.raises(ValueError, match="read-only"):
@@ -96,6 +95,8 @@ def test_newton_report_contract(monopole_small):
     assert rep.converged and rep.final_residual_norm <= 1e-10
     assert rep.action is not None and np.isfinite(rep.action.E)
     assert rep.properties_ok
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rep, "message", rep.message)
 
 
 def test_newton_report_action_reads_the_final_iterates_state(monkeypatch, grid_small):
@@ -493,8 +494,7 @@ def _reject_direct_attempt(monkeypatch, grid):
         s, rep = original(p, g, *args, **kwargs)
         if not rejected:
             assert np.array_equal(g.r, solver._coarse_grid(grid).r)
-            rep.converged = False
-            rep.message = "rejected by the test"
+            rep = dataclasses.replace(rep, converged=False, message="rejected by the test")
             rejected.append(rep)
         return s, rep
 
@@ -512,6 +512,20 @@ def _count_newton_calls(monkeypatch):
 
     monkeypatch.setattr(solver, "newton_solve", counting)
     return grids
+
+
+def _record_newton_calls(monkeypatch):
+    """Wrap solver.newton_solve; the returned list gets each call's (p, grid, guess, returned profile)."""
+    original = solver.newton_solve
+    calls = []
+
+    def recording(p, g, guess, *args, **kwargs):
+        s, rep = original(p, g, guess, *args, **kwargs)
+        calls.append((p, g, guess, s))
+        return s, rep
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    return calls
 
 
 @pytest.mark.parametrize("N, coarse_N", [(300, 300), (500, 250), (1000, 250), (2000, 250), (3000, 375), (8000, 250)])
@@ -755,19 +769,10 @@ def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch):
     # (0, pi - omega); the all-Newton q ladder reaches the right one
     omega = 0.505 * math.pi
     p = sd.validate_params(omega, 0.999 * sd.admissible_q_max(omega), 0.0)
-    grids = _count_newton_calls(monkeypatch)
-    warm_grids = []
-    original_warm_start = solver.warm_start
-
-    def counting_warm_start(prev, *args):
-        warm_grids.append(prev.grid.N)
-        return original_warm_start(prev, *args)
-
-    monkeypatch.setattr(solver, "warm_start", counting_warm_start)
+    calls = _record_newton_calls(monkeypatch)
     for N, tol in [(500, 1e-10), (2000, 1e-10), (8000, 1e-8)]:
         g = sd.build_grid(60.0, N)
-        grids.clear()
-        warm_grids.clear()
+        calls.clear()
         s, rep = sd.continuation_solve(p, g, sd.SolveConfig(tol_residual=tol))
         trace = rep.continuation_trace
         assert "bound-f-interval fails" in trace[0].message
@@ -775,8 +780,10 @@ def test_wrong_branch_direct_solve_is_rescued_by_the_ladder(monkeypatch):
         assert trace[0].final_residual_norm <= tol
         assert rep.converged and rep.properties_ok
         # the direct attempt and six legs on the N = 250 subgrid; the full mesh sees one solve
-        assert [gr.N for gr in grids] == [250] * 7 + [N]
-        assert warm_grids == [250] * 5
+        assert [gr.N for _, gr, _, _ in calls] == [250] * 7 + [N]
+        # the five later legs start from the previous leg's arrays
+        later = [guess.grid.N for (_, _, _, prev), (_, _, guess, _) in zip(calls, calls[1:]) if np.shares_memory(guess.a, prev.a)]
+        assert later == [250] * 5
         assert trace[-1].iterations <= 2 and trace[-1].q == p.q and s.grid is g
 
 
