@@ -78,7 +78,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,12 +171,12 @@ class SolveReport:
     property (properties_ok).  path is the route that produced it:
     "newton" or "flow", and in a continuation trace "direct" for the Newton
     attempt at the target and "fine" for the one solve on the full mesh.
-    continuation_trace holds the reports of a continuation's Newton
-    solves, in order; a flow's holds its coarse stage ("coarse") and its
-    descent on the full mesh ("fine"), or nothing when the mesh has no
-    coarse subgrid.  factorizations counts a Newton solve's Jacobian
-    factorizations; it falls below iterations by the chord steps taken,
-    and a flow report keeps 0.
+    continuation_trace is a tuple of a continuation's Newton reports, in
+    order; a flow's holds its coarse stage ("coarse") and its descent on the
+    full mesh ("fine"), or nothing without a coarse subgrid.  j_trace is a
+    flow's tuple of J, at its start and after each accepted step.
+    factorizations counts a Newton solve's Jacobian factorizations; it
+    falls below iterations by the chord steps taken, and a flow keeps 0.
     """
 
     converged: bool
@@ -185,10 +185,10 @@ class SolveReport:
     action: ActionBreakdown | None
     path: str
     q: float
-    continuation_trace: list[SolveReport] = field(default_factory=list)
+    continuation_trace: tuple[SolveReport, ...] = ()
     properties_ok: bool = False
     message: str = ""
-    j_trace: list[float] = field(default_factory=list)
+    j_trace: tuple[float, ...] = ()
     wall_time: float = 0.0
     factorizations: int = 0
 
@@ -562,7 +562,7 @@ def flow_solve(p: ModelParams, grid: RadialGrid, guess: FieldProfile) -> tuple[F
     s, report = _flow_descent(p, s, FLOW_TOL)
     if trace:
         trace.append(replace(report, path="fine"))
-    return s, replace(report, continuation_trace=trace, wall_time=time.perf_counter() - t0)
+    return s, replace(report, continuation_trace=tuple(trace), wall_time=time.perf_counter() - t0)
 
 
 def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldProfile, SolveReport]:
@@ -685,7 +685,7 @@ def _flow_descent(p: ModelParams, s: FieldProfile, tol: float) -> tuple[FieldPro
         else:
             message = f"flow step size underflow at residual {norm:.3e}"
             break
-    return s, replace(_report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0), j_trace=j_trace)
+    return s, replace(_report(p, s, bool(norm <= tol), accepted, norm, action, "flow", message, t0), j_trace=tuple(j_trace))
 
 
 def default_continuation_steps(q_target: float, legs: int = 6) -> list[float]:
@@ -796,4 +796,4 @@ def continuation_solve(
             aborted = f"{aborted}; fine solve: {report.message}"
     end = trace[-1]
     wall_time = time.perf_counter() - t0
-    return profile, replace(end, converged=end.converged and not aborted, message=aborted or end.message, continuation_trace=trace, wall_time=wall_time)
+    return profile, replace(end, converged=end.converged and not aborted, message=aborted or end.message, continuation_trace=tuple(trace), wall_time=wall_time)

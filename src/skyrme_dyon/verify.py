@@ -1,8 +1,8 @@
 """Property battery for solved profiles.
 
 run_suite executes every analytic property the solution must satisfy and
-returns a structured report: one line per check with a measured value, a
-threshold, and an anchor naming the property family it belongs to.
+returns a frozen VerifyReport, built once: a tuple of rows, one per check
+with a measured value, a threshold and an anchor naming its property family.
 Failures are report entries, never exceptions.  With a fixed seed the
 report is byte-identical across runs.
 
@@ -20,7 +20,7 @@ target and the test-function seed vary per run (Tolerances).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -79,28 +79,22 @@ class Tolerances:
             raise ParameterError(f"test-function seed must be an integer >= 0, got {self.seed!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
-    """The checks of one run_suite pass, in order, and the observables they read.
+    """The checks of one run_suite pass, in order, and the observables they read; a frozen value built once.
 
-    format() gives verify.txt: one line per check, then the overall verdict.
+    format() gives verify.txt: one line per check (a measured -0 as 0), then the overall verdict.
     """
 
-    checks: list[CheckResult] = field(default_factory=list)
-    observables: ObservableReport | None = None
+    checks: tuple[CheckResult, ...]
+    observables: ObservableReport
 
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, check_id: str, anchor: str, measured: float, threshold: float, passed: bool | None = None) -> None:
-        """Append a check row; passed defaults to measured being finite and <= threshold."""
-        if passed is None:
-            passed = bool(np.isfinite(measured)) and measured <= threshold
-        self.checks.append(CheckResult(check_id, anchor, float(measured), float(threshold), bool(passed)))
-
     def format(self) -> str:
-        lines = [f"{c.check_id} {'PASS' if c.passed else 'FAIL'} {c.measured:.17g} {c.threshold:.17g} {c.anchor}" for c in self.checks]
+        lines = [f"{c.check_id} {'PASS' if c.passed else 'FAIL'} {c.measured + 0.0:.17g} {c.threshold:.17g} {c.anchor}" for c in self.checks]
         lines.append(f"overall {'PASS' if self.overall else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -175,12 +169,18 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
     tol = tol or Tolerances()
     grid, a, st = s.grid, s.a, s._state
     obs = observables(p, s, strict=False)
-    rep = VerifyReport(observables=obs)
+    rows: list[CheckResult] = []
+
+    def add(check_id: str, anchor: str, measured: float, threshold: float, passed: bool | None = None) -> None:
+        """Append a row; passed defaults to measured being finite and <= threshold."""
+        if passed is None:
+            passed = bool(np.isfinite(measured)) and measured <= threshold
+        rows.append(CheckResult(check_id, anchor, float(measured), float(threshold), bool(passed)))
 
     ra, rf, rg = residuals(p, s)
-    rep.add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
-    rep.add("residual-f", "euler-lagrange", float(np.max(np.abs(rf))), tol.residual)
-    rep.add("residual-g", "euler-lagrange", float(np.max(np.abs(rg))), tol.residual)
+    add("residual-a", "euler-lagrange", float(np.max(np.abs(ra))), tol.residual)
+    add("residual-f", "euler-lagrange", float(np.max(np.abs(rf))), tol.residual)
+    add("residual-g", "euler-lagrange", float(np.max(np.abs(rg))), tol.residual)
 
     bc_defect = max(
         abs(s.a[0] - 1.0),
@@ -190,22 +190,22 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         abs(s.f[-1] - p.f_infinity),
         abs(s.g[-1] - p.q),
     )
-    rep.add("boundary-values", "boundary-conditions", bc_defect, BOUNDARY_TOL)
+    add("boundary-values", "boundary-conditions", bc_defect, BOUNDARY_TOL)
 
-    rep.checks.extend(property_checks(p, s))
+    rows.extend(property_checks(p, s))
 
     try:
         act = action_breakdown(p, s)
     except NumericError:
         act = None  # non-finite energy density: every check built on the action fails
     if act is None:
-        rep.add("energy-finite", "finite-energy", float("nan"), float("inf"), False)
-        rep.add("coercive-bound", "coercive-lower-bound", float("nan"), 0.0, False)
+        add("energy-finite", "finite-energy", float("nan"), float("inf"))
+        add("coercive-bound", "coercive-lower-bound", float("nan"), 0.0)
     else:
         energy_ok = np.isfinite(act.E) and act.E1 >= 0.0 and act.E2 >= 0.0
-        rep.add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
+        add("energy-finite", "finite-energy", act.E, float("inf"), bool(energy_ok))
         gap, scale = _coercive_gap(p, s, act.L)
-        rep.add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
+        add("coercive-bound", "coercive-lower-bound", -gap, COERCIVE_REL_TOL * scale)
 
     # weak form evaluated on the inner minimizer for this gauge profile; the
     # profile's own g is tied to it through the residual-g check above
@@ -221,26 +221,26 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         worst = float("nan")
     else:
         worst = max(0.0, *ratios)  # as a running max from 0.0, which a NaN ratio never replaces
-    rep.add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)
+    add("constraint-orthogonality", "weak-constraint", worst, CONSTRAINT_TOL)
 
-    rep.add("skyrme-charge-consistency", "topological-charge", abs(obs.QS_numeric - obs.QS_closed), QS_ABS_TOL)
+    add("skyrme-charge-consistency", "topological-charge", abs(obs.QS_numeric - obs.QS_closed), QS_ABS_TOL)
     # a failed decay fit leaves gamma_fit NaN, which fails the check
-    rep.add("decay-rate", "exponential-decay", abs(obs.gamma_fit - obs.gamma_theory) / obs.gamma_theory, GAMMA_REL_TOL)
+    add("decay-rate", "exponential-decay", abs(obs.gamma_fit - obs.gamma_theory) / obs.gamma_theory, GAMMA_REL_TOL)
     if p.q == 0.0:
-        rep.add("tail-electric-charge", "tail-laws", abs(obs.cg_tail - obs.Qe), CG_ABS_TOL_Q0)
+        add("tail-electric-charge", "tail-laws", abs(obs.cg_tail - obs.Qe), CG_ABS_TOL_Q0)
     else:
         rel = abs(obs.cg_tail - obs.Qe) / abs(obs.Qe) if obs.Qe != 0.0 else float("nan")  # NaN fails the check
-        rep.add("tail-electric-charge", "tail-laws", rel, CG_REL_TOL)
-    rep.add("tail-f-variation", "tail-laws", obs.cf_variation, CF_VARIATION_TOL)
+        add("tail-electric-charge", "tail-laws", rel, CG_REL_TOL)
+    add("tail-f-variation", "tail-laws", obs.cf_variation, CF_VARIATION_TOL)
 
     # Discrete Cauchy-Schwarz bound |a(r) - 1| <= sqrt(r * cumint a'^2).  It is an equality at nodes 0 and 1,
     # where a is linear, so the max over the nodes from 2 on (a mesh has at least 3 nodes) is the row's margin.
     cum_a = np.concatenate([[0.0], np.cumsum(st.da * st.da * grid.h)])
     gap_a = float(np.max((np.abs(a - 1.0) - np.sqrt(grid.r * cum_a))[2:]))
-    rep.add("small-r-gauge-bound", "small-r-bounds", gap_a, SMALL_R_REL_TOL * (1.0 + float(cum_a[-1])))
+    add("small-r-gauge-bound", "small-r-bounds", gap_a, SMALL_R_REL_TOL * (1.0 + float(cum_a[-1])))
 
     if p.kappa > 0.0 and act is None:
-        rep.add("small-r-skyrme-bound", "small-r-bounds", float("nan"), 0.0, False)
+        add("small-r-skyrme-bound", "small-r-bounds", float("nan"), 0.0)
     elif p.kappa > 0.0:
         # sin^2 f <= 2 kappa^(-1/2) sqrt(r) sqrt(L) on the core region where a >= 1/2.  Both sides vanish at r = 0,
         # so the max over the core's nodes with r > 0 is the row's margin; an empty set reads 0.
@@ -251,9 +251,9 @@ def run_suite(p: ModelParams, s: FieldProfile, tol: Tolerances | None = None) ->
         lhs = st.sin2[1:cut]
         rhs = 2.0 / math.sqrt(p.kappa) * np.sqrt(rr) * math.sqrt(act_L)
         gap_f = float(np.max(lhs - rhs)) if cut > 1 else 0.0
-        rep.add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
+        add("small-r-skyrme-bound", "small-r-bounds", gap_f, SMALL_R_REL_TOL * (1.0 + act_L))
 
     flux_gap, flux_scale = _flux_identity_gap(s, rg)
-    rep.add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
-    return rep
+    add("flux-identity", "flux-identity", flux_gap, FLUX_TOL * flux_scale)
+    return VerifyReport(tuple(rows), obs)
 

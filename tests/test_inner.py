@@ -242,6 +242,14 @@ def test_singular_one_by_one_system_raises_as_gtsv_does():
         sd.solve_inner_g(p, g, np.array([1.0, 0.0, 0.0]))
 
 
+def test_malformed_lapack_call_raises_a_plain_value_error():
+    # a negative info is a bug in the call, not a numerical failure: no solver may catch it as a NumericError
+    with pytest.raises(ValueError) as excinfo:
+        inner._raise_for_info(-3, "gbtrf")
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "illegal value in 3-th argument of internal gbtrf"
+
+
 def test_non_finite_diagonal_is_reported_with_its_node():
     g = sd.build_grid(30.0, 300)
     p = sd.validate_params(OMEGA, 0.3, 1.0)

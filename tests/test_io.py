@@ -70,8 +70,14 @@ def test_fine_mesh_profile_bytes_match_per_row_format(tmp_path):
     [
         (b"\xff\xfe# omega=2.356194490192345\n", "is not UTF-8 text: invalid start byte at byte 0"),
         (b"# q=0.1\n# kappa=1\n# R=2\n# N=2\nr,a,f,g\n0,1,0,0\n1,0.5,0.4,0.05\n2,0,0.78539816339744828,0.1\n", "is missing header line '# omega='"),
+        (b"# omega=2.356194490192345\n# q=0.1\n# kappa=1\n# R=2\n# N=2\nr,a,f,g\n0,1,0\n1,0.5,0.4\n2,0,0.78539816339744828\n", "must have 4 columns r,a,f,g"),
+        # the line number counts the blank line 8, which the row parse skips
+        (
+            b"# omega=2.356194490192345\n# q=0.1\n# kappa=1\n# R=2\n# N=2\nr,a,f,g\n0,1,0,0\n\n1,x,0.4,0.05\n2,0,0.78539816339744828,0.1\n",
+            "line 9 is not readable: '1,x,0.4,0.05'",
+        ),
     ],
-    ids=["not-utf-8", "no-omega-line"],
+    ids=["not-utf-8", "no-omega-line", "three-columns", "blank-line-before-bad-row"],
 )
 def test_verify_names_the_profile_file_it_cannot_read(tmp_path, capsys, content, message):
     path = tmp_path / "p.csv"

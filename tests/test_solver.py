@@ -97,6 +97,35 @@ def test_newton_report_contract(monopole_small):
     assert rep.properties_ok
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(rep, "message", rep.message)
+    assert isinstance(rep.continuation_trace, tuple) and isinstance(rep.j_trace, tuple)
+
+
+def _fields_holding_a_list(value, path="result"):
+    """The paths of the lists in value, going down through dataclass fields and tuple items."""
+    if isinstance(value, list):
+        return [path]
+    if isinstance(value, tuple):
+        return [hit for i, item in enumerate(value) for hit in _fields_holding_a_list(item, f"{path}[{i}]")]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [hit for f in dataclasses.fields(value) for hit in _fields_holding_a_list(getattr(value, f.name), f"{path}.{f.name}")]
+    return []
+
+
+def test_every_result_is_a_frozen_value_without_lists(solved_points):
+    # a result is built once: every public dataclass is frozen, and no field of a solve or battery result,
+    # down through the trace's reports, holds a list that could still be appended to
+    exported = [getattr(sd, name) for name in sd.__all__]
+    classes = [obj for obj in exported if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+    assert sd.VerifyReport in classes and sd.SolveReport in classes
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
+    p, s, rep = next(iter(solved_points.values()))
+    grid = sd.build_grid(30.0, 500)
+    pf = sd.validate_params(OMEGA, 0.3, 1.0)
+    _, flow_rep = sd.flow_solve(pf, grid, sd.initial_guess(pf, grid))
+    assert len(rep.continuation_trace) == len(flow_rep.continuation_trace) == 2
+    suite = sd.run_suite(p, s)
+    for name, result in [("continuation", rep), ("flow", flow_rep), ("suite", suite)]:
+        assert _fields_holding_a_list(result, name) == []
 
 
 def test_newton_report_action_reads_the_final_iterates_state(monkeypatch, grid_small):
@@ -1214,7 +1243,7 @@ def test_flow_without_a_coarse_subgrid_runs_one_stage(N):
     p = sd.validate_params(OMEGA, 0.1, 1.0)
     s, rep = sd.flow_solve(p, g, sd.initial_guess(p, g))
     assert rep.converged and rep.path == "flow"
-    assert rep.continuation_trace == []
+    assert rep.continuation_trace == ()
 
 
 @pytest.mark.parametrize("miss", ["step budget", "electric solve"])
@@ -1238,7 +1267,7 @@ def test_flow_whose_coarse_stage_misses_its_target_starts_from_the_guess(monkeyp
     assert not coarse.final_residual_norm <= solver.COARSE_FLOW_TOL
     monkeypatch.setattr(solver, "_coarse_grid", lambda grid: grid)
     s1, rep1 = sd.flow_solve(p, grid60, guess)
-    assert rep1.continuation_trace == []
+    assert rep1.continuation_trace == ()
     for name in ("a", "f", "g"):
         assert getattr(s, name).tobytes() == getattr(s1, name).tobytes()
     assert (rep.iterations, rep.final_residual_norm, rep.message, rep.j_trace) == (rep1.iterations, rep1.final_residual_norm, rep1.message, rep1.j_trace)
